@@ -207,11 +207,6 @@ class DeviceServer:
                           f"unexpected request kind {msg.kind.name}")
 
 
-def serve(device: DeviceServer, host: str = "127.0.0.1", port: int = 0) -> None:
-    """Run a device's service loop in the calling thread (blocks)."""
-    device.serve_forever(host, port)
-
-
 # --- client ----------------------------------------------------------------
 
 

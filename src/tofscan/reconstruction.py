@@ -167,7 +167,7 @@ def poisson_reconstruct(cloud: OrientedPointCloud, resolution: int = 128,
     ``resolution`` is the node count along the longest padded axis (the other
     axes scale with the cloud's bounding box). Raises ReconstructionError for
     empty input or an empty iso-surface, SolverError if the linear solve
-    stalls.
+    misses ``tol``.
     """
     if len(cloud) == 0:
         raise ReconstructionError("empty oriented cloud")
@@ -185,8 +185,7 @@ def poisson_reconstruct(cloud: OrientedPointCloud, resolution: int = 128,
 
     # -lap(chi) = -div(V); with camera-facing (outward) normals chi then rises
     # toward the inside up to the sign fixed below
-    chi_arr, info = solve_poisson_grid(-div, spacing, tol=tol,
-                                       maxiter=10 * resolution)
+    chi_arr, info = solve_poisson_grid(-div, spacing, tol=tol)
     grid = ScalarGrid(origin, spacing, chi_arr)
 
     sampled = grid.sample(cloud.points)
@@ -259,19 +258,27 @@ def _cull_small_components(verts: np.ndarray, tris: np.ndarray, min_fraction: fl
     return _compact(verts, tris[keep])
 
 
+def _edge_keys(t: np.ndarray):
+    """int64 keys of every triangle edge: directed ``a * n + b``, undirected ``lo * n + hi``."""
+    t = t.astype(np.int64)
+    n = int(t.max()) + 1
+    a = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
+    b = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
+    return a * n + b, np.minimum(a, b) * n + np.maximum(a, b)
+
+
 def is_watertight(mesh: TriangleMesh) -> tuple[bool, int]:
     """(closed 2-manifold with consistent orientation, boundary edge count)."""
     t = mesh.triangles
     if len(t) == 0:
         return False, 0
-    directed = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    und = np.sort(directed, axis=1)
-    _, inv, counts = np.unique(und, axis=0, return_inverse=True, return_counts=True)
+    directed, und = _edge_keys(t)
+    _, counts = np.unique(und, return_counts=True)
     boundary = int((counts == 1).sum())
     if (counts != 2).any():
         return False, boundary + int((counts > 2).sum())
     # each undirected edge must appear once per direction
-    _, dcounts = np.unique(directed, axis=0, return_counts=True)
+    _, dcounts = np.unique(directed, return_counts=True)
     if (dcounts != 1).any():
         return False, 0
     return True, 0
@@ -283,6 +290,5 @@ def euler_characteristic(mesh: TriangleMesh) -> int:
     if len(t) == 0:
         return 0
     v = len(np.unique(t.reshape(-1)))
-    und = np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
-    e = len(np.unique(und, axis=0))
+    e = len(np.unique(_edge_keys(t)[1]))
     return v - e + len(t)

@@ -141,11 +141,6 @@ class MultiScaleParams:
         object.__setattr__(self, "voxel_sizes", v)
         object.__setattr__(self, "max_iterations", it)
 
-    def scaled(self, factor: float) -> "MultiScaleParams":
-        return MultiScaleParams(tuple(v * factor for v in self.voxel_sizes),
-                                self.max_iterations, self.delta, self.relative_change,
-                                self.max_corr_factor, self.normal_k, self.gradient_k)
-
 
 @dataclass
 class RegistrationResult:

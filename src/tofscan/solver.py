@@ -1,15 +1,11 @@
-"""Grid Poisson solver: 7-point Laplacian, zero-Dirichlet boundary, Krylov iteration.
+"""Grid Poisson solver: 7-point Laplacian, zero-Dirichlet boundary, direct DST-I solve.
 
-The iteration is the conjugate residual method: the member of the
-conjugate-direction family for SPD systems that minimizes the residual 2-norm
-over the Krylov subspace at every step, so the residual norm is monotone
-non-increasing by construction (plain conjugate gradients minimizes the error
-A-norm instead and its residual can oscillate). Cost per iteration is one
-stencil application, same as CG.
-
-Large solves get their initial guess from a recursively coarsened solve of the
-same problem (nested iteration), which typically halves the fine-level
-iteration count without touching the convergence guarantee.
+On a box with zero Dirichlet boundary the 7-point Laplacian is diagonalised
+exactly by the type-I discrete sine transform along each axis, with separable
+eigenvalues sum_axis (2 - 2 cos(pi k / (n + 1))) / h_axis^2 (Buzbee, Golub &
+Nielson 1970). The solve is one forward transform, one division and one
+inverse transform; its relative residual is then checked against ``tol`` with
+the stencil itself, so a solve that is not accurate (or not finite) raises.
 """
 
 from __future__ import annotations
@@ -17,14 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-__all__ = ["SolverError", "SolveInfo", "apply_neg_laplacian", "conjugate_residual",
-           "solve_poisson_grid"]
+__all__ = ["SolverError", "SolveInfo", "apply_neg_laplacian", "solve_poisson_grid"]
 
 
 class SolverError(RuntimeError):
-    """Krylov iteration failed to reach the requested residual."""
+    """The solve did not reach the requested residual."""
 
     def __init__(self, msg: str, residual: float | None = None):
         super().__init__(msg)
@@ -33,9 +27,8 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolveInfo:
-    iterations: int
+    iterations: int           # 1 for a direct solve, 0 for a zero right-hand side
     residual: float           # final relative residual (2-norm)
-    residual_history: list    # absolute residual 2-norms, one per iteration
     converged: bool
 
 
@@ -57,87 +50,29 @@ def apply_neg_laplacian(u: np.ndarray, spacing) -> np.ndarray:
     return out
 
 
-def conjugate_residual(apply_a, b: np.ndarray, tol: float, maxiter: int,
-                       x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
-    """Solve A x = b for SPD A; stops at ||r|| <= tol * ||b||.
-
-    Raises SolverError when maxiter iterations do not reach the tolerance.
-    """
-    norm_b = float(np.linalg.norm(b))
-    if norm_b == 0.0:
-        return np.zeros_like(b), SolveInfo(0, 0.0, [], True)
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - apply_a(x) if x0 is not None else b.copy()
-    history: list[float] = [float(np.linalg.norm(r))]
-    if history[0] <= tol * norm_b:
-        return x, SolveInfo(0, history[0] / norm_b, history, True)
-    p = r.copy()
-    ar = apply_a(r)
-    ap = ar.copy()
-    r_ar = float(np.vdot(r, ar))
-    for k in range(1, maxiter + 1):
-        ap_ap = float(np.vdot(ap, ap))
-        if ap_ap == 0.0 or r_ar == 0.0:
-            break  # stagnated in exact arithmetic; report what we have
-        alpha = r_ar / ap_ap
-        x += alpha * p
-        r -= alpha * ap
-        rn = float(np.linalg.norm(r))
-        history.append(rn)
-        if rn <= tol * norm_b:
-            return x, SolveInfo(k, rn / norm_b, history, True)
-        ar = apply_a(r)
-        r_ar_new = float(np.vdot(r, ar))
-        beta = r_ar_new / r_ar
-        r_ar = r_ar_new
-        p = r + beta * p
-        ap = ar + beta * ap
-    final = history[-1] / norm_b
-    raise SolverError(f"no convergence to {tol:g} within {maxiter} iterations "
-                      f"(relative residual {final:.3e})", residual=final)
-
-
-def _coarsen_shape(shape) -> tuple:
-    return tuple(max(7, (n + 1) // 2) for n in shape)
-
-
-def _resample(u: np.ndarray, shape) -> np.ndarray:
-    """Trilinear resample between node grids, corner-to-corner."""
-    axes = [np.linspace(0.0, s - 1.0, t) for s, t in zip(u.shape, shape)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([g.ravel() for g in grid])
-    return ndimage.map_coordinates(u, coords, order=1, mode="nearest").reshape(shape)
-
-
-def solve_poisson_grid(rhs: np.ndarray, spacing, tol: float = 1e-6,
-                       maxiter: int | None = None, nested: bool = True,
-                       _histories: list | None = None) -> tuple[np.ndarray, SolveInfo]:
+def solve_poisson_grid(rhs: np.ndarray, spacing,
+                       tol: float = 1e-6) -> tuple[np.ndarray, SolveInfo]:
     """Solve -lap(u) = rhs on the interior grid with zero Dirichlet boundary.
 
-    ``spacing`` is the physical node spacing (scalar or per-axis). When
-    ``nested`` is set and the grid is large, the initial guess is prolonged
-    from a coarsened solve of the same problem.
+    ``spacing`` is the physical node spacing (scalar or per-axis). Raises
+    SolverError, with ``.residual`` set, unless the relative residual of the
+    result is at most ``tol``.
     """
+    from scipy import fft
+
     rhs = np.asarray(rhs, dtype=np.float64)
-    if maxiter is None:
-        maxiter = 10 * max(rhs.shape)
-    spacing = np.broadcast_to(np.asarray(spacing, dtype=np.float64), (3,)).copy()
+    spacing = np.broadcast_to(np.asarray(spacing, dtype=np.float64), (3,))
+    norm_b = float(np.linalg.norm(rhs))
+    if norm_b == 0.0:
+        return np.zeros_like(rhs), SolveInfo(0, 0.0, True)
 
-    x0 = None
-    if nested and min(rhs.shape) >= 32:
-        cshape = _coarsen_shape(rhs.shape)
-        extent = (np.array(rhs.shape) - 1) * spacing
-        cspacing = extent / (np.array(cshape) - 1)
-        crhs = _resample(rhs, cshape)
-        cx, _ = solve_poisson_grid(crhs, cspacing, tol=tol,
-                                   maxiter=10 * max(cshape), nested=True,
-                                   _histories=_histories)
-        x0 = _resample(cx, rhs.shape)
+    ex, ey, ez = [(2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))) / h ** 2
+                  for n, h in zip(rhs.shape, spacing)]
+    lam = ex[:, None, None] + ey[None, :, None] + ez[None, None, :]
+    u = fft.idstn(fft.dstn(rhs, type=1) / lam, type=1)
 
-    def apply_a(v):
-        return apply_neg_laplacian(v, spacing)
-
-    x, info = conjugate_residual(apply_a, rhs, tol=tol, maxiter=maxiter, x0=x0)
-    if _histories is not None:
-        _histories.append(info.residual_history)
-    return x, info
+    residual = float(np.linalg.norm(rhs - apply_neg_laplacian(u, spacing))) / norm_b
+    if not residual <= tol:
+        raise SolverError(f"direct solve missed {tol:g} "
+                          f"(relative residual {residual:.3e})", residual=residual)
+    return u, SolveInfo(1, residual, True)

@@ -98,10 +98,9 @@ class TestPoisson:
             assert abs(surface_area(mesh) - s ** 2 * a0) / (s ** 2 * a0) < 0.02
             assert abs(volume(mesh) - s ** 3 * v0) / (s ** 3 * v0) < 0.02
 
-    def test_residual_history_monotone(self, sphere_cloud):
+    def test_residual_within_tol(self, sphere_cloud):
         _, _, info = poisson_reconstruct(sphere_cloud, resolution=64, keep_grid=True)
-        h = info.residual_history
-        assert all(h[i + 1] <= h[i] * (1 + 1e-12) for i in range(len(h) - 1))
+        assert info.residual <= 1e-6
 
 
 class TestWatertight:
