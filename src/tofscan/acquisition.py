@@ -50,13 +50,15 @@ class DeviceError(Exception):
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        count = sock.recv_into(view[got:])
+        if not count:
             raise ConnectionError("peer closed the connection")
-        buf += chunk
-    return buf
+        got += count
+    return bytes(buf)
 
 
 def _send(sock: socket.socket, m: Message) -> None:
@@ -64,7 +66,7 @@ def _send(sock: socket.socket, m: Message) -> None:
 
 
 def _recv(sock: socket.socket) -> Message:
-    return read_message(lambda n: _recv_exact(sock, n) if n else b"")
+    return read_message(lambda n: _recv_exact(sock, n))
 
 
 class DeviceServer:

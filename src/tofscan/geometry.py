@@ -31,6 +31,7 @@ __all__ = [
     "back_project",
     "project",
     "transform_cloud",
+    "pca_normals",
     "compose",
     "invert",
 ]
@@ -339,3 +340,21 @@ def transform_cloud(cloud: PointCloud, t: RigidTransform, frame: str | None = No
     return PointCloud(t.apply(cloud.points), cloud.colors, normals,
                       frame if frame is not None else cloud.frame,
                       cloud.source_ids)
+
+
+def pca_normals(points: np.ndarray, tree, k: int, centers) -> np.ndarray:
+    """Unit normals by PCA over each point's k nearest neighbours in ``tree``.
+
+    ``tree`` is a KD-tree built on ``points``. Each normal is the covariance
+    eigenvector of least eigenvalue, flipped to face ``centers`` (one
+    viewpoint, or one per point).
+    """
+    _, idx = tree.query(points, k=k)
+    centered = points[idx]                           # (N, k, 3), centred in place
+    centered -= centered.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered)
+    _, vecs = np.linalg.eigh(cov)                    # ascending eigenvalues
+    normals = vecs[:, :, 0]
+    flip = np.einsum("ni,ni->n", normals, np.asarray(centers, dtype=np.float64) - points) < 0
+    normals[flip] *= -1.0
+    return normals / np.linalg.norm(normals, axis=1)[:, None]

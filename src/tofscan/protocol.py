@@ -90,8 +90,8 @@ def encode_message(m: Message) -> bytes:
     return _HEADER.pack(MAGIC, VERSION, int(m.kind), len(m.payload)) + m.payload
 
 
-def decode_message(b: bytes) -> Message:
-    """Decode one complete message; raises a distinct error per defect."""
+def _parse_header(b: bytes) -> tuple[MessageKind, int]:
+    """Check one message header; return its kind and declared payload length."""
     if len(b) < _HEADER.size:
         raise TruncatedError(f"need at least {_HEADER.size} header bytes, got {len(b)}")
     magic, version, kind, length = _HEADER.unpack_from(b)
@@ -105,28 +105,22 @@ def decode_message(b: bytes) -> Message:
         raise UnknownKindError(f"unknown message kind {kind}") from None
     if length > MAX_PAYLOAD:
         raise ProtocolError(f"declared payload too large: {length}")
+    return mkind, length
+
+
+def decode_message(b: bytes) -> Message:
+    """Decode one complete message; raises a distinct error per defect."""
+    kind, length = _parse_header(b)
     payload = b[_HEADER.size:_HEADER.size + length]
     if len(payload) != length:
         raise TruncatedError(f"payload truncated: declared {length}, got {len(payload)}")
-    return Message(mkind, bytes(payload))
+    return Message(kind, bytes(payload))
 
 
 def read_message(recv_exact) -> Message:
     """Read one message from a callable recv_exact(n) -> n bytes."""
-    header = recv_exact(_HEADER.size)
-    magic, version, kind, length = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise BadVersionError(f"unsupported version {version}")
-    try:
-        mkind = MessageKind(kind)
-    except ValueError:
-        raise UnknownKindError(f"unknown message kind {kind}") from None
-    if length > MAX_PAYLOAD:
-        raise ProtocolError(f"declared payload too large: {length}")
-    payload = recv_exact(length) if length else b""
-    return Message(mkind, payload)
+    kind, length = _parse_header(recv_exact(_HEADER.size))
+    return Message(kind, recv_exact(length) if length else b"")
 
 
 def json_message(kind: MessageKind, obj) -> Message:

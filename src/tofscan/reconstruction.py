@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .geometry import PointCloud
+from .geometry import PointCloud, pca_normals
 from .marching import marching_cubes_grid
 from .solver import solve_poisson_grid
 
@@ -112,22 +112,12 @@ def estimate_normals(cloud: PointCloud, k: int = 30,
     pts = cloud.points
     if len(pts) < k:
         raise ValueError(f"need at least k={k} points, got {len(pts)}")
-    tree = cKDTree(pts)
-    _, idx = tree.query(pts, k=k)
-    nbrs = pts[idx]                               # (N, k, 3)
-    centered = nbrs - nbrs.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered)
-    _, vecs = np.linalg.eigh(cov)                 # ascending eigenvalues
-    normals = vecs[:, :, 0]
-
     centers = np.tile(np.asarray(viewpoint, dtype=np.float64), (len(pts), 1))
     if camera_centers is not None and cloud.source_ids is not None:
         for dev, c in camera_centers.items():
             sel = cloud.source_ids == dev
             centers[sel] = np.asarray(c, dtype=np.float64)
-    flip = np.einsum("ni,ni->n", normals, centers - pts) < 0
-    normals[flip] *= -1.0
-    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    normals = pca_normals(pts, cKDTree(pts), k, centers)
     return OrientedPointCloud(pts, normals, cloud.source_ids)
 
 
@@ -146,17 +136,20 @@ def _grid_layout(points: np.ndarray, resolution: int):
 
 def _splat_normals(cloud: OrientedPointCloud, origin, spacing, shape) -> np.ndarray:
     """Trilinear distribution of each unit normal into the 8 surrounding nodes."""
-    field = np.zeros((3,) + shape)
     q = (cloud.points - origin) / spacing
     base = np.floor(q).astype(np.int64)
     frac = q - base
-    for corner in range(8):
-        off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
-        w = np.prod(np.where(off == 1, frac, 1.0 - frac), axis=1)
-        node = base + off
-        flat = (node[:, 0] * shape[1] + node[:, 1]) * shape[2] + node[:, 2]
-        for ax in range(3):
-            np.add.at(field[ax].reshape(-1), flat, w * cloud.normals[:, ax])
+    sides = (1.0 - frac, frac)  # per-axis weight of the lower and the upper node
+    base_flat = (base[:, 0] * shape[1] + base[:, 1]) * shape[2] + base[:, 2]
+    corners = [((c >> 2) & 1, (c >> 1) & 1, c & 1) for c in range(8)]
+    # corner-major, so each node sums its contributions in the order that a
+    # per-corner np.add.at would
+    flat = np.concatenate([base_flat + (i * shape[1] + j) * shape[2] + k for i, j, k in corners])
+    weight = np.stack([sides[i][:, 0] * sides[j][:, 1] * sides[k][:, 2] for i, j, k in corners])
+    field = np.empty((3,) + shape)
+    for ax in range(3):
+        field[ax] = np.bincount(flat, weights=(weight * cloud.normals[:, ax]).ravel(),
+                                minlength=field[ax].size).reshape(shape)
     return field
 
 

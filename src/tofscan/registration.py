@@ -10,6 +10,11 @@ at the projected point. Gauss-Newton steps are parameterized by (omega, t)
 with the update T <- (Rodrigues(omega), t) o T; a step that would raise the
 objective is halved up to six times and the scale stops if it still raises,
 so the recorded objective never increases across accepted iterations.
+
+Each cloud's level at one scale (downsampled points, intensity, PCA normals,
+one KD-tree for every neighbour query and, for a target, intensity gradients)
+is built once: ``register_rig`` shares each device's levels across both of
+its chain edges, and ``colored_icp`` runs the same loop on one pair.
 """
 
 from __future__ import annotations
@@ -17,12 +22,13 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import cache, cached_property, partial
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import PointCloud, RigidTransform, transform_cloud
+from .geometry import PointCloud, RigidTransform, pca_normals, transform_cloud
 
 logger = logging.getLogger(__name__)
 
@@ -180,44 +186,6 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     return PointCloud(pts, colors=cols, frame=cloud.frame, source_ids=src)
 
 
-def _pca_normals(points: np.ndarray, k: int, viewpoint) -> np.ndarray:
-    tree = cKDTree(points)
-    k = min(k, len(points))
-    _, idx = tree.query(points, k=k)
-    nbrs = points[idx]
-    centered = nbrs - nbrs.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered)
-    _, vecs = np.linalg.eigh(cov)
-    normals = vecs[:, :, 0]
-    flip = np.einsum("ni,ni->n", normals, np.asarray(viewpoint) - points) < 0
-    normals[flip] *= -1.0
-    return normals / np.linalg.norm(normals, axis=1)[:, None]
-
-
-def _intensity(colors: np.ndarray) -> np.ndarray:
-    return colors.mean(axis=1)
-
-
-def _color_gradients(points: np.ndarray, normals: np.ndarray, intensity: np.ndarray,
-                     k: int) -> np.ndarray:
-    """Per-point tangent-plane intensity gradient (orthogonal to the normal)."""
-    tree = cKDTree(points)
-    k = min(k, len(points))
-    _, idx = tree.query(points, k=k)
-    p = points[:, None, :]
-    nb = points[idx]
-    n = normals
-    # project neighbors onto each point's tangent plane
-    rel = nb - p
-    rel_t = rel - np.einsum("nkj,nj->nk", rel, n)[:, :, None] * n[:, None, :]
-    di = intensity[idx] - intensity[:, None]
-    g = np.einsum("nki,nkj->nij", rel_t, rel_t)
-    g += n[:, :, None] * n[:, None, :]  # pin the normal component to zero
-    rhs = np.einsum("nki,nk->ni", rel_t, di)
-    g += 1e-12 * np.eye(3)
-    return np.linalg.solve(g, rhs[:, :, None])[:, :, 0]
-
-
 def rodrigues(omega: np.ndarray) -> np.ndarray:
     theta = np.linalg.norm(omega)
     if theta < 1e-12:
@@ -235,67 +203,70 @@ def apply_increment(xi: np.ndarray, t: RigidTransform) -> RigidTransform:
     return inc.compose(t)
 
 
-@dataclass
-class _ScaleData:
-    src_pts: np.ndarray
-    src_int: np.ndarray
-    src_normals: np.ndarray
-    tgt_pts: np.ndarray
-    tgt_int: np.ndarray
-    normals: np.ndarray
-    gradients: np.ndarray
-    tree: cKDTree
-    max_corr: float
-    trim_fraction: float
-    min_normal_dot: float
+class _Level:
+    """One cloud at one pyramid scale; its one KD-tree serves every neighbour query."""
+
+    def __init__(self, cloud: PointCloud, params: MultiScaleParams, scale: int, viewpoint):
+        if cloud.colors is None:
+            raise ValueError("colored ICP needs per-point colors on both clouds")
+        down = voxel_downsample(cloud, params.voxel_sizes[scale])
+        self.points = down.points
+        self.intensity = down.colors.mean(axis=1)
+        self.tree = cKDTree(self.points)
+        self.normals = pca_normals(self.points, self.tree, min(params.normal_k, len(down)),
+                                   viewpoint)
+        self.gradient_k = params.gradient_k
+
+    @cached_property
+    def gradients(self) -> np.ndarray:
+        """Tangent-plane intensity gradients; built on first use, as only a target needs them."""
+        points, n, intensity = self.points, self.normals, self.intensity
+        _, idx = self.tree.query(points, k=min(self.gradient_k, len(points)))
+        # project neighbors onto each point's tangent plane
+        rel = points[idx] - points[:, None, :]
+        rel_t = rel - np.einsum("nkj,nj->nk", rel, n)[:, :, None] * n[:, None, :]
+        di = intensity[idx] - intensity[:, None]
+        g = np.einsum("nki,nkj->nij", rel_t, rel_t)
+        g += n[:, :, None] * n[:, None, :]  # pin the normal component to zero
+        rhs = np.einsum("nki,nk->ni", rel_t, di)
+        g += 1e-12 * np.eye(3)
+        return np.linalg.solve(g, rhs[:, :, None])[:, :, 0]
 
 
-def _prepare_scale(source: PointCloud, target: PointCloud, voxel: float,
-                   params: MultiScaleParams, viewpoint, source_viewpoint) -> _ScaleData:
-    src = voxel_downsample(source, voxel)
-    tgt = voxel_downsample(target, voxel)
-    normals = _pca_normals(tgt.points, params.normal_k, viewpoint)
-    src_normals = _pca_normals(src.points, params.normal_k, source_viewpoint)
-    tgt_int = _intensity(tgt.colors)
-    grads = _color_gradients(tgt.points, normals, tgt_int, params.gradient_k)
-    return _ScaleData(src.points, _intensity(src.colors), src_normals,
-                      tgt.points, tgt_int, normals, grads, cKDTree(tgt.points),
-                      params.max_corr_factor * voxel, params.trim_fraction,
-                      float(np.cos(np.radians(params.normal_gate_deg))))
-
-
-def _residuals(data: _ScaleData, transform: RigidTransform):
+def _residuals(src: _Level, tgt: _Level, transform: RigidTransform, voxel: float,
+               params: MultiScaleParams):
     """Residuals and correspondence data at the current transform."""
-    moved = transform.apply(data.src_pts)
-    dist, idx = data.tree.query(moved, distance_upper_bound=data.max_corr)
+    moved = transform.apply(src.points)
+    dist, idx = tgt.tree.query(moved, distance_upper_bound=params.max_corr_factor * voxel)
     valid = np.isfinite(dist)
     if not valid.any():
         return None
     n_matched = int(valid.sum())  # reported fitness counts these, not the gated subset
-    if data.min_normal_dot > -1.0:
+    min_normal_dot = float(np.cos(np.radians(params.normal_gate_deg)))
+    if min_normal_dot > -1.0:
         # wrapped-around points from a partially overlapping view face the
         # wrong way; reject matches whose normals disagree
-        moved_n = data.src_normals @ transform.rotation.T
+        moved_n = src.normals @ transform.rotation.T
         idx_safe = np.where(valid, idx, 0)
-        agree = np.abs(np.einsum("ni,ni->n", moved_n, data.normals[idx_safe]))
-        valid &= agree >= data.min_normal_dot
+        agree = np.abs(np.einsum("ni,ni->n", moved_n, tgt.normals[idx_safe]))
+        valid &= agree >= min_normal_dot
         if not valid.any():
             return None
-    if data.trim_fraction < 1.0 and valid.sum() > 20:
+    if params.trim_fraction < 1.0 and valid.sum() > 20:
         # trim the worst matches by distance: partial-overlap boundary points
         # otherwise clamp to the target rim and drag the pose
-        cutoff = np.quantile(dist[valid], data.trim_fraction)
+        cutoff = np.quantile(dist[valid], params.trim_fraction)
         valid &= dist <= max(cutoff, 1e-12)
         if not valid.any():
             return None
     s = moved[valid]
     j = idx[valid]
-    t = data.tgt_pts[j]
-    n = data.normals[j]
-    d = data.gradients[j]
+    t = tgt.points[j]
+    n = tgt.normals[j]
+    d = tgt.gradients[j]
     diff = s - t
     r_geo = np.einsum("ni,ni->n", diff, n)
-    r_col = data.tgt_int[j] + np.einsum("ni,ni->n", d, diff) - data.src_int[valid]
+    r_col = tgt.intensity[j] + np.einsum("ni,ni->n", d, diff) - src.intensity[valid]
     return {"s": s, "t": t, "n": n, "d": d, "r_geo": r_geo, "r_col": r_col,
             "dist": dist[valid], "valid": valid, "n_matched": n_matched}
 
@@ -328,31 +299,34 @@ def colored_icp(source: PointCloud, target: PointCloud, init: RigidTransform,
                 target_viewpoint=(0.0, 0.0, 0.0),
                 source_viewpoint=(0.0, 0.0, 0.0)) -> RegistrationResult:
     """Coarse-to-fine joint geometric/photometric alignment of source onto target."""
-    if source.colors is None or target.colors is None:
-        raise ValueError("colored ICP needs per-point colors on both clouds")
+    return _icp(partial(_Level, source, params, viewpoint=source_viewpoint),
+                partial(_Level, target, params, viewpoint=target_viewpoint), init, params)
+
+
+def _icp(source_level, target_level, init: RigidTransform,
+         params: MultiScaleParams) -> RegistrationResult:
+    """The ICP loop over scales; ``*_level(scale)`` gives each cloud's level."""
     transform = init
     history_all: list[list[float]] = []
     corr = None
-    data = None
     for scale, voxel in enumerate(params.voxel_sizes):
-        data = _prepare_scale(source, target, voxel, params, target_viewpoint,
-                              source_viewpoint)
-        corr = _residuals(data, transform)
-        if corr is None or (scale == 0 and corr["n_matched"] / len(data.src_pts) < 0.1):
+        src, tgt = source_level(scale), target_level(scale)
+        corr = _residuals(src, tgt, transform, voxel, params)
+        if corr is None or (scale == 0 and corr["n_matched"] / len(src.points) < 0.1):
             if scale == 0:
                 raise DivergenceError(
                     f"no usable correspondences at coarsest scale (voxel {voxel})", init)
             break
         energy = _objective(corr, params.delta)
         history = [energy]
-        prev_fit = corr["n_matched"] / len(data.src_pts)
+        prev_fit = corr["n_matched"] / len(src.points)
         prev_rmse = float(np.sqrt(np.mean(corr["dist"] ** 2)))
         for _ in range(params.max_iterations[scale]):
             xi = _gauss_newton_step(corr, params.delta)
             accepted = None
             for _damp in range(7):
                 trial = apply_increment(xi, transform)
-                trial_corr = _residuals(data, trial)
+                trial_corr = _residuals(src, tgt, trial, voxel, params)
                 if trial_corr is not None:
                     trial_energy = _objective(trial_corr, params.delta)
                     if trial_energy <= energy:
@@ -363,7 +337,7 @@ def colored_icp(source: PointCloud, target: PointCloud, init: RigidTransform,
                 break
             transform, corr, energy = accepted
             history.append(energy)
-            fit = corr["n_matched"] / len(data.src_pts)
+            fit = corr["n_matched"] / len(src.points)
             rmse = float(np.sqrt(np.mean(corr["dist"] ** 2)))
             if (abs(fit - prev_fit) < params.relative_change * max(prev_fit, 1e-12)
                     and abs(rmse - prev_rmse) < params.relative_change * max(prev_rmse, 1e-12)):
@@ -372,7 +346,7 @@ def colored_icp(source: PointCloud, target: PointCloud, init: RigidTransform,
             prev_fit, prev_rmse = fit, rmse
         history_all.append(history)
 
-    fitness = 0.0 if corr is None else float(corr["n_matched"] / len(data.src_pts))
+    fitness = 0.0 if corr is None else float(corr["n_matched"] / len(src.points))
     rmse = 0.0 if corr is None else float(np.sqrt(np.mean(corr["dist"] ** 2)))
     return RegistrationResult(transform, rmse, fitness, history_all,
                               diverged=fitness < 0.1)
@@ -410,12 +384,19 @@ def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, list],
 
     edges: dict[tuple, RegistrationResult] = {}
     failed: list[tuple] = []
+
+    def levels(dev: int):  # each scale is built on first use, then kept
+        return cache(partial(_Level, clouds[dev], params, viewpoint=(0.0, 0.0, 0.0)))
+
+    source = None
     for a, b in zip(order, order[1:]):
+        # a was the previous edge's source: reuse its levels, and keep b's for the next edge
+        target, source = source or levels(a), levels(b)
         try:
             init = estimate_pose_from_fiducials(fiducials[a], fiducials[b], cube_model) \
                 if fiducials else RigidTransform.identity()
             if refine and len(clouds[a]) and len(clouds[b]):
-                result = colored_icp(clouds[b], clouds[a], init, params)
+                result = _icp(source, target, init, params)
             else:
                 result = RegistrationResult(init, 0.0, 1.0, [])
         except (DivergenceError, DegenerateConfigError) as e:

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tofscan.protocol import (BadMagicError, BadVersionError, Message, MessageKind,
-                              TruncatedError, UnknownKindError, decode_message,
-                              encode_message, frame_crc32, pack_frame_payload,
-                              unpack_frame_payload)
+from tofscan.protocol import (MAGIC, BadMagicError, BadVersionError, Message, MessageKind,
+                              ProtocolError, TruncatedError, UnknownKindError,
+                              decode_message, encode_message, frame_crc32,
+                              pack_frame_payload, read_message, unpack_frame_payload)
 
 KINDS = list(MessageKind)
 
@@ -76,6 +76,41 @@ def test_round_trip_randomized_bulk(rng):
 def test_round_trip_property(kind, payload):
     m = Message(kind, payload)
     assert decode_message(encode_message(m)) == m
+
+
+def _memory_reader(b: bytes):
+    """recv_exact over an in-memory buffer; running short is a truncation."""
+    pos = 0
+
+    def recv_exact(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(b):
+            raise TruncatedError(f"stream ended: wanted {n}, {len(b) - pos} left")
+        pos += n
+        return b[pos - n:pos]
+    return recv_exact
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except ProtocolError as e:
+        return type(e)
+
+
+# header-shaped streams reach the version, kind, length and payload checks
+_HEADER_SHAPED = st.builds(
+    lambda magic, version, kind, length, payload:
+        magic + bytes([version, kind]) + length.to_bytes(4, "big") + payload,
+    st.sampled_from([MAGIC, b"HSCX"]), st.sampled_from([1, 2]), st.integers(0, 255),
+    st.one_of(st.integers(0, 64), st.integers(0, 2 ** 32 - 1)), st.binary(max_size=80))
+
+
+@settings(max_examples=400, deadline=None)
+@given(b=st.one_of(st.binary(max_size=64), _HEADER_SHAPED))
+def test_decode_and_read_agree(b):
+    """Both readers return the same Message or raise the same ProtocolError subclass."""
+    assert _outcome(lambda: decode_message(b)) == _outcome(lambda: read_message(_memory_reader(b)))
 
 
 def test_frame_payload_pack_unpack(rng):

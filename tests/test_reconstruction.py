@@ -5,8 +5,8 @@ from conftest import icosphere, sampled_mesh_points, tetrahedron_mesh, torus_gri
 from tofscan.geometry import PointCloud
 from tofscan.metrology import surface_area, volume
 from tofscan.reconstruction import (OrientedPointCloud, ReconstructionError, TriangleMesh,
-                                    estimate_normals, euler_characteristic, is_watertight,
-                                    poisson_reconstruct)
+                                    _grid_layout, _splat_normals, estimate_normals,
+                                    euler_characteristic, is_watertight, poisson_reconstruct)
 
 
 class TestEstimateNormals:
@@ -50,6 +50,25 @@ def sphere_mesh(sphere_cloud):
 
 
 class TestPoisson:
+    def test_splat_matches_per_corner_accumulation(self, rng):
+        """The bincount splat equals an unbuffered per-corner np.add.at, bit for bit."""
+        pts = rng.random((5000, 3)) * np.array([1.0, 0.4, 0.7])
+        nrm = rng.standard_normal((5000, 3))
+        cloud = OrientedPointCloud(pts, nrm / np.linalg.norm(nrm, axis=1)[:, None])
+        origin, spacing, shape = _grid_layout(pts, 40)
+        ref = np.zeros((3,) + shape)
+        q = (pts - origin) / spacing
+        base = np.floor(q).astype(np.int64)
+        frac = q - base
+        for corner in range(8):
+            off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
+            w = np.prod(np.where(off == 1, frac, 1.0 - frac), axis=1)
+            node = base + off
+            flat = (node[:, 0] * shape[1] + node[:, 1]) * shape[2] + node[:, 2]
+            for ax in range(3):
+                np.add.at(ref[ax].reshape(-1), flat, w * cloud.normals[:, ax])
+        assert np.array_equal(_splat_normals(cloud, origin, spacing, shape), ref)
+
     def test_sphere_metrics(self, sphere_mesh):
         ok, boundary = is_watertight(sphere_mesh)
         assert ok and boundary == 0

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from tofscan.geometry import PointCloud, RigidTransform, back_project, compose
+from tofscan import registration
+from tofscan.geometry import PointCloud, RigidTransform, back_project, compose, transform_cloud
 from tofscan.capture import build_schedule, simulate_capture
-from tofscan.registration import (MultiScaleParams, merge_clouds, register_rig,
+from tofscan.registration import (MultiScaleParams, colored_icp, merge_clouds, register_rig,
                                   load_pose_graph, save_pose_graph, voxel_downsample,
                                   make_observations)
 from tofscan.render import observe_tags
@@ -90,6 +91,47 @@ class TestRegisterRig:
         assert (1, 2) in graph.failed_edges
         assert 2 not in graph.global_poses
         assert set(graph.global_poses) == {0, 1}
+
+
+class TestSharedPyramids:
+    PARAMS = MultiScaleParams((0.04, 0.02), (20, 10))
+
+    def chain(self, rng):
+        """Three overlapping views, each a few mm and under a degree off the last."""
+        base = textured_cloud(rng)
+        clouds = {0: base}
+        for dev in (1, 2):
+            nudge = RigidTransform.from_axis_angle(rng.standard_normal(3), np.radians(0.8),
+                                                   rng.uniform(-0.004, 0.004, 3))
+            moved = transform_cloud(clouds[dev - 1], nudge)
+            clouds[dev] = PointCloud(moved.points + rng.standard_normal(moved.points.shape)
+                                     * 0.0005, colors=moved.colors)
+        return clouds
+
+    def test_normals_once_per_device_and_scale(self, rng, monkeypatch):
+        calls = []
+        real = registration.pca_normals
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(registration, "pca_normals", counting)
+        graph = register_rig(self.chain(rng), {}, self.PARAMS)
+        assert not graph.failed_edges
+        assert len(calls) == 3 * len(self.PARAMS.voxel_sizes)
+
+    def test_edges_match_standalone_icp(self, rng):
+        clouds = self.chain(rng)
+        graph = register_rig(clouds, {}, self.PARAMS)
+        assert set(graph.edges) == {(0, 1), (1, 2)}
+        for (a, b), r in graph.edges.items():
+            alone = colored_icp(clouds[b], clouds[a], RigidTransform.identity(), self.PARAMS)
+            assert np.array_equal(r.transform.matrix(), alone.transform.matrix())
+            assert r.fitness == alone.fitness
+            assert r.inlier_rmse == alone.inlier_rmse
+            assert r.objective_history == alone.objective_history
+            assert sum(len(h) for h in r.objective_history) > len(self.PARAMS.voxel_sizes)
 
 
 class TestMergeClouds:
