@@ -5,13 +5,10 @@ import argparse
 import time
 from pathlib import Path
 
-import numpy as np
-
 from tofscan.acquisition import DeviceServer, ScanClient, save_session
 from tofscan.capture import build_schedule
-from tofscan.geometry import RigidTransform
+from tofscan.experiments import SYNC_SCENE
 from tofscan.rigs import known_object_rig
-from tofscan.scene import box, make_known_object_scene
 
 
 def main():
@@ -20,12 +17,8 @@ def main():
     ap.add_argument("--delay-us", type=int, default=160)
     args = ap.parse_args()
 
-    obj = box((0.2, 0.15, 0.125), pose=RigidTransform(np.eye(3), (0, 0, 0.8)),
-              albedo=(0.8, 0.75, 0.55))
-    scene = make_known_object_scene(obj)
-    rig = known_object_rig(sigma0=0.0015, sigma1=0.0003)[:8]
-
-    servers = [DeviceServer(s.device_id, s, scene=scene, rig=rig) for s in rig]
+    rig = known_object_rig()[:8]
+    servers = [DeviceServer(s.device_id, s, scene=SYNC_SCENE, rig=rig) for s in rig]
     for s in servers:
         s.start_background()
     endpoints = [f"127.0.0.1:{s.port}" for s in servers]

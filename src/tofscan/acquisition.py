@@ -82,7 +82,7 @@ class DeviceServer:
         self.rig = rig
         self.schedule: CaptureSchedule | None = None
         self.state = "idle"
-        self.frames: dict[int, tuple[bytes, bytes, int]] = {}
+        self.frames: dict[int, tuple[bytes, bytes, int]] = {}  # last triggered frame only
         self._stop = threading.Event()
         self._sock: socket.socket | None = None
         self.port: int | None = None
@@ -189,7 +189,7 @@ class DeviceServer:
             depth_pgm = encode_pgm16(result.depth)
             color_ppm = encode_ppm(result.color)
             crc = frame_crc32(depth_pgm, color_ppm)
-            self.frames[frame_id] = (depth_pgm, color_ppm, crc)
+            self.frames = {frame_id: (depth_pgm, color_ppm, crc)}
             self.state = "captured"
             return json_message(MessageKind.TRIGGER_ACK,
                                 {"device_id": self.device_id, "frame_id": frame_id,

@@ -123,10 +123,20 @@ def _interference_seed(seed: int, device_id: int) -> int:
     return (seed * 1_000_003 + device_id * 2 + 1) & 0x7FFFFFFF
 
 
+def _corrupt(clean: RenderResult, sensor: SensorModel, count: int, seed: int,
+             cap_m: float):
+    """Noise, then interference from ``count`` partners: ``(noisy, corrupted)`` depth."""
+    dev = sensor.device_id
+    noisy = apply_tof_noise(clean.depth, sensor, _noise_seed(seed, dev))
+    corrupted = apply_interference(noisy, count, p_int=DEFAULT_P_INT,
+                                   seed=_interference_seed(seed, dev), cap_m=cap_m,
+                                   depth_scale=sensor.intrinsics.depth_scale)
+    return noisy, corrupted
+
+
 def corrupt_device_frame(scene: Scene, rig: list[SensorModel], schedule: CaptureSchedule,
                          device_id: int, seed: int,
-                         clean: RenderResult | None = None,
-                         p_int: float = DEFAULT_P_INT) -> RenderResult:
+                         clean: RenderResult | None = None) -> RenderResult:
     """Render one device (or reuse a clean render) and apply noise + interference.
 
     Seeding is per (capture seed, device id), so a device server computing only
@@ -138,12 +148,8 @@ def corrupt_device_frame(scene: Scene, rig: list[SensorModel], schedule: Capture
     sensor = sensors[device_id]
     if clean is None:
         clean = render(scene, sensor)
-    noisy = apply_tof_noise(clean.depth, sensor, _noise_seed(seed, device_id))
     count = interferer_counts(scene, rig, schedule)[device_id]
-    corrupted = apply_interference(noisy, count, p_int=p_int,
-                                   seed=_interference_seed(seed, device_id),
-                                   cap_m=scene.background_cap,
-                                   depth_scale=sensor.intrinsics.depth_scale)
+    _, corrupted = _corrupt(clean, sensor, count, seed, scene.background_cap)
     return RenderResult(corrupted, clean.color, clean.oracle_mask)
 
 
@@ -168,8 +174,7 @@ class CaptureResult:
 
 
 def simulate_capture(scene: Scene, rig: list[SensorModel], schedule: CaptureSchedule,
-                     seed: int = 0, renders: dict | None = None,
-                     p_int: float = DEFAULT_P_INT) -> CaptureResult:
+                     seed: int = 0, renders: dict | None = None) -> CaptureResult:
     """One synchronized trigger: render, per-device noise, then interference.
 
     Retention counts target-mask pixels whose range measurement survived
@@ -187,11 +192,7 @@ def simulate_capture(scene: Scene, rig: list[SensorModel], schedule: CaptureSche
     for sensor in rig:
         dev = sensor.device_id
         clean = renders[dev] if renders is not None else render(scene, sensor)
-        noisy = apply_tof_noise(clean.depth, sensor, _noise_seed(seed, dev))
-        corrupted = apply_interference(noisy, counts[dev], p_int=p_int,
-                                       seed=_interference_seed(seed, dev),
-                                       cap_m=scene.background_cap,
-                                       depth_scale=sensor.intrinsics.depth_scale)
+        noisy, corrupted = _corrupt(clean, sensor, counts[dev], seed, scene.background_cap)
         fg = clean.oracle_mask.foreground()
         before = noisy.data[fg]
         after = corrupted.data[fg]

@@ -17,8 +17,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tofscan", description=__doc__,
@@ -119,19 +117,14 @@ def _cmd_segment(args) -> int:
     session = Path(args.session)
     mode = ArbitrationMode.parse(args.mode)
     gt_dir = session / "masks"
-    gt_files = sorted(gt_dir.glob("*_gtmask.pgm"))
-    ids = [int(f.name.split("_")[0]) for f in gt_files]
-    if args.masks:
-        pairs = load_masks(args.masks, ids)
-    else:
-        pairs = {d: MaskPair(decode_mask_pgm((gt_dir / f"{d}_gtmask.pgm").read_bytes()),
-                             decode_mask_pgm((gt_dir / f"{d}_gtmask.pgm").read_bytes()))
-                 for d in ids}
+    gts = {int(f.name.split("_")[0]): decode_mask_pgm(f.read_bytes())
+           for f in sorted(gt_dir.glob("*_gtmask.pgm"))}
+    pairs = (load_masks(args.masks, list(gts)) if args.masks
+             else {d: MaskPair(gt, gt) for d, gt in gts.items()})
     rows = ["device_id,iou,fp_rate,fn_rate"]
-    for dev in ids:
+    for dev, gt in gts.items():
         fused = fuse(pairs[dev], mode)
         (gt_dir / f"{dev}_fused.pgm").write_bytes(encode_mask_pgm(fused))
-        gt = decode_mask_pgm((gt_dir / f"{dev}_gtmask.pgm").read_bytes())
         if gt.count():
             m = metrics(fused, gt)
             rows.append(f"{dev},{m.iou:.6f},{m.fp_rate:.4f},{m.fn_rate:.4f}")
@@ -195,75 +188,48 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from .experiments import (run_animal_experiment, run_interference_experiment,
-                              run_known_object_experiment, write_report_csv,
-                              write_retention_report_csv)
-    from .pipeline import RunConfig
-    from .rigs import cattle_rig, known_object_rig
-    from .scene import cylinder, make_animal_model, make_known_object_scene
+    from dataclasses import replace
+
+    from . import experiments as ex
     from .geometry import RigidTransform
+    from .pipeline import RunConfig
+    from .rigs import known_object_rig
+    from .scene import make_animal_model, make_known_object_scene
 
-    from .rigs import CATTLE_CHAIN, KNOWN_OBJECT_CHAIN, default_intrinsics
+    overrides = json.loads(Path(args.config).read_text()) if args.config else {}
 
-    overrides = {}
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text())
-    tex = {"kind": "smooth_noise", "scale": 0.07, "color2": (0.2, 0.25, 0.55)}
+    def configure(cfg):
+        return replace(cfg, resolution=overrides.get("resolution", cfg.resolution))
 
-    if args.kind == "known-object":
-        obj = cylinder(overrides.get("radius", 0.1), overrides.get("height", 0.3),
-                       pose=RigidTransform(np.eye(3), (0, 0, 0.8)),
-                       albedo=(0.85, 0.7, 0.4), texture=tex)
-        cfg = RunConfig(scene=make_known_object_scene(obj),
-                        rig=known_object_rig(sigma0=0.0015, sigma1=0.0003),
-                        resolution=overrides.get("resolution", 128),
-                        registration=_small_params(), cube_edge=0.4,
-                        cube_tags_per_face=4, chain_order=KNOWN_OBJECT_CHAIN)
-        orientations = _spread_orientations(overrides.get("orientations", 5))
-        report = run_known_object_experiment(obj, overrides.get("runs", 3), orientations, cfg)
-        write_report_csv(args.out, report)
-        print(report.summary())
-        return 0
     if args.kind == "interference":
-        from .scene import box as box_prim
-        obj = box_prim((0.2, 0.15, 0.125), pose=RigidTransform(np.eye(3), (0, 0, 0.8)),
-                       albedo=(0.8, 0.75, 0.55))
-        cfg = RunConfig(scene=make_known_object_scene(obj),
-                        rig=known_object_rig(sigma0=0.0015, sigma1=0.0003))
+        cfg = RunConfig(scene=ex.SYNC_SCENE, rig=known_object_rig())
         delays = overrides.get("delays_us", [0, 40, 80, 120, 160])
-        retention = run_interference_experiment(delays, cfg,
-                                                n_seeds=overrides.get("seeds", 20))
-        write_retention_report_csv(args.out, retention)
+        retention = ex.run_interference_experiment(delays, cfg,
+                                                   n_seeds=overrides.get("seeds", 20))
+        ex.write_retention_report_csv(args.out, retention)
         for d in sorted(retention):
             print(f"delay {d:4d} us -> retention {retention[d]:.4f}")
         return 0
-    # animal
-    cfg = RunConfig(scene=make_animal_model(overrides.get("scale", 1.0)),
-                    rig=cattle_rig(intrinsics=default_intrinsics(384, 288),
-                                   sigma0=0.0015, sigma1=0.0003),
-                    resolution=overrides.get("resolution", 192),
-                    cube_edge=0.6, cube_tags_per_face=4, chain_order=CATTLE_CHAIN)
-    report = run_animal_experiment(overrides.get("scale", 1.0),
-                                   overrides.get("runs", 5), cfg)
-    write_report_csv(args.out, report)
-    print(report.summary())
+    if args.kind == "known-object":
+        cyl = ex.KNOWN_CYLINDER
+        cyl = replace(cyl, params=(overrides.get("radius", cyl.params[0]),
+                                   overrides.get("height", cyl.params[1])))
+        cfg = configure(ex.known_object_config(make_known_object_scene(cyl)))
+        runs = overrides.get("runs", 3)
+        orientations = ex.ORIENTATIONS[:overrides.get("orientations", len(ex.ORIENTATIONS))]
+        reports = [ex.run_known_object_experiment(cyl, runs, list(orientations), cfg)]
+        for name, prim in ex.KNOWN_BOXES.items():
+            rep = ex.run_known_object_experiment(prim, runs, [RigidTransform.identity()], cfg)
+            rep.object_id = f"box-{name}"
+            reports.append(rep)
+    else:  # animal
+        scale = overrides.get("scale", 1.0)
+        cfg = configure(ex.animal_config(make_animal_model(scale)))
+        reports = [ex.run_animal_experiment(scale, overrides.get("runs", 5), cfg)]
+    ex.write_report_csv(args.out, *reports)
+    for rep in reports:
+        print(rep.summary())
     return 0
-
-
-def _small_params():
-    from .registration import MultiScaleParams
-    return MultiScaleParams((0.02, 0.01, 0.005), (50, 30, 14))
-
-
-def _spread_orientations(n: int):
-    from .geometry import RigidTransform
-    axes = [(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1)]
-    angles = [0.0, np.pi / 2, np.pi / 2, np.pi / 5, 2 * np.pi / 5]
-    out = []
-    for k in range(n):
-        a, ang = axes[k % len(axes)], angles[k % len(angles)]
-        out.append(RigidTransform.from_axis_angle(a, ang) if ang else RigidTransform.identity())
-    return out
 
 
 _COMMANDS = {

@@ -1,5 +1,8 @@
 """Experiment runners: known-object metrology, synchronization study, cattle analogue.
 
+The studies' tuned setups (objects, orientations, texture, run configs) are
+defined here once; the CLI, the scripts and the tests build from them.
+
 Reports carry per-run measurements, mean/std per quantity, the independent
 reference (closed form or voxelization oracle), and the percent error of the
 mean, defined as 100 * |mean - reference| / reference.
@@ -15,18 +18,59 @@ from pathlib import Path
 import numpy as np
 
 from .capture import build_schedule, simulate_capture
+from .geometry import RigidTransform
 from .metrology import MeshMeasurements
 from .oracle import oracle_measurements
 from .pipeline import PipelineError, RunConfig, run_pipeline
+from .registration import MultiScaleParams
 from .render import render
-from .scene import Scene, ScenePrimitive, make_animal_model, make_known_object_scene
-from .geometry import RigidTransform
+from .rigs import CATTLE_CHAIN, KNOWN_OBJECT_CHAIN, RING_CENTER, cattle_rig, known_object_rig
+from .scene import (Scene, ScenePrimitive, box, cylinder, make_animal_model,
+                    make_known_object_scene)
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["ExperimentReport", "run_known_object_experiment",
            "run_interference_experiment", "run_animal_experiment",
-           "write_report_csv", "write_retention_report_csv", "target_surface_count"]
+           "write_report_csv", "write_retention_report_csv", "target_surface_count",
+           "TEXTURE", "ORIENTATIONS", "KNOWN_CYLINDER", "KNOWN_BOXES", "SYNC_SCENE",
+           "KNOWN_OBJECT_REGISTRATION", "known_object_config", "animal_config"]
+
+# --- study presets: the tuned setups of the three studies ---------------------
+
+# smooth at voxel scale, so colored ICP sees view-consistent colors
+TEXTURE = {"kind": "smooth_noise", "scale": 0.07, "color2": (0.2, 0.25, 0.55)}
+_SUSPENDED = RigidTransform(np.eye(3), RING_CENTER)
+
+# cylinder orientations of the known-object study, applied about its center
+ORIENTATIONS = (RigidTransform.identity(),
+                RigidTransform.from_axis_angle((0, 1, 0), np.pi / 2),
+                RigidTransform.from_axis_angle((1, 0, 0), np.pi / 2),
+                RigidTransform.from_axis_angle((1, 1, 0), np.pi / 5),
+                RigidTransform.from_axis_angle((1, 0, 1), 2 * np.pi / 5))
+KNOWN_CYLINDER = cylinder(0.1, 0.3, pose=_SUSPENDED, albedo=(0.85, 0.7, 0.4), texture=TEXTURE)
+KNOWN_BOXES = {name: box(half, pose=_SUSPENDED, albedo=(0.8, 0.75, 0.55), texture=TEXTURE)
+               for name, half in (("small", (0.125, 0.10, 0.075)),
+                                  ("medium", (0.20, 0.15, 0.125)),
+                                  ("large", (0.30, 0.22, 0.18)))}
+# synchronization study: the medium box, untextured (capture only, no registration)
+SYNC_SCENE = make_known_object_scene(replace(KNOWN_BOXES["medium"], texture=None))
+
+# the known-object ICP pyramid: half the default voxel sizes
+KNOWN_OBJECT_REGISTRATION = MultiScaleParams((0.02, 0.01, 0.005), (50, 30, 14))
+
+
+def known_object_config(scene: Scene, resolution: int = 128) -> RunConfig:
+    """The known-object study's run: 10-sensor ring, 0.4 m calibration cube."""
+    return RunConfig(scene=scene, rig=known_object_rig(),
+                     registration=KNOWN_OBJECT_REGISTRATION, resolution=resolution,
+                     cube_edge=0.4, cube_tags_per_face=4, chain_order=KNOWN_OBJECT_CHAIN)
+
+
+def animal_config(scene: Scene, resolution: int = 192) -> RunConfig:
+    """The cattle-analogue study's run: 8-sensor chute rig, 0.6 m calibration cube."""
+    return RunConfig(scene=scene, rig=cattle_rig(), resolution=resolution,
+                     cube_edge=0.6, cube_tags_per_face=4, chain_order=CATTLE_CHAIN)
 
 
 @dataclass
@@ -87,8 +131,7 @@ def run_known_object_experiment(obj: ScenePrimitive, n_runs: int,
         pose = RigidTransform(orient.rotation @ obj.pose.rotation,
                               center + orient.translation)
         posed = replace(obj, pose=pose)
-        scene = make_known_object_scene(posed)
-        scene = Scene(scene.primitives, cfg.scene.background_cap)
+        scene = Scene(make_known_object_scene(posed).primitives, cfg.scene.background_cap)
         for run in range(n_runs):
             seed = cfg.seed + 1000 * oi + run
             try:
@@ -162,22 +205,22 @@ def target_surface_count(cloud_points: np.ndarray, scene: Scene, tol: float = 0.
     return int((np.abs(d) <= tol).sum())
 
 
-def write_report_csv(path, report: ExperimentReport) -> None:
+def write_report_csv(path, *reports: ExperimentReport) -> None:
+    """One CSV for any number of reports: one header, then each report's runs and mean."""
     with open(Path(path), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["object_id", "run", "seed", "surface_area_m2", "volume_m3",
                     "ref_area", "ref_volume", "pct_err_area", "pct_err_volume"])
-        for i, (m, seed) in enumerate(zip(report.runs, report.seeds)):
-            w.writerow([report.object_id, i, seed,
-                        f"{m.surface_area:.6f}", f"{m.volume:.8f}",
-                        f"{report.reference.surface_area:.6f}",
-                        f"{report.reference.volume:.8f}",
-                        f"{100 * abs(m.surface_area - report.reference.surface_area) / report.reference.surface_area:.4f}",
-                        f"{100 * abs(m.volume - report.reference.volume) / report.reference.volume:.4f}"])
-        w.writerow([report.object_id, "mean", "",
-                    f"{report.mean_area:.6f}", f"{report.mean_volume:.8f}",
-                    f"{report.reference.surface_area:.6f}", f"{report.reference.volume:.8f}",
-                    f"{report.pct_err_area:.4f}", f"{report.pct_err_volume:.4f}"])
+        for report in reports:
+            ref = report.reference
+            rows = [(i, seed, m.surface_area, m.volume)
+                    for i, (m, seed) in enumerate(zip(report.runs, report.seeds))]
+            for run, seed, area, vol in rows + [("mean", "", report.mean_area,
+                                                 report.mean_volume)]:
+                w.writerow([report.object_id, run, seed, f"{area:.6f}", f"{vol:.8f}",
+                            f"{ref.surface_area:.6f}", f"{ref.volume:.8f}",
+                            f"{100 * abs(area - ref.surface_area) / ref.surface_area:.4f}",
+                            f"{100 * abs(vol - ref.volume) / ref.volume:.4f}"])
 
 
 def write_retention_report_csv(path, retention_by_delay: dict[int, float]) -> None:

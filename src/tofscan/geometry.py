@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _ORTHONORMAL_TOL = 1e-9
+PCA_BLOCK = 16384  # points per pca_normals block
 
 
 class GeometryError(ValueError):
@@ -83,11 +84,6 @@ class RigidTransform:
         K = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
         R = np.eye(3) + np.sin(angle_rad) * K + (1 - np.cos(angle_rad)) * (K @ K)
         return RigidTransform(R, translation)
-
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "RigidTransform":
-        m = np.asarray(m, dtype=np.float64)
-        return RigidTransform(m[:3, :3], m[:3, 3])
 
     def matrix(self) -> np.ndarray:
         """4x4 homogeneous matrix."""
@@ -276,15 +272,6 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
-    def select(self, indices) -> "PointCloud":
-        return PointCloud(
-            self.points[indices],
-            None if self.colors is None else self.colors[indices],
-            None if self.normals is None else self.normals[indices],
-            self.frame,
-            None if self.source_ids is None else self.source_ids[indices],
-        )
-
 
 def back_project(depth: DepthImage, intr: CameraIntrinsics,
                  color: ColorImage | None = None,
@@ -347,14 +334,19 @@ def pca_normals(points: np.ndarray, tree, k: int, centers) -> np.ndarray:
 
     ``tree`` is a KD-tree built on ``points``. Each normal is the covariance
     eigenvector of least eigenvalue, flipped to face ``centers`` (one
-    viewpoint, or one per point).
+    viewpoint, or one per point). Points go through in blocks of
+    ``PCA_BLOCK`` to bound the (block, k, 3) neighbour array.
     """
-    _, idx = tree.query(points, k=k)
-    centered = points[idx]                           # (N, k, 3), centred in place
-    centered -= centered.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered)
-    _, vecs = np.linalg.eigh(cov)                    # ascending eigenvalues
-    normals = vecs[:, :, 0]
-    flip = np.einsum("ni,ni->n", normals, np.asarray(centers, dtype=np.float64) - points) < 0
-    normals[flip] *= -1.0
-    return normals / np.linalg.norm(normals, axis=1)[:, None]
+    centers = np.asarray(centers, dtype=np.float64)
+    normals = np.empty((len(points), 3))
+    for lo in range(0, len(points), PCA_BLOCK):
+        block = slice(lo, lo + PCA_BLOCK)
+        _, idx = tree.query(points[block], k=k)
+        centered = points[idx]                       # (B, k, 3), centred in place
+        centered -= centered.mean(axis=1, keepdims=True)
+        _, vecs = np.linalg.eigh(np.einsum("nki,nkj->nij", centered, centered))
+        n = vecs[:, :, 0]                            # least eigenvalue (ascending order)
+        toward = centers if centers.ndim == 1 else centers[block]
+        n[np.einsum("ni,ni->n", n, toward - points[block]) < 0] *= -1.0
+        normals[block] = n / np.linalg.norm(n, axis=1)[:, None]
+    return normals

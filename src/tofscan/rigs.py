@@ -49,36 +49,37 @@ def default_intrinsics(width: int = 320, height: int = 240,
                             width=width, height=height)
 
 
-def known_object_rig(n_rods: int = 5, radius: float = 1.2, center=(0.0, 0.0, 0.8),
-                     heights=(0.45, 1.15), intrinsics: CameraIntrinsics | None = None,
-                     sigma0: float = 0.002, sigma1: float = 0.0005,
-                     dropout: float = 0.0) -> list[SensorModel]:
+# tuned sensor noise sigma(z) = SENSOR_SIGMA0 + SENSOR_SIGMA1 * z^2 (meters)
+SENSOR_SIGMA0, SENSOR_SIGMA1 = 0.0015, 0.0003
+KNOWN_OBJECT_INTRINSICS = default_intrinsics()
+CATTLE_INTRINSICS = default_intrinsics(384, 288)
+# known-object ring: rods on a circle about the center, one sensor per rod height
+RING_RODS, RING_RADIUS, RING_CENTER, ROD_HEIGHTS = 5, 1.2, (0.0, 0.0, 0.8), (0.45, 1.15)
+
+
+def known_object_rig(sigma0: float = SENSOR_SIGMA0,
+                     sigma1: float = SENSOR_SIGMA1) -> list[SensorModel]:
     """Sensors paired on rods around a suspended object; ids walk rod by rod."""
-    intr = intrinsics or default_intrinsics()
-    center = np.asarray(center, dtype=np.float64)
     rig = []
-    dev = 0
-    for k in range(n_rods):
-        angle = 2 * np.pi * k / n_rods
-        x = center[0] + radius * np.cos(angle)
-        y = center[1] + radius * np.sin(angle)
-        for z in heights:
-            pose = look_at((x, y, z), center)
-            rig.append(SensorModel(dev, intr, pose, sigma0, sigma1, dropout))
-            dev += 1
+    for k in range(RING_RODS):
+        angle = 2 * np.pi * k / RING_RODS
+        x = RING_CENTER[0] + RING_RADIUS * np.cos(angle)
+        y = RING_CENTER[1] + RING_RADIUS * np.sin(angle)
+        for z in ROD_HEIGHTS:
+            pose = look_at((x, y, z), RING_CENTER)
+            rig.append(SensorModel(len(rig), KNOWN_OBJECT_INTRINSICS, pose, sigma0, sigma1))
     return rig
 
 
-def cattle_rig(intrinsics: CameraIntrinsics | None = None,
-               sigma0: float = 0.002, sigma1: float = 0.0005,
-               dropout: float = 0.0) -> list[SensorModel]:
+def cattle_rig(intrinsics: CameraIntrinsics = CATTLE_INTRINSICS,
+               sigma0: float = SENSOR_SIGMA0,
+               sigma1: float = SENSOR_SIGMA1) -> list[SensorModel]:
     """8 sensors around the chute volume, ordered as a view-overlap chain.
 
     Walks one body side head-to-tail, crosses over the top, and returns along
     the other side to the head cameras, keeping consecutive devices' frustums
     overlapped.
     """
-    intr = intrinsics or default_intrinsics()
     head = (1.15, 0.0, 1.35)
     # side cameras sit below the body midline so their rays pass under the
     # flank and over the chute rail, covering the belly
@@ -92,5 +93,5 @@ def cattle_rig(intrinsics: CameraIntrinsics | None = None,
         ((1.45, -1.70, 0.78), (0.5, 0.0, 0.95)),   # body side -y, front
         ((2.35, -0.75, 1.70), head),    # head side -y
     ]
-    return [SensorModel(dev, intr, look_at(eye, at), sigma0, sigma1, dropout)
+    return [SensorModel(dev, intrinsics, look_at(eye, at), sigma0, sigma1)
             for dev, (eye, at) in enumerate(stations)]

@@ -207,9 +207,6 @@ class Scene:
     def __post_init__(self):
         object.__setattr__(self, "primitives", tuple(self.primitives))
 
-    def with_primitives(self, prims) -> "Scene":
-        return Scene(tuple(prims), self.background_cap)
-
     def labeled(self, label: str) -> tuple:
         return tuple(p for p in self.primitives if p.label == label)
 

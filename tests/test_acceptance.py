@@ -14,8 +14,10 @@ import pytest
 from conftest import pose_error, sampled_mesh_points, unit_cube_mesh
 from tofscan.capture import build_schedule
 from tofscan.acquisition import DeviceServer, ScanClient
-from tofscan.experiments import (run_animal_experiment, run_interference_experiment,
-                                 run_known_object_experiment, write_report_csv)
+from tofscan.experiments import (KNOWN_BOXES, KNOWN_CYLINDER, ORIENTATIONS, SYNC_SCENE,
+                                 animal_config, known_object_config, run_animal_experiment,
+                                 run_interference_experiment, run_known_object_experiment,
+                                 write_report_csv)
 from tofscan.formats import decode_pgm16, decode_ppm
 from tofscan.geometry import BinaryMask, PointCloud, RigidTransform
 from tofscan.metrology import surface_area, volume
@@ -28,27 +30,15 @@ from tofscan.reconstruction import (OrientedPointCloud, euler_characteristic,
 from tofscan.registration import (MultiScaleParams, colored_icp,
                                   estimate_pose_from_fiducials, make_observations,
                                   residual_jacobians, rodrigues)
-from tofscan.rigs import (CATTLE_CHAIN, KNOWN_OBJECT_CHAIN, cattle_rig,
-                          default_intrinsics, known_object_rig)
-from tofscan.scene import (box, cube_tag_layout, cylinder, make_animal_model,
-                           make_known_object_scene)
+from tofscan.rigs import known_object_rig
+from tofscan.scene import cube_tag_layout, make_animal_model, make_known_object_scene
 from tofscan.segmentation import ArbitrationMode, MaskPair, fuse, metrics
-
-TEX = {"kind": "smooth_noise", "scale": 0.07, "color2": (0.2, 0.25, 0.55)}
-SMALL_PARAMS = MultiScaleParams((0.02, 0.01, 0.005), (50, 30, 14))
 
 
 def report(criterion: str, passed: bool, detail: str):
     line = f"[{criterion}] {'PASS' if passed else 'FAIL'}: {detail}"
     print("\n" + line)
     assert passed, line
-
-
-def known_object_cfg(scene):
-    return RunConfig(scene=scene, rig=known_object_rig(sigma0=0.0015, sigma1=0.0003),
-                     registration=SMALL_PARAMS, resolution=128,
-                     cube_edge=0.4, cube_tags_per_face=4,
-                     chain_order=KNOWN_OBJECT_CHAIN, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -60,27 +50,17 @@ def animal_oracle():
 def test_criterion_1_known_object_metrology(tmp_path):
     """Cylinder at 5 orientations x 3 seeds plus three boxes, <= 5% mean errors."""
     t0 = time.monotonic()
-    cyl = cylinder(0.1, 0.3, pose=RigidTransform(np.eye(3), (0, 0, 0.8)),
-                   albedo=(0.85, 0.7, 0.4), texture=TEX)
-    orientations = [RigidTransform.identity(),
-                    RigidTransform.from_axis_angle((0, 1, 0), np.pi / 2),
-                    RigidTransform.from_axis_angle((1, 0, 0), np.pi / 2),
-                    RigidTransform.from_axis_angle((1, 1, 0), np.pi / 5),
-                    RigidTransform.from_axis_angle((1, 0, 1), 2 * np.pi / 5)]
-    cfg = known_object_cfg(make_known_object_scene(cyl))
-    cyl_report = run_known_object_experiment(cyl, 3, orientations, cfg)
+    cyl = KNOWN_CYLINDER
+    cfg = known_object_config(make_known_object_scene(cyl))
+    cyl_report = run_known_object_experiment(cyl, 3, list(ORIENTATIONS), cfg)
     write_report_csv(tmp_path / "cylinder.csv", cyl_report)
 
     box_lines = []
     ok = (len(cyl_report.runs) == 15 and not cyl_report.failed_runs
           and cyl_report.pct_err_area <= 5.0 and cyl_report.pct_err_volume <= 5.0)
-    for name, half in [("small", (0.125, 0.10, 0.075)),
-                       ("medium", (0.20, 0.15, 0.125)),
-                       ("large", (0.30, 0.22, 0.18))]:
-        prim = box(half, pose=RigidTransform(np.eye(3), (0, 0, 0.8)),
-                   albedo=(0.8, 0.75, 0.55), texture=TEX)
+    for name, prim in KNOWN_BOXES.items():
         rep = run_known_object_experiment(prim, 1, [RigidTransform.identity()],
-                                          known_object_cfg(make_known_object_scene(prim)))
+                                          known_object_config(make_known_object_scene(prim)))
         ok &= (not rep.failed_runs and rep.pct_err_area <= 5.0
                and rep.pct_err_volume <= 5.0)
         box_lines.append(f"{name} {rep.pct_err_area:.2f}%/{rep.pct_err_volume:.2f}%")
@@ -93,10 +73,7 @@ def test_criterion_1_known_object_metrology(tmp_path):
 
 def test_criterion_2_synchronization_study():
     """Retention: <= 20% at zero delay, >= 99% at 160 us, monotone over delays."""
-    obj = box((0.2, 0.15, 0.125), pose=RigidTransform(np.eye(3), (0, 0, 0.8)),
-              albedo=(0.8, 0.75, 0.55))
-    cfg = RunConfig(scene=make_known_object_scene(obj),
-                    rig=known_object_rig(sigma0=0.0015, sigma1=0.0003), exposure_us=125)
+    cfg = RunConfig(scene=SYNC_SCENE, rig=known_object_rig(), exposure_us=125)
     retention = run_interference_experiment([0, 40, 80, 120, 160], cfg, n_seeds=20)
     vals = [retention[d] for d in (0, 40, 80, 120, 160)]
     monotone = all(vals[i] <= vals[i + 1] + 1e-9 for i in range(4))
@@ -319,9 +296,7 @@ def test_criterion_6_reconstruction_soundness(animal_oracle):
 
 def test_criterion_7_cattle_analogue(animal_oracle, tmp_path):
     scene, reference = animal_oracle
-    rig = cattle_rig(intrinsics=default_intrinsics(384, 288), sigma0=0.0015, sigma1=0.0003)
-    cfg = RunConfig(scene=scene, rig=rig, resolution=192, cube_edge=0.6,
-                    cube_tags_per_face=4, chain_order=CATTLE_CHAIN, seed=0)
+    cfg = animal_config(scene)
     rep = run_animal_experiment(1.0, 5, cfg, reference=reference)
     write_report_csv(tmp_path / "animal.csv", rep)
     header = (tmp_path / "animal.csv").read_text().splitlines()[0]
@@ -346,11 +321,8 @@ def test_criterion_8_protocol_conformance(tmp_path):
         m = Message(kind, payload)
         roundtrip_ok &= decode_message(encode_message(m)) == m
 
-    obj = box((0.2, 0.15, 0.125), pose=RigidTransform(np.eye(3), (0, 0, 0.8)),
-              albedo=(0.8, 0.75, 0.55))
-    scene = make_known_object_scene(obj)
-    rig = known_object_rig(sigma0=0.0015, sigma1=0.0003)[:8]
-    servers = [DeviceServer(s.device_id, s, scene=scene, rig=rig) for s in rig]
+    rig = known_object_rig()[:8]
+    servers = [DeviceServer(s.device_id, s, scene=SYNC_SCENE, rig=rig) for s in rig]
     t0 = time.monotonic()
     for s in servers:
         s.start_background()

@@ -1,25 +1,19 @@
 import itertools
 
-import numpy as np
 import pytest
 
 from tofscan.acquisition import (DeviceError, DeviceServer, IntegrityError, ScanClient,
                                  load_session, save_session)
 from tofscan.capture import build_schedule
+from tofscan.experiments import SYNC_SCENE
 from tofscan.formats import decode_pgm16, decode_ppm
-from tofscan.geometry import RigidTransform
 from tofscan.protocol import ErrorCode, Message, MessageKind, json_message
 from tofscan.rigs import known_object_rig
-from tofscan.scene import box, make_known_object_scene
 
 
 @pytest.fixture(scope="module")
 def setup():
-    obj = box((0.2, 0.15, 0.125), pose=RigidTransform(np.eye(3), (0, 0, 0.8)),
-              albedo=(0.8, 0.75, 0.55))
-    scene = make_known_object_scene(obj)
-    rig = known_object_rig(sigma0=0.0015, sigma1=0.0003)[:8]
-    return scene, rig
+    return SYNC_SCENE, known_object_rig()[:8]
 
 
 @pytest.fixture()
@@ -88,6 +82,20 @@ class TestServerStateMachine:
         with pytest.raises(DeviceError) as e:
             server._handle(json_message(MessageKind.FETCH, {"frame_id": 99}))
         assert e.value.code is ErrorCode.UNKNOWN_FRAME
+
+    def test_store_keeps_only_the_last_triggered_frame(self, setup):
+        scene, rig = setup
+        server = DeviceServer(0, rig[0], scene=scene, rig=rig)
+        sched = build_schedule([s.device_id for s in rig], 160, 125)
+        for frame_id in (1, 2):
+            server._handle(json_message(MessageKind.CONFIGURE, {"schedule": sched.to_json_dict()}))
+            server._handle(json_message(MessageKind.TRIGGER, {"frame_id": frame_id}))
+        with pytest.raises(DeviceError) as e:
+            server._handle(json_message(MessageKind.FETCH, {"frame_id": 1}))
+        assert e.value.code is ErrorCode.UNKNOWN_FRAME
+        frame = server._handle(json_message(MessageKind.FETCH, {"frame_id": 2}))
+        assert frame.kind is MessageKind.FRAME
+        assert len(server.frames) == 1
 
     def test_all_request_orderings_up_to_length_5(self, setup):
         """FETCH can only succeed after CONFIGURE then TRIGGER, in any request mix."""

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from tofscan.capture import (CaptureSchedule, build_schedule, overlapping_pairs,
-                             simulate_capture, write_retention_csv)
-from tofscan.geometry import RigidTransform
+from tofscan.capture import (CaptureSchedule, build_schedule, corrupt_device_frame,
+                             overlapping_pairs, simulate_capture, write_retention_csv)
+from tofscan.experiments import SYNC_SCENE
 from tofscan.render import apply_tof_noise, render
 from tofscan.rigs import known_object_rig
-from tofscan.scene import box, make_known_object_scene
 
 
 class TestSchedule:
@@ -64,12 +63,9 @@ class TestOverlap:
 
 @pytest.fixture(scope="module")
 def small_setup():
-    obj = box((0.2, 0.15, 0.125), pose=RigidTransform(np.eye(3), (0, 0, 0.8)),
-              albedo=(0.8, 0.75, 0.55))
-    scene = make_known_object_scene(obj)
-    rig = known_object_rig(sigma0=0.0015, sigma1=0.0003)
-    renders = {s.device_id: render(scene, s) for s in rig}
-    return scene, rig, renders
+    rig = known_object_rig()
+    renders = {s.device_id: render(SYNC_SCENE, s) for s in rig}
+    return SYNC_SCENE, rig, renders
 
 
 class TestSimulateCapture:
@@ -89,6 +85,20 @@ class TestSimulateCapture:
             expected = apply_tof_noise(renders[s.device_id].depth, s,
                                        _noise_seed(4, s.device_id))
             assert np.array_equal(cap.frames[s.device_id].depth.data, expected.data)
+
+    @pytest.mark.parametrize("delay", [0, 160])
+    def test_frames_equal_per_device_corruption(self, small_setup, delay):
+        """The whole-rig simulation and a device server's own frame agree byte for byte."""
+        scene, rig, renders = small_setup
+        sched = build_schedule([s.device_id for s in rig], delay, 125)
+        cap = simulate_capture(scene, rig, sched, seed=3, renders=renders)
+        for s in rig:
+            own = corrupt_device_frame(scene, rig, sched, s.device_id, 3,
+                                       clean=renders[s.device_id])
+            assert cap.frames[s.device_id].depth.data.tobytes() == own.depth.data.tobytes()
+            assert cap.frames[s.device_id].color.data.tobytes() == own.color.data.tobytes()
+        if delay == 0:  # interference active: some target pixels were lost
+            assert min(st.retention for st in cap.retention.values()) < 1.0
 
     def test_synchronized_retention_is_one(self, small_setup):
         scene, rig, renders = small_setup

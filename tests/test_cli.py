@@ -4,11 +4,12 @@ import numpy as np
 
 from conftest import unit_cube_mesh
 from tofscan.cli import main
+from tofscan.experiments import SYNC_SCENE
 from tofscan.formats import read_ply, write_ply
-from tofscan.geometry import PointCloud, RigidTransform
+from tofscan.geometry import PointCloud
 from tofscan.render import save_rig
 from tofscan.rigs import known_object_rig
-from tofscan.scene import box, make_known_object_scene, save_scene
+from tofscan.scene import save_scene
 
 
 def test_measure_command(tmp_path, capsys):
@@ -42,10 +43,8 @@ def test_reconstruct_command(tmp_path, capsys, rng):
 
 
 def test_serve_and_scan_loopback(tmp_path, capsys):
-    obj = box((0.2, 0.15, 0.125), pose=RigidTransform(np.eye(3), (0, 0, 0.8)),
-              albedo=(0.8, 0.75, 0.55))
-    scene = make_known_object_scene(obj)
-    rig = known_object_rig(sigma0=0.0015, sigma1=0.0003)[:3]
+    scene = SYNC_SCENE
+    rig = known_object_rig()[:3]
     scene_path = tmp_path / "scene.json"
     rig_path = tmp_path / "rig.json"
     save_scene(scene_path, scene)
@@ -105,3 +104,45 @@ def test_register_command_on_session(tmp_path, rng):
     assert code == 0
     assert (tmp_path / "session" / "poses.json").exists()
     assert (clouds_dir / "merged.ply").exists()
+
+
+def test_experiment_known_object_runs_the_full_study(tmp_path, monkeypatch):
+    """Cylinder in the study's orientation order, then the three boxes at identity."""
+    import tofscan.experiments as experiments
+    from tofscan.experiments import (KNOWN_BOXES, KNOWN_CYLINDER, ORIENTATIONS,
+                                     ExperimentReport)
+    from tofscan.metrology import MeshMeasurements
+    calls = []
+
+    def record(obj, n_runs, orientations, cfg):
+        calls.append((obj, n_runs, orientations))
+        return ExperimentReport(obj.shape, [MeshMeasurements(1.0, 0.1)], [cfg.seed],
+                                MeshMeasurements(1.0, 0.1))
+
+    monkeypatch.setattr(experiments, "run_known_object_experiment", record)
+    out = tmp_path / "known.csv"
+    assert main(["experiment", "known-object", "--out", str(out)]) == 0
+    assert len(calls) == 4 and all(c[1] == 3 for c in calls)
+    cyl, _, orientations = calls[0]
+    assert (cyl.shape, cyl.params, cyl.texture) == ("cylinder", KNOWN_CYLINDER.params,
+                                                    KNOWN_CYLINDER.texture)
+    assert len(orientations) == len(ORIENTATIONS)
+    assert all(a is b for a, b in zip(orientations, ORIENTATIONS))
+    assert all(c[0] is b for c, b in zip(calls[1:], KNOWN_BOXES.values()))
+    assert all(len(c[2]) == 1 and np.array_equal(c[2][0].matrix(), np.eye(4))
+               for c in calls[1:])
+    rows = out.read_text().splitlines()
+    assert sum(r.startswith("object_id,") for r in rows) == 1
+    assert len(rows) == 1 + 4 * 2  # one run and one mean row per object
+
+
+def test_experiment_interference(tmp_path):
+    config = tmp_path / "overrides.json"
+    config.write_text(json.dumps({"delays_us": [0, 160], "seeds": 2}))
+    out = tmp_path / "retention.csv"
+    assert main(["experiment", "interference", "--config", str(config), "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    assert header == "delay_us,mean_retention"
+    assert len(rows) == 2
+    retention = {int(d): float(r) for d, r in (row.split(",") for row in rows)}
+    assert retention[0] < retention[160]

@@ -5,32 +5,21 @@ import pytest
 from dataclasses import replace
 
 import tofscan.experiments as experiments
-from tofscan.experiments import (ExperimentReport, run_animal_experiment,
-                                 run_interference_experiment, run_known_object_experiment,
-                                 target_surface_count, write_report_csv,
-                                 write_retention_report_csv)
+from tofscan.experiments import (KNOWN_BOXES, ExperimentReport, known_object_config,
+                                 run_animal_experiment, run_interference_experiment,
+                                 run_known_object_experiment, target_surface_count,
+                                 write_report_csv, write_retention_report_csv)
 from tofscan.geometry import RigidTransform
 from tofscan.metrology import MeshMeasurements
-from tofscan.pipeline import PipelineError, RunConfig
-from tofscan.registration import MultiScaleParams
-from tofscan.rigs import KNOWN_OBJECT_CHAIN, known_object_rig
-from tofscan.scene import box, cylinder, make_known_object_scene
-
-TEX = {"kind": "smooth_noise", "scale": 0.07, "color2": (0.2, 0.25, 0.55)}
-
-
-def small_cfg(scene):
-    return RunConfig(scene=scene, rig=known_object_rig(sigma0=0.0015, sigma1=0.0003),
-                     registration=MultiScaleParams((0.02, 0.01, 0.005), (50, 30, 14)),
-                     resolution=64, cube_edge=0.4, cube_tags_per_face=4,
-                     chain_order=KNOWN_OBJECT_CHAIN, seed=0)
+from tofscan.pipeline import PipelineError
+from tofscan.rigs import known_object_rig
+from tofscan.scene import make_known_object_scene
 
 
 @pytest.fixture(scope="module")
 def box_cfg():
-    obj = box((0.2, 0.15, 0.125), pose=RigidTransform(np.eye(3), (0, 0, 0.8)),
-              albedo=(0.8, 0.75, 0.55), texture=TEX)
-    return obj, small_cfg(make_known_object_scene(obj))
+    obj = KNOWN_BOXES["medium"]
+    return obj, known_object_config(make_known_object_scene(obj), resolution=64)
 
 
 class TestKnownObject:
@@ -96,10 +85,8 @@ def test_noise_free_box_is_tightest_case():
     chamfer (about one cell radius along the 12 box edges), which needs cells
     below ~2.5 mm on this box to stay inside the 2% bound.
     """
-    from tofscan.rigs import known_object_rig
-    obj = box((0.2, 0.15, 0.125), pose=RigidTransform(np.eye(3), (0, 0, 0.8)),
-              albedo=(0.8, 0.75, 0.55), texture=TEX)
-    cfg = replace(small_cfg(make_known_object_scene(obj)),
+    obj = KNOWN_BOXES["medium"]
+    cfg = replace(known_object_config(make_known_object_scene(obj)),
                   rig=tuple(known_object_rig(sigma0=0.0, sigma1=0.0)),
                   corner_noise_sigma=0.0, resolution=192)
     report = run_known_object_experiment(obj, 1, [RigidTransform.identity()], cfg)

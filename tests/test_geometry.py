@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from tofscan import geometry
 from tofscan.geometry import (BinaryMask, CameraIntrinsics, ColorImage, DepthImage,
                               GeometryError, PointCloud, RigidTransform, back_project,
-                              compose, invert, project, transform_cloud)
+                              compose, invert, pca_normals, project, transform_cloud)
 
 INTR = CameraIntrinsics(fx=600, fy=600, cx=320, cy=240, width=640, height=480)
 
@@ -177,3 +179,16 @@ def test_axis_angle_transforms_are_rigid(angle, x, y, z):
     moved = t.apply(p)
     assert abs(np.linalg.norm(moved[1] - moved[0]) - 1.0) < 1e-9
     assert abs(np.linalg.norm(moved[2] - moved[0]) - 2.0) < 1e-9
+
+
+@pytest.mark.parametrize("per_point", [True, False], ids=["per-point-centers", "viewpoint"])
+def test_pca_normals_blocks_match_one_block(per_point, monkeypatch):
+    """Blocked normals are bit-identical to one block over all the points."""
+    rng = np.random.default_rng(5)
+    pts = rng.standard_normal((2500, 3)) * np.array([0.5, 0.3, 0.05])
+    centers = rng.standard_normal((2500, 3)) if per_point else np.array([0.0, 0.0, 2.0])
+    tree = cKDTree(pts)
+    monkeypatch.setattr(geometry, "PCA_BLOCK", len(pts))
+    whole = pca_normals(pts, tree, 20, centers)
+    monkeypatch.setattr(geometry, "PCA_BLOCK", 300)  # 9 blocks, the last one partial
+    assert np.array_equal(pca_normals(pts, tree, 20, centers), whole)

@@ -2,25 +2,15 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from tofscan.experiments import KNOWN_CYLINDER, known_object_config
 from tofscan.geometry import RigidTransform
-from tofscan.pipeline import PipelineError, RunConfig, run_pipeline
-from tofscan.registration import MultiScaleParams
-from tofscan.rigs import KNOWN_OBJECT_CHAIN, known_object_rig
-from tofscan.scene import Scene, box, cylinder, make_known_object_scene
-
-TEX = {"kind": "smooth_noise", "scale": 0.07, "color2": (0.2, 0.25, 0.55)}
-PARAMS = MultiScaleParams((0.02, 0.01, 0.005), (50, 30, 14))
+from tofscan.pipeline import PipelineError, run_pipeline
+from tofscan.scene import Scene, box, make_known_object_scene
 
 
 @pytest.fixture(scope="module")
 def cylinder_cfg():
-    obj = cylinder(0.1, 0.3, pose=RigidTransform(np.eye(3), (0, 0, 0.8)),
-                   albedo=(0.85, 0.7, 0.4), texture=TEX)
-    scene = make_known_object_scene(obj)
-    rig = known_object_rig(sigma0=0.0015, sigma1=0.0003)
-    return RunConfig(scene=scene, rig=rig, registration=PARAMS, resolution=64,
-                     cube_edge=0.4, cube_tags_per_face=4,
-                     chain_order=KNOWN_OBJECT_CHAIN, seed=0)
+    return known_object_config(make_known_object_scene(KNOWN_CYLINDER), resolution=64)
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +51,7 @@ def test_chute_points_absent_from_merged_cloud(cylinder_cfg):
     """Oracle masks exclude chute-labeled geometry from the clouds entirely."""
     walls = [box((0.02, 0.4, 0.4), pose=RigidTransform(np.eye(3), (x, 0, 0.8)),
                  label="chute") for x in (-0.75, 0.75)]
-    obj = cylinder(0.1, 0.3, pose=RigidTransform(np.eye(3), (0, 0, 0.8)),
-                   albedo=(0.85, 0.7, 0.4), texture=TEX)
-    scene = Scene((obj, *walls), background_cap=5.0)
+    scene = Scene((KNOWN_CYLINDER, *walls), background_cap=5.0)
     cfg = replace(cylinder_cfg, scene=scene)
     result = run_pipeline(cfg)
     sensors = {s.device_id: s for s in cfg.rig}

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tofscan import registration
 from tofscan.geometry import PointCloud, RigidTransform, back_project, compose, transform_cloud
 from tofscan.capture import build_schedule, simulate_capture
+from tofscan.experiments import KNOWN_OBJECT_REGISTRATION
 from tofscan.registration import (MultiScaleParams, colored_icp, merge_clouds, register_rig,
                                   load_pose_graph, save_pose_graph, voxel_downsample,
                                   make_observations)
@@ -54,7 +57,7 @@ class TestRegisterRig:
         cube_pose = RT(np.eye(3), (0, 0, 0.8))
         posed = Scene(tuple(p.__class__(p.shape, p.params, cube_pose, p.albedo, p.label,
                                         p.texture) for p in cube_scene.primitives), 5.0)
-        rig = known_object_rig(sigma0=0.0015, sigma1=0.0003)[:8]
+        rig = known_object_rig()[:8]
         sensors = {s.device_id: s for s in rig}
         cap = simulate_capture(posed, rig, build_schedule(list(sensors), 160, 125), seed=0)
         clouds, fid = {}, {}
@@ -67,8 +70,7 @@ class TestRegisterRig:
                                          0.001, rng_d)
         # tight gates: tag edges are high-contrast, so correspondence trimming
         # has to be stricter than the defaults tuned for smooth textures
-        params = MultiScaleParams((0.02, 0.01, 0.005), (50, 30, 14),
-                                  max_corr_factor=1.0, trim_fraction=0.7)
+        params = replace(KNOWN_OBJECT_REGISTRATION, max_corr_factor=1.0, trim_fraction=0.7)
         order = [0, 1, 3, 2, 4, 5, 7, 6]
         graph = register_rig(clouds, fid, params, layout, order=order)
         assert not graph.failed_edges
