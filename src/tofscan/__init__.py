@@ -14,7 +14,7 @@ from .geometry import (BinaryMask, CameraIntrinsics, ColorImage, DepthImage, Poi
 from .scene import Scene, ScenePrimitive, make_animal_model, make_calibration_cube
 from .render import RenderResult, SensorModel, apply_interference, apply_tof_noise, render
 from .capture import CaptureSchedule, build_schedule, overlapping_pairs, simulate_capture
-from .segmentation import ArbitrationMode, MaskPair, SegMetrics, apply_mask_to_depth, fuse, metrics
+from .segmentation import ArbitrationMode, MaskPair, SegMetrics, fuse, metrics
 from .registration import (MultiScaleParams, PoseGraph, RegistrationResult, colored_icp,
                            estimate_pose_from_fiducials, merge_clouds, register_rig)
 from .reconstruction import (OrientedPointCloud, TriangleMesh, estimate_normals,

@@ -1,6 +1,6 @@
 """Vectorized marching cubes over node grids, with exact vertex welding.
 
-Uses the classic 256-case tables (``mc_tables``). Inside is ``value > level``;
+Uses the classic 256-case tables (``mc_tables``). Inside is ``value > 0``;
 each crossed cube edge gets one vertex by linear interpolation, identified by
 a global (node, axis) key so that coincident vertices from neighboring cells,
 and from neighboring evaluation slabs in streaming mode, weld exactly.
@@ -37,8 +37,8 @@ for _e, (_a, _b) in enumerate(EDGE_CORNERS):
 _CORNER_BITS = [(np.array(off), 1 << i) for i, off in enumerate(CORNER_OFFSETS)]
 
 
-def _cell_cases(values: np.ndarray, level: float) -> np.ndarray:
-    inside = values > level
+def _cell_cases(values: np.ndarray) -> np.ndarray:
+    inside = values > 0.0
     nx, ny, nz = values.shape
     case = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.uint8)
     for off, bit in _CORNER_BITS:
@@ -47,13 +47,13 @@ def _cell_cases(values: np.ndarray, level: float) -> np.ndarray:
     return case
 
 
-def _emit(values: np.ndarray, level: float, base_index: np.ndarray, grid_shape):
+def _emit(values: np.ndarray, base_index: np.ndarray, grid_shape):
     """Edge keys and per-triangle key triplets for one block of node values.
 
     ``base_index`` is the global (i, j, k) of values[0, 0, 0]; ``grid_shape``
     is the full grid node count used for key packing.
     """
-    case = _cell_cases(values, level)
+    case = _cell_cases(values)
     active = np.nonzero((case != 0) & (case != 255))
     if len(active[0]) == 0:
         return (np.empty(0, np.int64), np.empty((0, 3), np.float64),
@@ -85,8 +85,8 @@ def _emit(values: np.ndarray, level: float, base_index: np.ndarray, grid_shape):
     step = np.eye(3, dtype=np.int64)[uax]
     v1 = values[uni + step[:, 0], unj + step[:, 1], unk + step[:, 2]]
     denom = v1 - v0
-    denom[denom == 0] = 1.0  # both corners can't straddle the level if equal
-    t = np.clip((level - v0) / denom, 0.0, 1.0)
+    denom[denom == 0] = 1.0  # both corners can't straddle zero if equal
+    t = np.clip(-v0 / denom, 0.0, 1.0)
     pos = np.column_stack([ni[first], nj[first], nk[first]]).astype(np.float64)
     pos[np.arange(len(ukeys)), uax] += t
 
@@ -108,17 +108,16 @@ def _assemble(all_keys, all_pos, all_tris, origin, spacing):
     return verts, triangles
 
 
-def marching_cubes_grid(values: np.ndarray, origin, spacing, level: float = 0.0):
-    """Extract the iso-surface of a full node grid. Returns (vertices, triangles)."""
+def marching_cubes_grid(values: np.ndarray, origin, spacing):
+    """Extract the zero iso-surface of a full node grid. Returns (vertices, triangles)."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 3 or min(values.shape) < 2:
         raise ValueError(f"need a 3D node grid with >= 2 nodes per axis, got {values.shape}")
-    keys, pos, tris = _emit(values, level, np.zeros(3, dtype=np.int64), values.shape)
+    keys, pos, tris = _emit(values, np.zeros(3, dtype=np.int64), values.shape)
     return _assemble([keys], [pos], [tris], origin, spacing)
 
 
-def marching_cubes_stream(sample_fn, origin, spacing, shape, level: float = 0.0,
-                          max_slab_nodes: int = 30_000_000):
+def marching_cubes_stream(sample_fn, origin, spacing, shape, max_slab_nodes: int = 30_000_000):
     """Iso-surface of a grid too large to hold at once.
 
     ``sample_fn(k0, k1)`` must return node values[:, :, k0:k1] of shape
@@ -132,7 +131,7 @@ def marching_cubes_stream(sample_fn, origin, spacing, shape, level: float = 0.0,
     while k0 < gz - 1:
         k1 = min(gz, k0 + slab)
         values = np.asarray(sample_fn(k0, k1), dtype=np.float64)
-        keys, pos, tris = _emit(values, level, np.array([0, 0, k0], dtype=np.int64), shape)
+        keys, pos, tris = _emit(values, np.array([0, 0, k0], dtype=np.int64), shape)
         all_keys.append(keys)
         all_pos.append(pos)
         all_tris.append(tris)

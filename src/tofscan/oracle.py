@@ -45,16 +45,9 @@ def closed_form_measurements(prim: ScenePrimitive) -> MeshMeasurements:
     raise ValueError(f"no closed form for shape {prim.shape!r}")
 
 
-def _voxelize_measurements(scene: Scene, spacing: float, labels=("target",)) -> tuple:
-    prims = [p for p in scene.primitives if p.label in labels]
-    if not prims:
-        raise ValueError(f"no primitives labeled {labels}")
-    lo = np.full(3, np.inf)
-    hi = np.full(3, -np.inf)
-    for p in prims:
-        a, b = p.world_bounds()
-        lo = np.minimum(lo, a)
-        hi = np.maximum(hi, b)
+def _voxelize_measurements(scene: Scene, spacing: float) -> tuple:
+    lo, hi = scene.target_bounds()
+    prims = scene.labeled("target")
     origin = lo - _PAD_CELLS * spacing
     shape = tuple(int(np.ceil((hi[i] - lo[i]) / spacing)) + 2 * _PAD_CELLS + 1
                   for i in range(3))
@@ -98,9 +91,9 @@ def _voxelize_measurements(scene: Scene, spacing: float, labels=("target",)) -> 
     return MeshMeasurements(surface_area(mesh), vol), mesh
 
 
-def oracle_mesh(scene: Scene, spacing: float = 0.002, labels=("target",)) -> TriangleMesh:
-    """Dense reference mesh of the labeled union (no convergence check)."""
-    _, mesh = _voxelize_measurements(scene, spacing, labels)
+def oracle_mesh(scene: Scene, spacing: float = 0.002) -> TriangleMesh:
+    """Dense reference mesh of the target-labeled union (no convergence check)."""
+    _, mesh = _voxelize_measurements(scene, spacing)
     return mesh
 
 

@@ -24,8 +24,8 @@ from .reconstruction import TriangleMesh, estimate_normals, poisson_reconstruct
 from .registration import (MultiScaleParams, PoseGraph, make_observations, merge_clouds,
                            register_rig, save_pose_graph)
 from .render import observe_tags
-from .scene import Scene, make_calibration_cube
-from .segmentation import ArbitrationMode, MaskPair, apply_mask_to_depth, fuse, load_masks
+from .scene import Scene, cube_tag_layout
+from .segmentation import ArbitrationMode, MaskPair, fuse, load_masks
 
 logger = logging.getLogger(__name__)
 
@@ -43,25 +43,26 @@ class PipelineError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one pipeline run needs; identical configs give identical output."""
+    """Everything one pipeline run needs; identical configs give identical output.
+
+    Masks are fused by one-vote OR, the calibration cube sits at the centre of
+    the target's bounding box, the first device of the chain is the reference
+    frame, the merged cloud is deduplicated at half the finest ICP voxel, and
+    the Poisson solve must reach a relative residual of 1e-6.
+    """
 
     scene: Scene
     rig: tuple
     delay_us: int = 160
     exposure_us: int = 125
     seed: int = 0
-    arbitration: ArbitrationMode = ArbitrationMode.ONE_VOTE_OR
     registration: MultiScaleParams = field(default_factory=MultiScaleParams)
     resolution: int = 128
-    solver_tol: float = 1e-6
-    dedup_voxel: float | None = None         # defaults to finest ICP voxel
     masks_dir: str | None = None             # None -> simulator oracle masks
     cube_edge: float = 0.5
     cube_tags_per_face: int = 1
-    cube_pose: RigidTransform | None = None  # defaults to the target bbox center
     corner_noise_sigma: float = 0.001
     chain_order: tuple | None = None         # defaults to rig device-id order
-    reference: int | None = None
     out_dir: str | None = None
     reconstruct: bool = True                 # False: stop after the merged cloud
 
@@ -92,11 +93,9 @@ def _stage(name):
 
 def _calibration_observations(cfg: RunConfig):
     """Simulated cube-calibration pass: per-device noisy tag corner observations."""
-    center = cfg.cube_pose
-    if center is None:
-        lo, hi = cfg.scene.target_bounds()
-        center = RigidTransform(np.eye(3), (lo + hi) / 2)
-    _cube_scene, layout = make_calibration_cube(cfg.cube_edge, cfg.cube_tags_per_face)
+    lo, hi = cfg.scene.target_bounds()
+    center = RigidTransform(np.eye(3), (lo + hi) / 2)
+    layout = cube_tag_layout(cfg.cube_edge, cfg.cube_tags_per_face)
     fiducials = {}
     for sensor in cfg.rig:
         exact = observe_tags(layout, center, sensor)
@@ -127,10 +126,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     clouds: dict[int, PointCloud] = {}
     for dev in device_ids:
         frame = capture.frames[dev]
-        fused = _stage("segmentation")(fuse, pairs[dev], cfg.arbitration)
-        masked = _stage("segmentation")(apply_mask_to_depth, frame.depth, fused)
+        fused = _stage("segmentation")(fuse, pairs[dev], ArbitrationMode.ONE_VOTE_OR)
         clouds[dev] = _stage("back-projection")(
-            back_project, masked, sensors[dev].intrinsics, frame.color, None, f"camera{dev}")
+            back_project, frame.depth, sensors[dev].intrinsics, frame.color, fused,
+            f"camera{dev}")
         if out is not None:
             (out / "raw" / f"{dev}_depth.pgm").write_bytes(encode_pgm16(frame.depth))
             (out / "raw" / f"{dev}_color.ppm").write_bytes(encode_ppm(frame.color))
@@ -141,20 +140,18 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     fiducials, layout = _stage("calibration")(_calibration_observations, cfg)
     order = list(cfg.chain_order) if cfg.chain_order is not None else device_ids
     graph = _stage("registration")(register_rig, clouds, fiducials, cfg.registration,
-                                   layout, order, cfg.reference)
+                                   layout, order)
 
     reachable = {d: clouds[d] for d in graph.global_poses if d in clouds}
-    dedup = cfg.dedup_voxel if cfg.dedup_voxel is not None \
-        else cfg.registration.voxel_sizes[-1] / 2
-    merged = _stage("merge")(merge_clouds, reachable, graph, dedup)
+    merged = _stage("merge")(merge_clouds, reachable, graph,
+                             cfg.registration.voxel_sizes[-1] / 2)
 
     mesh = None
     measurements = None
     if cfg.reconstruct:
         centers = {dev: graph.global_poses[dev].translation for dev in graph.global_poses}
         oriented = _stage("normal-estimation")(estimate_normals, merged, 30, centers)
-        mesh = _stage("reconstruction")(poisson_reconstruct, oriented,
-                                        cfg.resolution, cfg.solver_tol)
+        mesh = _stage("reconstruction")(poisson_reconstruct, oriented, cfg.resolution)
         measurements = _stage("metrology")(measure_mesh, mesh)
 
     if out is not None:
@@ -165,7 +162,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         write_retention_csv(out / "retention.csv", capture.retention)
         (out / "session.json").write_text(json.dumps({
             "seed": cfg.seed, "delay_us": cfg.delay_us, "exposure_us": cfg.exposure_us,
-            "arbitration": cfg.arbitration.value, "resolution": cfg.resolution,
+            "arbitration": ArbitrationMode.ONE_VOTE_OR.value, "resolution": cfg.resolution,
             "surface_area_m2": None if measurements is None else measurements.surface_area,
             "volume_m3": None if measurements is None else measurements.volume}, indent=2))
     return PipelineResult(measurements, mesh, merged, graph, capture, out)

@@ -22,7 +22,7 @@ from .marching import marching_cubes_grid
 from .solver import solve_poisson_grid
 
 __all__ = [
-    "ReconstructionError", "OrientedPointCloud", "ScalarGrid", "TriangleMesh",
+    "ReconstructionError", "OrientedPointCloud", "TriangleMesh",
     "estimate_normals", "poisson_reconstruct", "is_watertight", "euler_characteristic",
 ]
 
@@ -58,27 +58,6 @@ class OrientedPointCloud:
 
 
 @dataclass(frozen=True)
-class ScalarGrid:
-    """Uniform node grid holding a scalar field (the indicator solve output)."""
-
-    origin: np.ndarray
-    spacing: float
-    values: np.ndarray  # (nx, ny, nz)
-
-    def __post_init__(self):
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
-        if min(self.values.shape) < 8:
-            raise ValueError(f"grid resolution {self.values.shape} below minimum 8 per axis")
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=np.float64))
-
-    def sample(self, pts: np.ndarray) -> np.ndarray:
-        """Trilinear interpolation at world points."""
-        q = (np.asarray(pts, dtype=np.float64) - self.origin) / self.spacing
-        return ndimage.map_coordinates(self.values, q.T, order=1, mode="nearest")
-
-
-@dataclass(frozen=True)
 class TriangleMesh:
     """Indexed triangle set, counter-clockwise outward winding."""
 
@@ -100,19 +79,18 @@ class TriangleMesh:
 
 
 def estimate_normals(cloud: PointCloud, k: int = 30,
-                     camera_centers: dict | None = None,
-                     viewpoint=(0.0, 0.0, 0.0)) -> OrientedPointCloud:
+                     camera_centers: dict | None = None) -> OrientedPointCloud:
     """PCA normals over k nearest neighbors, flipped toward the observing camera.
 
     Per-point cameras come from ``cloud.source_ids`` and ``camera_centers``
-    (device id -> center); without them every point uses ``viewpoint``.
+    (device id -> center); without them every point faces the origin.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
     pts = cloud.points
     if len(pts) < k:
         raise ValueError(f"need at least k={k} points, got {len(pts)}")
-    centers = np.tile(np.asarray(viewpoint, dtype=np.float64), (len(pts), 1))
+    centers = np.zeros((len(pts), 3))
     if camera_centers is not None and cloud.source_ids is not None:
         for dev, c in camera_centers.items():
             sel = cloud.source_ids == dev
@@ -153,8 +131,15 @@ def _splat_normals(cloud: OrientedPointCloud, origin, spacing, shape) -> np.ndar
     return field
 
 
+def _sample(values: np.ndarray, origin: np.ndarray, spacing: float,
+            pts: np.ndarray) -> np.ndarray:
+    """Trilinear interpolation of a node grid at world points."""
+    q = (pts - origin) / spacing
+    return ndimage.map_coordinates(values, q.T, order=1, mode="nearest")
+
+
 def poisson_reconstruct(cloud: OrientedPointCloud, resolution: int = 128,
-                        tol: float = 1e-6, keep_grid: bool = False):
+                        tol: float = 1e-6) -> TriangleMesh:
     """Watertight triangle mesh from an oriented point cloud.
 
     ``resolution`` is the node count along the longest padded axis (the other
@@ -178,24 +163,19 @@ def poisson_reconstruct(cloud: OrientedPointCloud, resolution: int = 128,
 
     # -lap(chi) = -div(V); with camera-facing (outward) normals chi then rises
     # toward the inside up to the sign fixed below
-    chi_arr, info = solve_poisson_grid(-div, spacing, tol=tol)
-    grid = ScalarGrid(origin, spacing, chi_arr)
+    chi_arr, _ = solve_poisson_grid(-div, spacing, tol=tol)
 
-    sampled = grid.sample(cloud.points)
-    iso = float(sampled.mean())
-    inward = grid.sample(cloud.points - 1.5 * spacing * cloud.normals)
+    iso = float(_sample(chi_arr, origin, spacing, cloud.points).mean())
+    inward = _sample(chi_arr, origin, spacing, cloud.points - 1.5 * spacing * cloud.normals)
     sign = 1.0 if float(inward.mean()) >= iso else -1.0
     f = sign * (chi_arr - iso)
 
-    verts, tris = marching_cubes_grid(f, origin, spacing, level=0.0)
+    verts, tris = marching_cubes_grid(f, origin, spacing)
     if len(tris) == 0:
         raise ReconstructionError("empty iso-surface (solve produced no crossing)")
     verts, tris = _weld_slivers(verts, tris, radius=1e-3 * spacing)
     verts, tris = _cull_small_components(verts, tris, min_fraction=0.01)
-    mesh = TriangleMesh(verts, tris)
-    if keep_grid:
-        return mesh, grid, info
-    return mesh
+    return TriangleMesh(verts, tris)
 
 
 def _weld_slivers(verts: np.ndarray, tris: np.ndarray, radius: float):
@@ -208,20 +188,9 @@ def _weld_slivers(verts: np.ndarray, tris: np.ndarray, radius: float):
     """
     pairs = cKDTree(verts).query_pairs(radius, output_type="ndarray")
     if len(pairs):
-        root = np.arange(len(verts))
-
-        def find(i):
-            while root[i] != i:
-                root[i] = root[root[i]]
-                i = root[i]
-            return i
-
-        for a, b in pairs:  # few pairs in practice, fine as a Python loop
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                root[max(ra, rb)] = min(ra, rb)
-        remap = np.array([find(i) for i in range(len(verts))])
-        tris = remap[tris]
+        # every vertex moves to the lowest index of its near-pair component
+        labels = _component_labels(len(verts), pairs[:, 0], pairs[:, 1])
+        tris = np.unique(labels, return_index=True)[1][labels][tris]
     collapsed = ((tris[:, 0] == tris[:, 1]) | (tris[:, 1] == tris[:, 2])
                  | (tris[:, 0] == tris[:, 2]))
     return _compact(verts, tris[~collapsed])
@@ -234,16 +203,20 @@ def _compact(verts: np.ndarray, tris: np.ndarray):
     return verts[used], remap[tris]
 
 
-def _cull_small_components(verts: np.ndarray, tris: np.ndarray, min_fraction: float):
-    """Drop connected components (via shared vertices) below a triangle fraction."""
+def _component_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of ``n`` nodes of the undirected graph (rows, cols)."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
+    adj = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    return connected_components(adj, directed=False)[1]
+
+
+def _cull_small_components(verts: np.ndarray, tris: np.ndarray, min_fraction: float):
+    """Drop connected components (via shared vertices) below a triangle fraction."""
     rows = np.concatenate([tris[:, 0], tris[:, 1], tris[:, 2]])
     cols = np.concatenate([tris[:, 1], tris[:, 2], tris[:, 0]])
-    adj = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                     shape=(len(verts), len(verts)))
-    _, labels = connected_components(adj, directed=False)
+    labels = _component_labels(len(verts), rows, cols)
     tri_label = labels[tris[:, 0]]
     lab, counts = np.unique(tri_label, return_counts=True)
     keep_lab = lab[counts >= min_fraction * len(tris)]

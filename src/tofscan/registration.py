@@ -120,6 +120,13 @@ def _absolute_orientation(pa: np.ndarray, pb: np.ndarray) -> RigidTransform:
 
 # --- multi-scale colored ICP -------------------------------------------------
 
+_RELATIVE_CHANGE = 1e-6  # fitness/rmse convergence threshold
+_NORMAL_K = 30
+_GRADIENT_K = 15
+# wrapped-around points from a partially overlapping view face the wrong way;
+# matches whose normals disagree by more than 40 degrees are rejected
+_MIN_NORMAL_DOT = float(np.cos(np.radians(40.0)))
+
 
 @dataclass(frozen=True)
 class MultiScaleParams:
@@ -128,12 +135,8 @@ class MultiScaleParams:
     voxel_sizes: tuple = (0.04, 0.02, 0.01)
     max_iterations: tuple = (50, 30, 14)
     delta: float = 0.968                      # geometric weight in [0, 1]
-    relative_change: float = 1e-6             # fitness/rmse convergence threshold
     max_corr_factor: float = 2.0              # max correspondence distance / voxel
-    normal_k: int = 30
-    gradient_k: int = 15
     trim_fraction: float = 0.85               # keep this fraction of matches by distance
-    normal_gate_deg: float = 40.0             # reject matches with disagreeing normals
 
     def __post_init__(self):
         v = tuple(float(x) for x in self.voxel_sizes)
@@ -213,15 +216,13 @@ class _Level:
         self.points = down.points
         self.intensity = down.colors.mean(axis=1)
         self.tree = cKDTree(self.points)
-        self.normals = pca_normals(self.points, self.tree, min(params.normal_k, len(down)),
-                                   viewpoint)
-        self.gradient_k = params.gradient_k
+        self.normals = pca_normals(self.points, self.tree, min(_NORMAL_K, len(down)), viewpoint)
 
     @cached_property
     def gradients(self) -> np.ndarray:
         """Tangent-plane intensity gradients; built on first use, as only a target needs them."""
         points, n, intensity = self.points, self.normals, self.intensity
-        _, idx = self.tree.query(points, k=min(self.gradient_k, len(points)))
+        _, idx = self.tree.query(points, k=min(_GRADIENT_K, len(points)))
         # project neighbors onto each point's tangent plane
         rel = points[idx] - points[:, None, :]
         rel_t = rel - np.einsum("nkj,nj->nk", rel, n)[:, :, None] * n[:, None, :]
@@ -242,16 +243,12 @@ def _residuals(src: _Level, tgt: _Level, transform: RigidTransform, voxel: float
     if not valid.any():
         return None
     n_matched = int(valid.sum())  # reported fitness counts these, not the gated subset
-    min_normal_dot = float(np.cos(np.radians(params.normal_gate_deg)))
-    if min_normal_dot > -1.0:
-        # wrapped-around points from a partially overlapping view face the
-        # wrong way; reject matches whose normals disagree
-        moved_n = src.normals @ transform.rotation.T
-        idx_safe = np.where(valid, idx, 0)
-        agree = np.abs(np.einsum("ni,ni->n", moved_n, tgt.normals[idx_safe]))
-        valid &= agree >= min_normal_dot
-        if not valid.any():
-            return None
+    moved_n = src.normals @ transform.rotation.T
+    idx_safe = np.where(valid, idx, 0)
+    agree = np.abs(np.einsum("ni,ni->n", moved_n, tgt.normals[idx_safe]))
+    valid &= agree >= _MIN_NORMAL_DOT
+    if not valid.any():
+        return None
     if params.trim_fraction < 1.0 and valid.sum() > 20:
         # trim the worst matches by distance: partial-overlap boundary points
         # otherwise clamp to the target rim and drag the pose
@@ -339,8 +336,8 @@ def _icp(source_level, target_level, init: RigidTransform,
             history.append(energy)
             fit = corr["n_matched"] / len(src.points)
             rmse = float(np.sqrt(np.mean(corr["dist"] ** 2)))
-            if (abs(fit - prev_fit) < params.relative_change * max(prev_fit, 1e-12)
-                    and abs(rmse - prev_rmse) < params.relative_change * max(prev_rmse, 1e-12)):
+            if (abs(fit - prev_fit) < _RELATIVE_CHANGE * max(prev_fit, 1e-12)
+                    and abs(rmse - prev_rmse) < _RELATIVE_CHANGE * max(prev_rmse, 1e-12)):
                 prev_fit, prev_rmse = fit, rmse
                 break
             prev_fit, prev_rmse = fit, rmse
@@ -367,8 +364,7 @@ def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, list],
                  params: MultiScaleParams = MultiScaleParams(),
                  cube_model: dict | None = None,
                  order: list[int] | None = None,
-                 reference: int | None = None,
-                 refine: bool = True) -> PoseGraph:
+                 reference: int | None = None) -> PoseGraph:
     """Chain-register per-device clouds: fiducial init + pairwise colored ICP.
 
     ``order`` is the physical rig order (defaults to sorted device ids);
@@ -395,7 +391,7 @@ def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, list],
         try:
             init = estimate_pose_from_fiducials(fiducials[a], fiducials[b], cube_model) \
                 if fiducials else RigidTransform.identity()
-            if refine and len(clouds[a]) and len(clouds[b]):
+            if len(clouds[a]) and len(clouds[b]):
                 result = _icp(source, target, init, params)
             else:
                 result = RegistrationResult(init, 0.0, 1.0, [])

@@ -32,10 +32,9 @@ _LIGHT_DIR = np.array([0.25, -0.15, 1.0]) / np.linalg.norm([0.25, -0.15, 1.0])
 
 @dataclass(frozen=True)
 class SensorModel:
-    """One ToF sensor: pinhole intrinsics, camera-to-world pose, and noise knobs.
+    """One ToF sensor: pinhole intrinsics, camera-to-world pose, and range noise.
 
-    Depth noise is Gaussian with sigma(z) = sigma0 + sigma1 * z^2 (meters);
-    every valid pixel independently drops out with probability ``dropout``.
+    Depth noise is Gaussian with sigma(z) = sigma0 + sigma1 * z^2 (meters).
     """
 
     device_id: int
@@ -43,14 +42,10 @@ class SensorModel:
     pose: RigidTransform
     sigma0: float = 0.002
     sigma1: float = 0.0
-    dropout: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.sigma0 < 0 or self.sigma1 < 0:
             raise ValueError("noise sigmas must be non-negative")
-        if not (0.0 <= self.dropout <= 1.0):
-            raise ValueError("dropout must be in [0, 1]")
 
     def camera_center(self) -> np.ndarray:
         return self.pose.translation
@@ -278,15 +273,14 @@ def render(scene: Scene, sensor: SensorModel) -> RenderResult:
 
 
 def apply_tof_noise(depth: DepthImage, model: SensorModel, seed: int) -> DepthImage:
-    """Gaussian range noise sigma(z) = sigma0 + sigma1 z^2 plus baseline dropout."""
+    """Gaussian range noise sigma(z) = sigma0 + sigma1 z^2 on the valid pixels."""
     rng = np.random.default_rng(seed)
     raw = depth.data.astype(np.float64)
     valid = raw > 0
     z = raw * model.intrinsics.depth_scale
     sigma = model.sigma0 + model.sigma1 * z * z
     noisy = z + rng.standard_normal(z.shape) * sigma
-    dropped = rng.random(z.shape) < model.dropout
-    out = np.where(valid & ~dropped, noisy, 0.0)
+    out = np.where(valid, noisy, 0.0)
     out_raw = np.clip(np.round(out / model.intrinsics.depth_scale), 0, 65535).astype(np.uint16)
     out_raw[~valid] = 0
     return DepthImage(depth.width, depth.height, out_raw)
@@ -354,18 +348,21 @@ def observe_tags(layout: dict[int, np.ndarray], cube_pose: RigidTransform,
 
 def rig_to_list(rig: list[SensorModel]) -> list[dict]:
     return [{"device_id": s.device_id, "intrinsics": s.intrinsics.to_json_dict(),
-             "pose": s.pose.to_json_dict(), "sigma0": s.sigma0, "sigma1": s.sigma1,
-             "dropout": s.dropout, "seed": s.seed} for s in rig]
+             "pose": s.pose.to_json_dict(), "sigma0": s.sigma0, "sigma1": s.sigma1}
+            for s in rig]
 
 
 def rig_from_list(doc: list[dict]) -> list[SensorModel]:
+    """Sensors from rig JSON; a ``seed`` key is ignored, a non-zero ``dropout`` rejected."""
+    for d in doc:
+        if float(d.get("dropout", 0.0)) != 0.0:
+            raise ValueError(f"device {d.get('device_id')}: dropout is not modelled "
+                             f"(got {d['dropout']})")
     return [SensorModel(device_id=int(d["device_id"]),
                         intrinsics=CameraIntrinsics.from_json_dict(d["intrinsics"]),
                         pose=RigidTransform.from_json_dict(d["pose"]),
                         sigma0=float(d.get("sigma0", 0.002)),
-                        sigma1=float(d.get("sigma1", 0.0)),
-                        dropout=float(d.get("dropout", 0.0)),
-                        seed=int(d.get("seed", 0))) for d in doc]
+                        sigma1=float(d.get("sigma1", 0.0))) for d in doc]
 
 
 def save_rig(path, rig: list[SensorModel]) -> None:

@@ -42,9 +42,9 @@ def look_at(eye, center, up=(0.0, 0.0, 1.0)) -> RigidTransform:
     return RigidTransform(rot, eye)
 
 
-def default_intrinsics(width: int = 320, height: int = 240,
-                       focal: float | None = None) -> CameraIntrinsics:
-    f = focal if focal is not None else 0.7 * width
+def default_intrinsics(width: int = 320, height: int = 240) -> CameraIntrinsics:
+    """Square pixels, focal length 0.7 * width, principal point at the raster centre."""
+    f = 0.7 * width
     return CameraIntrinsics(fx=f, fy=f, cx=(width - 1) / 2, cy=(height - 1) / 2,
                             width=width, height=height)
 

@@ -279,11 +279,10 @@ def cube_tag_layout(edge: float, tags_per_face: int) -> dict[int, np.ndarray]:
     return model
 
 
-def make_calibration_cube(edge: float, tags_per_face: int = 1,
-                          pose: RigidTransform | None = None) -> tuple[Scene, dict]:
-    """Fiducial cube: a textured box plus exact tag corner geometry in the cube frame."""
+def make_calibration_cube(edge: float, tags_per_face: int = 1) -> tuple[Scene, dict]:
+    """Fiducial cube at the origin: a textured box plus exact tag corner geometry."""
     layout = cube_tag_layout(edge, tags_per_face)
-    prim = box((edge / 2, edge / 2, edge / 2), pose=pose or RigidTransform.identity(),
+    prim = box((edge / 2, edge / 2, edge / 2),
                albedo=(0.85, 0.82, 0.75), label="target",
                texture={"kind": "tag_cube", "edge": edge, "tags_per_face": tags_per_face})
     return Scene((prim,), background_cap=5.0), layout

@@ -1,15 +1,15 @@
 """Voting arbitration between RGB- and depth-derived masks, plus quality metrics.
 
 The mask provider is pluggable: simulator oracle masks and file-loaded masks
-travel through the same code path. Metric definitions:
+travel through the same code path. The fused mask is applied by
+``geometry.back_project``. Metric definitions:
 
     iou      = |P ∩ G| / |P ∪ G|          (1.0 when both empty)
     fn_rate  = 100 * |G \\ P| / |G|
     fp_rate  = 100 * |P \\ G| / (total - |G|)   (false positives over true background)
 
 The false-positive denominator is the true-background pixel count so that both
-rates live in [0, 100]; pass ``fp_over_prediction=True`` to normalize by |P|
-instead when comparing against other conventions.
+rates live in [0, 100].
 """
 
 from __future__ import annotations
@@ -18,14 +18,12 @@ import enum
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .formats import decode_mask_pgm
-from .geometry import BinaryMask, DepthImage
+from .geometry import BinaryMask
 
 __all__ = [
     "ArbitrationMode", "MaskPair", "SegMetrics",
-    "fuse", "metrics", "apply_mask_to_depth", "load_masks",
+    "fuse", "metrics", "load_masks",
 ]
 
 
@@ -74,7 +72,7 @@ def fuse(pair: MaskPair, mode: ArbitrationMode) -> BinaryMask:
     return BinaryMask.from_bool(fg)
 
 
-def metrics(pred: BinaryMask, gt: BinaryMask, fp_over_prediction: bool = False) -> SegMetrics:
+def metrics(pred: BinaryMask, gt: BinaryMask) -> SegMetrics:
     """IOU, false-positive and false-negative rates of ``pred`` against ``gt``."""
     if (pred.width, pred.height) != (gt.width, gt.height):
         raise ValueError(f"prediction {pred.width}x{pred.height} does not match "
@@ -89,21 +87,9 @@ def metrics(pred: BinaryMask, gt: BinaryMask, fp_over_prediction: bool = False) 
     union = n_p + n_g - inter
     iou = 1.0 if union == 0 else inter / union
     fn = 100.0 * (n_g - inter) / n_g
-    if fp_over_prediction:
-        fp = 0.0 if n_p == 0 else 100.0 * (n_p - inter) / n_p
-    else:
-        background = p.size - n_g
-        fp = 0.0 if background == 0 else 100.0 * (n_p - inter) / background
+    background = p.size - n_g
+    fp = 0.0 if background == 0 else 100.0 * (n_p - inter) / background
     return SegMetrics(iou=iou, fp_rate=fp, fn_rate=fn)
-
-
-def apply_mask_to_depth(depth: DepthImage, mask: BinaryMask) -> DepthImage:
-    """Zero background pixels; foreground depth is untouched."""
-    if (mask.width, mask.height) != (depth.width, depth.height):
-        raise ValueError(f"mask {mask.width}x{mask.height} does not match "
-                         f"depth {depth.width}x{depth.height}")
-    out = np.where(mask.foreground(), depth.data, 0).astype(np.uint16)
-    return DepthImage(depth.width, depth.height, out)
 
 
 def load_masks(directory, device_ids) -> dict[int, MaskPair]:

@@ -29,7 +29,6 @@ class SolverError(RuntimeError):
 class SolveInfo:
     iterations: int           # 1 for a direct solve, 0 for a zero right-hand side
     residual: float           # final relative residual (2-norm)
-    converged: bool
 
 
 def apply_neg_laplacian(u: np.ndarray, spacing) -> np.ndarray:
@@ -64,7 +63,7 @@ def solve_poisson_grid(rhs: np.ndarray, spacing,
     spacing = np.broadcast_to(np.asarray(spacing, dtype=np.float64), (3,))
     norm_b = float(np.linalg.norm(rhs))
     if norm_b == 0.0:
-        return np.zeros_like(rhs), SolveInfo(0, 0.0, True)
+        return np.zeros_like(rhs), SolveInfo(0, 0.0)
 
     ex, ey, ez = [(2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))) / h ** 2
                   for n, h in zip(rhs.shape, spacing)]
@@ -75,4 +74,4 @@ def solve_poisson_grid(rhs: np.ndarray, spacing,
     if not residual <= tol:
         raise SolverError(f"direct solve missed {tol:g} "
                           f"(relative residual {residual:.3e})", residual=residual)
-    return u, SolveInfo(1, residual, True)
+    return u, SolveInfo(1, residual)

@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from conftest import icosphere, sampled_mesh_points, tetrahedron_mesh, torus_grid_mesh, unit_cube_mesh
 from tofscan.geometry import PointCloud
 from tofscan.metrology import surface_area, volume
 from tofscan.reconstruction import (OrientedPointCloud, ReconstructionError, TriangleMesh,
-                                    _grid_layout, _splat_normals, estimate_normals,
-                                    euler_characteristic, is_watertight, poisson_reconstruct)
+                                    _compact, _grid_layout, _splat_normals, _weld_slivers,
+                                    estimate_normals, euler_characteristic, is_watertight,
+                                    poisson_reconstruct)
+from tofscan.solver import SolverError
 
 
 class TestEstimateNormals:
     def test_plane_facing_camera(self, rng):
         pts = np.column_stack([rng.uniform(-1, 1, 500), rng.uniform(-1, 1, 500),
                                np.ones(500)])
-        oriented = estimate_normals(PointCloud(pts), k=12, viewpoint=(0, 0, 0))
+        oriented = estimate_normals(PointCloud(pts), k=12)
         np.testing.assert_allclose(oriented.normals, np.tile([0, 0, -1.0], (500, 1)),
                                    atol=1e-3)
 
@@ -117,9 +120,43 @@ class TestPoisson:
             assert abs(surface_area(mesh) - s ** 2 * a0) / (s ** 2 * a0) < 0.02
             assert abs(volume(mesh) - s ** 3 * v0) / (s ** 3 * v0) < 0.02
 
-    def test_residual_within_tol(self, sphere_cloud):
-        _, _, info = poisson_reconstruct(sphere_cloud, resolution=64, keep_grid=True)
-        assert info.residual <= 1e-6
+    def test_unreachable_tol_raises(self, sphere_cloud):
+        """``tol`` reaches the solver's residual gate."""
+        with pytest.raises(SolverError):
+            poisson_reconstruct(sphere_cloud, 64, tol=1e-30)
+
+
+def _union_find_weld(verts, tris, radius):
+    """The union-find weld that ``_weld_slivers`` replaced, kept as its reference."""
+    pairs = cKDTree(verts).query_pairs(radius, output_type="ndarray")
+    root = np.arange(len(verts))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[max(ra, rb)] = min(ra, rb)
+    tris = np.array([find(i) for i in range(len(verts))])[tris]
+    collapsed = ((tris[:, 0] == tris[:, 1]) | (tris[:, 1] == tris[:, 2])
+                 | (tris[:, 0] == tris[:, 2]))
+    return _compact(verts, tris[~collapsed])
+
+
+def test_weld_matches_union_find(rng):
+    """Connected components of the near-pair graph weld exactly as the union-find did."""
+    for _ in range(200):
+        n = int(rng.integers(20, 300))
+        # lattice points with jitter above the radius: near-pair chains of varied shape
+        verts = np.round(rng.random((n, 3)) * 4) / 4 + rng.random((n, 3)) * 3e-3
+        tris = rng.integers(0, n, (2 * n, 3))
+        got = _weld_slivers(verts, tris, radius=2e-3)
+        want = _union_find_weld(verts, tris, 2e-3)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestWatertight:

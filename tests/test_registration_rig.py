@@ -13,7 +13,6 @@ from tofscan.registration import (MultiScaleParams, colored_icp, merge_clouds, r
 from tofscan.render import observe_tags
 from tofscan.rigs import known_object_rig
 from tofscan.scene import make_calibration_cube
-from tofscan.segmentation import apply_mask_to_depth
 
 
 def textured_cloud(rng, n=3000):
@@ -62,9 +61,8 @@ class TestRegisterRig:
         cap = simulate_capture(posed, rig, build_schedule(list(sensors), 160, 125), seed=0)
         clouds, fid = {}, {}
         for dev, fr in cap.frames.items():
-            masked = apply_mask_to_depth(fr.depth, fr.oracle_mask)
-            clouds[dev] = back_project(masked, sensors[dev].intrinsics, fr.color,
-                                       None, f"cam{dev}")
+            clouds[dev] = back_project(fr.depth, sensors[dev].intrinsics, fr.color,
+                                       fr.oracle_mask, f"cam{dev}")
             rng_d = np.random.default_rng(50 + dev)
             fid[dev] = make_observations(observe_tags(layout, cube_pose, sensors[dev]),
                                          0.001, rng_d)

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from tofscan.geometry import CameraIntrinsics, RigidTransform
-from tofscan.render import SensorModel, apply_interference, apply_tof_noise, observe_tags, render
+from tofscan.render import (SensorModel, apply_interference, apply_tof_noise, observe_tags, render,
+                            rig_from_list, rig_to_list)
 from tofscan.scene import Scene, box, cylinder, make_calibration_cube, superellipsoid
 
 INTR = CameraIntrinsics(fx=600, fy=600, cx=320, cy=240, width=640, height=480)
@@ -99,13 +101,6 @@ class TestNoise:
         out = apply_tof_noise(rr.depth, quiet, seed=5)
         assert np.array_equal(out.data, rr.depth.data)
 
-    def test_full_dropout(self):
-        sensor = SensorModel(0, INTR, RigidTransform.identity(), dropout=1.0)
-        data = np.full((480, 640), 1500, np.uint16)
-        from tofscan.geometry import DepthImage
-        out = apply_tof_noise(DepthImage(640, 480, data), sensor, seed=1)
-        assert not out.data.any()
-
     def test_noise_std_matches_sigma(self):
         # 1e5 samples at z = 1 m with sigma0 = 2 mm
         from tofscan.geometry import DepthImage
@@ -125,7 +120,7 @@ class TestNoise:
     def test_deterministic_per_seed(self):
         from tofscan.geometry import DepthImage
         data = np.full((50, 50), 1200, np.uint16)
-        sensor = SensorModel(0, INTR, RigidTransform.identity(), sigma0=0.005, dropout=0.1)
+        sensor = SensorModel(0, INTR, RigidTransform.identity(), sigma0=0.005)
         a = apply_tof_noise(DepthImage(50, 50, data), sensor, seed=7)
         b = apply_tof_noise(DepthImage(50, 50, data), sensor, seed=7)
         c = apply_tof_noise(DepthImage(50, 50, data), sensor, seed=8)
@@ -201,3 +196,21 @@ class TestObserveTags:
         seen = observe_tags(layout, cube_pose, cam)
         for t, corners in seen.items():
             np.testing.assert_allclose(corners, cube_pose.apply(layout[t]), atol=1e-12)
+
+
+class TestRigFile:
+    SENSOR = SensorModel(3, INTR, RigidTransform.from_axis_angle((0, 0, 1), 0.2, (1, 2, 3)),
+                         sigma0=0.001, sigma1=0.0004)
+
+    def test_seed_key_is_ignored(self):
+        doc = rig_to_list([self.SENSOR])
+        doc[0]["seed"] = 17
+        assert rig_to_list(rig_from_list(doc)) == rig_to_list([self.SENSOR])
+
+    def test_nonzero_dropout_is_rejected(self):
+        doc = rig_to_list([self.SENSOR])
+        doc[0]["dropout"] = 0.0
+        assert rig_to_list(rig_from_list(doc)) == rig_to_list([self.SENSOR])
+        doc[0]["dropout"] = 0.1
+        with pytest.raises(ValueError, match="dropout"):
+            rig_from_list(doc)

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from tofscan.formats import encode_pgm8
 from tofscan.geometry import BinaryMask, CameraIntrinsics, DepthImage, back_project
-from tofscan.segmentation import (ArbitrationMode, MaskPair, apply_mask_to_depth, fuse,
-                                  load_masks, metrics)
+from tofscan.segmentation import ArbitrationMode, MaskPair, fuse, load_masks, metrics
 
 
 def mask_of(coords, w=4, h=4):
@@ -71,11 +70,6 @@ class TestMetrics:
         with pytest.raises(ValueError, match="fn rate undefined"):
             metrics(mask_of([(0, 0)]), mask_of([]))
 
-    def test_fp_over_prediction_variant(self):
-        gt = mask_of([(0, 0)])
-        pred = mask_of([(0, 0), (1, 1)])
-        assert metrics(pred, gt, fp_over_prediction=True).fp_rate == pytest.approx(50.0)
-
     def test_rgb_only_is_exact_passthrough(self, rng):
         gt = BinaryMask.from_bool(rng.random((10, 10)) < 0.5)
         a = BinaryMask.from_bool(rng.random((10, 10)) < 0.5)
@@ -120,23 +114,14 @@ class TestOrderingProperties:
 
 
 class TestApplyMask:
+    """The fused mask is applied by back-projection."""
+
     def test_full_mask_identity(self, rng):
-        data = (rng.random((6, 6)) * 3000).astype(np.uint16)
-        depth = DepthImage(6, 6, data)
-        full = BinaryMask.from_bool(np.ones((6, 6), bool))
-        assert np.array_equal(apply_mask_to_depth(depth, full).data, data)
-
-    def test_empty_mask_zeroes(self, rng):
+        intr = CameraIntrinsics(10, 10, 3, 3, 6, 6)
         depth = DepthImage(6, 6, (rng.random((6, 6)) * 3000).astype(np.uint16))
-        empty = BinaryMask.from_bool(np.zeros((6, 6), bool))
-        assert not apply_mask_to_depth(depth, empty).data.any()
-
-    def test_checkerboard_keeps_half(self):
-        data = np.full((8, 8), 1000, np.uint16)
-        yy, xx = np.mgrid[0:8, 0:8]
-        checker = BinaryMask.from_bool((xx + yy) % 2 == 0)
-        out = apply_mask_to_depth(DepthImage(8, 8, data), checker)
-        assert (out.data > 0).sum() == 32
+        full = BinaryMask.from_bool(np.ones((6, 6), bool))
+        assert np.array_equal(back_project(depth, intr, mask=full).points,
+                              back_project(depth, intr).points)
 
     def test_masked_backprojection_count(self, rng):
         intr = CameraIntrinsics(100, 100, 32, 24, 64, 48)
@@ -144,7 +129,7 @@ class TestApplyMask:
         fg = rng.random((48, 64)) < 0.5
         mask = BinaryMask.from_bool(fg)
         depth = DepthImage(64, 48, data)
-        cloud = back_project(apply_mask_to_depth(depth, mask), intr)
+        cloud = back_project(depth, intr, mask=mask)
         assert len(cloud) == int((fg & (data > 0)).sum())
 
 
