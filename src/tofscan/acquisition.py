@@ -1,10 +1,11 @@
 """Client/server acquisition: per-device servers answering a fan-out scan client.
 
 Each simulated embedded device hosts one server with a three-state machine
-(idle -> configured -> captured). The client connects to every device, pushes
-the schedule/scene configuration, triggers all devices concurrently, and later
-fetches the stored frames, verifying CRC-32 integrity. A server handles one
-connection at a time; the rig has exactly one client.
+(idle -> configured -> captured). A server is built with the scene and rig it
+renders; the client connects to every device, pushes the capture schedule,
+triggers all devices concurrently, and later fetches the stored frames,
+verifying CRC-32 integrity. A server handles one connection at a time; the rig
+has exactly one client.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .formats import encode_pgm16, encode_ppm
 from .protocol import (ErrorCode, Message, MessageKind, ProtocolError,
                        encode_message, frame_crc32, json_message, pack_frame_payload,
                        payload_json, read_message, unpack_frame_payload)
-from .render import SensorModel, rig_from_list, rig_to_list
-from .scene import Scene, scene_from_dict, scene_to_dict
+from .render import SensorModel
+from .scene import Scene
 
 logger = logging.getLogger(__name__)
 
@@ -73,7 +74,7 @@ class DeviceServer:
     """One simulated embedded device: renders and serves frames for one sensor."""
 
     def __init__(self, device_id: int, sensor: SensorModel,
-                 scene: Scene | None = None, rig: list[SensorModel] | None = None):
+                 scene: Scene, rig: list[SensorModel]):
         if sensor.device_id != device_id:
             raise ValueError(f"sensor device_id {sensor.device_id} != server id {device_id}")
         self.device_id = device_id
@@ -165,13 +166,6 @@ class DeviceServer:
         if msg.kind is MessageKind.CONFIGURE:
             doc = payload_json(msg)
             self.schedule = CaptureSchedule.from_json_dict(doc["schedule"])
-            if doc.get("scene") is not None:
-                self.scene = scene_from_dict(doc["scene"])
-            if doc.get("rig") is not None:
-                self.rig = rig_from_list(doc["rig"])
-            if self.scene is None or self.rig is None:
-                raise DeviceError(ErrorCode.BAD_REQUEST,
-                                  "no scene/rig configured (preload files or send them)")
             if self.device_id not in set(self.schedule.device_order):
                 raise DeviceError(ErrorCode.BAD_REQUEST,
                                   f"device {self.device_id} missing from schedule")
@@ -287,19 +281,15 @@ class ScanClient:
     def status(self, endpoint: str) -> str:
         return payload_json(self._request(endpoint, Message(MessageKind.STATUS)))["state"]
 
-    def configure_all(self, endpoints: list[str], schedule: CaptureSchedule,
-                      scene: Scene | None = None, rig: list[SensorModel] | None = None) -> None:
-        doc = {"schedule": schedule.to_json_dict(),
-               "scene": None if scene is None else scene_to_dict(scene),
-               "rig": None if rig is None else rig_to_list(rig)}
-        msg = json_message(MessageKind.CONFIGURE, doc)
+    def configure_all(self, endpoints: list[str], schedule: CaptureSchedule) -> None:
+        msg = json_message(MessageKind.CONFIGURE, {"schedule": schedule.to_json_dict()})
         with ThreadPoolExecutor(max_workers=max(1, len(endpoints))) as pool:
             futures = {ep: pool.submit(self._request, ep, msg) for ep in endpoints}
             for ep, fut in futures.items():
                 fut.result()  # propagate configuration failures immediately
 
-    def trigger_scan(self, endpoints: list[str], cattle_id: str | None = None,
-                     schedule: CaptureSchedule | None = None, frame_id: int = 0,
+    def trigger_scan(self, endpoints: list[str], schedule: CaptureSchedule,
+                     cattle_id: str | None = None, frame_id: int = 0,
                      seed: int = 0) -> ScanSession:
         """Fire TRIGGER at every device concurrently and assemble the manifest.
 
@@ -311,8 +301,6 @@ class ScanClient:
             self._next_cattle_id += 1
         session_id = f"scan{self._next_session:04d}"
         self._next_session += 1
-        if schedule is None:
-            schedule = CaptureSchedule(tuple(range(len(endpoints))), 160, 125)
         session = ScanSession(session_id, cattle_id, schedule)
 
         msg = json_message(MessageKind.TRIGGER, {"session_id": session_id,

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import project
 from .render import RenderResult, SensorModel, apply_interference, apply_tof_noise, render
 from .scene import Scene
 
@@ -91,14 +92,12 @@ def _sees_target(sensor: SensorModel, lo: np.ndarray, hi: np.ndarray, cap: float
     samples = [np.array([x, y, z]) for x in xs for y in ys for z in zs]
     samples.append((lo + hi) / 2)
     pts = sensor.pose.invert().apply(np.array(samples))
-    intr = sensor.intrinsics
-    z = pts[:, 2]
-    ok = z > 0
-    if not ok.any():
+    ahead = pts[pts[:, 2] > 0]
+    if not len(ahead):
         return False
-    u = intr.fx * pts[ok, 0] / z[ok] + intr.cx
-    v = intr.fy * pts[ok, 1] / z[ok] + intr.cy
-    inside = (u >= 0) & (u <= intr.width - 1) & (v >= 0) & (v <= intr.height - 1) & (z[ok] <= cap)
+    intr = sensor.intrinsics
+    u, v, z = project(ahead, intr)
+    inside = (u >= 0) & (u <= intr.width - 1) & (v >= 0) & (v <= intr.height - 1) & (z <= cap)
     return bool(inside.any())
 
 

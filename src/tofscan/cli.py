@@ -45,7 +45,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("register", help="register a session's clouds")
     p.add_argument("--session", required=True)
-    p.add_argument("--reference", type=int, default=None)
     p.add_argument("--voxels", default="0.04,0.02,0.01")
     p.add_argument("--delta", type=float, default=0.968)
 
@@ -119,6 +118,9 @@ def _cmd_segment(args) -> int:
     gt_dir = session / "masks"
     gts = {int(f.name.split("_")[0]): decode_mask_pgm(f.read_bytes())
            for f in sorted(gt_dir.glob("*_gtmask.pgm"))}
+    if not gts:
+        print(f"no ground-truth masks under {gt_dir}", file=sys.stderr)
+        return 2
     pairs = (load_masks(args.masks, list(gts)) if args.masks
              else {d: MaskPair(gt, gt) for d, gt in gts.items()})
     rows = ["device_id,iou,fp_rate,fn_rate"]
@@ -149,7 +151,7 @@ def _cmd_register(args) -> int:
     voxels = tuple(float(v) for v in args.voxels.split(","))
     iters = (50, 30, 14)[:len(voxels)] if len(voxels) <= 3 else (50,) * len(voxels)
     params = MultiScaleParams(voxels, iters, args.delta)
-    graph = register_rig(clouds, {}, params, reference=args.reference)
+    graph = register_rig(clouds, {}, params)
     save_pose_graph(session / "poses.json", graph)
     merged = merge_clouds({d: clouds[d] for d in graph.global_poses}, graph,
                           dedup_voxel=voxels[-1] / 2)
@@ -217,11 +219,11 @@ def _cmd_experiment(args) -> int:
         cfg = configure(ex.known_object_config(make_known_object_scene(cyl)))
         runs = overrides.get("runs", 3)
         orientations = ex.ORIENTATIONS[:overrides.get("orientations", len(ex.ORIENTATIONS))]
-        reports = [ex.run_known_object_experiment(cyl, runs, list(orientations), cfg)]
-        for name, prim in ex.KNOWN_BOXES.items():
-            rep = ex.run_known_object_experiment(prim, runs, [RigidTransform.identity()], cfg)
-            rep.object_id = f"box-{name}"
-            reports.append(rep)
+        reports = [ex.run_known_object_experiment("cylinder", cyl, runs, list(orientations),
+                                                  cfg)]
+        reports += [ex.run_known_object_experiment(f"box-{name}", prim, runs,
+                                                   [RigidTransform.identity()], cfg)
+                    for name, prim in ex.KNOWN_BOXES.items()]
     else:  # animal
         scale = overrides.get("scale", 1.0)
         cfg = configure(ex.animal_config(make_animal_model(scale)))

@@ -113,13 +113,14 @@ class ExperimentReport:
                 f"{len(self.runs)} runs, {len(self.failed_runs)} failed")
 
 
-def run_known_object_experiment(obj: ScenePrimitive, n_runs: int,
+def run_known_object_experiment(object_id: str, obj: ScenePrimitive, n_runs: int,
                                 orientations: list[RigidTransform],
                                 cfg: RunConfig) -> ExperimentReport:
     """Pipeline per (orientation x seed) against the closed-form reference.
 
     ``obj`` is posed at each orientation (composed with its own pose); failed
-    runs are recorded, excluded from the statistics, and flagged.
+    runs are recorded, excluded from the statistics, and flagged. The report
+    is named ``object_id``.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -141,7 +142,7 @@ def run_known_object_experiment(obj: ScenePrimitive, n_runs: int,
             except PipelineError as e:
                 logger.warning("run (orientation %d, seed %d) failed: %s", oi, seed, e)
                 failed.append((seed, str(e)))
-    return ExperimentReport(f"{obj.shape}", runs, seeds, reference, failed)
+    return ExperimentReport(object_id, runs, seeds, reference, failed)
 
 
 def run_interference_experiment(delays_us: list[int], cfg: RunConfig,

@@ -1,4 +1,4 @@
-"""On-disk and on-wire encodings: binary PLY, 16-bit PGM (P5), PPM (P6), JSON camera files.
+"""On-disk and on-wire encodings: binary PLY, 16-bit PGM (P5) and PPM (P6).
 
 PGM stores 16-bit samples big-endian (most significant byte first, as the
 netpbm spec requires for maxval > 255); PLY is binary little-endian with
@@ -7,18 +7,16 @@ float32 coordinates, optional uchar RGB and float32 normals.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import BinaryMask, CameraIntrinsics, ColorImage, DepthImage, PointCloud, RigidTransform
+from .geometry import BinaryMask, ColorImage, DepthImage, PointCloud
 
 __all__ = [
     "encode_pgm16", "decode_pgm16", "encode_pgm8", "decode_pgm8",
     "encode_ppm", "decode_ppm",
     "write_ply", "read_ply",
-    "save_intrinsics", "load_intrinsics", "save_transform", "load_transform",
     "encode_mask_pgm", "decode_mask_pgm",
 ]
 
@@ -193,21 +191,3 @@ def read_ply(path):
         lens[lens == 0] = 1.0
         normals = normals / lens[:, None]  # float32 round trip re-normalization
     return PointCloud(pts, colors=colors, normals=normals)
-
-
-# --- JSON camera files --------------------------------------------------
-
-def save_intrinsics(path, intr: CameraIntrinsics) -> None:
-    Path(path).write_text(json.dumps(intr.to_json_dict(), indent=2))
-
-
-def load_intrinsics(path) -> CameraIntrinsics:
-    return CameraIntrinsics.from_json_dict(json.loads(Path(path).read_text()))
-
-
-def save_transform(path, t: RigidTransform) -> None:
-    Path(path).write_text(json.dumps(t.to_json_dict(), indent=2))
-
-
-def load_transform(path) -> RigidTransform:
-    return RigidTransform.from_json_dict(json.loads(Path(path).read_text()))

@@ -32,8 +32,6 @@ __all__ = [
     "project",
     "transform_cloud",
     "pca_normals",
-    "compose",
-    "invert",
 ]
 
 _ORTHONORMAL_TOL = 1e-9
@@ -119,15 +117,6 @@ class RigidTransform:
                               np.asarray(d["translation"], dtype=np.float64))
 
 
-def compose(t1: RigidTransform, t2: RigidTransform) -> RigidTransform:
-    """Composite transform applying ``t2`` first, then ``t1``."""
-    return t1.compose(t2)
-
-
-def invert(t: RigidTransform) -> RigidTransform:
-    return t.invert()
-
-
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole model without lens distortion."""
@@ -183,9 +172,6 @@ class DepthImage:
 
     def valid_mask(self) -> np.ndarray:
         return self.data > 0
-
-    def meters(self, depth_scale: float = 0.001) -> np.ndarray:
-        return self.data.astype(np.float64) * depth_scale
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ or interference leftovers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
@@ -22,7 +22,7 @@ from .marching import marching_cubes_grid
 from .solver import solve_poisson_grid
 
 __all__ = [
-    "ReconstructionError", "OrientedPointCloud", "TriangleMesh",
+    "ReconstructionError", "TriangleMesh",
     "estimate_normals", "poisson_reconstruct", "is_watertight", "euler_characteristic",
 ]
 
@@ -31,30 +31,6 @@ _PAD_CELLS = 4
 
 class ReconstructionError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class OrientedPointCloud:
-    """Points with mandatory unit normals facing their observing camera."""
-
-    points: np.ndarray            # (N, 3)
-    normals: np.ndarray           # (N, 3) unit
-    source_ids: np.ndarray | None = None
-
-    def __post_init__(self):
-        p = np.ascontiguousarray(self.points, dtype=np.float64).reshape(-1, 3)
-        n = np.ascontiguousarray(self.normals, dtype=np.float64).reshape(-1, 3)
-        if len(p) != len(n):
-            raise ValueError("points/normals length mismatch")
-        if len(n):
-            lens = np.linalg.norm(n, axis=1)
-            if np.abs(lens - 1.0).max() > 1e-6:
-                raise ValueError("normals must be unit length")
-        object.__setattr__(self, "points", p)
-        object.__setattr__(self, "normals", n)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -79,8 +55,8 @@ class TriangleMesh:
 
 
 def estimate_normals(cloud: PointCloud, k: int = 30,
-                     camera_centers: dict | None = None) -> OrientedPointCloud:
-    """PCA normals over k nearest neighbors, flipped toward the observing camera.
+                     camera_centers: dict | None = None) -> PointCloud:
+    """``cloud`` with PCA normals over k nearest neighbors, flipped toward the camera.
 
     Per-point cameras come from ``cloud.source_ids`` and ``camera_centers``
     (device id -> center); without them every point faces the origin.
@@ -96,7 +72,7 @@ def estimate_normals(cloud: PointCloud, k: int = 30,
             sel = cloud.source_ids == dev
             centers[sel] = np.asarray(c, dtype=np.float64)
     normals = pca_normals(pts, cKDTree(pts), k, centers)
-    return OrientedPointCloud(pts, normals, cloud.source_ids)
+    return replace(cloud, normals=normals)
 
 
 def _grid_layout(points: np.ndarray, resolution: int):
@@ -112,7 +88,7 @@ def _grid_layout(points: np.ndarray, resolution: int):
     return origin, spacing, shape
 
 
-def _splat_normals(cloud: OrientedPointCloud, origin, spacing, shape) -> np.ndarray:
+def _splat_normals(cloud: PointCloud, origin, spacing, shape) -> np.ndarray:
     """Trilinear distribution of each unit normal into the 8 surrounding nodes."""
     q = (cloud.points - origin) / spacing
     base = np.floor(q).astype(np.int64)
@@ -138,15 +114,17 @@ def _sample(values: np.ndarray, origin: np.ndarray, spacing: float,
     return ndimage.map_coordinates(values, q.T, order=1, mode="nearest")
 
 
-def poisson_reconstruct(cloud: OrientedPointCloud, resolution: int = 128,
+def poisson_reconstruct(cloud: PointCloud, resolution: int = 128,
                         tol: float = 1e-6) -> TriangleMesh:
-    """Watertight triangle mesh from an oriented point cloud.
+    """Watertight triangle mesh from a point cloud with camera-facing unit normals.
 
     ``resolution`` is the node count along the longest padded axis (the other
     axes scale with the cloud's bounding box). Raises ReconstructionError for
-    empty input or an empty iso-surface, SolverError if the linear solve
-    misses ``tol``.
+    a cloud without normals, empty input or an empty iso-surface, SolverError
+    if the linear solve misses ``tol``.
     """
+    if cloud.normals is None:
+        raise ReconstructionError("cloud has no normals (run estimate_normals first)")
     if len(cloud) == 0:
         raise ReconstructionError("empty oriented cloud")
     if not (32 <= resolution <= 512):

@@ -363,19 +363,15 @@ class PoseGraph:
 def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, list],
                  params: MultiScaleParams = MultiScaleParams(),
                  cube_model: dict | None = None,
-                 order: list[int] | None = None,
-                 reference: int | None = None) -> PoseGraph:
+                 order: list[int] | None = None) -> PoseGraph:
     """Chain-register per-device clouds: fiducial init + pairwise colored ICP.
 
     ``order`` is the physical rig order (defaults to sorted device ids);
-    consecutive devices form the chain edges. A diverged or failed edge is
-    flagged and the devices beyond it stay out of ``global_poses``.
+    consecutive devices form the chain edges and ``order[0]`` is the reference
+    frame. A diverged or failed edge is flagged and the devices beyond it stay
+    out of ``global_poses``.
     """
     order = list(order) if order is not None else sorted(clouds)
-    if reference is None:
-        reference = order[0]
-    if reference not in order:
-        raise ValueError(f"reference {reference} not among devices {order}")
     cube_model = cube_model if cube_model is not None else {}
 
     edges: dict[tuple, RegistrationResult] = {}
@@ -405,20 +401,12 @@ def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, list],
             continue
         edges[(a, b)] = result
 
-    # walk outward from the reference along surviving chain edges
-    poses: dict[int, RigidTransform] = {reference: RigidTransform.identity()}
-    ref_idx = order.index(reference)
-    for i in range(ref_idx + 1, len(order)):
-        a, b = order[i - 1], order[i]
-        if (a, b) not in edges or a not in poses:
-            continue
-        poses[b] = poses[a].compose(edges[(a, b)].transform)
-    for i in range(ref_idx - 1, -1, -1):
-        a, b = order[i], order[i + 1]
-        if (a, b) not in edges or b not in poses:
-            continue
-        poses[a] = poses[b].compose(edges[(a, b)].transform.invert())
-    return PoseGraph(reference, edges, poses, failed)
+    # walk the chain from the reference along surviving edges
+    poses: dict[int, RigidTransform] = {order[0]: RigidTransform.identity()}
+    for a, b in zip(order, order[1:]):
+        if (a, b) in edges and a in poses:
+            poses[b] = poses[a].compose(edges[(a, b)].transform)
+    return PoseGraph(order[0], edges, poses, failed)
 
 
 def merge_clouds(clouds: dict[int, PointCloud], graph: PoseGraph,
@@ -445,7 +433,6 @@ def merge_clouds(clouds: dict[int, PointCloud], graph: PoseGraph,
                         source_ids=np.concatenate(ids) if ids else None)
     if dedup_voxel:
         merged = voxel_downsample(merged, dedup_voxel)
-        merged = PointCloud(merged.points, merged.colors, None, "world", merged.source_ids)
     return merged
 
 

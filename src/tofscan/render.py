@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import BinaryMask, CameraIntrinsics, ColorImage, DepthImage, RigidTransform
+from .geometry import (BinaryMask, CameraIntrinsics, ColorImage, DepthImage, RigidTransform,
+                       project)
 from .scene import Scene, ScenePrimitive
 
 __all__ = [
@@ -105,9 +106,8 @@ def _quad_roots(a, b, c):
     return r1, r2
 
 
-def _intersect_cylinder(prim: ScenePrimitive, o: np.ndarray, d: np.ndarray) -> np.ndarray:
-    r, h = prim.params
-    hz = h / 2
+def _side_wall(o: np.ndarray, d: np.ndarray, r: float, hz: float) -> list:
+    """Both ray parameters at the tube x^2 + y^2 = r^2, |z| <= hz (inf where missed)."""
     a = d[:, 0] ** 2 + d[:, 1] ** 2
     b = 2 * (o[0] * d[:, 0] + o[1] * d[:, 1])
     c = o[0] ** 2 + o[1] ** 2 - r * r
@@ -120,6 +120,13 @@ def _intersect_cylinder(prim: ScenePrimitive, o: np.ndarray, d: np.ndarray) -> n
         z = o[2] + t * d[:, 2]
         ok = np.isfinite(t) & (t > _TMIN) & (np.abs(z) <= hz)
         cands.append(np.where(ok, t, np.inf))
+    return cands
+
+
+def _intersect_cylinder(prim: ScenePrimitive, o: np.ndarray, d: np.ndarray) -> np.ndarray:
+    r, h = prim.params
+    hz = h / 2
+    cands = _side_wall(o, d, r, hz)
     with np.errstate(divide="ignore", invalid="ignore"):
         for zcap in (hz, -hz):
             t = (zcap - o[2]) / d[:, 2]
@@ -133,18 +140,7 @@ def _intersect_cylinder(prim: ScenePrimitive, o: np.ndarray, d: np.ndarray) -> n
 def _intersect_capsule(prim: ScenePrimitive, o: np.ndarray, d: np.ndarray) -> np.ndarray:
     r, seg = prim.params
     hz = seg / 2
-    a = d[:, 0] ** 2 + d[:, 1] ** 2
-    b = 2 * (o[0] * d[:, 0] + o[1] * d[:, 1])
-    c = o[0] ** 2 + o[1] ** 2 - r * r
-    a_safe = np.where(a == 0, 1.0, a)
-    r1, r2 = _quad_roots(a_safe, b, c)
-    r1 = np.where(a == 0, np.inf, r1)
-    r2 = np.where(a == 0, np.inf, r2)
-    cands = []
-    for t in (r1, r2):
-        z = o[2] + t * d[:, 2]
-        ok = np.isfinite(t) & (t > _TMIN) & (np.abs(z) <= hz)
-        cands.append(np.where(ok, t, np.inf))
+    cands = _side_wall(o, d, r, hz)
     dd = (d * d).sum(axis=1)
     for zc in (hz, -hz):
         oc = o - np.array([0.0, 0.0, zc])
@@ -336,8 +332,7 @@ def observe_tags(layout: dict[int, np.ndarray], cube_pose: RigidTransform,
         corners_c = world_to_cam.apply(corners_w)
         if np.any(corners_c[:, 2] <= 0):
             continue
-        u = intr.fx * corners_c[:, 0] / corners_c[:, 2] + intr.cx
-        v = intr.fy * corners_c[:, 1] / corners_c[:, 2] + intr.cy
+        u, v, _ = project(corners_c, intr)
         if np.any(u < 0) or np.any(u > intr.width - 1) or np.any(v < 0) or np.any(v > intr.height - 1):
             continue
         seen[tag_id] = corners_c

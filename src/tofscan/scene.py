@@ -38,7 +38,7 @@ class ScenePrimitive:
     pose: RigidTransform = field(default_factory=RigidTransform.identity)
     albedo: tuple = (0.7, 0.7, 0.7)
     label: str = "target"
-    texture: dict | None = None     # {"kind": "checker3d"|"tag_cube", ...}
+    texture: dict | None = None     # {"kind": "patches"|"smooth_noise"|"tag_cube", ...}
 
     def __post_init__(self):
         if self.shape not in ("box", "cylinder", "capsule", "superellipsoid"):
@@ -144,13 +144,6 @@ class ScenePrimitive:
         if self.texture is None:
             return base
         kind = self.texture["kind"]
-        if kind == "checker3d":
-            s = float(self.texture.get("scale", 0.05))
-            c2 = np.asarray(self.texture.get("color2", (0.15, 0.15, 0.15)))
-            cells = np.floor(pts_local / s).astype(np.int64)
-            odd = (cells.sum(axis=1) & 1) == 1
-            base[odd] = c2
-            return base
         if kind == "patches":
             # hash-based two-tone patches (cattle-hide look, deterministic)
             s = float(self.texture.get("scale", 0.18))
@@ -323,11 +316,11 @@ def _tag_cube_albedo(prim: ScenePrimitive, pts_local: np.ndarray, base: np.ndarr
 
 # --- synthetic animal -----------------------------------------------------
 
-def make_animal_model(scale: float = 1.0, with_chute: bool = True) -> Scene:
+def make_animal_model(scale: float = 1.0) -> Scene:
     """Synthetic quadruped: superellipsoid body, capsule legs/neck, ellipsoid head.
 
     At scale 1 the target bounding box is ~2.42 m long. Two thin rail boxes
-    labeled ``chute`` flank the animal when ``with_chute`` is set.
+    labeled ``chute`` flank the animal.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
@@ -349,13 +342,12 @@ def make_animal_model(scale: float = 1.0, with_chute: bool = True) -> Scene:
             prims.append(_segment_capsule((lx * s, ly * s, 0.14 * s),
                                           (lx * s, ly * s, 0.70 * s), 0.075 * s,
                                           albedo=brown, texture=hide))
-    if with_chute:
-        # low rails at hock height: side-camera rays to the legs pass above
-        # them, so the rails occlude little besides the hoof band
-        for wy in (0.55, -0.55):
-            prims.append(box((1.30 * s, 0.018 * s, 0.04 * s),
-                             pose=RigidTransform(np.eye(3), (0, wy * s, 0.22 * s)),
-                             albedo=(0.35, 0.38, 0.42), label="chute"))
+    # low rails at hock height: side-camera rays to the legs pass above
+    # them, so the rails occlude little besides the hoof band
+    for wy in (0.55, -0.55):
+        prims.append(box((1.30 * s, 0.018 * s, 0.04 * s),
+                         pose=RigidTransform(np.eye(3), (0, wy * s, 0.22 * s)),
+                         albedo=(0.35, 0.38, 0.42), label="chute"))
     return Scene(tuple(prims), background_cap=6.0 * max(1.0, s))
 
 
@@ -376,13 +368,11 @@ def _segment_capsule(a, b, radius, albedo, texture=None, label="target") -> Scen
     return capsule(radius, length, pose=pose, albedo=albedo, label=label, texture=texture)
 
 
-def make_known_object_scene(obj: ScenePrimitive, ground: bool = True) -> Scene:
-    """A single target object suspended above an optional background ground slab."""
-    prims = [obj]
-    if ground:
-        prims.append(box((3.0, 3.0, 0.01), pose=RigidTransform(np.eye(3), (0, 0, -0.01)),
-                         albedo=(0.5, 0.5, 0.52), label="background"))
-    return Scene(tuple(prims), background_cap=5.0)
+def make_known_object_scene(obj: ScenePrimitive) -> Scene:
+    """A single target object suspended above a background ground slab."""
+    ground = box((3.0, 3.0, 0.01), pose=RigidTransform(np.eye(3), (0, 0, -0.01)),
+                 albedo=(0.5, 0.5, 0.52), label="background")
+    return Scene((obj, ground), background_cap=5.0)
 
 
 # --- JSON persistence -----------------------------------------------------

@@ -25,8 +25,7 @@ from tofscan.oracle import oracle_measurements, oracle_mesh
 from tofscan.pipeline import RunConfig
 from tofscan.protocol import (ErrorCode, Message, MessageKind, decode_message,
                               encode_message, json_message)
-from tofscan.reconstruction import (OrientedPointCloud, euler_characteristic,
-                                    is_watertight, poisson_reconstruct)
+from tofscan.reconstruction import euler_characteristic, is_watertight, poisson_reconstruct
 from tofscan.registration import (MultiScaleParams, colored_icp,
                                   estimate_pose_from_fiducials, make_observations,
                                   residual_jacobians, rodrigues)
@@ -52,14 +51,14 @@ def test_criterion_1_known_object_metrology(tmp_path):
     t0 = time.monotonic()
     cyl = KNOWN_CYLINDER
     cfg = known_object_config(make_known_object_scene(cyl))
-    cyl_report = run_known_object_experiment(cyl, 3, list(ORIENTATIONS), cfg)
+    cyl_report = run_known_object_experiment("cylinder", cyl, 3, list(ORIENTATIONS), cfg)
     write_report_csv(tmp_path / "cylinder.csv", cyl_report)
 
     box_lines = []
     ok = (len(cyl_report.runs) == 15 and not cyl_report.failed_runs
           and cyl_report.pct_err_area <= 5.0 and cyl_report.pct_err_volume <= 5.0)
     for name, prim in KNOWN_BOXES.items():
-        rep = run_known_object_experiment(prim, 1, [RigidTransform.identity()],
+        rep = run_known_object_experiment(f"box-{name}", prim, 1, [RigidTransform.identity()],
                                           known_object_config(make_known_object_scene(prim)))
         ok &= (not rep.failed_runs and rep.pct_err_area <= 5.0
                and rep.pct_err_volume <= 5.0)
@@ -264,7 +263,7 @@ def test_criterion_6_reconstruction_soundness(animal_oracle):
     t0 = time.monotonic()
     v = rng.standard_normal((20000, 3))
     v /= np.linalg.norm(v, axis=1)[:, None]
-    sphere = poisson_reconstruct(OrientedPointCloud(0.5 * v, v), resolution=128, tol=1e-6)
+    sphere = poisson_reconstruct(PointCloud(0.5 * v, normals=v), resolution=128, tol=1e-6)
     sphere_time = time.monotonic() - t0
     a, vol_ = surface_area(sphere), volume(sphere)
     ra, rv = np.pi, 4 / 3 * np.pi * 0.125
@@ -276,19 +275,19 @@ def test_criterion_6_reconstruction_soundness(animal_oracle):
                  f"vol {100 * abs(vol_ - rv) / rv:.2f}%, {sphere_time:.0f}s <= 60s")
 
     pts, normals = sampled_mesh_points(unit_cube_mesh(), 20000, seed=1)
-    cube = poisson_reconstruct(OrientedPointCloud(pts, normals), resolution=128)
+    cube = poisson_reconstruct(PointCloud(pts, normals=normals), resolution=128)
     ok &= is_watertight(cube)[0] and euler_characteristic(cube) == 2
     lines.append("box wt/euler2")
 
     pts, normals = _cylinder_samples(rng, 20000)
-    cyl = poisson_reconstruct(OrientedPointCloud(pts, normals), resolution=128)
+    cyl = poisson_reconstruct(PointCloud(pts, normals=normals), resolution=128)
     ok &= is_watertight(cyl)[0] and euler_characteristic(cyl) == 2
     lines.append("cylinder wt/euler2")
 
     scene, _ = animal_oracle
     amesh = oracle_mesh(scene, spacing=0.008)
     pts, normals = sampled_mesh_points(amesh, 120000, seed=2)
-    animal = poisson_reconstruct(OrientedPointCloud(pts, normals), resolution=128)
+    animal = poisson_reconstruct(PointCloud(pts, normals=normals), resolution=128)
     ok &= is_watertight(animal)[0] and euler_characteristic(animal) == 2
     lines.append("animal wt/euler2")
     report("criterion 6", ok, "; ".join(lines))

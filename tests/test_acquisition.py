@@ -1,14 +1,20 @@
 import itertools
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from tofscan.acquisition import (DeviceError, DeviceServer, IntegrityError, ScanClient,
                                  load_session, save_session)
-from tofscan.capture import build_schedule
+from tofscan.capture import build_schedule, corrupt_device_frame
 from tofscan.experiments import SYNC_SCENE
-from tofscan.formats import decode_pgm16, decode_ppm
-from tofscan.protocol import ErrorCode, Message, MessageKind, json_message
+from tofscan.formats import decode_pgm16, decode_ppm, encode_pgm16
+from tofscan.geometry import RigidTransform
+from tofscan.protocol import (ErrorCode, Message, MessageKind, json_message,
+                              unpack_frame_payload)
+from tofscan.render import rig_to_list
 from tofscan.rigs import known_object_rig
+from tofscan.scene import box, make_known_object_scene, scene_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -66,12 +72,27 @@ class TestServerStateMachine:
         ack = server._handle(json_message(MessageKind.TRIGGER, {"frame_id": 5, "seed": 1}))
         assert ack.kind is MessageKind.TRIGGER_ACK
         frame = server._handle(json_message(MessageKind.FETCH, {"frame_id": 5}))
-        from tofscan.protocol import unpack_frame_payload
         depth_pgm, color_ppm = unpack_frame_payload(frame.payload)
         depth = decode_pgm16(depth_pgm)
         color = decode_ppm(color_ppm)
         assert (depth.width, depth.height) == (rig[1].intrinsics.width, rig[1].intrinsics.height)
         assert (color.width, color.height) == (depth.width, depth.height)
+
+    def test_configure_payload_cannot_replace_the_scene(self, setup):
+        """A server renders only the scene and rig it was built with."""
+        scene, rig = setup
+        server = DeviceServer(1, rig[1], scene=scene, rig=rig)
+        sched = build_schedule([s.device_id for s in rig], 160, 125)
+        other = make_known_object_scene(box((0.3, 0.3, 0.3), pose=rig[1].pose.compose(
+            RigidTransform(np.eye(3), (0.0, 0.0, 0.6)))))
+        server._handle(json_message(MessageKind.CONFIGURE, {
+            "schedule": sched.to_json_dict(), "scene": scene_to_dict(other),
+            "rig": rig_to_list([replace(s, sigma0=0.0) for s in rig])}))
+        server._handle(json_message(MessageKind.TRIGGER, {"frame_id": 0, "seed": 4}))
+        frame = server._handle(json_message(MessageKind.FETCH, {"frame_id": 0}))
+        depth_pgm, _ = unpack_frame_payload(frame.payload)
+        expected = corrupt_device_frame(scene, rig, sched, 1, 4)
+        assert depth_pgm == encode_pgm16(expected.depth)
 
     def test_unknown_frame(self, setup):
         scene, rig = setup
@@ -178,7 +199,8 @@ class TestLoopback:
 
     def test_zero_reachable_devices(self):
         client = ScanClient(timeout_s=0.3)
-        session = client.trigger_scan(["127.0.0.1:1"], cattle_id="x")
+        session = client.trigger_scan(["127.0.0.1:1"], build_schedule([0], 160, 125),
+                                      cattle_id="x")
         assert not session.complete
         assert session.manifest == []
         assert "127.0.0.1:1" in session.failed

@@ -91,6 +91,14 @@ def test_segment_command_on_session(tmp_path, capsys):
     assert all(line.split(",")[1] == "1.000000" for line in lines[1:])
 
 
+def test_segment_command_without_masks_fails(tmp_path, capsys):
+    session = tmp_path / "scan0001"
+    session.mkdir()
+    assert main(["segment", "--session", str(session)]) == 2
+    assert "no ground-truth masks" in capsys.readouterr().err
+    assert not (session / "segmetrics.csv").exists()
+
+
 def test_register_command_on_session(tmp_path, rng):
     clouds_dir = tmp_path / "session" / "clouds"
     clouds_dir.mkdir(parents=True)
@@ -114,9 +122,9 @@ def test_experiment_known_object_runs_the_full_study(tmp_path, monkeypatch):
     from tofscan.metrology import MeshMeasurements
     calls = []
 
-    def record(obj, n_runs, orientations, cfg):
+    def record(object_id, obj, n_runs, orientations, cfg):
         calls.append((obj, n_runs, orientations))
-        return ExperimentReport(obj.shape, [MeshMeasurements(1.0, 0.1)], [cfg.seed],
+        return ExperimentReport(object_id, [MeshMeasurements(1.0, 0.1)], [cfg.seed],
                                 MeshMeasurements(1.0, 0.1))
 
     monkeypatch.setattr(experiments, "run_known_object_experiment", record)
@@ -134,6 +142,8 @@ def test_experiment_known_object_runs_the_full_study(tmp_path, monkeypatch):
     rows = out.read_text().splitlines()
     assert sum(r.startswith("object_id,") for r in rows) == 1
     assert len(rows) == 1 + 4 * 2  # one run and one mean row per object
+    ids = list(dict.fromkeys(r.split(",")[0] for r in rows[1:]))
+    assert ids == ["cylinder", "box-small", "box-medium", "box-large"]
 
 
 def test_experiment_interference(tmp_path):

@@ -25,15 +25,18 @@ def box_cfg():
 class TestKnownObject:
     def test_single_run_report(self, box_cfg):
         obj, cfg = box_cfg
-        report = run_known_object_experiment(obj, 1, [RigidTransform.identity()], cfg)
+        report = run_known_object_experiment("box-medium", obj, 1,
+                                             [RigidTransform.identity()], cfg)
         assert len(report.runs) == 1 and not report.failed_runs
+        assert report.object_id == "box-medium"
         assert report.std_area == 0.0  # single run: std 0 by definition
         assert report.pct_err_area < 10  # low resolution smoke bound
 
     def test_requires_at_least_one_run(self, box_cfg):
         obj, cfg = box_cfg
         with pytest.raises(ValueError):
-            run_known_object_experiment(obj, 0, [RigidTransform.identity()], cfg)
+            run_known_object_experiment("box-medium", obj, 0, [RigidTransform.identity()],
+                                        cfg)
 
     def test_failed_runs_are_flagged_and_excluded(self, box_cfg, monkeypatch):
         obj, cfg = box_cfg
@@ -47,7 +50,8 @@ class TestKnownObject:
             return real(c)
 
         monkeypatch.setattr(experiments, "run_pipeline", flaky)
-        report = run_known_object_experiment(obj, 3, [RigidTransform.identity()], cfg)
+        report = run_known_object_experiment("box-medium", obj, 3,
+                                             [RigidTransform.identity()], cfg)
         assert len(report.runs) == 2
         assert len(report.failed_runs) == 1
 
@@ -89,7 +93,8 @@ def test_noise_free_box_is_tightest_case():
     cfg = replace(known_object_config(make_known_object_scene(obj)),
                   rig=tuple(known_object_rig(sigma0=0.0, sigma1=0.0)),
                   corner_noise_sigma=0.0, resolution=192)
-    report = run_known_object_experiment(obj, 1, [RigidTransform.identity()], cfg)
+    report = run_known_object_experiment("box-medium", obj, 1, [RigidTransform.identity()],
+                                         cfg)
     assert not report.failed_runs
     assert report.pct_err_area <= 2.0
     assert report.pct_err_volume <= 2.0

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from tofscan.formats import (decode_mask_pgm, decode_pgm16, decode_ppm, encode_mask_pgm,
-                             encode_pgm16, encode_ppm, load_intrinsics, load_transform,
-                             read_ply, save_intrinsics, save_transform, write_ply)
-from tofscan.geometry import (BinaryMask, CameraIntrinsics, ColorImage, DepthImage,
-                              PointCloud, RigidTransform)
+                             encode_pgm16, encode_ppm, read_ply, write_ply)
+from tofscan.geometry import BinaryMask, ColorImage, DepthImage, PointCloud
 
 
 def test_pgm16_round_trip(rng):
@@ -80,19 +78,3 @@ def test_ply_header_is_binary_little_endian(tmp_path):
     header = path.read_bytes().split(b"end_header")[0].decode()
     assert "format binary_little_endian 1.0" in header
     assert "property float x" in header
-
-
-def test_intrinsics_json_round_trip(tmp_path):
-    intr = CameraIntrinsics(fx=512.5, fy=510.0, cx=319.5, cy=239.5, width=640,
-                            height=480, depth_scale=0.00025)
-    path = tmp_path / "intr.json"
-    save_intrinsics(path, intr)
-    assert load_intrinsics(path) == intr
-
-
-def test_transform_json_round_trip(tmp_path, rng):
-    t = RigidTransform.from_axis_angle(rng.standard_normal(3), 1.1, (0.1, -0.2, 0.3))
-    path = tmp_path / "t.json"
-    save_transform(path, t)
-    out = load_transform(path)
-    np.testing.assert_allclose(out.matrix(), t.matrix(), atol=1e-15)

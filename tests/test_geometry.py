@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 from tofscan import geometry
 from tofscan.geometry import (BinaryMask, CameraIntrinsics, ColorImage, DepthImage,
                               GeometryError, PointCloud, RigidTransform, back_project,
-                              compose, invert, pca_normals, project, transform_cloud)
+                              pca_normals, project, transform_cloud)
 
 INTR = CameraIntrinsics(fx=600, fy=600, cx=320, cy=240, width=640, height=480)
 
@@ -128,7 +128,7 @@ class TestTransforms:
     def test_transform_then_inverse_restores(self, rng):
         cloud = PointCloud(rng.standard_normal((100, 3)))
         t = random_transform(rng)
-        back = transform_cloud(transform_cloud(cloud, t), invert(t))
+        back = transform_cloud(transform_cloud(cloud, t), t.invert())
         np.testing.assert_allclose(back.points, cloud.points, atol=1e-9)
 
     def test_normals_rotated_only(self, rng):
@@ -141,18 +141,18 @@ class TestTransforms:
 
     def test_compose_identity(self, rng):
         t = random_transform(rng)
-        c = compose(t, RigidTransform.identity())
+        c = t.compose(RigidTransform.identity())
         np.testing.assert_allclose(c.matrix(), t.matrix(), atol=1e-15)
 
     def test_inverse_composes_to_identity(self, rng):
         t = random_transform(rng)
-        np.testing.assert_allclose(compose(invert(t), t).matrix(), np.eye(4), atol=1e-9)
+        np.testing.assert_allclose(t.invert().compose(t).matrix(), np.eye(4), atol=1e-9)
 
     def test_compose_applies_second_argument_first(self, rng):
         # oracle: direct evaluation on 100 random points
         t1, t2 = random_transform(rng), random_transform(rng)
         p = rng.standard_normal((100, 3))
-        np.testing.assert_allclose(compose(t1, t2).apply(p), t1.apply(t2.apply(p)),
+        np.testing.assert_allclose(t1.compose(t2).apply(p), t1.apply(t2.apply(p)),
                                    atol=1e-9)
 
     def test_rigidity_preserves_distances(self, rng):
@@ -166,7 +166,7 @@ class TestTransforms:
     def test_rotation_stays_orthonormal_over_100_compositions(self, rng):
         t = RigidTransform.identity()
         for _ in range(100):
-            t = compose(t, random_transform(rng))
+            t = t.compose(random_transform(rng))
         err = np.abs(t.rotation.T @ t.rotation - np.eye(3)).max()
         assert err < 1e-7
 

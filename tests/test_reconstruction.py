@@ -5,7 +5,7 @@ from scipy.spatial import cKDTree
 from conftest import icosphere, sampled_mesh_points, tetrahedron_mesh, torus_grid_mesh, unit_cube_mesh
 from tofscan.geometry import PointCloud
 from tofscan.metrology import surface_area, volume
-from tofscan.reconstruction import (OrientedPointCloud, ReconstructionError, TriangleMesh,
+from tofscan.reconstruction import (ReconstructionError, TriangleMesh,
                                     _compact, _grid_layout, _splat_normals, _weld_slivers,
                                     estimate_normals, euler_characteristic, is_watertight,
                                     poisson_reconstruct)
@@ -44,7 +44,7 @@ def sphere_cloud():
     rng = np.random.default_rng(7)
     v = rng.standard_normal((20000, 3))
     v /= np.linalg.norm(v, axis=1)[:, None]
-    return OrientedPointCloud(0.5 * v, v)
+    return PointCloud(0.5 * v, normals=v)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ class TestPoisson:
         """The bincount splat equals an unbuffered per-corner np.add.at, bit for bit."""
         pts = rng.random((5000, 3)) * np.array([1.0, 0.4, 0.7])
         nrm = rng.standard_normal((5000, 3))
-        cloud = OrientedPointCloud(pts, nrm / np.linalg.norm(nrm, axis=1)[:, None])
+        cloud = PointCloud(pts, normals=nrm / np.linalg.norm(nrm, axis=1)[:, None])
         origin, spacing, shape = _grid_layout(pts, 40)
         ref = np.zeros((3,) + shape)
         q = (pts - origin) / spacing
@@ -84,13 +84,17 @@ class TestPoisson:
 
     def test_cube_volume(self, rng):
         pts, normals = sampled_mesh_points(unit_cube_mesh(), 20000, seed=3)
-        mesh = poisson_reconstruct(OrientedPointCloud(pts, normals), resolution=96)
+        mesh = poisson_reconstruct(PointCloud(pts, normals=normals), resolution=96)
         assert is_watertight(mesh)[0]
         assert abs(volume(mesh) - 1.0) < 0.05
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(ReconstructionError, match="empty"):
-            poisson_reconstruct(OrientedPointCloud(np.empty((0, 3)), np.empty((0, 3))))
+            poisson_reconstruct(PointCloud(np.empty((0, 3)), normals=np.empty((0, 3))))
+
+    def test_cloud_without_normals_rejected(self, sphere_cloud):
+        with pytest.raises(ReconstructionError, match="no normals"):
+            poisson_reconstruct(PointCloud(sphere_cloud.points))
 
     def test_resolution_range_enforced(self, sphere_cloud):
         with pytest.raises(ValueError):
@@ -113,10 +117,10 @@ class TestPoisson:
         """Scaling inputs by s scales area by s^2 and volume by s^3 within 2%."""
         v = rng.standard_normal((12000, 3))
         v /= np.linalg.norm(v, axis=1)[:, None]
-        base = poisson_reconstruct(OrientedPointCloud(0.5 * v, v), resolution=64)
+        base = poisson_reconstruct(PointCloud(0.5 * v, normals=v), resolution=64)
         a0, v0 = surface_area(base), volume(base)
         for s in (0.5, 2.0):
-            mesh = poisson_reconstruct(OrientedPointCloud(0.5 * s * v, v), resolution=64)
+            mesh = poisson_reconstruct(PointCloud(0.5 * s * v, normals=v), resolution=64)
             assert abs(surface_area(mesh) - s ** 2 * a0) / (s ** 2 * a0) < 0.02
             assert abs(volume(mesh) - s ** 3 * v0) / (s ** 3 * v0) < 0.02
 

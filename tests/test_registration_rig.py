@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tofscan import registration
-from tofscan.geometry import PointCloud, RigidTransform, back_project, compose, transform_cloud
+from tofscan.geometry import PointCloud, RigidTransform, back_project, transform_cloud
 from tofscan.capture import build_schedule, simulate_capture
 from tofscan.experiments import KNOWN_OBJECT_REGISTRATION
 from tofscan.registration import (MultiScaleParams, colored_icp, merge_clouds, register_rig,
@@ -75,7 +75,7 @@ class TestRegisterRig:
 
         # chain edges compose exactly into the published global poses
         for (a, b), r in graph.edges.items():
-            lhs = compose(graph.global_poses[a], r.transform)
+            lhs = graph.global_poses[a].compose(r.transform)
             assert np.abs(lhs.matrix() - graph.global_poses[b].matrix()).max() < 1e-9
 
         merged = merge_clouds(clouds, graph, dedup_voxel=0.0025)
