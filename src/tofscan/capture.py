@@ -19,19 +19,12 @@ from .render import RenderResult, SensorModel, apply_interference, apply_tof_noi
 from .scene import Scene
 
 __all__ = [
-    "CaptureSchedule", "ExposureWindow", "CaptureResult", "RetentionStat",
+    "CaptureSchedule", "CaptureResult", "RetentionStat",
     "build_schedule", "overlapping_pairs", "simulate_capture", "corrupt_device_frame",
     "write_retention_csv", "DEFAULT_P_INT",
 ]
 
 DEFAULT_P_INT = 0.45  # per-interferer corruption probability; 9 partners -> ~99.5% loss
-
-
-@dataclass(frozen=True)
-class ExposureWindow:
-    device_id: int
-    start_us: int
-    end_us: int
 
 
 @dataclass(frozen=True)
@@ -52,10 +45,6 @@ class CaptureSchedule:
             raise ValueError("exposure_us must be > 0")
         object.__setattr__(self, "device_order", order)
 
-    def windows(self) -> list[ExposureWindow]:
-        return [ExposureWindow(dev, k * self.delay_us, k * self.delay_us + self.exposure_us)
-                for k, dev in enumerate(self.device_order)]
-
     def to_json_dict(self) -> dict:
         return {"device_order": list(self.device_order),
                 "delay_us": self.delay_us, "exposure_us": self.exposure_us}
@@ -70,15 +59,14 @@ def build_schedule(device_ids, delay_us: int, exposure_us: int = 125) -> Capture
 
 
 def overlapping_pairs(schedule: CaptureSchedule) -> list[tuple[int, int]]:
-    """Unordered device pairs whose half-open exposure windows intersect."""
-    wins = schedule.windows()
-    pairs = []
-    for i in range(len(wins)):
-        for j in range(i + 1, len(wins)):
-            a, b = wins[i], wins[j]
-            if a.start_us < b.end_us and b.start_us < a.end_us:
-                pairs.append((a.device_id, b.device_id))
-    return pairs
+    """Device pairs whose exposure windows intersect, in schedule order.
+
+    Position k exposes over [k * delay_us, k * delay_us + exposure_us), so
+    positions i < j overlap iff (j - i) * delay_us < exposure_us.
+    """
+    order, n = schedule.device_order, len(schedule.device_order)
+    return [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)
+            if (j - i) * schedule.delay_us < schedule.exposure_us]
 
 
 def _sees_target(sensor: SensorModel, lo: np.ndarray, hi: np.ndarray, cap: float) -> bool:
@@ -168,7 +156,6 @@ class RetentionStat:
 @dataclass(frozen=True)
 class CaptureResult:
     frames: dict        # device_id -> RenderResult (depth post noise+interference)
-    overlap_report: list
     retention: dict     # device_id -> RetentionStat
 
 
@@ -198,7 +185,7 @@ def simulate_capture(scene: Scene, rig: list[SensorModel], schedule: CaptureSche
         survived = int(((after == before) & (before > 0)).sum())
         stats[dev] = RetentionStat(dev, int((before > 0).sum()), survived)
         frames[dev] = RenderResult(corrupted, clean.color, clean.oracle_mask)
-    return CaptureResult(frames, overlapping_pairs(schedule), stats)
+    return CaptureResult(frames, stats)
 
 
 def write_retention_csv(path, stats: dict) -> None:

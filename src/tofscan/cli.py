@@ -114,7 +114,7 @@ def _cmd_segment(args) -> int:
     from .segmentation import ArbitrationMode, MaskPair, fuse, load_masks, metrics
 
     session = Path(args.session)
-    mode = ArbitrationMode.parse(args.mode)
+    mode = ArbitrationMode(args.mode)
     gt_dir = session / "masks"
     gts = {int(f.name.split("_")[0]): decode_mask_pgm(f.read_bytes())
            for f in sorted(gt_dir.glob("*_gtmask.pgm"))}

@@ -25,8 +25,7 @@ from .pipeline import PipelineError, RunConfig, run_pipeline
 from .registration import MultiScaleParams
 from .render import render
 from .rigs import CATTLE_CHAIN, KNOWN_OBJECT_CHAIN, RING_CENTER, cattle_rig, known_object_rig
-from .scene import (Scene, ScenePrimitive, box, cylinder, make_animal_model,
-                    make_known_object_scene)
+from .scene import Scene, ScenePrimitive, box, cylinder, make_known_object_scene
 
 logger = logging.getLogger(__name__)
 
@@ -171,22 +170,22 @@ def run_interference_experiment(delays_us: list[int], cfg: RunConfig,
 def run_animal_experiment(scale: float, n_runs: int, cfg: RunConfig,
                           oracle_spacing: float = 0.004,
                           reference: MeshMeasurements | None = None) -> ExperimentReport:
-    """Synthetic cattle analogue: n_runs scans vs the voxelization oracle.
+    """Synthetic cattle analogue: n_runs scans of ``cfg.scene`` vs the voxelization oracle.
 
     Mirrors the live protocol of scanning each animal several times and
-    averaging; requires n_runs >= 5. A precomputed ``reference`` skips the
-    oracle voxelization.
+    averaging; requires n_runs >= 5. ``scale`` names the report and scales
+    the oracle spacing. A precomputed ``reference`` skips the oracle
+    voxelization.
     """
     if n_runs < 5:
         raise ValueError("the scan protocol uses at least 5 runs per animal")
-    scene = make_animal_model(scale)
     if reference is None:
-        reference = oracle_measurements(scene, spacing=oracle_spacing * scale)
+        reference = oracle_measurements(cfg.scene, spacing=oracle_spacing * scale)
     runs, seeds, failed = [], [], []
     for run in range(n_runs):
         seed = cfg.seed + run
         try:
-            result = run_pipeline(replace(cfg, scene=scene, seed=seed))
+            result = run_pipeline(replace(cfg, seed=seed))
             if result.graph.failed_edges:
                 raise PipelineError("registration",
                                     RuntimeError(f"diverged edges {result.graph.failed_edges}"))

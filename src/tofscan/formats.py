@@ -45,35 +45,41 @@ def _read_pnm_header(buf: bytes, magic: bytes):
     return tokens[0], tokens[1], tokens[2], i + 1  # single whitespace after maxval
 
 
+def _encode_pnm(magic: str, data: np.ndarray) -> bytes:
+    """Header plus raw samples of (height, width[, 3]) ``data``; 8- or 16-bit sets the maxval."""
+    h, w = data.shape[:2]
+    return f"{magic}\n{w} {h}\n{256 ** data.itemsize - 1}\n".encode() + data.tobytes()
+
+
+def _decode_pnm(buf: bytes, magic: bytes, dtype: str) -> np.ndarray:
+    """Samples of a P5 (h, w) or P6 (h, w, 3) image; ``dtype``'s 8 or 16 bits set the maxval."""
+    kind, channels = ("PGM", 1) if magic == b"P5" else ("PPM", 3)
+    size = np.dtype(dtype).itemsize
+    w, h, maxval, off = _read_pnm_header(buf, magic)
+    if maxval != 256 ** size - 1:
+        raise ValueError(f"expected {8 * size}-bit {kind} (maxval {256 ** size - 1}), "
+                         f"got {maxval}")
+    if len(buf) - off < w * h * channels * size:
+        raise ValueError(f"truncated {kind} payload")
+    data = np.frombuffer(buf, dtype=dtype, count=w * h * channels, offset=off)
+    return data.reshape((h, w, 3) if channels == 3 else (h, w))
+
+
 def encode_pgm16(img: DepthImage) -> bytes:
-    header = f"P5\n{img.width} {img.height}\n65535\n".encode()
-    return header + img.data.astype(">u2").tobytes()
+    return _encode_pnm("P5", img.data.astype(">u2"))
 
 
 def decode_pgm16(buf: bytes) -> DepthImage:
-    w, h, maxval, off = _read_pnm_header(buf, b"P5")
-    if maxval != 65535:
-        raise ValueError(f"expected 16-bit PGM (maxval 65535), got {maxval}")
-    need = w * h * 2
-    if len(buf) - off < need:
-        raise ValueError("truncated PGM payload")
-    data = np.frombuffer(buf, dtype=">u2", count=w * h, offset=off)
-    return DepthImage(w, h, data.reshape(h, w).astype(np.uint16))
+    data = _decode_pnm(buf, b"P5", ">u2")
+    return DepthImage(data.shape[1], data.shape[0], data.astype(np.uint16))
 
 
 def encode_pgm8(data: np.ndarray) -> bytes:
-    h, w = data.shape
-    return f"P5\n{w} {h}\n255\n".encode() + np.ascontiguousarray(data, dtype=np.uint8).tobytes()
+    return _encode_pnm("P5", np.ascontiguousarray(data, dtype=np.uint8))
 
 
 def decode_pgm8(buf: bytes) -> np.ndarray:
-    w, h, maxval, off = _read_pnm_header(buf, b"P5")
-    if maxval != 255:
-        raise ValueError(f"expected 8-bit PGM (maxval 255), got {maxval}")
-    data = np.frombuffer(buf[off:off + w * h], dtype=np.uint8)
-    if data.size != w * h:
-        raise ValueError("truncated PGM payload")
-    return data.reshape(h, w).copy()
+    return _decode_pnm(buf, b"P5", "u1").copy()
 
 
 def encode_mask_pgm(mask: BinaryMask) -> bytes:
@@ -86,18 +92,12 @@ def decode_mask_pgm(buf: bytes) -> BinaryMask:
 
 
 def encode_ppm(img: ColorImage) -> bytes:
-    header = f"P6\n{img.width} {img.height}\n255\n".encode()
-    return header + img.data.tobytes()
+    return _encode_pnm("P6", img.data)
 
 
 def decode_ppm(buf: bytes) -> ColorImage:
-    w, h, maxval, off = _read_pnm_header(buf, b"P6")
-    if maxval != 255:
-        raise ValueError(f"expected 8-bit PPM (maxval 255), got {maxval}")
-    data = np.frombuffer(buf[off:off + w * h * 3], dtype=np.uint8)
-    if data.size != w * h * 3:
-        raise ValueError("truncated PPM payload")
-    return ColorImage(w, h, data.reshape(h, w, 3).copy())
+    data = _decode_pnm(buf, b"P6", "u1")
+    return ColorImage(data.shape[1], data.shape[0], data.copy())
 
 
 # --- PLY ---------------------------------------------------------------

@@ -221,15 +221,13 @@ class BinaryMask:
 class PointCloud:
     """Points in meters with optional per-point color, unit normals, and source device ids.
 
-    ``frame`` tags which coordinate frame the points live in (a camera id or
-    "world"). ``source_ids`` records which device produced each point; it is
-    filled in by cloud merging and consumed by camera-aware normal estimation.
+    ``source_ids`` records which device produced each point; it is filled in
+    by cloud merging and consumed by camera-aware normal estimation.
     """
 
     points: np.ndarray                      # (N, 3) float64
     colors: np.ndarray | None = None        # (N, 3) float64 in [0, 1]
     normals: np.ndarray | None = None       # (N, 3) float64, unit length
-    frame: str = "camera"
     source_ids: np.ndarray | None = None    # (N,) int32
 
     def __post_init__(self):
@@ -261,8 +259,7 @@ class PointCloud:
 
 def back_project(depth: DepthImage, intr: CameraIntrinsics,
                  color: ColorImage | None = None,
-                 mask: BinaryMask | None = None,
-                 frame: str = "camera") -> PointCloud:
+                 mask: BinaryMask | None = None) -> PointCloud:
     """Lift valid (and optionally masked) depth pixels to 3D camera-frame points.
 
     One point per pixel with depth > 0 and, when a mask is given, mask
@@ -289,7 +286,7 @@ def back_project(depth: DepthImage, intr: CameraIntrinsics,
     cols = None
     if color is not None:
         cols = color.data[v, u].astype(np.float64) / 255.0
-    return PointCloud(pts, colors=cols, frame=frame)
+    return PointCloud(pts, colors=cols)
 
 
 def project(p, intr: CameraIntrinsics) -> tuple:
@@ -307,12 +304,10 @@ def project(p, intr: CameraIntrinsics) -> tuple:
     return u, v, z
 
 
-def transform_cloud(cloud: PointCloud, t: RigidTransform, frame: str | None = None) -> PointCloud:
+def transform_cloud(cloud: PointCloud, t: RigidTransform) -> PointCloud:
     """Rigidly move a cloud; normals are rotated only, colors are untouched."""
     normals = None if cloud.normals is None else t.apply_direction(cloud.normals)
-    return PointCloud(t.apply(cloud.points), cloud.colors, normals,
-                      frame if frame is not None else cloud.frame,
-                      cloud.source_ids)
+    return PointCloud(t.apply(cloud.points), cloud.colors, normals, cloud.source_ids)
 
 
 def pca_normals(points: np.ndarray, tree, k: int, centers) -> np.ndarray:

@@ -14,7 +14,9 @@ import numpy as np
 
 from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 
-__all__ = ["marching_cubes_grid", "marching_cubes_stream"]
+__all__ = ["marching_cubes_grid", "marching_cubes_stream", "padded_grid", "PAD_CELLS"]
+
+PAD_CELLS = 4  # empty cells kept around the bounds on every side of a padded grid
 
 _PAD = 16  # longest case has 5 triangles = 15 edge refs
 
@@ -106,6 +108,14 @@ def _assemble(all_keys, all_pos, all_tris, origin, spacing):
     # clockwise from outside; swap two indices to get outward CCW
     triangles = triangles[:, [0, 2, 1]]
     return verts, triangles
+
+
+def padded_grid(lo, hi, spacing: float):
+    """Node grid covering [lo, hi] plus ``PAD_CELLS`` cells each side: (origin, shape)."""
+    origin = lo - PAD_CELLS * spacing
+    shape = tuple(int(np.ceil((hi[i] - lo[i]) / spacing)) + 2 * PAD_CELLS + 1
+                  for i in range(3))
+    return origin, shape
 
 
 def marching_cubes_grid(values: np.ndarray, origin, spacing):

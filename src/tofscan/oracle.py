@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .marching import marching_cubes_stream
+from .marching import marching_cubes_stream, padded_grid
 from .metrology import MeshMeasurements, surface_area, volume
 from .reconstruction import TriangleMesh
 from .scene import Scene, ScenePrimitive
@@ -22,7 +22,6 @@ from .scene import Scene, ScenePrimitive
 __all__ = ["OracleUnreliableError", "closed_form_measurements", "oracle_mesh",
            "oracle_measurements"]
 
-_PAD_CELLS = 4
 _CONVERGENCE_RTOL = 1e-3
 
 
@@ -48,9 +47,7 @@ def closed_form_measurements(prim: ScenePrimitive) -> MeshMeasurements:
 def _voxelize_measurements(scene: Scene, spacing: float) -> tuple:
     lo, hi = scene.target_bounds()
     prims = scene.labeled("target")
-    origin = lo - _PAD_CELLS * spacing
-    shape = tuple(int(np.ceil((hi[i] - lo[i]) / spacing)) + 2 * _PAD_CELLS + 1
-                  for i in range(3))
+    origin, shape = padded_grid(lo, hi, spacing)
 
     # per-primitive local AABB precheck: outside the inflated box the exact
     # distance is irrelevant to the zero level, the AABB distance (a positive

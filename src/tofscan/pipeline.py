@@ -77,7 +77,6 @@ class PipelineResult:
     merged: PointCloud
     graph: PoseGraph
     capture: CaptureResult
-    session_dir: Path | None
 
 
 def _stage(name):
@@ -128,8 +127,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         frame = capture.frames[dev]
         fused = _stage("segmentation")(fuse, pairs[dev], ArbitrationMode.ONE_VOTE_OR)
         clouds[dev] = _stage("back-projection")(
-            back_project, frame.depth, sensors[dev].intrinsics, frame.color, fused,
-            f"camera{dev}")
+            back_project, frame.depth, sensors[dev].intrinsics, frame.color, fused)
         if out is not None:
             (out / "raw" / f"{dev}_depth.pgm").write_bytes(encode_pgm16(frame.depth))
             (out / "raw" / f"{dev}_color.ppm").write_bytes(encode_ppm(frame.color))
@@ -165,4 +163,4 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             "arbitration": ArbitrationMode.ONE_VOTE_OR.value, "resolution": cfg.resolution,
             "surface_area_m2": None if measurements is None else measurements.surface_area,
             "volume_m3": None if measurements is None else measurements.volume}, indent=2))
-    return PipelineResult(measurements, mesh, merged, graph, capture, out)
+    return PipelineResult(measurements, mesh, merged, graph, capture)

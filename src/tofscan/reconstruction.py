@@ -18,15 +18,13 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .geometry import PointCloud, pca_normals
-from .marching import marching_cubes_grid
+from .marching import PAD_CELLS, marching_cubes_grid, padded_grid
 from .solver import solve_poisson_grid
 
 __all__ = [
     "ReconstructionError", "TriangleMesh",
     "estimate_normals", "poisson_reconstruct", "is_watertight", "euler_characteristic",
 ]
-
-_PAD_CELLS = 4
 
 
 class ReconstructionError(RuntimeError):
@@ -81,10 +79,8 @@ def _grid_layout(points: np.ndarray, resolution: int):
     extent = float((hi - lo).max())
     if extent == 0:
         raise ReconstructionError("degenerate cloud: zero extent")
-    spacing = extent / (resolution - 1 - 2 * _PAD_CELLS)
-    shape = tuple(int(np.ceil((hi[i] - lo[i]) / spacing)) + 2 * _PAD_CELLS + 1
-                  for i in range(3))
-    origin = lo - _PAD_CELLS * spacing
+    spacing = extent / (resolution - 1 - 2 * PAD_CELLS)
+    origin, shape = padded_grid(lo, hi, spacing)
     return origin, spacing, shape
 
 

@@ -59,7 +59,6 @@ class FiducialObservation:
 
     tag_id: int
     corners_camera: np.ndarray      # (4, 3) meters
-    corner_noise_sigma: float = 0.0
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.corners_camera, dtype=np.float64).reshape(4, 3)
@@ -78,7 +77,7 @@ def make_observations(tag_corners: dict[int, np.ndarray], sigma: float = 0.0,
         corners = np.asarray(tag_corners[tag_id], dtype=np.float64)
         if sigma > 0:
             corners = corners + rng.standard_normal(corners.shape) * sigma
-        obs.append(FiducialObservation(tag_id, corners, sigma))
+        obs.append(FiducialObservation(tag_id, corners))
     return obs
 
 
@@ -121,6 +120,7 @@ def _absolute_orientation(pa: np.ndarray, pb: np.ndarray) -> RigidTransform:
 # --- multi-scale colored ICP -------------------------------------------------
 
 _RELATIVE_CHANGE = 1e-6  # fitness/rmse convergence threshold
+_MIN_FITNESS = 0.1  # below this matched fraction an edge has diverged
 _NORMAL_K = 30
 _GRADIENT_K = 15
 # wrapped-around points from a partially overlapping view face the wrong way;
@@ -157,7 +157,6 @@ class RegistrationResult:
     inlier_rmse: float
     fitness: float
     objective_history: list = field(default_factory=list)  # one list per scale
-    diverged: bool = False
 
 
 def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
@@ -186,7 +185,7 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     if cloud.source_ids is not None:
         first = np.concatenate([[0], np.nonzero(boundaries)[0] + 1])
         src = cloud.source_ids[order][first]
-    return PointCloud(pts, colors=cols, frame=cloud.frame, source_ids=src)
+    return PointCloud(pts, colors=cols, source_ids=src)
 
 
 def rodrigues(omega: np.ndarray) -> np.ndarray:
@@ -309,7 +308,7 @@ def _icp(source_level, target_level, init: RigidTransform,
     for scale, voxel in enumerate(params.voxel_sizes):
         src, tgt = source_level(scale), target_level(scale)
         corr = _residuals(src, tgt, transform, voxel, params)
-        if corr is None or (scale == 0 and corr["n_matched"] / len(src.points) < 0.1):
+        if corr is None or (scale == 0 and corr["n_matched"] / len(src.points) < _MIN_FITNESS):
             if scale == 0:
                 raise DivergenceError(
                     f"no usable correspondences at coarsest scale (voxel {voxel})", init)
@@ -345,8 +344,7 @@ def _icp(source_level, target_level, init: RigidTransform,
 
     fitness = 0.0 if corr is None else float(corr["n_matched"] / len(src.points))
     rmse = 0.0 if corr is None else float(np.sqrt(np.mean(corr["dist"] ** 2)))
-    return RegistrationResult(transform, rmse, fitness, history_all,
-                              diverged=fitness < 0.1)
+    return RegistrationResult(transform, rmse, fitness, history_all)
 
 
 # --- rig chaining -----------------------------------------------------------
@@ -395,7 +393,7 @@ def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, list],
             logger.warning("edge (%s, %s) failed: %s", a, b, e)
             failed.append((a, b))
             continue
-        if result.diverged:
+        if result.fitness < _MIN_FITNESS:
             logger.warning("edge (%s, %s) diverged (fitness %.3f)", a, b, result.fitness)
             failed.append((a, b))
             continue
@@ -422,14 +420,13 @@ def merge_clouds(clouds: dict[int, PointCloud], graph: PoseGraph,
     for dev in sorted(clouds):
         if dev not in graph.global_poses:
             raise ValueError(f"device {dev} has no global pose (diverged edge?)")
-        moved = transform_cloud(clouds[dev], graph.global_poses[dev], frame="world")
+        moved = transform_cloud(clouds[dev], graph.global_poses[dev])
         pts.append(moved.points)
         if has_colors:
             cols.append(moved.colors)
         ids.append(np.full(len(moved), dev, dtype=np.int32))
     merged = PointCloud(np.vstack(pts) if pts else np.empty((0, 3)),
                         colors=np.vstack(cols) if has_colors and cols else None,
-                        frame="world",
                         source_ids=np.concatenate(ids) if ids else None)
     if dedup_voxel:
         merged = voxel_downsample(merged, dedup_voxel)

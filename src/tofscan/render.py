@@ -204,11 +204,7 @@ _INTERSECTORS = {
 
 
 def _surface_normal(prim: ScenePrimitive, pts_local: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    g = np.zeros_like(pts_local)
-    for ax in range(3):
-        dv = np.zeros(3)
-        dv[ax] = h
-        g[:, ax] = (prim.implicit_local(pts_local + dv) - prim.implicit_local(pts_local - dv))
+    g = np.stack(prim.implicit_differences(pts_local, h), axis=1)
     n = np.linalg.norm(g, axis=1)
     n[n == 0] = 1.0
     return g / n[:, None]

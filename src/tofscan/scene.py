@@ -95,9 +95,9 @@ class ScenePrimitive:
             z = np.clip(pts[..., 2], -seg / 2, seg / 2)
             return np.sqrt(pts[..., 0] ** 2 + pts[..., 1] ** 2
                            + (pts[..., 2] - z) ** 2) - r
-        f = self._superellipsoid_value(pts)
-        g = self._numeric_gradient_norm(pts)
-        return f / np.maximum(g, 1e-12)
+        h = 1e-5
+        g = np.sqrt(sum((d / (2 * h)) ** 2 for d in self.implicit_differences(pts, h)))
+        return self._superellipsoid_value(pts) / np.maximum(g, 1e-12)
 
     def _superellipsoid_value(self, pts: np.ndarray) -> np.ndarray:
         a, b, c, e1, e2 = self.params
@@ -106,20 +106,15 @@ class ScenePrimitive:
         z = np.abs(pts[..., 2]) / c
         return (x ** (2 / e2) + y ** (2 / e2)) ** (e2 / e1) + z ** (2 / e1) - 1.0
 
-    def _numeric_gradient_norm(self, pts: np.ndarray, h: float = 1e-5) -> np.ndarray:
-        g2 = np.zeros(pts.shape[:-1])
-        for ax in range(3):
-            d = np.zeros(3)
-            d[ax] = h
-            g2 += ((self._superellipsoid_value(pts + d)
-                    - self._superellipsoid_value(pts - d)) / (2 * h)) ** 2
-        return np.sqrt(g2)
-
     def implicit_local(self, pts: np.ndarray) -> np.ndarray:
         """Raw implicit value (negative inside); cheaper than sdf for sign tests."""
         if self.shape == "superellipsoid":
             return self._superellipsoid_value(np.asarray(pts, dtype=np.float64))
         return self.sdf_local(pts)
+
+    def implicit_differences(self, pts: np.ndarray, h: float) -> list:
+        """Central differences f(p + h e_i) - f(p - h e_i) of ``implicit_local``, i = x, y, z."""
+        return [self.implicit_local(pts + d) - self.implicit_local(pts - d) for d in h * np.eye(3)]
 
     # -- world-frame helpers ---------------------------------------------
 
@@ -247,28 +242,16 @@ def cube_tag_layout(edge: float, tags_per_face: int) -> dict[int, np.ndarray]:
     half = edge / 2.0
     g = int(np.ceil(np.sqrt(tags_per_face)))
     cell = edge / g
-    side = 0.7 * cell
+    offsets = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)]) * (0.7 * cell / 2)
     model: dict[int, np.ndarray] = {}
-    tag_id = 0
-    for axis, sign, ua, va in _CUBE_FACES:
-        count = 0
-        for gv in range(g):
-            if count >= tags_per_face:
-                break
-            for gu in range(g):
-                if count >= tags_per_face:
-                    break
-                cu = -half + (gu + 0.5) * cell
-                cv = -half + (gv + 0.5) * cell
-                corners = np.zeros((4, 3))
-                offsets = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
-                for k, (su, sv) in enumerate(offsets):
-                    corners[k, axis] = sign * half
-                    corners[k, ua] = cu + su * side / 2
-                    corners[k, va] = cv + sv * side / 2
-                model[tag_id] = corners
-                tag_id += 1
-                count += 1
+    for face, (axis, sign, ua, va) in enumerate(_CUBE_FACES):
+        for i in range(tags_per_face):
+            gv, gu = divmod(i, g)  # row-major on the g x g grid
+            corners = np.zeros((4, 3))
+            corners[:, axis] = sign * half
+            corners[:, ua] = -half + (gu + 0.5) * cell + offsets[:, 0]
+            corners[:, va] = -half + (gv + 0.5) * cell + offsets[:, 1]
+            model[face * tags_per_face + i] = corners
     return model
 
 

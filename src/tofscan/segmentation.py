@@ -33,13 +33,6 @@ class ArbitrationMode(enum.Enum):
     ONE_VOTE_OR = "or"
     TWO_VOTE_AND = "and"
 
-    @staticmethod
-    def parse(name: str) -> "ArbitrationMode":
-        for m in ArbitrationMode:
-            if m.value == name.lower():
-                return m
-        raise ValueError(f"unknown arbitration mode {name!r} (use rgb|depth|or|and)")
-
 
 @dataclass(frozen=True)
 class MaskPair:

@@ -46,6 +46,7 @@ def animal_oracle():
     return scene, oracle_measurements(scene, spacing=0.004)
 
 
+@pytest.mark.slow
 def test_criterion_1_known_object_metrology(tmp_path):
     """Cylinder at 5 orientations x 3 seeds plus three boxes, <= 5% mean errors."""
     t0 = time.monotonic()
@@ -136,6 +137,7 @@ def _icp_patch(rng, n=6000):
     return pts, cols
 
 
+@pytest.mark.slow
 def test_criterion_4_registration_recovery():
     """100 seeded ICP trials: rmse <= 2x finest voxel in >= 95; Jacobians to 1e-5."""
     params = MultiScaleParams((0.04, 0.02, 0.01), (50, 30, 14))
@@ -255,6 +257,7 @@ def _cylinder_samples(rng, n, r=0.25, h=0.6):
     return pts, normals
 
 
+@pytest.mark.slow
 def test_criterion_6_reconstruction_soundness(animal_oracle):
     rng = np.random.default_rng(6)
     lines = []
@@ -293,6 +296,7 @@ def test_criterion_6_reconstruction_soundness(animal_oracle):
     report("criterion 6", ok, "; ".join(lines))
 
 
+@pytest.mark.slow
 def test_criterion_7_cattle_analogue(animal_oracle, tmp_path):
     scene, reference = animal_oracle
     cfg = animal_config(scene)

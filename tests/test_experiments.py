@@ -1,4 +1,5 @@
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -80,6 +81,20 @@ class TestAnimal:
     def test_rejects_fewer_than_five_runs(self, box_cfg):
         with pytest.raises(ValueError, match="5"):
             run_animal_experiment(1.0, 3, box_cfg[1])
+
+    def test_runs_the_configured_scene(self, box_cfg, monkeypatch):
+        _, cfg = box_cfg
+        scenes = []
+
+        def stub(c):
+            scenes.append(c.scene)
+            return SimpleNamespace(graph=SimpleNamespace(failed_edges=[]),
+                                   measurements=MeshMeasurements(1.0, 0.1))
+
+        monkeypatch.setattr(experiments, "run_pipeline", stub)
+        report = run_animal_experiment(2.0, 5, cfg, reference=MeshMeasurements(1.0, 0.1))
+        assert len(scenes) == 5 and all(s is cfg.scene for s in scenes)
+        assert report.object_id == "animal-x2"
 
 
 def test_noise_free_box_is_tightest_case():

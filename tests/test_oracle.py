@@ -54,6 +54,7 @@ def test_oracle_mesh_is_watertight_genus0():
     assert euler_characteristic(mesh) == 2
 
 
+@pytest.mark.slow
 def test_animal_scale_doubling():
     """Volume scales by 8 and area by 4 within 0.5% (resolution-relative spacing)."""
     m1 = oracle_measurements(make_animal_model(1.0), spacing=0.005)

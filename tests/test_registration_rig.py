@@ -62,7 +62,7 @@ class TestRegisterRig:
         clouds, fid = {}, {}
         for dev, fr in cap.frames.items():
             clouds[dev] = back_project(fr.depth, sensors[dev].intrinsics, fr.color,
-                                       fr.oracle_mask, f"cam{dev}")
+                                       fr.oracle_mask)
             rng_d = np.random.default_rng(50 + dev)
             fid[dev] = make_observations(observe_tags(layout, cube_pose, sensors[dev]),
                                          0.001, rng_d)
@@ -143,7 +143,6 @@ class TestMergeClouds:
         cloud = textured_cloud(rng)
         merged = merge_clouds({0: cloud}, self._graph([0]))
         assert np.array_equal(merged.points, cloud.points)
-        assert merged.frame == "world"
         assert (merged.source_ids == 0).all()
 
     def test_dedup_collapses_duplicates(self, rng):

@@ -40,11 +40,6 @@ class TestFuse:
         with pytest.raises(ValueError):
             MaskPair(mask_of([], 4, 4), mask_of([], 5, 4))
 
-    def test_mode_parse(self):
-        assert ArbitrationMode.parse("OR") is ArbitrationMode.ONE_VOTE_OR
-        with pytest.raises(ValueError):
-            ArbitrationMode.parse("vote")
-
 
 class TestMetrics:
     def test_perfect_prediction(self, rng):
