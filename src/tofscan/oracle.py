@@ -6,6 +6,16 @@ dense grid (default 2 mm), extracting the zero level with marching cubes, and
 applying the mesh metrology operations. The result is accepted only if
 halving the resolution (doubling the spacing) changes both quantities by less
 than 0.1%, i.e. the discretization has converged.
+
+The grid is sampled slab by slab in two passes. Pass 1 gives every node its
+sign: for each primitive, only the nodes in its world AABB grown by one cell
+are moved to its frame and tested with ``implicit_local < 0``, which has the
+sign of ``sdf_local`` (the superellipsoid distance is the implicit value over
+a positive gradient norm). Pass 2 computes the exact union value only at nodes
+whose sign differs from a neighbor's in the slab; every other node gets +1 or
+-1. Marching cubes reads node values only at the two ends of a sign-changing
+edge, and a slab's cells only have edges between its own planes, so the mesh
+is the one that exact values at every node would give.
 """
 
 from __future__ import annotations
@@ -44,23 +54,31 @@ def closed_form_measurements(prim: ScenePrimitive) -> MeshMeasurements:
     raise ValueError(f"no closed form for shape {prim.shape!r}")
 
 
-def _voxelize_measurements(scene: Scene, spacing: float) -> tuple:
+def _union_sampler(scene: Scene, spacing: float) -> tuple:
+    """Padded node grid of the target union and its slab sampler: (origin, shape, sample).
+
+    ``sample(k0, k1)`` returns the inside-positive node values [:, :, k0:k1].
+    Nodes with a neighbor of the other sign within the slab carry the exact
+    union value; all others carry +1.0 (inside) or -1.0 (outside).
+    """
     lo, hi = scene.target_bounds()
     prims = scene.labeled("target")
     origin, shape = padded_grid(lo, hi, spacing)
+    axes = [origin[a] + spacing * np.arange(shape[a]) for a in range(3)]
+    # node index box [i0, i1) of each primitive's world AABB grown by one cell
+    boxes = []
+    for prim in prims:
+        wlo, whi = prim.world_bounds()
+        i0 = np.floor((wlo - origin) / spacing).astype(np.int64) - 1
+        i1 = np.ceil((whi - origin) / spacing).astype(np.int64) + 2
+        boxes.append((prim, np.clip(i0, 0, shape), np.clip(i1, 0, shape)))
 
     # per-primitive local AABB precheck: outside the inflated box the exact
     # distance is irrelevant to the zero level, the AABB distance (a positive
     # lower-bound stand-in) keeps the union sign correct and is much cheaper
     inflate = 3 * spacing
 
-    def sample(k0, k1):
-        nz = k1 - k0
-        xs = origin[0] + spacing * np.arange(shape[0])
-        ys = origin[1] + spacing * np.arange(shape[1])
-        zs = origin[2] + spacing * (k0 + np.arange(nz))
-        X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
-        pts = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
+    def exact(pts):
         best = np.full(len(pts), np.inf)
         for prim in prims:
             local = prim.to_local(pts)
@@ -72,8 +90,44 @@ def _voxelize_measurements(scene: Scene, spacing: float) -> tuple:
             if near.any():
                 d[near] = prim.sdf_local(local[near])
             best = np.minimum(best, d)
-        return (-best).reshape(shape[0], shape[1], nz)  # inside positive
+        return -best
 
+    def inside(k0, k1):
+        # implicit_local has the sign of sdf_local, and no node outside a
+        # primitive's AABB is inside it
+        occ = np.zeros((shape[0], shape[1], k1 - k0), dtype=bool)
+        for prim, i0, i1 in boxes:
+            a = np.maximum(i0, (0, 0, k0))
+            b = np.minimum(i1, (shape[0], shape[1], k1))
+            if (a >= b).any():
+                continue
+            X, Y, Z = np.meshgrid(*(ax[s:e] for ax, s, e in zip(axes, a, b)), indexing="ij")
+            pts = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
+            occ[a[0]:b[0], a[1]:b[1], a[2] - k0:b[2] - k0] |= (
+                prim.implicit_local(prim.to_local(pts)) < 0).reshape(b - a)
+        return occ
+
+    def sample(k0, k1):
+        occ = inside(k0, k1)
+        # both ends of every edge inside the slab whose sign flips
+        fx, fy, fz = (np.diff(occ, axis=a) for a in range(3))
+        crossing = np.zeros_like(occ)
+        crossing[:-1] |= fx
+        crossing[1:] |= fx
+        crossing[:, :-1] |= fy
+        crossing[:, 1:] |= fy
+        crossing[:, :, :-1] |= fz
+        crossing[:, :, 1:] |= fz
+        i, j, k = np.nonzero(crossing)
+        values = np.where(occ, 1.0, -1.0)
+        values[i, j, k] = exact(np.column_stack([axes[0][i], axes[1][j], axes[2][k0 + k]]))
+        return values
+
+    return origin, shape, sample
+
+
+def _voxelize_measurements(scene: Scene, spacing: float) -> tuple:
+    origin, shape, sample = _union_sampler(scene, spacing)
     verts, tris = marching_cubes_stream(sample, origin, spacing, shape,
                                         max_slab_nodes=8_000_000)
     if len(tris) == 0:

@@ -31,6 +31,13 @@ class ReconstructionError(RuntimeError):
     pass
 
 
+# Grid memory bound: the solve holds about 12 float64 arrays of the node count
+# at its peak (three splat fields, the divergence, the DST work arrays, the
+# iso-field), so 2 GiB admits about 22 M nodes, a 280^3 grid.
+GRID_MEMORY_BYTES = 2 * 1024 ** 3
+_BYTES_PER_NODE = 12 * 8
+
+
 @dataclass(frozen=True)
 class TriangleMesh:
     """Indexed triangle set, counter-clockwise outward winding."""
@@ -116,7 +123,8 @@ def poisson_reconstruct(cloud: PointCloud, resolution: int = 128,
 
     ``resolution`` is the node count along the longest padded axis (the other
     axes scale with the cloud's bounding box). Raises ReconstructionError for
-    a cloud without normals, empty input or an empty iso-surface, SolverError
+    a cloud without normals, empty input, a grid over ``GRID_MEMORY_BYTES``
+    (checked before anything is allocated) or an empty iso-surface, SolverError
     if the linear solve misses ``tol``.
     """
     if cloud.normals is None:
@@ -127,6 +135,11 @@ def poisson_reconstruct(cloud: PointCloud, resolution: int = 128,
         raise ValueError(f"resolution {resolution} outside [32, 512]")
 
     origin, spacing, shape = _grid_layout(cloud.points, resolution)
+    nodes = shape[0] * shape[1] * shape[2]
+    if nodes * _BYTES_PER_NODE > GRID_MEMORY_BYTES:
+        raise ReconstructionError(
+            f"grid {shape} of {nodes} nodes needs about {nodes * _BYTES_PER_NODE / 2**30:.1f} GiB, "
+            f"over the {GRID_MEMORY_BYTES / 2**30:.0f} GiB budget (lower the resolution)")
     field = _splat_normals(cloud, origin, spacing, shape)
     for ax in range(3):
         field[ax] = ndimage.gaussian_filter(field[ax], sigma=1.0)

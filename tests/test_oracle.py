@@ -54,7 +54,48 @@ def test_oracle_mesh_is_watertight_genus0():
     assert euler_characteristic(mesh) == 2
 
 
-@pytest.mark.slow
+def _overlap_scene():
+    from tofscan.geometry import RigidTransform
+    return Scene((superellipsoid(0.12, 0.08, 0.07, 0.8, 1.2,
+                                 pose=RigidTransform.from_axis_angle((0, 1, 1), 0.5, (0.0, 0.0, 0.0))),
+                  capsule(0.04, 0.2, pose=RigidTransform.from_axis_angle((1, 0, 0), 1.1,
+                                                                       (0.09, 0.02, 0.05)))))
+
+
+def test_union_sampler_slabs_weld_exactly():
+    """Streaming in 3+ slabs gives the same vertices and triangles as one slab.
+
+    Triangles come out slab by slab, so the two lists are compared as sorted rows.
+    """
+    from tofscan.marching import marching_cubes_stream
+    from tofscan.oracle import _union_sampler
+    origin, shape, sample = _union_sampler(_overlap_scene(), 0.006)
+    whole = marching_cubes_stream(sample, origin, 0.006, shape,
+                                  max_slab_nodes=shape[0] * shape[1] * shape[2])
+    plane = shape[0] * shape[1]
+    slabs = marching_cubes_stream(sample, origin, 0.006, shape,
+                                  max_slab_nodes=plane * (shape[2] // 4))
+    assert shape[2] // 4 >= 2 and len(whole[1]) > 0
+    assert np.array_equal(whole[0], slabs[0])
+    assert np.array_equal(np.unique(whole[1], axis=0), np.unique(slabs[1], axis=0))
+    assert len(whole[1]) == len(slabs[1])
+
+
+def test_union_sampler_mesh_matches_dense_union_sdf():
+    """Sign-only nodes away from the surface leave the mesh of the exact union unchanged."""
+    from tofscan.marching import marching_cubes_grid, marching_cubes_stream
+    from tofscan.oracle import _union_sampler
+    scene = _overlap_scene()
+    origin, shape, sample = _union_sampler(scene, 0.006)
+    verts, tris = marching_cubes_stream(sample, origin, 0.006, shape)
+    axes = [origin[a] + 0.006 * np.arange(shape[a]) for a in range(3)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    dense = -np.min([prim.sdf(pts) for prim in scene.primitives], axis=0).reshape(shape)
+    ref_verts, ref_tris = marching_cubes_grid(dense, origin, 0.006)
+    assert np.array_equal(tris, ref_tris)
+    assert np.abs(verts - ref_verts).max() <= 1e-12
+
+
 def test_animal_scale_doubling():
     """Volume scales by 8 and area by 4 within 0.5% (resolution-relative spacing)."""
     m1 = oracle_measurements(make_animal_model(1.0), spacing=0.005)

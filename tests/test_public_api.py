@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import types
 
 import pytest
 
@@ -20,3 +21,11 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"tofscan.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"tofscan.{name}.__all__ names undefined {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_submodule_attribute_is_the_module(name):
+    """No re-export in ``__init__`` shadows a submodule (``tofscan.render`` stays a module)."""
+    importlib.import_module(f"tofscan.{name}")
+    assert isinstance(getattr(tofscan, name), types.ModuleType), \
+        f"tofscan.{name} is {type(getattr(tofscan, name)).__name__}, not the submodule"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -5,11 +7,13 @@ from scipy.spatial import cKDTree
 from conftest import icosphere, sampled_mesh_points, tetrahedron_mesh, torus_grid_mesh, unit_cube_mesh
 from tofscan.geometry import PointCloud
 from tofscan.metrology import surface_area, volume
-from tofscan.reconstruction import (ReconstructionError, TriangleMesh,
-                                    _compact, _grid_layout, _splat_normals, _weld_slivers,
+from tofscan.reconstruction import (_BYTES_PER_NODE, GRID_MEMORY_BYTES, ReconstructionError,
+                                    TriangleMesh, _compact, _grid_layout, _splat_normals, _weld_slivers,
                                     estimate_normals, euler_characteristic, is_watertight,
                                     poisson_reconstruct)
 from tofscan.solver import SolverError
+
+UNIT_CUBE_CORNERS = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], float)
 
 
 class TestEstimateNormals:
@@ -101,6 +105,23 @@ class TestPoisson:
             poisson_reconstruct(sphere_cloud, resolution=16)
         with pytest.raises(ValueError):
             poisson_reconstruct(sphere_cloud, resolution=1024)
+
+    def test_oversized_grid_raises_before_allocating(self):
+        """A cube-shaped cloud at resolution 512 (about 134 M nodes) is refused up front."""
+        cloud = PointCloud(UNIT_CUBE_CORNERS, normals=(UNIT_CUBE_CORNERS - 0.5) / np.sqrt(0.75))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ReconstructionError, match="budget"):
+                poisson_reconstruct(cloud, resolution=512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("resolution", [128, 192, 256])
+    def test_grid_budget_admits_used_resolutions(self, resolution):
+        _, _, shape = _grid_layout(UNIT_CUBE_CORNERS, resolution)
+        assert np.prod(shape) * _BYTES_PER_NODE <= GRID_MEMORY_BYTES
 
     def test_no_degenerate_triangles_after_cleanup(self, sphere_mesh):
         a, b, c = sphere_mesh.triangle_corners()
