@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .geometry import (BinaryMask, CameraIntrinsics, ColorImage, DepthImage, PointCloud,
                        RigidTransform, back_project, project, transform_cloud)
-from .scene import Scene, ScenePrimitive, make_animal_model, make_calibration_cube
+from .scene import Scene, ScenePrimitive, make_animal_model
 from .render import RenderResult, SensorModel, apply_interference, apply_tof_noise
 from .capture import CaptureSchedule, build_schedule, overlapping_pairs, simulate_capture
 from .segmentation import ArbitrationMode, MaskPair, SegMetrics, fuse, metrics

@@ -46,12 +46,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("register", help="register a session's clouds")
     p.add_argument("--session", required=True)
     p.add_argument("--voxels", default="0.04,0.02,0.01")
-    p.add_argument("--delta", type=float, default=0.968)
 
     p = sub.add_parser("reconstruct", help="Poisson reconstruction of a cloud")
     p.add_argument("--cloud", required=True)
     p.add_argument("--resolution", type=int, default=192)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("measure", help="measure a mesh PLY")
@@ -87,12 +85,19 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    from .acquisition import ScanClient, save_session
+    from .acquisition import DeviceError, ScanClient, save_session
     from .capture import build_schedule
+    from .protocol import ProtocolError
 
     endpoints = [e.strip() for e in args.endpoints.split(",") if e.strip()]
     client = ScanClient()
-    ids = [client.hello(ep)["device_id"] for ep in endpoints]
+    ids = []
+    for ep in endpoints:
+        try:
+            ids.append(client.hello(ep)["device_id"])
+        except (OSError, DeviceError, ProtocolError) as e:
+            print(f"device at {ep} unreachable: {e}", file=sys.stderr)
+            return 2
     schedule = build_schedule(ids, args.delay_us, args.exposure_us)
     client.configure_all(endpoints, schedule)
     session = client.trigger_scan(endpoints, cattle_id=args.cattle_id,
@@ -150,7 +155,7 @@ def _cmd_register(args) -> int:
         return 2
     voxels = tuple(float(v) for v in args.voxels.split(","))
     iters = (50, 30, 14)[:len(voxels)] if len(voxels) <= 3 else (50,) * len(voxels)
-    params = MultiScaleParams(voxels, iters, args.delta)
+    params = MultiScaleParams(voxels, iters)
     graph = register_rig(clouds, {}, params)
     save_pose_graph(session / "poses.json", graph)
     merged = merge_clouds({d: clouds[d] for d in graph.global_poses}, graph,
@@ -166,8 +171,7 @@ def _cmd_reconstruct(args) -> int:
     from .reconstruction import estimate_normals, poisson_reconstruct
 
     cloud = read_ply(args.cloud)
-    oriented = estimate_normals(cloud, k=30)
-    mesh = poisson_reconstruct(oriented, resolution=args.resolution, tol=args.tol)
+    mesh = poisson_reconstruct(estimate_normals(cloud), resolution=args.resolution)
     write_ply(args.out, vertices=mesh.vertices, triangles=mesh.triangles)
     print(f"wrote {args.out}: {len(mesh.vertices)} vertices, {len(mesh.triangles)} triangles")
     return 0

@@ -55,6 +55,9 @@ KNOWN_BOXES = {name: box(half, pose=_SUSPENDED, albedo=(0.8, 0.75, 0.55), textur
 # synchronization study: the medium box, untextured (capture only, no registration)
 SYNC_SCENE = make_known_object_scene(replace(KNOWN_BOXES["medium"], texture=None))
 
+# voxelization oracle spacing for the scale-1 animal, in meters
+_ORACLE_SPACING = 0.004
+
 # the known-object ICP pyramid: half the default voxel sizes
 KNOWN_OBJECT_REGISTRATION = MultiScaleParams((0.02, 0.01, 0.005), (50, 30, 14))
 
@@ -168,19 +171,18 @@ def run_interference_experiment(delays_us: list[int], cfg: RunConfig,
 
 
 def run_animal_experiment(scale: float, n_runs: int, cfg: RunConfig,
-                          oracle_spacing: float = 0.004,
                           reference: MeshMeasurements | None = None) -> ExperimentReport:
     """Synthetic cattle analogue: n_runs scans of ``cfg.scene`` vs the voxelization oracle.
 
     Mirrors the live protocol of scanning each animal several times and
     averaging; requires n_runs >= 5. ``scale`` names the report and scales
-    the oracle spacing. A precomputed ``reference`` skips the oracle
+    the oracle's 4 mm spacing. A precomputed ``reference`` skips the oracle
     voxelization.
     """
     if n_runs < 5:
         raise ValueError("the scan protocol uses at least 5 runs per animal")
     if reference is None:
-        reference = oracle_measurements(cfg.scene, spacing=oracle_spacing * scale)
+        reference = oracle_measurements(cfg.scene, spacing=_ORACLE_SPACING * scale)
     runs, seeds, failed = [], [], []
     for run in range(n_runs):
         seed = cfg.seed + run

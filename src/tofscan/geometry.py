@@ -289,18 +289,13 @@ def back_project(depth: DepthImage, intr: CameraIntrinsics,
     return PointCloud(pts, colors=cols)
 
 
-def project(p, intr: CameraIntrinsics) -> tuple:
-    """Project camera-frame point(s) to (u, v, z). Raises for z <= 0."""
-    pts = np.asarray(p, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = pts.reshape(-1, 3)
+def project(pts: np.ndarray, intr: CameraIntrinsics) -> tuple:
+    """Project (N, 3) camera-frame points to pixel arrays (u, v, z). Raises for z <= 0."""
     z = pts[:, 2]
     if np.any(z <= 0):
-        raise GeometryError("cannot project point(s) with z <= 0 (behind camera)")
+        raise GeometryError("cannot project points with z <= 0 (behind camera)")
     u = intr.fx * pts[:, 0] / z + intr.cx
     v = intr.fy * pts[:, 1] / z + intr.cy
-    if single:
-        return float(u[0]), float(v[0]), float(z[0])
     return u, v, z
 
 

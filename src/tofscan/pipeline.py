@@ -148,7 +148,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     measurements = None
     if cfg.reconstruct:
         centers = {dev: graph.global_poses[dev].translation for dev in graph.global_poses}
-        oriented = _stage("normal-estimation")(estimate_normals, merged, 30, centers)
+        oriented = _stage("normal-estimation")(estimate_normals, merged, centers)
         mesh = _stage("reconstruction")(poisson_reconstruct, oriented, cfg.resolution)
         measurements = _stage("metrology")(measure_mesh, mesh)
 

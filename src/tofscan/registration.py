@@ -123,6 +123,10 @@ _RELATIVE_CHANGE = 1e-6  # fitness/rmse convergence threshold
 _MIN_FITNESS = 0.1  # below this matched fraction an edge has diverged
 _NORMAL_K = 30
 _GRADIENT_K = 15
+_MAX_CORR_FACTOR = 2.0  # max correspondence distance / voxel
+# keep this fraction of matches by distance: partial-overlap boundary points
+# otherwise clamp to the target rim and drag the pose
+_TRIM_FRACTION = 0.85
 # wrapped-around points from a partially overlapping view face the wrong way;
 # matches whose normals disagree by more than 40 degrees are rejected
 _MIN_NORMAL_DOT = float(np.cos(np.radians(40.0)))
@@ -135,8 +139,6 @@ class MultiScaleParams:
     voxel_sizes: tuple = (0.04, 0.02, 0.01)
     max_iterations: tuple = (50, 30, 14)
     delta: float = 0.968                      # geometric weight in [0, 1]
-    max_corr_factor: float = 2.0              # max correspondence distance / voxel
-    trim_fraction: float = 0.85               # keep this fraction of matches by distance
 
     def __post_init__(self):
         v = tuple(float(x) for x in self.voxel_sizes)
@@ -233,11 +235,10 @@ class _Level:
         return np.linalg.solve(g, rhs[:, :, None])[:, :, 0]
 
 
-def _residuals(src: _Level, tgt: _Level, transform: RigidTransform, voxel: float,
-               params: MultiScaleParams):
+def _residuals(src: _Level, tgt: _Level, transform: RigidTransform, voxel: float):
     """Residuals and correspondence data at the current transform."""
     moved = transform.apply(src.points)
-    dist, idx = tgt.tree.query(moved, distance_upper_bound=params.max_corr_factor * voxel)
+    dist, idx = tgt.tree.query(moved, distance_upper_bound=_MAX_CORR_FACTOR * voxel)
     valid = np.isfinite(dist)
     if not valid.any():
         return None
@@ -248,10 +249,8 @@ def _residuals(src: _Level, tgt: _Level, transform: RigidTransform, voxel: float
     valid &= agree >= _MIN_NORMAL_DOT
     if not valid.any():
         return None
-    if params.trim_fraction < 1.0 and valid.sum() > 20:
-        # trim the worst matches by distance: partial-overlap boundary points
-        # otherwise clamp to the target rim and drag the pose
-        cutoff = np.quantile(dist[valid], params.trim_fraction)
+    if valid.sum() > 20:
+        cutoff = np.quantile(dist[valid], _TRIM_FRACTION)
         valid &= dist <= max(cutoff, 1e-12)
         if not valid.any():
             return None
@@ -307,7 +306,7 @@ def _icp(source_level, target_level, init: RigidTransform,
     corr = None
     for scale, voxel in enumerate(params.voxel_sizes):
         src, tgt = source_level(scale), target_level(scale)
-        corr = _residuals(src, tgt, transform, voxel, params)
+        corr = _residuals(src, tgt, transform, voxel)
         if corr is None or (scale == 0 and corr["n_matched"] / len(src.points) < _MIN_FITNESS):
             if scale == 0:
                 raise DivergenceError(
@@ -322,7 +321,7 @@ def _icp(source_level, target_level, init: RigidTransform,
             accepted = None
             for _damp in range(7):
                 trial = apply_increment(xi, transform)
-                trial_corr = _residuals(src, tgt, trial, voxel, params)
+                trial_corr = _residuals(src, tgt, trial, voxel)
                 if trial_corr is not None:
                     trial_energy = _objective(trial_corr, params.delta)
                     if trial_energy <= energy:
@@ -408,12 +407,12 @@ def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, list],
 
 
 def merge_clouds(clouds: dict[int, PointCloud], graph: PoseGraph,
-                 dedup_voxel: float | None = None) -> PointCloud:
-    """Transform every cloud into the reference frame and concatenate.
+                 dedup_voxel: float) -> PointCloud:
+    """Transform every cloud into the reference frame, concatenate and deduplicate.
 
     Adds per-point source device ids for downstream camera-aware normal
-    orientation; optional voxel deduplication keeps one averaged point per
-    voxel.
+    orientation; voxel deduplication keeps one averaged point per
+    ``dedup_voxel`` cell.
     """
     pts, cols, ids = [], [], []
     has_colors = all(clouds[d].colors is not None for d in clouds)
@@ -428,9 +427,7 @@ def merge_clouds(clouds: dict[int, PointCloud], graph: PoseGraph,
     merged = PointCloud(np.vstack(pts) if pts else np.empty((0, 3)),
                         colors=np.vstack(cols) if has_colors and cols else None,
                         source_ids=np.concatenate(ids) if ids else None)
-    if dedup_voxel:
-        merged = voxel_downsample(merged, dedup_voxel)
-    return merged
+    return voxel_downsample(merged, dedup_voxel)
 
 
 def save_pose_graph(path, graph: PoseGraph) -> None:

@@ -21,12 +21,13 @@ from .geometry import RigidTransform
 __all__ = [
     "ScenePrimitive", "Scene",
     "box", "cylinder", "capsule", "superellipsoid",
-    "make_calibration_cube", "cube_tag_layout", "make_animal_model",
+    "cube_tag_layout", "make_animal_model",
     "make_known_object_scene",
     "load_scene", "save_scene", "scene_to_dict", "scene_from_dict",
 ]
 
 LABELS = ("target", "chute", "background")
+TEXTURE_KINDS = ("patches", "smooth_noise")
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class ScenePrimitive:
     pose: RigidTransform = field(default_factory=RigidTransform.identity)
     albedo: tuple = (0.7, 0.7, 0.7)
     label: str = "target"
-    texture: dict | None = None     # {"kind": "patches"|"smooth_noise"|"tag_cube", ...}
+    texture: dict | None = None     # {"kind": "patches"|"smooth_noise", ...}
 
     def __post_init__(self):
         if self.shape not in ("box", "cylinder", "capsule", "superellipsoid"):
@@ -56,6 +57,9 @@ class ScenePrimitive:
         object.__setattr__(self, "params", p)
         object.__setattr__(self, "albedo", tuple(float(c) for c in self.albedo))
         if self.texture is not None:
+            kind = self.texture.get("kind") if isinstance(self.texture, dict) else None
+            if kind not in TEXTURE_KINDS:
+                raise ValueError(f"unknown texture kind {kind!r}: expected one of {TEXTURE_KINDS}")
             # normalize through JSON so in-memory and file-loaded scenes compare equal
             object.__setattr__(self, "texture", json.loads(json.dumps(self.texture)))
 
@@ -148,20 +152,16 @@ class ScenePrimitive:
                    ^ cells[:, 2] * 83492791) & 0xFFFFFFFF
             base[(hsh % 5) < 2] = c2
             return base
-        if kind == "smooth_noise":
-            # aperiodic gradient texture; smooth at voxel scale so that visual
-            # alignment terms see view-consistent colors under point averaging
-            s = float(self.texture.get("scale", 0.08))
-            c2 = np.asarray(self.texture.get("color2", (0.2, 0.25, 0.5)))
-            k = 2 * np.pi / s
-            x, y, z = pts_local[:, 0], pts_local[:, 1], pts_local[:, 2]
-            w = (0.5 + 0.25 * np.sin(k * (x + 0.31 * z) + 1.7 * np.sin(0.61 * k * y))
-                 + 0.25 * np.cos(k * (0.83 * y - 0.27 * x) + 1.3 * np.sin(0.47 * k * z)))
-            w = np.clip(w, 0.0, 1.0)[:, None]
-            return base * w + c2 * (1.0 - w)
-        if kind == "tag_cube":
-            return _tag_cube_albedo(self, pts_local, base)
-        raise ValueError(f"unknown texture kind {kind!r}")
+        # smooth_noise: aperiodic gradient texture; smooth at voxel scale so that
+        # visual alignment terms see view-consistent colors under point averaging
+        s = float(self.texture.get("scale", 0.08))
+        c2 = np.asarray(self.texture.get("color2", (0.2, 0.25, 0.5)))
+        k = 2 * np.pi / s
+        x, y, z = pts_local[:, 0], pts_local[:, 1], pts_local[:, 2]
+        w = (0.5 + 0.25 * np.sin(k * (x + 0.31 * z) + 1.7 * np.sin(0.61 * k * y))
+             + 0.25 * np.cos(k * (0.83 * y - 0.27 * x) + 1.3 * np.sin(0.47 * k * z)))
+        w = np.clip(w, 0.0, 1.0)[:, None]
+        return base * w + c2 * (1.0 - w)
 
 
 def box(half_extents, pose=None, albedo=(0.7, 0.7, 0.7), label="target", texture=None) -> ScenePrimitive:
@@ -253,48 +253,6 @@ def cube_tag_layout(edge: float, tags_per_face: int) -> dict[int, np.ndarray]:
             corners[:, va] = -half + (gv + 0.5) * cell + offsets[:, 1]
             model[face * tags_per_face + i] = corners
     return model
-
-
-def make_calibration_cube(edge: float, tags_per_face: int = 1) -> tuple[Scene, dict]:
-    """Fiducial cube at the origin: a textured box plus exact tag corner geometry."""
-    layout = cube_tag_layout(edge, tags_per_face)
-    prim = box((edge / 2, edge / 2, edge / 2),
-               albedo=(0.85, 0.82, 0.75), label="target",
-               texture={"kind": "tag_cube", "edge": edge, "tags_per_face": tags_per_face})
-    return Scene((prim,), background_cap=5.0), layout
-
-
-def _tag_cube_albedo(prim: ScenePrimitive, pts_local: np.ndarray, base: np.ndarray) -> np.ndarray:
-    edge = float(prim.texture["edge"])
-    layout = cube_tag_layout(edge, int(prim.texture["tags_per_face"]))
-    out = base.copy()
-    dark = np.array([0.05, 0.05, 0.08])
-    light = np.array([0.95, 0.95, 0.95])
-    for tag_id, corners in layout.items():
-        axis = int(np.argmax(np.ptp(corners, axis=0) == 0.0))
-        ua, va = [i for i in range(3) if i != axis]
-        on_face = np.abs(pts_local[:, axis] - corners[0, axis]) < 1e-5
-        if not on_face.any():
-            continue
-        u = pts_local[:, ua]
-        v = pts_local[:, va]
-        u0, u1 = corners[:, ua].min(), corners[:, ua].max()
-        v0, v1 = corners[:, va].min(), corners[:, va].max()
-        inside = on_face & (u >= u0) & (u <= u1) & (v >= v0) & (v <= v1)
-        if not inside.any():
-            continue
-        # black border ring, hash-pattern interior cells (4x4)
-        fu = (u[inside] - u0) / (u1 - u0)
-        fv = (v[inside] - v0) / (v1 - v0)
-        border = (fu < 0.125) | (fu > 0.875) | (fv < 0.125) | (fv > 0.875)
-        cu = np.clip(((fu - 0.125) / 0.75 * 4).astype(int), 0, 3)
-        cv = np.clip(((fv - 0.125) / 0.75 * 4).astype(int), 0, 3)
-        bits = (tag_id * 2654435761 + 0x9E3779B9) & 0xFFFF
-        cell_on = (bits >> (cv * 4 + cu)) & 1
-        colors = np.where((cell_on == 1)[:, None], light, dark)
-        colors[border] = dark
-        out[inside] = colors
-    return out
 
 
 # --- synthetic animal -----------------------------------------------------

@@ -266,7 +266,7 @@ def test_criterion_6_reconstruction_soundness(animal_oracle):
     t0 = time.monotonic()
     v = rng.standard_normal((20000, 3))
     v /= np.linalg.norm(v, axis=1)[:, None]
-    sphere = poisson_reconstruct(PointCloud(0.5 * v, normals=v), resolution=128, tol=1e-6)
+    sphere = poisson_reconstruct(PointCloud(0.5 * v, normals=v), resolution=128)
     sphere_time = time.monotonic() - t0
     a, vol_ = surface_area(sphere), volume(sphere)
     ra, rv = np.pi, 4 / 3 * np.pi * 0.125

@@ -1,4 +1,5 @@
 import json
+import socket
 
 import numpy as np
 
@@ -72,6 +73,18 @@ def test_serve_and_scan_loopback(tmp_path, capsys):
     finally:
         for s in servers:
             s.stop()
+
+
+def test_scan_unreachable_endpoint(tmp_path, capsys):
+    """A refused connection names the endpoint on stderr and exits 2, without a session."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        endpoint = f"127.0.0.1:{sock.getsockname()[1]}"
+    out_dir = tmp_path / "scan"
+    assert main(["scan", "--endpoints", endpoint, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert endpoint in err and "unreachable" in err
+    assert not out_dir.exists()
 
 
 def test_segment_command_on_session(tmp_path, capsys):

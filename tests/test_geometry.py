@@ -91,18 +91,19 @@ class TestBackProject:
 
 class TestProject:
     def test_principal_axis(self):
-        assert project((0, 0, 1), INTR) == (320.0, 240.0, 1.0)
+        u, v, z = project(np.array([[0, 0, 1.0]]), INTR)
+        assert (u[0], v[0], z[0]) == (320.0, 240.0, 1.0)
 
     def test_round_trip_with_back_project(self):
         data = np.zeros((480, 640), np.uint16)
         data[50, 100] = 2000
         cloud = back_project(DepthImage(640, 480, data), INTR)
-        u, v, z = project(cloud.points[0], INTR)
+        (u,), (v,), (z,) = project(cloud.points, INTR)
         assert abs(u - 100) < 1e-9 and abs(v - 50) < 1e-9 and abs(z - 2.0) < 1e-9
 
     def test_behind_camera(self):
         with pytest.raises(GeometryError, match="behind"):
-            project((0, 0, -1.0), INTR)
+            project(np.array([[0, 0, 1.0], [0, 0, -1.0]]), INTR)
 
     def test_full_raster_round_trip(self, rng):
         data = (rng.random((48, 64)) * 4000).astype(np.uint16)

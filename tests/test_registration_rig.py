@@ -1,18 +1,16 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from tofscan import registration
 from tofscan.geometry import PointCloud, RigidTransform, back_project, transform_cloud
 from tofscan.capture import build_schedule, simulate_capture
-from tofscan.experiments import KNOWN_OBJECT_REGISTRATION
+from tofscan.experiments import KNOWN_OBJECT_REGISTRATION, TEXTURE
 from tofscan.registration import (MultiScaleParams, colored_icp, merge_clouds, register_rig,
                                   load_pose_graph, save_pose_graph, voxel_downsample,
                                   make_observations)
 from tofscan.render import observe_tags
 from tofscan.rigs import known_object_rig
-from tofscan.scene import make_calibration_cube
+from tofscan.scene import Scene, box, cube_tag_layout
 
 
 def textured_cloud(rng, n=3000):
@@ -49,13 +47,11 @@ class TestRegisterRig:
             assert np.abs(graph.global_poses[dev].matrix() - np.eye(4)).max() < 1e-6
 
     def test_chain_consistency_and_cube_rms(self):
-        """8 views of the calibration cube register to <= 5 mm RMS from the model."""
-        cube_scene, layout = make_calibration_cube(0.5, 4)
-        from tofscan.scene import Scene
-        from tofscan.geometry import RigidTransform as RT
-        cube_pose = RT(np.eye(3), (0, 0, 0.8))
-        posed = Scene(tuple(p.__class__(p.shape, p.params, cube_pose, p.albedo, p.label,
-                                        p.texture) for p in cube_scene.primitives), 5.0)
+        """8 views of a textured 0.5 m cube register to <= 5 mm RMS from the true surface."""
+        cube_pose = RigidTransform(np.eye(3), (0, 0, 0.8))
+        posed = Scene((box((0.25, 0.25, 0.25), pose=cube_pose, albedo=(0.85, 0.82, 0.75),
+                           texture=TEXTURE),), 5.0)
+        layout = cube_tag_layout(0.5, 4)
         rig = known_object_rig()[:8]
         sensors = {s.device_id: s for s in rig}
         cap = simulate_capture(posed, rig, build_schedule(list(sensors), 160, 125), seed=0)
@@ -66,11 +62,8 @@ class TestRegisterRig:
             rng_d = np.random.default_rng(50 + dev)
             fid[dev] = make_observations(observe_tags(layout, cube_pose, sensors[dev]),
                                          0.001, rng_d)
-        # tight gates: tag edges are high-contrast, so correspondence trimming
-        # has to be stricter than the defaults tuned for smooth textures
-        params = replace(KNOWN_OBJECT_REGISTRATION, max_corr_factor=1.0, trim_fraction=0.7)
         order = [0, 1, 3, 2, 4, 5, 7, 6]
-        graph = register_rig(clouds, fid, params, layout, order=order)
+        graph = register_rig(clouds, fid, KNOWN_OBJECT_REGISTRATION, layout, order=order)
         assert not graph.failed_edges
 
         # chain edges compose exactly into the published global poses
@@ -141,8 +134,8 @@ class TestMergeClouds:
 
     def test_single_device_unchanged(self, rng):
         cloud = textured_cloud(rng)
-        merged = merge_clouds({0: cloud}, self._graph([0]))
-        assert np.array_equal(merged.points, cloud.points)
+        merged = merge_clouds({0: cloud}, self._graph([0]), dedup_voxel=0.01)
+        assert np.array_equal(merged.points, voxel_downsample(cloud, 0.01).points)
         assert (merged.source_ids == 0).all()
 
     def test_dedup_collapses_duplicates(self, rng):
@@ -154,7 +147,7 @@ class TestMergeClouds:
     def test_missing_pose_is_error(self, rng):
         cloud = textured_cloud(rng)
         with pytest.raises(ValueError, match="no global pose"):
-            merge_clouds({0: cloud, 5: cloud}, self._graph([0]))
+            merge_clouds({0: cloud, 5: cloud}, self._graph([0]), dedup_voxel=0.01)
 
 
 def test_pose_graph_json_round_trip(tmp_path, rng):

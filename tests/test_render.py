@@ -4,7 +4,7 @@ import pytest
 from tofscan.geometry import CameraIntrinsics, RigidTransform
 from tofscan.render import (SensorModel, apply_interference, apply_tof_noise, observe_tags, render,
                             rig_from_list, rig_to_list)
-from tofscan.scene import Scene, box, cylinder, make_calibration_cube, superellipsoid
+from tofscan.scene import Scene, box, cube_tag_layout, cylinder, superellipsoid
 
 INTR = CameraIntrinsics(fx=600, fy=600, cx=320, cy=240, width=640, height=480)
 CAM = SensorModel(0, INTR, RigidTransform.identity())
@@ -179,7 +179,7 @@ class TestInterference:
 
 class TestObserveTags:
     def test_only_facing_tag_visible_head_on(self):
-        _, layout = make_calibration_cube(0.4, 1)
+        layout = cube_tag_layout(0.4, 1)
         cube_pose = RigidTransform(np.eye(3), (0, 0, 1.5))
         cam = SensorModel(0, INTR, RigidTransform.identity())
         seen = observe_tags(layout, cube_pose, cam)
@@ -190,7 +190,7 @@ class TestObserveTags:
         np.testing.assert_allclose(corners[:, 2], 1.5 - 0.2, atol=1e-12)
 
     def test_corners_are_exact_geometry(self):
-        _, layout = make_calibration_cube(0.4, 1)
+        layout = cube_tag_layout(0.4, 1)
         cube_pose = RigidTransform.from_axis_angle((0, 1, 0), 0.3, (0.1, 0, 1.5))
         cam = SensorModel(0, INTR, RigidTransform.identity())
         seen = observe_tags(layout, cube_pose, cam)

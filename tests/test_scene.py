@@ -5,8 +5,8 @@ import pytest
 
 from tofscan.geometry import RigidTransform
 from tofscan.scene import (Scene, ScenePrimitive, box, capsule, cube_tag_layout, cylinder,
-                           load_scene, make_animal_model, make_calibration_cube,
-                           make_known_object_scene, save_scene, superellipsoid)
+                           load_scene, make_animal_model, make_known_object_scene, save_scene,
+                           scene_from_dict, scene_to_dict, superellipsoid)
 
 
 class TestPrimitives:
@@ -54,7 +54,7 @@ class TestPrimitives:
 
 class TestCalibrationCube:
     def test_single_tag_per_face_layout(self):
-        scene, layout = make_calibration_cube(0.5, 1)
+        layout = cube_tag_layout(0.5, 1)
         assert len(layout) == 6
         corners = np.vstack(list(layout.values()))
         assert corners.shape == (24, 3)
@@ -64,7 +64,7 @@ class TestCalibrationCube:
         assert on_face.all()
 
     def test_corner_distances_equal_tag_side(self):
-        _, layout = make_calibration_cube(0.5, 1)
+        layout = cube_tag_layout(0.5, 1)
         for corners in layout.values():
             d = [np.linalg.norm(corners[(i + 1) % 4] - corners[i]) for i in range(4)]
             np.testing.assert_allclose(d, d[0])
@@ -72,8 +72,8 @@ class TestCalibrationCube:
             assert abs(diag - d[0] * np.sqrt(2)) < 1e-12
 
     def test_layout_is_deterministic(self):
-        _, a = make_calibration_cube(0.37, 3)
-        _, b = make_calibration_cube(0.37, 3)
+        a = cube_tag_layout(0.37, 3)
+        b = cube_tag_layout(0.37, 3)
         assert a.keys() == b.keys()
         for k in a:
             assert np.array_equal(a[k], b[k])
@@ -133,3 +133,12 @@ class TestSceneIO:
     def test_target_bounds_requires_target(self):
         with pytest.raises(ValueError, match="target"):
             Scene((box((1, 1, 1), label="background"),)).target_bounds()
+
+    @pytest.mark.parametrize("texture", [{"kind": "tag_cube", "edge": 0.5, "tags_per_face": 4},
+                                         {"kind": "checker3d"}, {"scale": 0.1}, "patches"])
+    def test_unknown_texture_kind_rejected_on_load(self, texture):
+        """A scene file fails when it is read, not in the first render of a device server."""
+        doc = scene_to_dict(make_known_object_scene(box((0.1, 0.1, 0.1))))
+        doc["primitives"][0]["texture"] = texture
+        with pytest.raises(ValueError, match="texture kind"):
+            scene_from_dict(doc)

@@ -41,6 +41,13 @@ def test_non_finite_rhs_raises_with_residual(rng, bad):
     assert e.value.residual is not None and not np.isfinite(e.value.residual)
 
 
+def test_unreachable_tol_raises(rng):
+    """A finite residual above ``tol`` fails the gate and is reported."""
+    with pytest.raises(SolverError) as e:
+        solve_poisson_grid(rng.standard_normal((6, 7, 5)), 0.05, tol=1e-30)
+    assert 1e-30 < e.value.residual < 1e-6
+
+
 def test_zero_rhs_short_circuits():
     x, info = solve_poisson_grid(np.zeros((9, 9, 9)), 0.1)
     assert not x.any() and info.iterations == 0
