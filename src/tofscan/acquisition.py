@@ -252,6 +252,8 @@ def load_session(path) -> ScanSession:
 
 def _parse_endpoint(ep: str) -> tuple[str, int]:
     host, _, port = ep.rpartition(":")
+    if not (port.isdigit() and 0 < int(port) < 65536):
+        raise ValueError(f"endpoint {ep!r} is not host:port")
     return host or "127.0.0.1", int(port)
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import project
+from .parallel import map_ordered
 from .render import RenderResult, SensorModel, apply_interference, apply_tof_noise, render
 from .scene import Scene
 
@@ -173,9 +174,8 @@ def simulate_capture(scene: Scene, rig: list[SensorModel], schedule: CaptureSche
         raise ValueError(f"schedule devices {sorted(sched_ids)} do not match rig {sorted(rig_ids)}")
 
     counts = interferer_counts(scene, rig, schedule)
-    frames: dict[int, RenderResult] = {}
-    stats: dict[int, RetentionStat] = {}
-    for sensor in rig:
+
+    def device(sensor: SensorModel) -> tuple[RenderResult, RetentionStat]:
         dev = sensor.device_id
         clean = renders[dev] if renders is not None else render(scene, sensor)
         noisy, corrupted = _corrupt(clean, sensor, counts[dev], seed, scene.background_cap)
@@ -183,8 +183,12 @@ def simulate_capture(scene: Scene, rig: list[SensorModel], schedule: CaptureSche
         before = noisy.data[fg]
         after = corrupted.data[fg]
         survived = int(((after == before) & (before > 0)).sum())
-        stats[dev] = RetentionStat(dev, int((before > 0).sum()), survived)
-        frames[dev] = RenderResult(corrupted, clean.color, clean.oracle_mask)
+        return (RenderResult(corrupted, clean.color, clean.oracle_mask),
+                RetentionStat(dev, int((before > 0).sum()), survived))
+
+    done = map_ordered(device, rig)  # devices are independent: seeding is per (seed, device)
+    frames = {s.device_id: frame for s, (frame, _) in zip(rig, done)}
+    stats = {s.device_id: stat for s, (_, stat) in zip(rig, done)}
     return CaptureResult(frames, stats)
 
 

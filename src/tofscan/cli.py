@@ -95,7 +95,7 @@ def _cmd_scan(args) -> int:
     for ep in endpoints:
         try:
             ids.append(client.hello(ep)["device_id"])
-        except (OSError, DeviceError, ProtocolError) as e:
+        except (OSError, DeviceError, ProtocolError, ValueError) as e:
             print(f"device at {ep} unreachable: {e}", file=sys.stderr)
             return 2
     schedule = build_schedule(ids, args.delay_us, args.exposure_us)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .parallel import map_ordered
+
 __all__ = [
     "GeometryError",
     "RigidTransform",
@@ -35,7 +37,7 @@ __all__ = [
 ]
 
 _ORTHONORMAL_TOL = 1e-9
-PCA_BLOCK = 16384  # points per pca_normals block
+PCA_BLOCK = 4096  # points per pca_normals block, the unit the pool shares out
 
 
 class GeometryError(ValueError):
@@ -311,11 +313,13 @@ def pca_normals(points: np.ndarray, tree, k: int, centers) -> np.ndarray:
     ``tree`` is a KD-tree built on ``points``. Each normal is the covariance
     eigenvector of least eigenvalue, flipped to face ``centers`` (one
     viewpoint, or one per point). Points go through in blocks of
-    ``PCA_BLOCK`` to bound the (block, k, 3) neighbour array.
+    ``PCA_BLOCK``, which bounds the (block, k, 3) neighbour array; the
+    blocks run concurrently, each writing its own slice.
     """
     centers = np.asarray(centers, dtype=np.float64)
     normals = np.empty((len(points), 3))
-    for lo in range(0, len(points), PCA_BLOCK):
+
+    def fill(lo: int) -> None:
         block = slice(lo, lo + PCA_BLOCK)
         _, idx = tree.query(points[block], k=k)
         centered = points[idx]                       # (B, k, 3), centred in place
@@ -325,4 +329,6 @@ def pca_normals(points: np.ndarray, tree, k: int, centers) -> np.ndarray:
         toward = centers if centers.ndim == 1 else centers[block]
         n[np.einsum("ni,ni->n", n, toward - points[block]) < 0] *= -1.0
         normals[block] = n / np.linalg.norm(n, axis=1)[:, None]
+
+    map_ordered(fill, range(0, len(points), PCA_BLOCK))
     return normals

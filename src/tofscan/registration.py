@@ -13,8 +13,10 @@ so the recorded objective never increases across accepted iterations.
 
 Each cloud's level at one scale (downsampled points, intensity, PCA normals,
 one KD-tree for every neighbour query and, for a target, intensity gradients)
-is built once: ``register_rig`` shares each device's levels across both of
-its chain edges, and ``colored_icp`` runs the same loop on one pair.
+is built once. ``register_rig`` builds every device's levels at every scale
+up front, shares them across both of the device's chain edges, and then runs
+the chain edges concurrently; results and warnings are collected in chain
+order before the chain walk. ``colored_icp`` runs the same loop on one pair.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import PointCloud, RigidTransform, pca_normals, transform_cloud
+from .parallel import map_ordered
 
 logger = logging.getLogger(__name__)
 
@@ -208,9 +211,14 @@ def apply_increment(xi: np.ndarray, t: RigidTransform) -> RigidTransform:
 
 
 class _Level:
-    """One cloud at one pyramid scale; its one KD-tree serves every neighbour query."""
+    """One cloud at one pyramid scale; its one KD-tree serves every neighbour query.
 
-    def __init__(self, cloud: PointCloud, params: MultiScaleParams, scale: int, viewpoint):
+    Only a target needs the tangent-plane intensity gradients, so a source
+    level has ``gradients = None``.
+    """
+
+    def __init__(self, cloud: PointCloud, params: MultiScaleParams, scale: int, viewpoint,
+                 target: bool):
         if cloud.colors is None:
             raise ValueError("colored ICP needs per-point colors on both clouds")
         down = voxel_downsample(cloud, params.voxel_sizes[scale])
@@ -218,10 +226,9 @@ class _Level:
         self.intensity = down.colors.mean(axis=1)
         self.tree = cKDTree(self.points)
         self.normals = pca_normals(self.points, self.tree, min(_NORMAL_K, len(down)), viewpoint)
+        self.gradients = self._gradients() if target else None
 
-    @cached_property
-    def gradients(self) -> np.ndarray:
-        """Tangent-plane intensity gradients; built on first use, as only a target needs them."""
+    def _gradients(self) -> np.ndarray:
         points, n, intensity = self.points, self.normals, self.intensity
         _, idx = self.tree.query(points, k=min(_GRADIENT_K, len(points)))
         # project neighbors onto each point's tangent plane
@@ -294,8 +301,9 @@ def colored_icp(source: PointCloud, target: PointCloud, init: RigidTransform,
                 target_viewpoint=(0.0, 0.0, 0.0),
                 source_viewpoint=(0.0, 0.0, 0.0)) -> RegistrationResult:
     """Coarse-to-fine joint geometric/photometric alignment of source onto target."""
-    return _icp(partial(_Level, source, params, viewpoint=source_viewpoint),
-                partial(_Level, target, params, viewpoint=target_viewpoint), init, params)
+    return _icp(partial(_Level, source, params, viewpoint=source_viewpoint, target=False),
+                partial(_Level, target, params, viewpoint=target_viewpoint, target=True),
+                init, params)
 
 
 def _icp(source_level, target_level, init: RigidTransform,
@@ -370,37 +378,60 @@ def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, list],
     """
     order = list(order) if order is not None else sorted(clouds)
     cube_model = cube_model if cube_model is not None else {}
+    chain = list(zip(order, order[1:]))
 
-    edges: dict[tuple, RegistrationResult] = {}
-    failed: list[tuple] = []
-
-    def levels(dev: int):  # each scale is built on first use, then kept
-        return cache(partial(_Level, clouds[dev], params, viewpoint=(0.0, 0.0, 0.0)))
-
-    source = None
-    for a, b in zip(order, order[1:]):
-        # a was the previous edge's source: reuse its levels, and keep b's for the next edge
-        target, source = source or levels(a), levels(b)
+    outcomes: dict[tuple, RegistrationResult | Exception] = {}
+    icp_edges = []  # (a, b, fiducial init) for the edges that run ICP
+    for a, b in chain:
         try:
             init = estimate_pose_from_fiducials(fiducials[a], fiducials[b], cube_model) \
                 if fiducials else RigidTransform.identity()
-            if len(clouds[a]) and len(clouds[b]):
-                result = _icp(source, target, init, params)
-            else:
-                result = RegistrationResult(init, 0.0, 1.0, [])
-        except (DivergenceError, DegenerateConfigError) as e:
-            logger.warning("edge (%s, %s) failed: %s", a, b, e)
-            failed.append((a, b))
+        except DegenerateConfigError as e:
+            outcomes[(a, b)] = e
             continue
-        if result.fitness < _MIN_FITNESS:
-            logger.warning("edge (%s, %s) diverged (fitness %.3f)", a, b, result.fitness)
+        if len(clouds[a]) and len(clouds[b]):
+            icp_edges.append((a, b, init))
+        else:
+            outcomes[(a, b)] = RegistrationResult(init, 0.0, 1.0, [])
+
+    # every level of every device an edge needs, one unit per (device, scale);
+    # a device that is some edge's target also gets its gradients
+    targets = {a for a, _, _ in icp_edges}
+    devices = list(dict.fromkeys(dev for a, b, _ in icp_edges for dev in (a, b)))
+    units = [(dev, scale) for dev in devices for scale in range(len(params.voxel_sizes))]
+
+    def build(unit):
+        dev, scale = unit
+        return _Level(clouds[dev], params, scale, (0.0, 0.0, 0.0), target=dev in targets)
+
+    levels = dict(zip(units, map_ordered(build, units)))
+
+    def run_edge(edge):
+        a, b, init = edge
+        try:
+            return _icp(lambda s: levels[b, s], lambda s: levels[a, s], init, params)
+        except DivergenceError as e:
+            return e
+
+    for (a, b, _), outcome in zip(icp_edges, map_ordered(run_edge, icp_edges)):
+        outcomes[(a, b)] = outcome
+
+    edges: dict[tuple, RegistrationResult] = {}
+    failed: list[tuple] = []
+    for a, b in chain:
+        outcome = outcomes[(a, b)]
+        if isinstance(outcome, Exception):
+            logger.warning("edge (%s, %s) failed: %s", a, b, outcome)
             failed.append((a, b))
-            continue
-        edges[(a, b)] = result
+        elif outcome.fitness < _MIN_FITNESS:
+            logger.warning("edge (%s, %s) diverged (fitness %.3f)", a, b, outcome.fitness)
+            failed.append((a, b))
+        else:
+            edges[(a, b)] = outcome
 
     # walk the chain from the reference along surviving edges
     poses: dict[int, RigidTransform] = {order[0]: RigidTransform.identity()}
-    for a, b in zip(order, order[1:]):
+    for a, b in chain:
         if (a, b) in edges and a in poses:
             poses[b] = poses[a].compose(edges[(a, b)].transform)
     return PoseGraph(order[0], edges, poses, failed)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tofscan import parallel
 from tofscan.geometry import RigidTransform
 from tofscan.reconstruction import TriangleMesh
 
@@ -115,3 +116,18 @@ def sampled_mesh_points(mesh: TriangleMesh, n: int, seed: int = 0):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the map pool's worker count (0 runs every map inline) on a fresh pool."""
+    def set_workers(n: int):
+        if parallel._executor is not None and parallel._executor is not original:
+            parallel._executor.shutdown()
+        monkeypatch.setattr(parallel, "WORKERS", n)
+        monkeypatch.setattr(parallel, "_executor", None)
+
+    original = parallel._executor
+    yield set_workers
+    if parallel._executor is not None and parallel._executor is not original:
+        parallel._executor.shutdown()

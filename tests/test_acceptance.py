@@ -257,7 +257,6 @@ def _cylinder_samples(rng, n, r=0.25, h=0.6):
     return pts, normals
 
 
-@pytest.mark.slow
 def test_criterion_6_reconstruction_soundness(animal_oracle):
     rng = np.random.default_rng(6)
     lines = []

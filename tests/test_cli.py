@@ -2,6 +2,7 @@ import json
 import socket
 
 import numpy as np
+import pytest
 
 from conftest import unit_cube_mesh
 from tofscan.cli import main
@@ -84,6 +85,16 @@ def test_scan_unreachable_endpoint(tmp_path, capsys):
     assert main(["scan", "--endpoints", endpoint, "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert endpoint in err and "unreachable" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("endpoint", ["127.0.0.1", "127.0.0.1:http", "127.0.0.1:70000"])
+def test_scan_endpoint_not_host_port(tmp_path, capsys, endpoint):
+    """An endpoint that is not host:port is named on stderr with exit 2, before any session."""
+    out_dir = tmp_path / "scan"
+    assert main(["scan", "--endpoints", endpoint, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"device at {endpoint} unreachable" in err and "host:port" in err
     assert not out_dir.exists()
 
 

@@ -1,6 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 from dataclasses import replace
+
+from tofscan import registration
 
 from tofscan.experiments import KNOWN_CYLINDER, known_object_config
 from tofscan.geometry import RigidTransform
@@ -45,6 +49,44 @@ def test_end_to_end_determinism(cylinder_cfg):
     b = run_pipeline(cylinder_cfg)
     assert a.measurements == b.measurements
     assert np.array_equal(a.mesh.vertices, b.mesh.vertices)
+
+
+def test_outputs_do_not_depend_on_the_worker_count(cylinder_cfg, workers):
+    """Every map inline, then on a pool: the same mesh bytes, edges and retention."""
+    runs = []
+    for n in (0, 2):
+        workers(n)
+        runs.append(run_pipeline(cylinder_cfg))
+    inline, pooled = runs
+    assert inline.mesh.vertices.tobytes() == pooled.mesh.vertices.tobytes()
+    assert inline.mesh.triangles.tobytes() == pooled.mesh.triangles.tobytes()
+    assert list(inline.graph.edges) == list(pooled.graph.edges)
+    for edge, r in inline.graph.edges.items():
+        p = pooled.graph.edges[edge]
+        assert np.array_equal(r.transform.matrix(), p.transform.matrix())
+        assert (r.fitness, r.inlier_rmse) == (p.fitness, p.inlier_rmse)
+    assert inline.capture.retention == pooled.capture.retention
+
+
+def test_worker_exception_is_a_registration_error(cylinder_cfg, workers, monkeypatch):
+    """A non-ICP exception in a pool thread's chain edge surfaces as the stage's error."""
+    workers(2)
+    real = registration._icp
+    raised = threading.Event()
+
+    def icp(*args):
+        if threading.current_thread().name.startswith("tofscan-map"):
+            raised.set()
+            raise RuntimeError("edge worker failed")
+        raised.wait(timeout=30)  # the caller's own edges wait until a worker has failed
+        return real(*args)
+
+    monkeypatch.setattr(registration, "_icp", icp)
+    with pytest.raises(PipelineError) as e:
+        run_pipeline(replace(cylinder_cfg, reconstruct=False))
+    assert raised.is_set()
+    assert e.value.stage == "registration"
+    assert type(e.value.cause) is RuntimeError
 
 
 def test_chute_points_absent_from_merged_cloud(cylinder_cfg):

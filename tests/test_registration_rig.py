@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,38 @@ class TestRegisterRig:
         assert (1, 2) in graph.failed_edges
         assert 2 not in graph.global_poses
         assert set(graph.global_poses) == {0, 1}
+
+    def test_failed_middle_edges_same_on_the_pool(self, rng, workers, caplog, monkeypatch):
+        """Edges (1, 2) and (3, 4) diverge; (1, 2) is made to fail last, yet warns first.
+
+        The graph is the same inline and on a pool, and warnings follow chain order.
+        """
+        a = textured_cloud(rng)
+        far = [PointCloud(a.points + off, colors=a.colors) for off in (0.0, 100.0, 200.0)]
+        clouds = {0: far[0], 1: far[0], 2: far[1], 3: far[1], 4: far[2], 5: far[2]}
+        params = MultiScaleParams((0.04, 0.02), (20, 10))
+        real = registration._icp
+
+        def icp(source_level, target_level, init, params):
+            if target_level(0).points[0, 0] < 50.0:  # edges (0, 1) and (1, 2)
+                time.sleep(0.2)
+            return real(source_level, target_level, init, params)
+
+        monkeypatch.setattr(registration, "_icp", icp)
+        graphs = []
+        for n in (0, 2):
+            workers(n)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="tofscan.registration"):
+                graphs.append(register_rig(clouds, {}, params))
+            assert [r.getMessage().split(" failed")[0] for r in caplog.records] == \
+                ["edge (1, 2)", "edge (3, 4)"]
+        inline, pooled = graphs
+        assert inline.failed_edges == pooled.failed_edges == [(1, 2), (3, 4)]
+        assert list(inline.edges) == list(pooled.edges) == [(0, 1), (2, 3), (4, 5)]
+        assert set(inline.global_poses) == set(pooled.global_poses) == {0, 1}
+        for dev, pose in inline.global_poses.items():
+            assert np.array_equal(pose.matrix(), pooled.global_poses[dev].matrix())
 
 
 class TestSharedPyramids:
