@@ -1,11 +1,12 @@
 """Client/server acquisition: per-device servers answering a fan-out scan client.
 
 Each simulated embedded device hosts one server with a three-state machine
-(idle -> configured -> captured). A server is built with the scene and rig it
-renders; the client connects to every device, pushes the capture schedule,
-triggers all devices concurrently, and later fetches the stored frames,
-verifying CRC-32 integrity. A server handles one connection at a time; the rig
-has exactly one client.
+(idle -> configured -> captured); STATUS reports the state and the server's
+counts of frames rendered, bytes sent and protocol errors. A server is built
+with the scene and rig it renders; the client connects to every device, pushes
+the capture schedule, triggers all devices concurrently, and later fetches the
+stored frames, verifying CRC-32 integrity. A server handles one connection at a
+time; the rig has exactly one client.
 """
 
 from __future__ import annotations
@@ -62,8 +63,10 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return bytes(buf)
 
 
-def _send(sock: socket.socket, m: Message) -> None:
-    sock.sendall(encode_message(m))
+def _send(sock: socket.socket, m: Message) -> int:
+    data = encode_message(m)
+    sock.sendall(data)
+    return len(data)
 
 
 def _recv(sock: socket.socket) -> Message:
@@ -84,6 +87,8 @@ class DeviceServer:
         self.schedule: CaptureSchedule | None = None
         self.state = "idle"
         self.frames: dict[int, tuple[bytes, bytes, int]] = {}  # last triggered frame only
+        # reported by STATUS; protocol_errors counts requests that broke the wire format
+        self.counters = {"frames_rendered": 0, "bytes_sent": 0, "protocol_errors": 0}
         self._stop = threading.Event()
         self._sock: socket.socket | None = None
         self.port: int | None = None
@@ -137,8 +142,9 @@ class DeviceServer:
             except (ConnectionError, socket.timeout):
                 return
             except ProtocolError as e:
-                _send(conn, json_message(MessageKind.ERROR,
-                                         {"code": int(ErrorCode.BAD_REQUEST), "reason": str(e)}))
+                self.counters["protocol_errors"] += 1
+                self.counters["bytes_sent"] += _send(conn, json_message(
+                    MessageKind.ERROR, {"code": int(ErrorCode.BAD_REQUEST), "reason": str(e)}))
                 return
             try:
                 reply = self._handle(msg)
@@ -150,7 +156,7 @@ class DeviceServer:
                 reply = json_message(MessageKind.ERROR,
                                      {"code": int(ErrorCode.INTERNAL), "reason": str(e)})
             try:
-                _send(conn, reply)
+                self.counters["bytes_sent"] += _send(conn, reply)
             except (ConnectionError, OSError):
                 return
 
@@ -162,7 +168,7 @@ class DeviceServer:
                                 {"device_id": self.device_id,
                                  "intrinsics": self.sensor.intrinsics.to_json_dict()})
         if msg.kind is MessageKind.STATUS:
-            return json_message(MessageKind.STATUS_ACK, {"state": self.state})
+            return json_message(MessageKind.STATUS_ACK, {"state": self.state, **self.counters})
         if msg.kind is MessageKind.CONFIGURE:
             doc = payload_json(msg)
             self.schedule = CaptureSchedule.from_json_dict(doc["schedule"])
@@ -184,6 +190,7 @@ class DeviceServer:
             color_ppm = encode_ppm(result.color)
             crc = frame_crc32(depth_pgm, color_ppm)
             self.frames = {frame_id: (depth_pgm, color_ppm, crc)}
+            self.counters["frames_rendered"] += 1
             self.state = "captured"
             return json_message(MessageKind.TRIGGER_ACK,
                                 {"device_id": self.device_id, "frame_id": frame_id,

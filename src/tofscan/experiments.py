@@ -115,14 +115,28 @@ class ExperimentReport:
                 f"{len(self.runs)} runs, {len(self.failed_runs)} failed")
 
 
+def _measured_run(cfg: RunConfig) -> MeshMeasurements:
+    """One study run's measurements; a run with a diverged registration edge fails.
+
+    ``run_pipeline`` merges only the devices reachable along the chain, so such
+    a run would measure part of the object.
+    """
+    result = run_pipeline(cfg)
+    if result.graph.failed_edges:
+        raise PipelineError("registration",
+                            RuntimeError(f"diverged edges {result.graph.failed_edges}"))
+    return result.measurements
+
+
 def run_known_object_experiment(object_id: str, obj: ScenePrimitive, n_runs: int,
                                 orientations: list[RigidTransform],
                                 cfg: RunConfig) -> ExperimentReport:
     """Pipeline per (orientation x seed) against the closed-form reference.
 
     ``obj`` is posed at each orientation (composed with its own pose); failed
-    runs are recorded, excluded from the statistics, and flagged. The report
-    is named ``object_id``.
+    runs, including runs with a diverged registration edge, are recorded,
+    excluded from the statistics, and flagged. The report is named
+    ``object_id``.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -138,8 +152,7 @@ def run_known_object_experiment(object_id: str, obj: ScenePrimitive, n_runs: int
         for run in range(n_runs):
             seed = cfg.seed + 1000 * oi + run
             try:
-                result = run_pipeline(replace(cfg, scene=scene, seed=seed))
-                runs.append(result.measurements)
+                runs.append(_measured_run(replace(cfg, scene=scene, seed=seed)))
                 seeds.append(seed)
             except PipelineError as e:
                 logger.warning("run (orientation %d, seed %d) failed: %s", oi, seed, e)
@@ -187,11 +200,7 @@ def run_animal_experiment(scale: float, n_runs: int, cfg: RunConfig,
     for run in range(n_runs):
         seed = cfg.seed + run
         try:
-            result = run_pipeline(replace(cfg, seed=seed))
-            if result.graph.failed_edges:
-                raise PipelineError("registration",
-                                    RuntimeError(f"diverged edges {result.graph.failed_edges}"))
-            runs.append(result.measurements)
+            runs.append(_measured_run(replace(cfg, seed=seed)))
             seeds.append(seed)
         except PipelineError as e:
             logger.warning("animal run seed %d failed: %s", seed, e)

@@ -2,9 +2,13 @@
 
 Rays go through pixel centers; the stored depth is range along the camera +z
 axis (t along the unnormalized direction ((u-cx)/fx, (v-cy)/fy, 1)), matching
-commodity depth rasters. Box/cylinder/capsule hits are closed-form;
-superellipsoids are bracketed by a bounding-box slab test and resolved by a
-fixed-step march plus bisection, which is deterministic.
+commodity depth rasters. Each primitive is intersected only with the rays of
+the pixels inside the screen rectangle of its projected local bounding box
+(widened by one pixel; every pixel when the box reaches behind the camera).
+Box/cylinder/capsule hits are closed-form; a superellipsoid ray is clipped to
+the bounding box by a slab test, marched in fixed steps until it first crosses
+the surface (a crossed ray leaves the march), and refined by bisection, which
+is deterministic.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ __all__ = [
 
 _TMIN = 1e-6
 _MARCH_STEPS = 64
-_BISECT_ITERS = 40
+_BISECT_ITERS = 25  # takes the widest march bracket of the stock rigs (3.2 cm) below 1e-9 m
 _LIGHT_DIR = np.array([0.25, -0.15, 1.0]) / np.linalg.norm([0.25, -0.15, 1.0])
+_BOX_CORNERS = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
+                        dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -167,17 +173,20 @@ def _intersect_superellipsoid(prim: ScenePrimitive, o: np.ndarray, d: np.ndarray
     dl = d[idx]
 
     lo = t0.copy()
-    hi = np.full_like(t0, np.nan)
-    found = np.zeros(len(idx), dtype=bool)
+    hi = np.full_like(t0, np.nan)  # stays nan on a ray that never crosses
+    live = np.arange(len(idx))  # rays that have not crossed yet
     prev = prim._superellipsoid_value(o + t0[:, None] * dl)
     for k in range(1, _MARCH_STEPS + 1):
-        tk = t0 + (t1 - t0) * (k / _MARCH_STEPS)
-        val = prim._superellipsoid_value(o + tk[:, None] * dl)
-        crossed = ~found & (prev > 0) & (val <= 0)
-        lo[crossed] = t0[crossed] + (t1[crossed] - t0[crossed]) * ((k - 1) / _MARCH_STEPS)
-        hi[crossed] = tk[crossed]
-        found |= crossed
-        prev = val
+        a, b = t0[live], t1[live]
+        tk = a + (b - a) * (k / _MARCH_STEPS)
+        val = prim._superellipsoid_value(o + tk[:, None] * dl[live])
+        crossed = (prev > 0) & (val <= 0)
+        c = live[crossed]
+        lo[c] = a[crossed] + (b[crossed] - a[crossed]) * ((k - 1) / _MARCH_STEPS)
+        hi[c] = tk[crossed]
+        live = live[~crossed]
+        prev = val[~crossed]
+    found = ~np.isnan(hi)
     if not found.any():
         return t
     flo = lo[found]
@@ -210,6 +219,26 @@ def _surface_normal(prim: ScenePrimitive, pts_local: np.ndarray, h: float = 1e-6
     return g / n[:, None]
 
 
+def _candidate_pixels(prim: ScenePrimitive, world_to_cam: RigidTransform,
+                      intr: CameraIntrinsics) -> np.ndarray:
+    """Flat indices of the pixels whose rays can hit ``prim``, in raster order.
+
+    These are the pixels inside the bounding rectangle, widened by one pixel,
+    of the projected corners of the primitive's local bounding box. A ray
+    through a pixel outside it misses the box, so it misses the primitive. If
+    a corner is not in front of the camera, every pixel is a candidate.
+    """
+    corners = world_to_cam.apply(prim.pose.apply(_BOX_CORNERS * prim.local_bounds()))
+    if np.any(corners[:, 2] <= 0):
+        return np.arange(intr.width * intr.height)
+    u, v, _ = project(corners, intr)
+    u0, u1 = max(int(np.floor(u.min())) - 1, 0), min(int(np.ceil(u.max())) + 1, intr.width - 1)
+    v0, v1 = max(int(np.floor(v.min())) - 1, 0), min(int(np.ceil(v.max())) + 1, intr.height - 1)
+    if u0 > u1 or v0 > v1:
+        return np.empty(0, dtype=np.intp)
+    return (np.arange(v0, v1 + 1)[:, None] * intr.width + np.arange(u0, u1 + 1)).ravel()
+
+
 def render(scene: Scene, sensor: SensorModel) -> RenderResult:
     """Cast one ray per pixel and shade the nearest hit within the background cap."""
     intr = sensor.intrinsics
@@ -220,14 +249,16 @@ def render(scene: Scene, sensor: SensorModel) -> RenderResult:
     n = len(dirs_world)
     best_t = np.full(n, np.inf)
     best_prim = np.full(n, -1, dtype=np.int32)
+    world_to_cam = sensor.pose.invert()
     for i, prim in enumerate(scene.primitives):
+        rays = _candidate_pixels(prim, world_to_cam, intr)
         inv = prim.pose.invert()
         o_l = inv.apply(origin)
-        d_l = inv.apply_direction(dirs_world)
+        d_l = inv.apply_direction(dirs_world[rays])
         t = _INTERSECTORS[prim.shape](prim, o_l, d_l)
-        closer = t < best_t
-        best_t[closer] = t[closer]
-        best_prim[closer] = i
+        closer = t < best_t[rays]
+        best_t[rays[closer]] = t[closer]
+        best_prim[rays[closer]] = i
 
     hit = np.isfinite(best_t) & (best_t <= scene.background_cap)
     depth_m = np.where(hit, best_t, 0.0)

@@ -1,17 +1,18 @@
 import itertools
+import socket
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tofscan.acquisition import (DeviceError, DeviceServer, IntegrityError, ScanClient,
-                                 load_session, save_session)
+                                 _recv_exact, load_session, save_session)
 from tofscan.capture import build_schedule, corrupt_device_frame
 from tofscan.experiments import SYNC_SCENE
 from tofscan.formats import decode_pgm16, decode_ppm, encode_pgm16
 from tofscan.geometry import RigidTransform
-from tofscan.protocol import (ErrorCode, Message, MessageKind, json_message,
-                              unpack_frame_payload)
+from tofscan.protocol import (ErrorCode, Message, MessageKind, encode_message, json_message,
+                              payload_json, read_message, unpack_frame_payload)
 from tofscan.render import rig_to_list
 from tofscan.rigs import known_object_rig
 from tofscan.scene import box, make_known_object_scene, scene_to_dict
@@ -235,3 +236,32 @@ class TestLoopback:
         victim.frames[frame_id] = (bytes(tampered), color, crc)
         with pytest.raises(IntegrityError, match="device 2"):
             client.fetch_frames(session, tmp_path)
+
+    def test_status_reports_the_server_counters(self, setup):
+        scene, rig = setup
+        server = DeviceServer(4, rig[4], scene=scene, rig=rig)
+        server.start_background()
+        try:
+            def exchange(data: bytes) -> Message:
+                with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+                    sock.sendall(data)
+                    return read_message(lambda n: _recv_exact(sock, n))
+
+            sched = build_schedule([s.device_id for s in rig], 160, 125)
+            replies = [exchange(encode_message(m)) for m in (
+                json_message(MessageKind.CONFIGURE, {"schedule": sched.to_json_dict()}),
+                json_message(MessageKind.TRIGGER, {"frame_id": 3, "seed": 2}),
+                json_message(MessageKind.FETCH, {"frame_id": 3}))]
+            assert replies[-1].kind is MessageKind.FRAME
+            malformed = exchange(b"XSCN" + encode_message(Message(MessageKind.STATUS))[4:])
+            assert malformed.kind is MessageKind.ERROR
+            replies.append(malformed)
+
+            ep = f"127.0.0.1:{server.port}"
+            status = payload_json(exchange(encode_message(Message(MessageKind.STATUS))))
+            assert status == {"state": "captured", "frames_rendered": 1,
+                              "bytes_sent": sum(len(encode_message(r)) for r in replies),
+                              "protocol_errors": 1}
+            assert ScanClient().status(ep) == "captured"
+        finally:
+            server.stop()

@@ -56,6 +56,26 @@ class TestKnownObject:
         assert len(report.runs) == 2
         assert len(report.failed_runs) == 1
 
+    def test_run_with_a_failed_edge_is_flagged_and_excluded(self, box_cfg, monkeypatch):
+        obj, cfg = box_cfg
+        real = experiments.run_pipeline
+        calls = {"n": 0}
+
+        def one_diverged_edge(c):
+            calls["n"] += 1
+            result = real(c)
+            if calls["n"] == 2:
+                result.graph.failed_edges.append((3, 2))
+            return result
+
+        monkeypatch.setattr(experiments, "run_pipeline", one_diverged_edge)
+        report = run_known_object_experiment("box-medium", obj, 2,
+                                             [RigidTransform.identity()], cfg)
+        assert report.seeds == [cfg.seed] and len(report.runs) == 1
+        assert len(report.failed_runs) == 1
+        seed, reason = report.failed_runs[0]
+        assert seed == cfg.seed + 1 and "diverged edges [(3, 2)]" in reason
+
 
 class TestInterference:
     def test_needs_delays(self, box_cfg):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+import tofscan.render as render_module
+from tofscan.experiments import KNOWN_CYLINDER
 from tofscan.geometry import CameraIntrinsics, RigidTransform
 from tofscan.render import (SensorModel, apply_interference, apply_tof_noise, observe_tags, render,
                             rig_from_list, rig_to_list)
-from tofscan.scene import Scene, box, cube_tag_layout, cylinder, superellipsoid
+from tofscan.rigs import cattle_rig, known_object_rig
+from tofscan.scene import (Scene, box, capsule, cube_tag_layout, cylinder, make_animal_model,
+                           make_known_object_scene, superellipsoid)
 
 INTR = CameraIntrinsics(fx=600, fy=600, cx=320, cy=240, width=640, height=480)
 CAM = SensorModel(0, INTR, RigidTransform.identity())
@@ -91,6 +95,87 @@ def test_mask_against_independent_march_oracle():
             t, label = march_first_hit(u, v)
             expect_fg = label == "target" and t <= scene.background_cap
             assert bool(rr.oracle_mask.data[v, u] == 255) == expect_fg, (u, v, t, label)
+
+
+SMALL = CameraIntrinsics(fx=50, fy=50, cx=31.5, cy=23.5, width=64, height=48)
+AT_ORIGIN = RigidTransform(np.eye(3), (0, 0, 0))
+
+
+def _crossing_scene():
+    """Two primitives whose bounding boxes reach behind the camera plane z = 0."""
+    return Scene((box((0.05, 0.05, 2.0), pose=RigidTransform(np.eye(3), (0.3, 0.0, 0.5))),
+                  superellipsoid(0.15, 0.15, 1.5, 0.8, 0.9,
+                                 pose=RigidTransform.from_axis_angle((0, 1, 0), 0.2,
+                                                                     (-0.3, 0.1, 0.6))),
+                  box((2.0, 2.0, 0.01), pose=RigidTransform(np.eye(3), (0, 0, 3.0)),
+                      label="background")), 5.0)
+
+
+def _off_screen_scene():
+    """A visible cylinder, a box wholly behind the camera and a box outside the view."""
+    return Scene((cylinder(0.2, 0.5, pose=RigidTransform(np.eye(3), (0, 0, 1.5))),
+                  box((0.3, 0.3, 0.3), pose=RigidTransform(np.eye(3), (0, 0, -2.0))),
+                  capsule(0.1, 0.4, pose=RigidTransform(np.eye(3), (10.0, 0, 2.0)))), 5.0)
+
+
+CULLING_CASES = {
+    "cattle": lambda: (make_animal_model(1.0), cattle_rig()[1]),
+    "known_object": lambda: (make_known_object_scene(KNOWN_CYLINDER), known_object_rig()[0]),
+    "crossing_camera_plane": lambda: (_crossing_scene(), SensorModel(0, SMALL, AT_ORIGIN)),
+    "off_screen": lambda: (_off_screen_scene(), SensorModel(0, SMALL, AT_ORIGIN)),
+}
+
+
+def _every_ray_first_hits(scene, sensor):
+    """(t, primitive index) of the first hit of every pixel ray on every primitive."""
+    dirs = sensor.pose.apply_direction(render_module._pixel_rays(sensor.intrinsics))
+    best_t = np.full(len(dirs), np.inf)
+    best = np.full(len(dirs), -1)
+    for i, prim in enumerate(scene.primitives):
+        inv = prim.pose.invert()
+        t = render_module._INTERSECTORS[prim.shape](prim, inv.apply(sensor.camera_center()),
+                                                    inv.apply_direction(dirs))
+        closer = t < best_t
+        best_t[closer] = t[closer]
+        best[closer] = i
+    return best_t, best
+
+
+class TestCulling:
+    @pytest.mark.parametrize("case", list(CULLING_CASES))
+    def test_culled_render_matches_every_ray(self, case, monkeypatch):
+        scene, sensor = CULLING_CASES[case]()
+        intr = sensor.intrinsics
+        culled = render(scene, sensor)
+        assert culled.depth.data.any()
+
+        t, prim = _every_ray_first_hits(scene, sensor)
+        hit = np.isfinite(t) & (t <= scene.background_cap)
+        depth = np.round(np.where(hit, t, 0.0) / intr.depth_scale)
+        target = np.array([p.label == "target" for p in scene.primitives] + [False])
+        assert np.array_equal(culled.depth.data.ravel(), depth.astype(np.uint16))
+        assert np.array_equal(culled.oracle_mask.foreground().ravel(), hit & target[prim])
+
+        # colour: the same render with every pixel a candidate for every primitive
+        monkeypatch.setattr(render_module, "_candidate_pixels",
+                            lambda p, w2c, i: np.arange(i.width * i.height))
+        every = render(scene, sensor)
+        assert culled.depth.data.tobytes() == every.depth.data.tobytes()
+        assert culled.color.data.tobytes() == every.color.data.tobytes()
+        assert culled.oracle_mask.data.tobytes() == every.oracle_mask.data.tobytes()
+
+    def test_candidate_sets_of_the_cases(self):
+        def sizes(case):
+            scene, sensor = CULLING_CASES[case]()
+            w2c = sensor.pose.invert()
+            return [len(render_module._candidate_pixels(p, w2c, sensor.intrinsics))
+                    for p in scene.primitives]
+
+        n = SMALL.width * SMALL.height
+        assert sizes("crossing_camera_plane")[:2] == [n, n]
+        assert sizes("off_screen")[1:] == [n, 0]
+        cattle = sizes("cattle")
+        assert 0 < min(cattle) and max(cattle) < 384 * 288
 
 
 class TestNoise:
