@@ -5,13 +5,17 @@ each crossed cube edge gets one vertex by linear interpolation, identified by
 a global (node, axis) key so that coincident vertices from neighboring cells,
 and from neighboring evaluation slabs in streaming mode, weld exactly.
 Triangles wind counter-clockwise seen from outside (positive signed volume
-for a closed surface around an inside-positive region).
+for a closed surface around an inside-positive region). In streaming mode the
+slabs are sampled and meshed on the ``parallel`` pool, and triangles come out
+in cell order, as from one whole-grid pass, whatever the slab size or worker
+count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import parallel
 from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 
 __all__ = ["marching_cubes_grid", "marching_cubes_stream", "padded_grid", "PAD_CELLS"]
@@ -50,16 +54,16 @@ def _cell_cases(values: np.ndarray) -> np.ndarray:
 
 
 def _emit(values: np.ndarray, base_index: np.ndarray, grid_shape):
-    """Edge keys and per-triangle key triplets for one block of node values.
+    """Edge keys, positions, per-triangle key triplets and cell indices of one block.
 
     ``base_index`` is the global (i, j, k) of values[0, 0, 0]; ``grid_shape``
-    is the full grid node count used for key packing.
+    is the full grid node count used for key and cell index packing.
     """
     case = _cell_cases(values)
     active = np.nonzero((case != 0) & (case != 255))
     if len(active[0]) == 0:
         return (np.empty(0, np.int64), np.empty((0, 3), np.float64),
-                np.empty((0, 3), np.int64))
+                np.empty((0, 3), np.int64), np.empty(0, np.int64))
     acase = case[active].astype(np.int64)
     nref = _NREF[acase]
     refs = _TRI_PAD[acase]                      # (A, 16)
@@ -93,13 +97,22 @@ def _emit(values: np.ndarray, base_index: np.ndarray, grid_shape):
     pos[np.arange(len(ukeys)), uax] += t
 
     tri_keys = keys.reshape(-1, 3)
-    return ukeys, pos, tri_keys
+    tri_cells = (ci[::3] * gy + cj[::3]) * gz + ck[::3]
+    return ukeys, pos, tri_keys, tri_cells
 
 
-def _assemble(all_keys, all_pos, all_tris, origin, spacing):
+def _assemble(parts, origin, spacing):
+    """Weld the ``_emit`` parts of disjoint cell blocks into (vertices, triangles).
+
+    Triangles of several parts are put in global cell order (stable, so a
+    cell keeps its table order); a single part already is.
+    """
+    all_keys, all_pos, all_tris, all_cells = zip(*parts)
     keys = np.concatenate(all_keys)
     pos = np.vstack(all_pos)
-    tris = np.vstack(all_tris) if all_tris else np.empty((0, 3), np.int64)
+    tris = np.vstack(all_tris)
+    if len(parts) > 1:
+        tris = tris[np.argsort(np.concatenate(all_cells), kind="stable")]
     ukeys, first = np.unique(keys, return_index=True)
     verts = pos[first] * np.asarray(spacing, dtype=np.float64) + np.asarray(origin, dtype=np.float64)
     remap = np.searchsorted(ukeys, tris.reshape(-1))
@@ -123,27 +136,29 @@ def marching_cubes_grid(values: np.ndarray, origin, spacing):
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 3 or min(values.shape) < 2:
         raise ValueError(f"need a 3D node grid with >= 2 nodes per axis, got {values.shape}")
-    keys, pos, tris = _emit(values, np.zeros(3, dtype=np.int64), values.shape)
-    return _assemble([keys], [pos], [tris], origin, spacing)
+    part = _emit(values, np.zeros(3, dtype=np.int64), values.shape)
+    return _assemble([part], origin, spacing)
 
 
-def marching_cubes_stream(sample_fn, origin, spacing, shape, max_slab_nodes: int = 30_000_000):
+def marching_cubes_stream(sample_fn, origin, spacing, shape, max_slab_nodes: int = 8_000_000):
     """Iso-surface of a grid too large to hold at once.
 
     ``sample_fn(k0, k1)`` must return node values[:, :, k0:k1] of shape
-    (shape[0], shape[1], k1-k0). Slabs overlap by one node plane, and shared
-    edge keys weld exactly because both evaluations see identical node values.
+    (shape[0], shape[1], k1-k0); it is called from the ``parallel`` pool's
+    threads, one slab each. ``max_slab_nodes`` bounds the nodes of all slabs
+    in flight across those threads (each slab keeps at least 2 planes).
+    Slabs overlap by one node plane, and shared edge keys weld exactly because
+    both evaluations see identical node values. The mesh, triangle order
+    included, is the whole-grid one for any slab size and worker count.
     """
     gx, gy, gz = shape
-    slab = max(2, min(gz, max_slab_nodes // max(1, gx * gy)))
-    all_keys, all_pos, all_tris = [], [], []
-    k0 = 0
-    while k0 < gz - 1:
+    slab = max(2, min(gz, max_slab_nodes // max(1, gx * gy * (parallel.WORKERS + 1))))
+
+    def mesh_slab(k0):
         k1 = min(gz, k0 + slab)
         values = np.asarray(sample_fn(k0, k1), dtype=np.float64)
-        keys, pos, tris = _emit(values, np.array([0, 0, k0], dtype=np.int64), shape)
-        all_keys.append(keys)
-        all_pos.append(pos)
-        all_tris.append(tris)
-        k0 = k1 - 1  # one-plane overlap so boundary cells exist in exactly one slab
-    return _assemble(all_keys, all_pos, all_tris, origin, spacing)
+        return _emit(values, np.array([0, 0, k0], dtype=np.int64), shape)
+
+    # one-plane overlap so boundary cells exist in exactly one slab
+    return _assemble(parallel.map_ordered(mesh_slab, range(0, gz - 1, slab - 1)),
+                     origin, spacing)

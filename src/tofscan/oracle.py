@@ -15,7 +15,9 @@ a positive gradient norm). Pass 2 computes the exact union value only at nodes
 whose sign differs from a neighbor's in the slab; every other node gets +1 or
 -1. Marching cubes reads node values only at the two ends of a sign-changing
 edge, and a slab's cells only have edges between its own planes, so the mesh
-is the one that exact values at every node would give.
+is the one that exact values at every node would give. Slabs are sampled and
+meshed on the ``parallel`` pool (``marching_cubes_stream``), and the mesh's
+triangles come out in cell order, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import numpy as np
 
 from .marching import marching_cubes_stream, padded_grid
-from .metrology import MeshMeasurements, surface_area, volume
+from .metrology import MeshMeasurements, NotWatertightError, surface_area, volume
 from .reconstruction import TriangleMesh
 from .scene import Scene, ScenePrimitive
 
@@ -128,15 +130,14 @@ def _union_sampler(scene: Scene, spacing: float) -> tuple:
 
 def _voxelize_measurements(scene: Scene, spacing: float) -> tuple:
     origin, shape, sample = _union_sampler(scene, spacing)
-    verts, tris = marching_cubes_stream(sample, origin, spacing, shape,
-                                        max_slab_nodes=8_000_000)
+    verts, tris = marching_cubes_stream(sample, origin, spacing, shape)
     if len(tris) == 0:
         raise OracleUnreliableError(f"no surface at spacing {spacing} "
                                     "(feature thinner than the grid?)")
     mesh = TriangleMesh(verts, tris)
     try:
         vol = volume(mesh)
-    except Exception as e:
+    except NotWatertightError as e:
         raise OracleUnreliableError(f"voxelization at spacing {spacing} is not "
                                     f"a closed surface: {e}") from e
     return MeshMeasurements(surface_area(mesh), vol), mesh

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from tofscan import parallel
 from tofscan.marching import marching_cubes_grid, marching_cubes_stream
 from tofscan.mc_tables import EDGE_TABLE, TRI_TABLE
 
@@ -56,7 +58,48 @@ def test_stream_matches_block():
     v2, t2 = marching_cubes_stream(lambda k0, k1: f[:, :, k0:k1], origin, spacing,
                                    f.shape, max_slab_nodes=40 * 40 * 7)
     assert np.array_equal(verts, v2)
-    assert set(map(tuple, tris)) == set(map(tuple, t2))
+    assert np.array_equal(tris, t2)
+
+
+@pytest.mark.parametrize("n_workers", [0, 3])
+def test_stream_slabs_in_flight_stay_within_budget(workers, n_workers):
+    """All slabs the pool can hold at once fit in ``max_slab_nodes``, and they tile the grid."""
+    workers(n_workers)
+    f, origin, spacing = sphere_field(40)
+    budget = 40 * 40 * 20
+    calls = []
+
+    def sample(k0, k1):
+        calls.append((k0, k1))
+        return f[:, :, k0:k1]
+
+    marching_cubes_stream(sample, origin, spacing, f.shape, max_slab_nodes=budget)
+    assert len(calls) > 1
+    for k0, k1 in calls:
+        if k1 - k0 > 2:
+            assert (k1 - k0) * 40 * 40 * (parallel.WORKERS + 1) <= budget
+    calls.sort()
+    assert calls[0][0] == 0 and calls[-1][1] == 40
+    assert all(b[0] == a[1] - 1 for a, b in zip(calls, calls[1:]))
+
+
+class SlabError(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("n_workers", [0, 3])
+def test_stream_raises_the_sampler_error(workers, n_workers):
+    workers(n_workers)
+    f, origin, spacing = sphere_field(40)
+
+    def sample(k0, k1):
+        if k0 == 3:  # the second slab of four planes
+            raise SlabError(f"slab {k0}:{k1}")
+        return f[:, :, k0:k1]
+
+    with pytest.raises(SlabError, match="slab 3:7"):
+        marching_cubes_stream(sample, origin, spacing, f.shape,
+                              max_slab_nodes=40 * 40 * 4 * (parallel.WORKERS + 1))
 
 
 def test_empty_and_full_fields():

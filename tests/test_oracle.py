@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tofscan import parallel
 from tofscan.oracle import (OracleUnreliableError, closed_form_measurements, oracle_mesh,
                             oracle_measurements)
 from tofscan.reconstruction import euler_characteristic, is_watertight
@@ -63,22 +64,32 @@ def _overlap_scene():
 
 
 def test_union_sampler_slabs_weld_exactly():
-    """Streaming in 3+ slabs gives the same vertices and triangles as one slab.
-
-    Triangles come out slab by slab, so the two lists are compared as sorted rows.
-    """
-    from tofscan.marching import marching_cubes_stream
+    """Streaming in 3+ slabs gives the whole-grid vertices and triangles, in the same order."""
+    from tofscan.marching import marching_cubes_grid, marching_cubes_stream
     from tofscan.oracle import _union_sampler
     origin, shape, sample = _union_sampler(_overlap_scene(), 0.006)
-    whole = marching_cubes_stream(sample, origin, 0.006, shape,
-                                  max_slab_nodes=shape[0] * shape[1] * shape[2])
-    plane = shape[0] * shape[1]
+    whole = marching_cubes_grid(sample(0, shape[2]), origin, 0.006)
+    plane = shape[0] * shape[1] * (parallel.WORKERS + 1)
     slabs = marching_cubes_stream(sample, origin, 0.006, shape,
                                   max_slab_nodes=plane * (shape[2] // 4))
     assert shape[2] // 4 >= 2 and len(whole[1]) > 0
     assert np.array_equal(whole[0], slabs[0])
-    assert np.array_equal(np.unique(whole[1], axis=0), np.unique(slabs[1], axis=0))
-    assert len(whole[1]) == len(slabs[1])
+    assert np.array_equal(whole[1], slabs[1])
+
+
+def test_union_sampler_stream_is_identical_across_worker_counts(workers):
+    """The streamed mesh has the same bytes at 0, 1 and 3 workers (8, 4 and 2 planes a slab)."""
+    from tofscan.marching import marching_cubes_stream
+    from tofscan.oracle import _union_sampler
+    origin, shape, sample = _union_sampler(_overlap_scene(), 0.006)
+    meshes = []
+    for n in (0, 1, 3):
+        workers(n)
+        verts, tris = marching_cubes_stream(sample, origin, 0.006, shape,
+                                            max_slab_nodes=shape[0] * shape[1] * 8)
+        meshes.append((verts.tobytes(), tris.tobytes(), tris.shape))
+    assert len(meshes[0][1]) > 0
+    assert meshes[1] == meshes[0] and meshes[2] == meshes[0]
 
 
 def test_union_sampler_mesh_matches_dense_union_sdf():
