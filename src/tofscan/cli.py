@@ -90,6 +90,9 @@ def _cmd_scan(args) -> int:
     from .protocol import ProtocolError
 
     endpoints = [e.strip() for e in args.endpoints.split(",") if e.strip()]
+    if not endpoints:
+        print(f"--endpoints {args.endpoints!r} names no host:port", file=sys.stderr)
+        return 2
     client = ScanClient()
     ids = []
     for ep in endpoints:
@@ -168,9 +171,13 @@ def _cmd_register(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     from .formats import read_ply, write_ply
+    from .geometry import PointCloud
     from .reconstruction import estimate_normals, poisson_reconstruct
 
     cloud = read_ply(args.cloud)
+    if not isinstance(cloud, PointCloud):
+        print(f"{args.cloud} is a mesh PLY, not a point cloud", file=sys.stderr)
+        return 2
     mesh = poisson_reconstruct(estimate_normals(cloud), resolution=args.resolution)
     write_ply(args.out, vertices=mesh.vertices, triangles=mesh.triangles)
     print(f"wrote {args.out}: {len(mesh.vertices)} vertices, {len(mesh.triangles)} triangles")
@@ -179,11 +186,15 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_measure(args) -> int:
     from .formats import read_ply
+    from .geometry import PointCloud
     from .metrology import surface_area, volume
     from .reconstruction import TriangleMesh, is_watertight
 
-    verts, tris = read_ply(args.mesh)
-    mesh = TriangleMesh(verts, tris)
+    data = read_ply(args.mesh)
+    if isinstance(data, PointCloud):
+        print(f"{args.mesh} is a point-cloud PLY, not a mesh", file=sys.stderr)
+        return 2
+    mesh = TriangleMesh(*data)
     ok, boundary = is_watertight(mesh)
     print(f"surface_area_m2 {surface_area(mesh):.6f}")
     if ok:

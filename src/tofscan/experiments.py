@@ -128,6 +128,19 @@ def _measured_run(cfg: RunConfig) -> MeshMeasurements:
     return result.measurements
 
 
+def _study(object_id: str, reference: MeshMeasurements, cfgs) -> ExperimentReport:
+    """One measured run per config, in order; a failed run is logged and recorded by seed."""
+    runs, seeds, failed = [], [], []
+    for cfg in cfgs:
+        try:
+            runs.append(_measured_run(cfg))
+            seeds.append(cfg.seed)
+        except PipelineError as e:
+            logger.warning("%s run seed %d failed: %s", object_id, cfg.seed, e)
+            failed.append((cfg.seed, str(e)))
+    return ExperimentReport(object_id, runs, seeds, reference, failed)
+
+
 def run_known_object_experiment(object_id: str, obj: ScenePrimitive, n_runs: int,
                                 orientations: list[RigidTransform],
                                 cfg: RunConfig) -> ExperimentReport:
@@ -141,7 +154,7 @@ def run_known_object_experiment(object_id: str, obj: ScenePrimitive, n_runs: int
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     reference = oracle_measurements(obj)
-    runs, seeds, failed = [], [], []
+    cfgs = []
     for oi, orient in enumerate(orientations):
         # rotate in place about the object's own center so it stays in the rig
         center = obj.pose.translation
@@ -149,15 +162,9 @@ def run_known_object_experiment(object_id: str, obj: ScenePrimitive, n_runs: int
                               center + orient.translation)
         posed = replace(obj, pose=pose)
         scene = Scene(make_known_object_scene(posed).primitives, cfg.scene.background_cap)
-        for run in range(n_runs):
-            seed = cfg.seed + 1000 * oi + run
-            try:
-                runs.append(_measured_run(replace(cfg, scene=scene, seed=seed)))
-                seeds.append(seed)
-            except PipelineError as e:
-                logger.warning("run (orientation %d, seed %d) failed: %s", oi, seed, e)
-                failed.append((seed, str(e)))
-    return ExperimentReport(object_id, runs, seeds, reference, failed)
+        cfgs += [replace(cfg, scene=scene, seed=cfg.seed + 1000 * oi + run)
+                 for run in range(n_runs)]
+    return _study(object_id, reference, cfgs)
 
 
 def run_interference_experiment(delays_us: list[int], cfg: RunConfig,
@@ -196,16 +203,8 @@ def run_animal_experiment(scale: float, n_runs: int, cfg: RunConfig,
         raise ValueError("the scan protocol uses at least 5 runs per animal")
     if reference is None:
         reference = oracle_measurements(cfg.scene, spacing=_ORACLE_SPACING * scale)
-    runs, seeds, failed = [], [], []
-    for run in range(n_runs):
-        seed = cfg.seed + run
-        try:
-            runs.append(_measured_run(replace(cfg, seed=seed)))
-            seeds.append(seed)
-        except PipelineError as e:
-            logger.warning("animal run seed %d failed: %s", seed, e)
-            failed.append((seed, str(e)))
-    return ExperimentReport(f"animal-x{scale:g}", runs, seeds, reference, failed)
+    return _study(f"animal-x{scale:g}", reference,
+                  [replace(cfg, seed=cfg.seed + run) for run in range(n_runs)])
 
 
 def target_surface_count(cloud_points: np.ndarray, scene: Scene, tol: float = 0.02) -> int:

@@ -2,7 +2,7 @@
 merge -> reconstruct -> measure, with session-directory persistence.
 
 Registration is initialized from a calibration pass: the fiducial cube is
-observed by the same rig (exact simulated tag corners plus configurable corner
+observed by the same rig (exact simulated tag corners plus 1 mm of corner
 noise) and the resulting pairwise estimates seed the colored ICP chain on the
 actual scan clouds, mirroring a cube calibration followed by an animal scan.
 """
@@ -25,11 +25,14 @@ from .registration import (MultiScaleParams, PoseGraph, make_observations, merge
                            register_rig, save_pose_graph)
 from .render import observe_tags
 from .scene import Scene, cube_tag_layout
-from .segmentation import ArbitrationMode, MaskPair, fuse, load_masks
+from .segmentation import ArbitrationMode, MaskPair, fuse
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["RunConfig", "PipelineError", "PipelineResult", "run_pipeline"]
+
+# sigma of the calibration pass's tag-corner noise, in meters
+_CORNER_NOISE_SIGMA = 0.001
 
 
 class PipelineError(RuntimeError):
@@ -45,10 +48,12 @@ class PipelineError(RuntimeError):
 class RunConfig:
     """Everything one pipeline run needs; identical configs give identical output.
 
-    Masks are fused by one-vote OR, the calibration cube sits at the centre of
-    the target's bounding box, the first device of the chain is the reference
-    frame, the merged cloud is deduplicated at half the finest ICP voxel, and
-    the Poisson solve must reach a relative residual of 1e-6.
+    Every run reconstructs and measures a mesh. The masks are the renderer's
+    label masks, fused by one-vote OR; the calibration cube sits at the centre
+    of the target's bounding box and its tag corners carry 1 mm of noise; the
+    first device of the chain is the reference frame, the merged cloud is
+    deduplicated at half the finest ICP voxel, and the Poisson solve must
+    reach a relative residual of 1e-6.
     """
 
     scene: Scene
@@ -58,13 +63,10 @@ class RunConfig:
     seed: int = 0
     registration: MultiScaleParams = field(default_factory=MultiScaleParams)
     resolution: int = 128
-    masks_dir: str | None = None             # None -> simulator oracle masks
     cube_edge: float = 0.5
     cube_tags_per_face: int = 1
-    corner_noise_sigma: float = 0.001
     chain_order: tuple | None = None         # defaults to rig device-id order
     out_dir: str | None = None
-    reconstruct: bool = True                 # False: stop after the merged cloud
 
     def __post_init__(self):
         object.__setattr__(self, "rig", tuple(self.rig))
@@ -99,7 +101,7 @@ def _calibration_observations(cfg: RunConfig):
     for sensor in cfg.rig:
         exact = observe_tags(layout, center, sensor)
         rng = np.random.default_rng((cfg.seed * 9973 + sensor.device_id * 7919) & 0x7FFFFFFF)
-        fiducials[sensor.device_id] = make_observations(exact, cfg.corner_noise_sigma, rng)
+        fiducials[sensor.device_id] = make_observations(exact, _CORNER_NOISE_SIGMA, rng)
     return fiducials, layout
 
 
@@ -115,17 +117,12 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     capture = _stage("capture")(simulate_capture, cfg.scene, cfg.rig, schedule, cfg.seed)
 
     device_ids = sorted(capture.frames)
-    if cfg.masks_dir is not None:
-        pairs = _stage("segmentation")(load_masks, cfg.masks_dir, device_ids)
-    else:
-        pairs = {dev: MaskPair(capture.frames[dev].oracle_mask, capture.frames[dev].oracle_mask)
-                 for dev in device_ids}
-
     sensors = {s.device_id: s for s in cfg.rig}
     clouds: dict[int, PointCloud] = {}
     for dev in device_ids:
         frame = capture.frames[dev]
-        fused = _stage("segmentation")(fuse, pairs[dev], ArbitrationMode.ONE_VOTE_OR)
+        fused = _stage("segmentation")(fuse, MaskPair(frame.oracle_mask, frame.oracle_mask),
+                                       ArbitrationMode.ONE_VOTE_OR)
         clouds[dev] = _stage("back-projection")(
             back_project, frame.depth, sensors[dev].intrinsics, frame.color, fused)
         if out is not None:
@@ -144,23 +141,19 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     merged = _stage("merge")(merge_clouds, reachable, graph,
                              cfg.registration.voxel_sizes[-1] / 2)
 
-    mesh = None
-    measurements = None
-    if cfg.reconstruct:
-        centers = {dev: graph.global_poses[dev].translation for dev in graph.global_poses}
-        oriented = _stage("normal-estimation")(estimate_normals, merged, centers)
-        mesh = _stage("reconstruction")(poisson_reconstruct, oriented, cfg.resolution)
-        measurements = _stage("metrology")(measure_mesh, mesh)
+    centers = {dev: graph.global_poses[dev].translation for dev in graph.global_poses}
+    oriented = _stage("normal-estimation")(estimate_normals, merged, centers)
+    mesh = _stage("reconstruction")(poisson_reconstruct, oriented, cfg.resolution)
+    measurements = _stage("metrology")(measure_mesh, mesh)
 
     if out is not None:
         write_ply(out / "clouds" / "merged.ply", merged)
-        if mesh is not None:
-            write_ply(out / "mesh.ply", vertices=mesh.vertices, triangles=mesh.triangles)
+        write_ply(out / "mesh.ply", vertices=mesh.vertices, triangles=mesh.triangles)
         save_pose_graph(out / "poses.json", graph)
         write_retention_csv(out / "retention.csv", capture.retention)
         (out / "session.json").write_text(json.dumps({
             "seed": cfg.seed, "delay_us": cfg.delay_us, "exposure_us": cfg.exposure_us,
             "arbitration": ArbitrationMode.ONE_VOTE_OR.value, "resolution": cfg.resolution,
-            "surface_area_m2": None if measurements is None else measurements.surface_area,
-            "volume_m3": None if measurements is None else measurements.volume}, indent=2))
+            "surface_area_m2": measurements.surface_area, "volume_m3": measurements.volume},
+            indent=2))
     return PipelineResult(measurements, mesh, merged, graph, capture)

@@ -40,7 +40,7 @@ __all__ = [
     "FiducialObservation", "MultiScaleParams", "RegistrationResult", "PoseGraph",
     "make_observations", "estimate_pose_from_fiducials",
     "voxel_downsample", "colored_icp", "register_rig", "merge_clouds",
-    "save_pose_graph", "load_pose_graph", "rodrigues", "apply_increment",
+    "save_pose_graph", "rodrigues", "apply_increment",
 ]
 
 
@@ -469,14 +469,3 @@ def save_pose_graph(path, graph: PoseGraph) -> None:
            "failed_edges": [list(e) for e in graph.failed_edges],
            "global_poses": {str(d): t.to_json_dict() for d, t in graph.global_poses.items()}}
     Path(path).write_text(json.dumps(doc, indent=2))
-
-
-def load_pose_graph(path) -> PoseGraph:
-    doc = json.loads(Path(path).read_text())
-    edges = {(e["a"], e["b"]): RegistrationResult(
-        RigidTransform.from_json_dict(e["transform"]), e["rmse"], e["fitness"])
-        for e in doc["edges"]}
-    poses = {int(d): RigidTransform.from_json_dict(t)
-             for d, t in doc["global_poses"].items()}
-    return PoseGraph(doc["reference"], edges, poses,
-                     [tuple(e) for e in doc.get("failed_edges", [])])

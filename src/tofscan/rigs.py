@@ -24,16 +24,18 @@ KNOWN_OBJECT_CHAIN = (0, 1, 3, 2, 4, 5, 7, 6, 8, 9)
 CATTLE_CHAIN = (3, 2, 1, 0, 4, 7, 6, 5)
 
 
-def look_at(eye, center, up=(0.0, 0.0, 1.0)) -> RigidTransform:
-    """Camera-to-world pose: +z toward ``center``, +y roughly against ``up``."""
+def look_at(eye, center) -> RigidTransform:
+    """Camera-to-world pose: +z toward ``center``, +y (image down) roughly along world -z.
+
+    A view along world ±z takes its right axis from world +x instead.
+    """
     eye = np.asarray(eye, dtype=np.float64)
     f = np.asarray(center, dtype=np.float64) - eye
     nf = np.linalg.norm(f)
     if nf == 0:
         raise ValueError("eye and center coincide")
     f = f / nf
-    up = np.asarray(up, dtype=np.float64)
-    r = np.cross(f, up)
+    r = np.cross(f, (0.0, 0.0, 1.0))
     if np.linalg.norm(r) < 1e-9:
         r = np.cross(f, (1.0, 0.0, 0.0))
     r = r / np.linalg.norm(r)
@@ -57,9 +59,11 @@ CATTLE_INTRINSICS = default_intrinsics(384, 288)
 RING_RODS, RING_RADIUS, RING_CENTER, ROD_HEIGHTS = 5, 1.2, (0.0, 0.0, 0.8), (0.45, 1.15)
 
 
-def known_object_rig(sigma0: float = SENSOR_SIGMA0,
-                     sigma1: float = SENSOR_SIGMA1) -> list[SensorModel]:
-    """Sensors paired on rods around a suspended object; ids walk rod by rod."""
+def known_object_rig() -> list[SensorModel]:
+    """Sensors paired on rods around a suspended object; ids walk rod by rod.
+
+    Every sensor has the tuned noise ``SENSOR_SIGMA0``, ``SENSOR_SIGMA1``.
+    """
     rig = []
     for k in range(RING_RODS):
         angle = 2 * np.pi * k / RING_RODS
@@ -67,7 +71,8 @@ def known_object_rig(sigma0: float = SENSOR_SIGMA0,
         y = RING_CENTER[1] + RING_RADIUS * np.sin(angle)
         for z in ROD_HEIGHTS:
             pose = look_at((x, y, z), RING_CENTER)
-            rig.append(SensorModel(len(rig), KNOWN_OBJECT_INTRINSICS, pose, sigma0, sigma1))
+            rig.append(SensorModel(len(rig), KNOWN_OBJECT_INTRINSICS, pose,
+                                   SENSOR_SIGMA0, SENSOR_SIGMA1))
     return rig
 
 

@@ -32,6 +32,24 @@ def test_measure_open_mesh(tmp_path, capsys):
     assert "not watertight" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, flag, kind", [("measure", "--mesh", "point-cloud"),
+                                                  ("reconstruct", "--cloud", "mesh")])
+def test_wrong_kind_of_ply_is_named(tmp_path, capsys, command, flag, kind):
+    """A point-cloud PLY given as a mesh, or a mesh PLY as a cloud, names the path with exit 2."""
+    path = tmp_path / "input.ply"
+    if kind == "mesh":
+        mesh = unit_cube_mesh()
+        write_ply(path, vertices=mesh.vertices, triangles=mesh.triangles)
+    else:
+        write_ply(path, PointCloud(np.eye(3)))
+    out = tmp_path / "out.ply"
+    extra = ["--out", str(out)] if command == "reconstruct" else []
+    assert main([command, flag, str(path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and f"{kind} PLY" in err
+    assert not out.exists()
+
+
 def test_reconstruct_command(tmp_path, capsys, rng):
     v = rng.standard_normal((9000, 3))
     v /= np.linalg.norm(v, axis=1)[:, None]
@@ -95,6 +113,14 @@ def test_scan_endpoint_not_host_port(tmp_path, capsys, endpoint):
     assert main(["scan", "--endpoints", endpoint, "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert f"device at {endpoint} unreachable" in err and "host:port" in err
+    assert not out_dir.exists()
+
+
+def test_scan_without_endpoints(tmp_path, capsys):
+    """An --endpoints list with no entries is named on stderr with exit 2, before any session."""
+    out_dir = tmp_path / "scan"
+    assert main(["scan", "--endpoints", ",", "--out", str(out_dir)]) == 2
+    assert "--endpoints ','" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

@@ -6,6 +6,7 @@ import pytest
 from dataclasses import replace
 
 import tofscan.experiments as experiments
+from tofscan import pipeline
 from tofscan.experiments import (KNOWN_BOXES, ExperimentReport, known_object_config,
                                  run_animal_experiment, run_interference_experiment,
                                  run_known_object_experiment, target_surface_count,
@@ -13,7 +14,6 @@ from tofscan.experiments import (KNOWN_BOXES, ExperimentReport, known_object_con
 from tofscan.geometry import RigidTransform
 from tofscan.metrology import MeshMeasurements
 from tofscan.pipeline import PipelineError
-from tofscan.rigs import known_object_rig
 from tofscan.scene import make_known_object_scene
 
 
@@ -117,17 +117,17 @@ class TestAnimal:
         assert report.object_id == "animal-x2"
 
 
-def test_noise_free_box_is_tightest_case():
+def test_noise_free_box_is_tightest_case(monkeypatch):
     """Zero sensor noise, zero interference, exact fiducials: errors <= 2%.
 
     Resolution 192: the residual area deficit is the marching-cubes edge
     chamfer (about one cell radius along the 12 box edges), which needs cells
     below ~2.5 mm on this box to stay inside the 2% bound.
     """
+    monkeypatch.setattr(pipeline, "_CORNER_NOISE_SIGMA", 0.0)
     obj = KNOWN_BOXES["medium"]
-    cfg = replace(known_object_config(make_known_object_scene(obj)),
-                  rig=tuple(known_object_rig(sigma0=0.0, sigma1=0.0)),
-                  corner_noise_sigma=0.0, resolution=192)
+    cfg = known_object_config(make_known_object_scene(obj), resolution=192)
+    cfg = replace(cfg, rig=tuple(replace(s, sigma0=0.0, sigma1=0.0) for s in cfg.rig))
     report = run_known_object_experiment("box-medium", obj, 1, [RigidTransform.identity()],
                                          cfg)
     assert not report.failed_runs

@@ -1,0 +1,52 @@
+"""The names, signatures and settings of the program that the benchmark uses.
+
+``perfbench/`` imports the program by name: the tracer rebinds entry points
+in their modules, and the workloads build rigs and run configs with keyword
+arguments. A change to any of those breaks the benchmark but no other test,
+so these checks run each of those uses once, without timing anything.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from tofscan import pipeline
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("tracer"), importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_every_traced_entry_point_exists(perfbench):
+    tracer, _ = perfbench
+    with tracer.Tracer().installed() as t:
+        assert t.missing == []
+
+
+@pytest.mark.parametrize("name", ["cattle_scan", "loopback_acquire", "animal_oracle"])
+def test_workload_setup_and_close(perfbench, tmp_path, name):
+    _, workloads = perfbench
+    workload = workloads.WORKLOADS[name](1, tmp_path)
+    try:
+        workload.setup()
+    finally:
+        workload.close()
+
+
+def test_cattle_scan_builds_its_run_config(perfbench, tmp_path, monkeypatch):
+    _, workloads = perfbench
+    workload = workloads.CattleScan(1, tmp_path)
+    workload.setup()
+    monkeypatch.setattr(pipeline, "run_pipeline", lambda cfg: cfg)
+    cfg = workload.run_op(0)
+    assert isinstance(cfg, pipeline.RunConfig)
+    assert cfg.seed == 1 and len(cfg.rig) == 8

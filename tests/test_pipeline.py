@@ -83,7 +83,7 @@ def test_worker_exception_is_a_registration_error(cylinder_cfg, workers, monkeyp
 
     monkeypatch.setattr(registration, "_icp", icp)
     with pytest.raises(PipelineError) as e:
-        run_pipeline(replace(cylinder_cfg, reconstruct=False))
+        run_pipeline(cylinder_cfg)
     assert raised.is_set()
     assert e.value.stage == "registration"
     assert type(e.value.cause) is RuntimeError
@@ -103,23 +103,26 @@ def test_chute_points_absent_from_merged_cloud(cylinder_cfg):
 
 
 def test_stage_name_attached_to_errors(cylinder_cfg):
-    bad = replace(cylinder_cfg, masks_dir="/nonexistent/masks")
+    """A scene with only the background ground slab fails in capture, with the cause kept."""
+    ground_only = Scene(cylinder_cfg.scene.labeled("background"), background_cap=5.0)
     with pytest.raises(PipelineError) as e:
-        run_pipeline(bad)
-    assert e.value.stage == "segmentation"
+        run_pipeline(replace(cylinder_cfg, scene=ground_only))
+    assert e.value.stage == "capture"
+    assert type(e.value.cause) is ValueError
+    assert str(e.value.cause) == "scene has no target-labeled primitive"
 
 
-def test_unsynchronized_capture_guts_the_merged_cloud(cylinder_cfg):
+def test_unsynchronized_capture_guts_the_merged_cloud(cylinder_cfg, cylinder_run):
     """Zero delay leaves <= 20% of the synchronized on-target point count."""
     from tofscan.experiments import target_surface_count
     sensors = {s.device_id: s for s in cylinder_cfg.rig}
 
-    sync = run_pipeline(replace(cylinder_cfg, reconstruct=False))
+    sync, _ = cylinder_run
     world = sensors[sync.graph.reference].pose.apply(sync.merged.points)
     n_sync = target_surface_count(world, cylinder_cfg.scene)
     assert n_sync > 1000
 
-    degraded = run_pipeline(replace(cylinder_cfg, delay_us=0, reconstruct=False))
+    degraded = run_pipeline(replace(cylinder_cfg, delay_us=0))
     world0 = sensors[degraded.graph.reference].pose.apply(degraded.merged.points)
     n0 = target_surface_count(world0, cylinder_cfg.scene)
     assert n0 <= 0.20 * n_sync
