@@ -62,7 +62,23 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _InputError as e:
+        print(e, file=sys.stderr)
+        return 2
+
+
+class _InputError(Exception):
+    """A file named on the command line could not be read."""
+
+
+def _read(loader, path):
+    """``loader(path)``, with a missing or malformed file raised as an _InputError naming it."""
+    try:
+        return loader(path)
+    except (OSError, ValueError) as e:
+        raise _InputError(f"cannot read {path}: {e}") from e
 
 
 def _cmd_serve(args) -> int:
@@ -70,13 +86,13 @@ def _cmd_serve(args) -> int:
     from .render import load_rig
     from .scene import load_scene
 
-    rig = load_rig(args.rig)
+    rig = _read(load_rig, args.rig)
     sensors = {s.device_id: s for s in rig}
     if args.device_id not in sensors:
         print(f"device {args.device_id} not in rig file", file=sys.stderr)
         return 2
     server = DeviceServer(args.device_id, sensors[args.device_id],
-                          scene=load_scene(args.scene), rig=rig)
+                          scene=_read(load_scene, args.scene), rig=rig)
     try:
         server.serve_forever(args.host, args.port)
     except KeyboardInterrupt:
@@ -152,7 +168,7 @@ def _cmd_register(args) -> int:
     clouds = {}
     for f in sorted((session / "clouds").glob("*.ply")):
         if f.stem.isdigit():
-            clouds[int(f.stem)] = read_ply(f)
+            clouds[int(f.stem)] = _read(read_ply, f)
     if not clouds:
         print(f"no per-device clouds under {session}/clouds", file=sys.stderr)
         return 2
@@ -174,7 +190,7 @@ def _cmd_reconstruct(args) -> int:
     from .geometry import PointCloud
     from .reconstruction import estimate_normals, poisson_reconstruct
 
-    cloud = read_ply(args.cloud)
+    cloud = _read(read_ply, args.cloud)
     if not isinstance(cloud, PointCloud):
         print(f"{args.cloud} is a mesh PLY, not a point cloud", file=sys.stderr)
         return 2
@@ -190,7 +206,7 @@ def _cmd_measure(args) -> int:
     from .metrology import surface_area, volume
     from .reconstruction import TriangleMesh, is_watertight
 
-    data = read_ply(args.mesh)
+    data = _read(read_ply, args.mesh)
     if isinstance(data, PointCloud):
         print(f"{args.mesh} is a point-cloud PLY, not a mesh", file=sys.stderr)
         return 2
@@ -213,7 +229,9 @@ def _cmd_experiment(args) -> int:
     from .rigs import known_object_rig
     from .scene import make_animal_model, make_known_object_scene
 
-    overrides = json.loads(Path(args.config).read_text()) if args.config else {}
+    overrides = {}
+    if args.config:
+        overrides = _read(lambda p: json.loads(Path(p).read_text()), args.config)
 
     def configure(cfg):
         return replace(cfg, resolution=overrides.get("resolution", cfg.resolution))

@@ -9,15 +9,20 @@ than 0.1%, i.e. the discretization has converged.
 
 The grid is sampled slab by slab in two passes. Pass 1 gives every node its
 sign: for each primitive, only the nodes in its world AABB grown by one cell
-are moved to its frame and tested with ``implicit_local < 0``, which has the
-sign of ``sdf_local`` (the superellipsoid distance is the implicit value over
-a positive gradient norm). Pass 2 computes the exact union value only at nodes
-whose sign differs from a neighbor's in the slab; every other node gets +1 or
--1. Marching cubes reads node values only at the two ends of a sign-changing
-edge, and a slab's cells only have edges between its own planes, so the mesh
-is the one that exact values at every node would give. Slabs are sampled and
-meshed on the ``parallel`` pool (``marching_cubes_stream``), and the mesh's
-triangles come out in cell order, whatever the worker count.
+are tested with ``implicit_local < 0``, which has the sign of ``sdf_local``
+(the superellipsoid distance is the implicit value over a positive gradient
+norm). Each local coordinate is a broadcast sum ``R[c, g] * node_g + t_c``
+over the three node axes, without the terms where ``R[c, g]`` is 0, so a
+primitive whose pose maps grid axes onto local axes (the animal's torso, head
+and legs) gets one short array per axis, and each term of the implicit
+function that reads one coordinate, the superellipsoid's fractional powers
+among them, is taken once per grid line. Pass 2 computes the exact union value
+only at nodes whose sign differs from a neighbor's in the slab; every other
+node gets +1 or -1. Marching cubes reads node values only at the two ends of a
+sign-changing edge, and a slab's cells only have edges between its own planes,
+so the mesh is the one that exact values at every node would give. Slabs are
+sampled and meshed on the ``parallel`` pool (``marching_cubes_stream``), and
+the mesh's triangles come out in cell order, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -61,7 +66,10 @@ def _union_sampler(scene: Scene, spacing: float) -> tuple:
 
     ``sample(k0, k1)`` returns the inside-positive node values [:, :, k0:k1].
     Nodes with a neighbor of the other sign within the slab carry the exact
-    union value; all others carry +1.0 (inside) or -1.0 (outside).
+    union value; all others carry +1.0 (inside) or -1.0 (outside). The signs
+    come from per-axis local coordinates that broadcast over the primitive's
+    node box; no (N, 3) array of its nodes is built. Only the exact values
+    move (N, 3) node columns to a primitive's frame.
     """
     lo, hi = scene.target_bounds()
     prims = scene.labeled("target")
@@ -90,7 +98,7 @@ def _union_sampler(scene: Scene, spacing: float) -> tuple:
             near = box_d <= 0.0
             d = box_d + inflate  # positive far-field stand-in
             if near.any():
-                d[near] = prim.sdf_local(local[near])
+                d[near] = prim.sdf_local(*local[near].T)
             best = np.minimum(best, d)
         return -best
 
@@ -103,10 +111,14 @@ def _union_sampler(scene: Scene, spacing: float) -> tuple:
             b = np.minimum(i1, (shape[0], shape[1], k1))
             if (a >= b).any():
                 continue
-            X, Y, Z = np.meshgrid(*(ax[s:e] for ax, s, e in zip(axes, a, b)), indexing="ij")
-            pts = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
-            occ[a[0]:b[0], a[1]:b[1], a[2] - k0:b[2] - k0] |= (
-                prim.implicit_local(prim.to_local(pts)) < 0).reshape(b - a)
+            # the node coordinates along grid axis g, shaped to broadcast along g
+            nodes = [axes[g][a[g]:b[g]].reshape([-1 if e == g else 1 for e in range(3)])
+                     for g in range(3)]
+            # local coordinate c: the sum of R[c, g] * node_g over the nonzero R[c, g], plus t_c
+            inv = prim.pose.invert()
+            local = [sum((r * n for r, n in zip(row, nodes) if r != 0), 0.0) + t
+                     for row, t in zip(inv.rotation, inv.translation)]
+            occ[a[0]:b[0], a[1]:b[1], a[2] - k0:b[2] - k0] |= prim.implicit_local(*local) < 0
         return occ
 
     def sample(k0, k1):

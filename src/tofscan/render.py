@@ -175,11 +175,11 @@ def _intersect_superellipsoid(prim: ScenePrimitive, o: np.ndarray, d: np.ndarray
     lo = t0.copy()
     hi = np.full_like(t0, np.nan)  # stays nan on a ray that never crosses
     live = np.arange(len(idx))  # rays that have not crossed yet
-    prev = prim._superellipsoid_value(o + t0[:, None] * dl)
+    prev = prim.implicit_local(*(o + t0[:, None] * dl).T)
     for k in range(1, _MARCH_STEPS + 1):
         a, b = t0[live], t1[live]
         tk = a + (b - a) * (k / _MARCH_STEPS)
-        val = prim._superellipsoid_value(o + tk[:, None] * dl[live])
+        val = prim.implicit_local(*(o + tk[:, None] * dl[live]).T)
         crossed = (prev > 0) & (val <= 0)
         c = live[crossed]
         lo[c] = a[crossed] + (b[crossed] - a[crossed]) * ((k - 1) / _MARCH_STEPS)
@@ -194,7 +194,7 @@ def _intersect_superellipsoid(prim: ScenePrimitive, o: np.ndarray, d: np.ndarray
     fd = dl[found]
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (flo + fhi)
-        v = prim._superellipsoid_value(o + mid[:, None] * fd)
+        v = prim.implicit_local(*(o + mid[:, None] * fd).T)
         neg = v <= 0
         fhi = np.where(neg, mid, fhi)
         flo = np.where(neg, flo, mid)
@@ -213,7 +213,7 @@ _INTERSECTORS = {
 
 
 def _surface_normal(prim: ScenePrimitive, pts_local: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    g = np.stack(prim.implicit_differences(pts_local, h), axis=1)
+    g = np.stack(prim.implicit_differences(*pts_local.T, h), axis=1)
     n = np.linalg.norm(g, axis=1)
     n[n == 0] = 1.0
     return g / n[:, None]

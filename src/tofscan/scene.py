@@ -5,7 +5,9 @@ primitive exposes a signed implicit function (negative inside) used for ray
 casting, oracle voxelization, and visibility tests. Box, cylinder and capsule
 use exact signed distance; the superellipsoid has no closed-form distance, so
 its implicit value is normalized by the local gradient magnitude, which is
-first-order accurate near the surface.
+first-order accurate near the surface. Each shape's formula is written once,
+over local coordinates x, y, z that broadcast against each other: (N,)
+columns for rays and points, or one array per grid axis for the oracle.
 """
 
 from __future__ import annotations
@@ -79,46 +81,48 @@ class ScenePrimitive:
         a, b, c = p[:3]
         return np.array([a, b, c])
 
-    def sdf_local(self, pts: np.ndarray) -> np.ndarray:
-        """Signed distance (exact, or gradient-normalized for superellipsoids)."""
-        pts = np.asarray(pts, dtype=np.float64)
+    def sdf_local(self, x, y, z) -> np.ndarray:
+        """Signed distance at local (x, y, z): exact, or gradient-normalized for superellipsoids.
+
+        x, y and z broadcast against each other: (N,) columns give N values, and
+        arrays that each lie along one grid axis give the grid's values, with
+        every term that reads one coordinate taken once per grid line.
+        """
         if self.shape == "box":
-            q = np.abs(pts) - np.asarray(self.params)
-            outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
-            inside = np.minimum(q.max(axis=-1), 0.0)
-            return outside + inside
+            a, b, c = self.params
+            qx, qy, qz = np.abs(x) - a, np.abs(y) - b, np.abs(z) - c
+            outside = np.sqrt(np.maximum(qx, 0.0) ** 2 + np.maximum(qy, 0.0) ** 2
+                              + np.maximum(qz, 0.0) ** 2)
+            return outside + np.minimum(np.maximum(np.maximum(qx, qy), qz), 0.0)
         if self.shape == "cylinder":
             r, h = self.params
-            dr = np.hypot(pts[..., 0], pts[..., 1]) - r
-            dz = np.abs(pts[..., 2]) - h / 2
-            d = np.stack([dr, dz], axis=-1)
-            return (np.minimum(d.max(axis=-1), 0.0)
-                    + np.linalg.norm(np.maximum(d, 0.0), axis=-1))
+            dr = np.hypot(x, y) - r
+            dz = np.abs(z) - h / 2
+            return (np.minimum(np.maximum(dr, dz), 0.0)
+                    + np.sqrt(np.maximum(dr, 0.0) ** 2 + np.maximum(dz, 0.0) ** 2))
         if self.shape == "capsule":
             r, seg = self.params
-            z = np.clip(pts[..., 2], -seg / 2, seg / 2)
-            return np.sqrt(pts[..., 0] ** 2 + pts[..., 1] ** 2
-                           + (pts[..., 2] - z) ** 2) - r
+            return np.sqrt(x ** 2 + y ** 2 + (z - np.clip(z, -seg / 2, seg / 2)) ** 2) - r
         h = 1e-5
-        g = np.sqrt(sum((d / (2 * h)) ** 2 for d in self.implicit_differences(pts, h)))
-        return self._superellipsoid_value(pts) / np.maximum(g, 1e-12)
+        g = np.sqrt(sum((d / (2 * h)) ** 2 for d in self.implicit_differences(x, y, z, h)))
+        return self.implicit_local(x, y, z) / np.maximum(g, 1e-12)
 
-    def _superellipsoid_value(self, pts: np.ndarray) -> np.ndarray:
+    def implicit_local(self, x, y, z) -> np.ndarray:
+        """Raw implicit value (negative inside) at local (x, y, z), broadcast as in ``sdf_local``.
+
+        Cheaper than the sdf for sign tests.
+        """
+        if self.shape != "superellipsoid":
+            return self.sdf_local(x, y, z)
         a, b, c, e1, e2 = self.params
-        x = np.abs(pts[..., 0]) / a
-        y = np.abs(pts[..., 1]) / b
-        z = np.abs(pts[..., 2]) / c
-        return (x ** (2 / e2) + y ** (2 / e2)) ** (e2 / e1) + z ** (2 / e1) - 1.0
+        return (((np.abs(x) / a) ** (2 / e2) + (np.abs(y) / b) ** (2 / e2)) ** (e2 / e1)
+                + (np.abs(z) / c) ** (2 / e1) - 1.0)
 
-    def implicit_local(self, pts: np.ndarray) -> np.ndarray:
-        """Raw implicit value (negative inside); cheaper than sdf for sign tests."""
-        if self.shape == "superellipsoid":
-            return self._superellipsoid_value(np.asarray(pts, dtype=np.float64))
-        return self.sdf_local(pts)
-
-    def implicit_differences(self, pts: np.ndarray, h: float) -> list:
+    def implicit_differences(self, x, y, z, h: float) -> list:
         """Central differences f(p + h e_i) - f(p - h e_i) of ``implicit_local``, i = x, y, z."""
-        return [self.implicit_local(pts + d) - self.implicit_local(pts - d) for d in h * np.eye(3)]
+        f = self.implicit_local
+        return [f(x + h, y, z) - f(x - h, y, z), f(x, y + h, z) - f(x, y - h, z),
+                f(x, y, z + h) - f(x, y, z - h)]
 
     # -- world-frame helpers ---------------------------------------------
 
@@ -126,7 +130,7 @@ class ScenePrimitive:
         return self.pose.invert().apply(pts_world)
 
     def sdf(self, pts_world: np.ndarray) -> np.ndarray:
-        return self.sdf_local(self.to_local(pts_world))
+        return self.sdf_local(*self.to_local(pts_world).T)
 
     def world_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(min, max) corners of the world-frame AABB."""

@@ -50,6 +50,36 @@ def test_wrong_kind_of_ply_is_named(tmp_path, capsys, command, flag, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["measure-missing", "measure-not-ply", "serve-rig-missing",
+                                  "serve-scene-missing", "experiment-config-missing",
+                                  "register-cloud-not-ply"])
+def test_unreadable_input_file_is_named(tmp_path, capsys, case):
+    """A missing or malformed input file is named on one stderr line with exit 2."""
+    bad = tmp_path / "absent.json"
+    rig_path = tmp_path / "rig.json"
+    save_rig(rig_path, known_object_rig()[:1])
+    out = tmp_path / "out.csv"
+    cloud = tmp_path / "session" / "clouds" / "0.ply"
+    cloud.parent.mkdir(parents=True)
+    cloud.write_text("not a PLY file\n")
+    argv = {
+        "measure-missing": ["measure", "--mesh", str(bad)],
+        "measure-not-ply": ["measure", "--mesh", str(rig_path)],
+        "serve-rig-missing": ["serve", "--device-id", "0", "--rig", str(bad),
+                              "--scene", str(bad)],
+        "serve-scene-missing": ["serve", "--device-id", "0", "--rig", str(rig_path),
+                                "--scene", str(bad)],
+        "experiment-config-missing": ["experiment", "interference", "--config", str(bad),
+                                      "--out", str(out)],
+        "register-cloud-not-ply": ["register", "--session", str(tmp_path / "session")],
+    }[case]
+    named = {"measure-not-ply": rig_path, "register-cloud-not-ply": cloud}.get(case, bad)
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(named) in err[0]
+    assert not out.exists()
+
+
 def test_reconstruct_command(tmp_path, capsys, rng):
     v = rng.standard_normal((9000, 3))
     v /= np.linalg.norm(v, axis=1)[:, None]

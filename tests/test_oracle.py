@@ -1,11 +1,14 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tofscan import parallel
-from tofscan.oracle import (OracleUnreliableError, closed_form_measurements, oracle_mesh,
-                            oracle_measurements)
+from tofscan.geometry import RigidTransform
+from tofscan.oracle import (OracleUnreliableError, _union_sampler, closed_form_measurements,
+                            oracle_mesh, oracle_measurements)
 from tofscan.reconstruction import euler_characteristic, is_watertight
 from tofscan.scene import Scene, box, capsule, cylinder, make_animal_model, superellipsoid
 
@@ -39,7 +42,6 @@ def test_voxelization_matches_closed_form():
     checks the machinery at ~1% rather than through the refinement gate, which
     is meant for the smooth composite bodies.
     """
-    from tofscan.geometry import RigidTransform
     from tofscan.metrology import surface_area, volume
     prim = cylinder(0.08, 0.25, pose=RigidTransform.from_axis_angle((1, 0, 0), 0.4, (0, 0, 0.5)))
     mesh = oracle_mesh(Scene((prim,)), spacing=0.002)
@@ -56,7 +58,6 @@ def test_oracle_mesh_is_watertight_genus0():
 
 
 def _overlap_scene():
-    from tofscan.geometry import RigidTransform
     return Scene((superellipsoid(0.12, 0.08, 0.07, 0.8, 1.2,
                                  pose=RigidTransform.from_axis_angle((0, 1, 1), 0.5, (0.0, 0.0, 0.0))),
                   capsule(0.04, 0.2, pose=RigidTransform.from_axis_angle((1, 0, 0), 1.1,
@@ -66,7 +67,6 @@ def _overlap_scene():
 def test_union_sampler_slabs_weld_exactly():
     """Streaming in 3+ slabs gives the whole-grid vertices and triangles, in the same order."""
     from tofscan.marching import marching_cubes_grid, marching_cubes_stream
-    from tofscan.oracle import _union_sampler
     origin, shape, sample = _union_sampler(_overlap_scene(), 0.006)
     whole = marching_cubes_grid(sample(0, shape[2]), origin, 0.006)
     plane = shape[0] * shape[1] * (parallel.WORKERS + 1)
@@ -80,7 +80,6 @@ def test_union_sampler_slabs_weld_exactly():
 def test_union_sampler_stream_is_identical_across_worker_counts(workers):
     """The streamed mesh has the same bytes at 0, 1 and 3 workers (8, 4 and 2 planes a slab)."""
     from tofscan.marching import marching_cubes_stream
-    from tofscan.oracle import _union_sampler
     origin, shape, sample = _union_sampler(_overlap_scene(), 0.006)
     meshes = []
     for n in (0, 1, 3):
@@ -95,7 +94,6 @@ def test_union_sampler_stream_is_identical_across_worker_counts(workers):
 def test_union_sampler_mesh_matches_dense_union_sdf():
     """Sign-only nodes away from the surface leave the mesh of the exact union unchanged."""
     from tofscan.marching import marching_cubes_grid, marching_cubes_stream
-    from tofscan.oracle import _union_sampler
     scene = _overlap_scene()
     origin, shape, sample = _union_sampler(scene, 0.006)
     verts, tris = marching_cubes_stream(sample, origin, 0.006, shape)
@@ -105,6 +103,59 @@ def test_union_sampler_mesh_matches_dense_union_sdf():
     ref_verts, ref_tris = marching_cubes_grid(dense, origin, 0.006)
     assert np.array_equal(tris, ref_tris)
     assert np.abs(verts - ref_verts).max() <= 1e-12
+
+
+def _node_by_node_inside(scene, origin, shape, spacing, k0, k1):
+    """Union of ``implicit_local < 0`` over the target primitives at the nodes [:, :, k0:k1]."""
+    axes = [origin[a] + spacing * np.arange(shape[a]) for a in range(3)]
+    axes[2] = axes[2][k0:k1]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    inside = np.zeros(len(pts), dtype=bool)
+    for prim in scene.labeled("target"):
+        inside |= prim.implicit_local(*prim.to_local(pts).T) < 0
+    return inside.reshape(shape[0], shape[1], k1 - k0)
+
+
+# a leg's rotation: it maps each grid axis onto a local axis, with a sign
+_LEG_ROTATION = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("rotation", [np.eye(3), _LEG_ROTATION],
+                         ids=["identity", "signed-permutation"])
+@pytest.mark.parametrize("prim", [box((0.1, 0.07, 0.05)), cylinder(0.06, 0.2),
+                                  capsule(0.05, 0.12), superellipsoid(0.12, 0.08, 0.07, 0.8, 1.2)],
+                         ids=lambda prim: prim.shape)
+def test_union_sampler_signs_match_node_by_node_evaluation(prim, rotation):
+    """Per-axis local coordinates give every node the sign of the (N, 3) transform's value."""
+    scene = Scene((replace(prim, pose=RigidTransform(rotation, (0.013, -0.021, 0.407))),))
+    origin, shape, sample = _union_sampler(scene, 0.005)
+    half = shape[2] // 2
+    for k0, k1 in ((0, half), (half, shape[2])):
+        inside = _node_by_node_inside(scene, origin, shape, 0.005, k0, k1)
+        assert inside.any() and not inside.all()
+        assert np.array_equal(sample(k0, k1) > 0, inside)
+
+
+def test_union_sampler_signs_match_node_by_node_evaluation_for_the_animal():
+    scene = make_animal_model(1.0)
+    origin, shape, sample = _union_sampler(scene, 0.008)
+    for k0 in range(0, shape[2], 64):
+        k1 = min(k0 + 64, shape[2])
+        inside = _node_by_node_inside(scene, origin, shape, 0.008, k0, k1)
+        assert np.array_equal(sample(k0, k1) > 0, inside)
+
+
+def test_union_sampler_slab_memory_is_bounded():
+    """One 40-plane slab of the 4 mm animal grid peaks at 32 traced bytes a node or less."""
+    origin, shape, sample = _union_sampler(make_animal_model(1.0), 0.004)
+    k0 = shape[2] // 2 - 20
+    tracemalloc.start()
+    try:
+        sample(k0, k0 + 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (shape[0] * shape[1] * 40) <= 32
 
 
 def test_animal_scale_doubling():

@@ -74,14 +74,14 @@ def test_mask_against_independent_march_oracle():
             o = inv.apply(np.zeros(3))
             dl = inv.apply_direction(d)
             ts = np.linspace(1e-4, scene.background_cap, 4001)
-            vals = prim.implicit_local(o[None] + ts[:, None] * dl[None])
+            vals = prim.implicit_local(*(o[None] + ts[:, None] * dl[None]).T)
             sign_change = np.nonzero((vals[:-1] > 0) & (vals[1:] <= 0))[0]
             if len(sign_change) == 0:
                 continue
             lo, hi = ts[sign_change[0]], ts[sign_change[0] + 1]
             for _ in range(50):
                 mid = (lo + hi) / 2
-                if prim.implicit_local(o + mid * dl) <= 0:
+                if prim.implicit_local(*(o + mid * dl)) <= 0:
                     hi = mid
                 else:
                     lo = mid

@@ -21,26 +21,26 @@ class TestPrimitives:
     def test_box_sdf_exact(self):
         b = box((0.5, 0.5, 0.5))
         pts = np.array([[0, 0, 0], [0.5, 0, 0], [1.5, 0, 0], [1.0, 1.0, 0.5]])
-        d = b.sdf_local(pts)
+        d = b.sdf_local(*pts.T)
         np.testing.assert_allclose(d, [-0.5, 0.0, 1.0, np.hypot(0.5, 0.5)], atol=1e-12)
 
     def test_cylinder_sdf_exact(self):
         c = cylinder(0.2, 1.0)
         pts = np.array([[0, 0, 0], [0.5, 0, 0], [0, 0, 0.8], [0.2, 0, 0.5]])
-        np.testing.assert_allclose(c.sdf_local(pts), [-0.2, 0.3, 0.3, 0.0], atol=1e-12)
+        np.testing.assert_allclose(c.sdf_local(*pts.T), [-0.2, 0.3, 0.3, 0.0], atol=1e-12)
 
     def test_capsule_sdf_exact(self):
         c = capsule(0.1, 0.6)
         pts = np.array([[0, 0, 0], [0, 0, 0.45], [0.3, 0, 0]])
-        np.testing.assert_allclose(c.sdf_local(pts), [-0.1, 0.05, 0.2], atol=1e-12)
+        np.testing.assert_allclose(c.sdf_local(*pts.T), [-0.1, 0.05, 0.2], atol=1e-12)
 
     def test_superellipsoid_reduces_to_ellipsoid(self):
         e = superellipsoid(0.3, 0.2, 0.1, 1.0, 1.0)
         # on-surface points have zero implicit value
-        assert abs(e.implicit_local(np.array([0.3, 0, 0]))) < 1e-12
-        assert abs(e.implicit_local(np.array([0, 0.2, 0]))) < 1e-12
+        assert abs(e.implicit_local(0.3, 0.0, 0.0)) < 1e-12
+        assert abs(e.implicit_local(0.0, 0.2, 0.0)) < 1e-12
         # sdf is approximately distance near the surface
-        d = e.sdf_local(np.array([[0.31, 0, 0], [0.29, 0, 0]]))
+        d = e.sdf_local(np.array([0.31, 0.29]), 0.0, 0.0)
         np.testing.assert_allclose(d, [0.01, -0.01], atol=2e-3)
 
     def test_world_bounds_cover_posed_primitive(self, rng):
