@@ -45,7 +45,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("register", help="register a session's clouds")
     p.add_argument("--session", required=True)
-    p.add_argument("--voxels", default="0.04,0.02,0.01")
+    p.add_argument("--voxels", default="0.04,0.02,0.01",
+                   help="1 to 3 ICP voxel sizes in meters, coarsest first")
 
     p = sub.add_parser("reconstruct", help="Poisson reconstruction of a cloud")
     p.add_argument("--cloud", required=True)
@@ -101,7 +102,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    from .acquisition import DeviceError, ScanClient, save_session
+    from .acquisition import DeviceError, IntegrityError, ScanClient, save_session
     from .capture import build_schedule
     from .protocol import ProtocolError
 
@@ -117,8 +118,13 @@ def _cmd_scan(args) -> int:
         except (OSError, DeviceError, ProtocolError, ValueError) as e:
             print(f"device at {ep} unreachable: {e}", file=sys.stderr)
             return 2
+    failures = (OSError, DeviceError, ProtocolError, IntegrityError)
     schedule = build_schedule(ids, args.delay_us, args.exposure_us)
-    client.configure_all(endpoints, schedule)
+    try:
+        client.configure_all(endpoints, schedule)
+    except failures as e:
+        print(f"CONFIGURE failed: {e}", file=sys.stderr)
+        return 2
     session = client.trigger_scan(endpoints, cattle_id=args.cattle_id,
                                   schedule=schedule, seed=args.seed)
     out = Path(args.out)
@@ -127,7 +133,11 @@ def _cmd_scan(args) -> int:
     if not session.complete:
         print(f"session incomplete; failed: {session.failed}", file=sys.stderr)
         return 1
-    paths = client.fetch_frames(session, out)
+    try:
+        paths = client.fetch_frames(session, out)
+    except failures as e:
+        print(f"FETCH failed for {session.session_id}: {e}", file=sys.stderr)
+        return 1
     print(f"{session.session_id}: cattle {session.cattle_id}, "
           f"{len(session.manifest)} devices, {len(paths)} files under {out}")
     return 0
@@ -140,12 +150,12 @@ def _cmd_segment(args) -> int:
     session = Path(args.session)
     mode = ArbitrationMode(args.mode)
     gt_dir = session / "masks"
-    gts = {int(f.name.split("_")[0]): decode_mask_pgm(f.read_bytes())
+    gts = {int(f.name.split("_")[0]): _read(lambda p: decode_mask_pgm(p.read_bytes()), f)
            for f in sorted(gt_dir.glob("*_gtmask.pgm"))}
     if not gts:
         print(f"no ground-truth masks under {gt_dir}", file=sys.stderr)
         return 2
-    pairs = (load_masks(args.masks, list(gts)) if args.masks
+    pairs = (_read(lambda d: load_masks(d, list(gts)), args.masks) if args.masks
              else {d: MaskPair(gt, gt) for d, gt in gts.items()})
     rows = ["device_id,iou,fp_rate,fn_rate"]
     for dev, gt in gts.items():
@@ -164,6 +174,11 @@ def _cmd_register(args) -> int:
     from .formats import read_ply, write_ply
     from .registration import MultiScaleParams, merge_clouds, register_rig, save_pose_graph
 
+    try:
+        params = MultiScaleParams(tuple(float(v) for v in args.voxels.split(",")))
+    except ValueError as e:
+        print(f"--voxels {args.voxels!r}: {e}", file=sys.stderr)
+        return 2
     session = Path(args.session)
     clouds = {}
     for f in sorted((session / "clouds").glob("*.ply")):
@@ -172,13 +187,10 @@ def _cmd_register(args) -> int:
     if not clouds:
         print(f"no per-device clouds under {session}/clouds", file=sys.stderr)
         return 2
-    voxels = tuple(float(v) for v in args.voxels.split(","))
-    iters = (50, 30, 14)[:len(voxels)] if len(voxels) <= 3 else (50,) * len(voxels)
-    params = MultiScaleParams(voxels, iters)
     graph = register_rig(clouds, {}, params)
     save_pose_graph(session / "poses.json", graph)
     merged = merge_clouds({d: clouds[d] for d in graph.global_poses}, graph,
-                          dedup_voxel=voxels[-1] / 2)
+                          dedup_voxel=params.voxel_sizes[-1] / 2)
     write_ply(session / "clouds" / "merged.ply", merged)
     print(f"registered {len(graph.global_poses)} devices "
           f"({len(graph.failed_edges)} failed edges) -> {session/'poses.json'}")

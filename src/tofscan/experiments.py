@@ -1,7 +1,7 @@
 """Experiment runners: known-object metrology, synchronization study, cattle analogue.
 
 The studies' tuned setups (objects, orientations, texture, run configs) are
-defined here once; the CLI, the scripts and the tests build from them.
+defined here once; the CLI and the tests build from them.
 
 Reports carry per-run measurements, mean/std per quantity, the independent
 reference (closed form or voxelization oracle), and the percent error of the
@@ -31,7 +31,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["ExperimentReport", "run_known_object_experiment",
            "run_interference_experiment", "run_animal_experiment",
-           "write_report_csv", "write_retention_report_csv", "target_surface_count",
+           "write_report_csv", "write_retention_report_csv",
            "TEXTURE", "ORIENTATIONS", "KNOWN_CYLINDER", "KNOWN_BOXES", "SYNC_SCENE",
            "KNOWN_OBJECT_REGISTRATION", "known_object_config", "animal_config"]
 
@@ -59,7 +59,7 @@ SYNC_SCENE = make_known_object_scene(replace(KNOWN_BOXES["medium"], texture=None
 _ORACLE_SPACING = 0.004
 
 # the known-object ICP pyramid: half the default voxel sizes
-KNOWN_OBJECT_REGISTRATION = MultiScaleParams((0.02, 0.01, 0.005), (50, 30, 14))
+KNOWN_OBJECT_REGISTRATION = MultiScaleParams((0.02, 0.01, 0.005))
 
 
 def known_object_config(scene: Scene, resolution: int = 128) -> RunConfig:
@@ -94,10 +94,6 @@ class ExperimentReport:
     @property
     def mean_volume(self) -> float:
         return float(np.mean([r.volume for r in self.runs]))
-
-    @property
-    def std_volume(self) -> float:
-        return float(np.std([r.volume for r in self.runs]))
 
     @property
     def pct_err_area(self) -> float:
@@ -205,14 +201,6 @@ def run_animal_experiment(scale: float, n_runs: int, cfg: RunConfig,
         reference = oracle_measurements(cfg.scene, spacing=_ORACLE_SPACING * scale)
     return _study(f"animal-x{scale:g}", reference,
                   [replace(cfg, seed=cfg.seed + run) for run in range(n_runs)])
-
-
-def target_surface_count(cloud_points: np.ndarray, scene: Scene, tol: float = 0.02) -> int:
-    """Points within ``tol`` of the true target surface (spurious ranges excluded)."""
-    if len(cloud_points) == 0:
-        return 0
-    d = scene.sdf(cloud_points, labels=("target",))
-    return int((np.abs(d) <= tol).sum())
 
 
 def write_report_csv(path, *reports: ExperimentReport) -> None:

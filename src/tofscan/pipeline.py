@@ -102,7 +102,7 @@ def _calibration_observations(cfg: RunConfig):
         exact = observe_tags(layout, center, sensor)
         rng = np.random.default_rng((cfg.seed * 9973 + sensor.device_id * 7919) & 0x7FFFFFFF)
         fiducials[sensor.device_id] = make_observations(exact, _CORNER_NOISE_SIGMA, rng)
-    return fiducials, layout
+    return fiducials
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
@@ -132,10 +132,9 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             (out / "masks" / f"{dev}_fused.pgm").write_bytes(encode_mask_pgm(fused))
             write_ply(out / "clouds" / f"{dev}.ply", clouds[dev])
 
-    fiducials, layout = _stage("calibration")(_calibration_observations, cfg)
+    fiducials = _stage("calibration")(_calibration_observations, cfg)
     order = list(cfg.chain_order) if cfg.chain_order is not None else device_ids
-    graph = _stage("registration")(register_rig, clouds, fiducials, cfg.registration,
-                                   layout, order)
+    graph = _stage("registration")(register_rig, clouds, fiducials, cfg.registration, order)
 
     reachable = {d: clouds[d] for d in graph.global_poses if d in clouds}
     merged = _stage("merge")(merge_clouds, reachable, graph,

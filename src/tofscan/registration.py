@@ -6,10 +6,16 @@ The pairwise refinement minimizes, per pyramid scale,
 
 where r_geo is the point-to-plane residual against target normals and r_col
 compares source intensity with the target's tangent-plane linearized intensity
-at the projected point. Gauss-Newton steps are parameterized by (omega, t)
-with the update T <- (Rodrigues(omega), t) o T; a step that would raise the
-objective is halved up to six times and the scale stops if it still raises,
-so the recorded objective never increases across accepted iterations.
+at the projected point. delta is fixed at 0.968, the weight of Park, Zhou and
+Koltun, "Colored Point Cloud Registration Revisited" (ICCV 2017), and the
+scales run at most 50, 30 and 14 iterations, coarsest first. The sign of a
+level's normal never reaches the arithmetic (the normal gate takes its
+absolute value, a flip negates both r_geo and its Jacobian row, and the
+intensity gradients use n n^T), so every level's normals face the camera
+origin. Gauss-Newton steps are parameterized by (omega, t) with the update
+T <- (Rodrigues(omega), t) o T; a step that would raise the objective is
+halved up to six times and the scale stops if it still raises, so the
+recorded objective never increases across accepted iterations.
 
 Each cloud's level at one scale (downsampled points, intensity, PCA normals,
 one KD-tree for every neighbour query and, for a target, intensity gradients)
@@ -37,7 +43,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "DegenerateConfigError", "DivergenceError",
-    "FiducialObservation", "MultiScaleParams", "RegistrationResult", "PoseGraph",
+    "MultiScaleParams", "RegistrationResult", "PoseGraph",
     "make_observations", "estimate_pose_from_fiducials",
     "voxel_downsample", "colored_icp", "register_rig", "merge_clouds",
     "save_pose_graph", "rodrigues", "apply_increment",
@@ -56,50 +62,31 @@ class DivergenceError(RuntimeError):
         self.init = init
 
 
-@dataclass(frozen=True)
-class FiducialObservation:
-    """One detected tag: its id and 4 ordered corner points in the camera frame."""
-
-    tag_id: int
-    corners_camera: np.ndarray      # (4, 3) meters
-
-    def __post_init__(self):
-        c = np.ascontiguousarray(self.corners_camera, dtype=np.float64).reshape(4, 3)
-        object.__setattr__(self, "corners_camera", c)
-        centered = c - c.mean(axis=0)
-        if np.linalg.svd(centered, compute_uv=False)[1] < 1e-9:
-            raise DegenerateConfigError(f"tag {self.tag_id}: corners are collinear")
-
-
 def make_observations(tag_corners: dict[int, np.ndarray], sigma: float = 0.0,
-                      rng: np.random.Generator | None = None) -> list[FiducialObservation]:
-    """Wrap simulator tag detections, optionally adding Gaussian corner noise."""
+                      rng: np.random.Generator | None = None) -> dict[int, np.ndarray]:
+    """``{tag_id: (4, 3) camera-frame corners}`` in tag order, with optional Gaussian noise."""
     rng = rng or np.random.default_rng(0)
-    obs = []
+    obs = {}
     for tag_id in sorted(tag_corners):
         corners = np.asarray(tag_corners[tag_id], dtype=np.float64)
         if sigma > 0:
             corners = corners + rng.standard_normal(corners.shape) * sigma
-        obs.append(FiducialObservation(tag_id, corners))
+        obs[tag_id] = corners.reshape(4, 3)
     return obs
 
 
-def estimate_pose_from_fiducials(obs_a: list[FiducialObservation],
-                                 obs_b: list[FiducialObservation],
-                                 cube_model: dict[int, np.ndarray]) -> RigidTransform:
+def estimate_pose_from_fiducials(obs_a: dict[int, np.ndarray],
+                                 obs_b: dict[int, np.ndarray]) -> RigidTransform:
     """Least-squares rigid transform mapping camera-b points into camera-a.
 
-    Corners of tags seen by both cameras correspond one-to-one through the
-    cube model's corner ordering. Closed-form SVD absolute orientation, no
-    scale.
+    Corners of tags seen by both cameras correspond one-to-one in their
+    layout order. Closed-form SVD absolute orientation, no scale.
     """
-    a_by_tag = {o.tag_id: o.corners_camera for o in obs_a}
-    b_by_tag = {o.tag_id: o.corners_camera for o in obs_b}
-    shared = sorted(set(a_by_tag) & set(b_by_tag) & set(cube_model))
+    shared = sorted(set(obs_a) & set(obs_b))
     if not shared:
         raise DegenerateConfigError("no shared tags between the two cameras")
-    pa = np.vstack([a_by_tag[t] for t in shared])
-    pb = np.vstack([b_by_tag[t] for t in shared])
+    pa = np.vstack([obs_a[t] for t in shared])
+    pb = np.vstack([obs_b[t] for t in shared])
     return _absolute_orientation(pa, pb)
 
 
@@ -133,27 +120,25 @@ _TRIM_FRACTION = 0.85
 # wrapped-around points from a partially overlapping view face the wrong way;
 # matches whose normals disagree by more than 40 degrees are rejected
 _MIN_NORMAL_DOT = float(np.cos(np.radians(40.0)))
+_DELTA = 0.968  # geometric weight of the objective
+_MAX_ITERATIONS = (50, 30, 14)  # per scale, coarsest first
 
 
 @dataclass(frozen=True)
 class MultiScaleParams:
-    """Coarse-to-fine pyramid configuration."""
+    """Coarse-to-fine pyramid: 1 to 3 positive voxel sizes, strictly descending."""
 
     voxel_sizes: tuple = (0.04, 0.02, 0.01)
-    max_iterations: tuple = (50, 30, 14)
-    delta: float = 0.968                      # geometric weight in [0, 1]
 
     def __post_init__(self):
         v = tuple(float(x) for x in self.voxel_sizes)
-        it = tuple(int(x) for x in self.max_iterations)
-        if len(v) != len(it):
-            raise ValueError("voxel_sizes and max_iterations must have equal length")
+        if not 1 <= len(v) <= len(_MAX_ITERATIONS):
+            raise ValueError(f"need 1 to {len(_MAX_ITERATIONS)} voxel sizes, got {len(v)}")
+        if not all(x > 0 for x in v):
+            raise ValueError(f"voxel sizes must be positive: {v}")
         if any(v[i] <= v[i + 1] for i in range(len(v) - 1)):
             raise ValueError(f"voxel sizes must be strictly descending: {v}")
-        if not (0.0 <= self.delta <= 1.0):
-            raise ValueError("delta must be in [0, 1]")
         object.__setattr__(self, "voxel_sizes", v)
-        object.__setattr__(self, "max_iterations", it)
 
 
 @dataclass
@@ -217,15 +202,15 @@ class _Level:
     level has ``gradients = None``.
     """
 
-    def __init__(self, cloud: PointCloud, params: MultiScaleParams, scale: int, viewpoint,
-                 target: bool):
+    def __init__(self, cloud: PointCloud, params: MultiScaleParams, scale: int, target: bool):
         if cloud.colors is None:
             raise ValueError("colored ICP needs per-point colors on both clouds")
         down = voxel_downsample(cloud, params.voxel_sizes[scale])
         self.points = down.points
         self.intensity = down.colors.mean(axis=1)
         self.tree = cKDTree(self.points)
-        self.normals = pca_normals(self.points, self.tree, min(_NORMAL_K, len(down)), viewpoint)
+        self.normals = pca_normals(self.points, self.tree, min(_NORMAL_K, len(down)),
+                                   (0.0, 0.0, 0.0))
         self.gradients = self._gradients() if target else None
 
     def _gradients(self) -> np.ndarray:
@@ -273,9 +258,9 @@ def _residuals(src: _Level, tgt: _Level, transform: RigidTransform, voxel: float
             "dist": dist[valid], "valid": valid, "n_matched": n_matched}
 
 
-def _objective(corr, delta: float) -> float:
-    return float(delta * np.mean(corr["r_geo"] ** 2)
-                 + (1 - delta) * np.mean(corr["r_col"] ** 2))
+def _objective(corr) -> float:
+    return float(_DELTA * np.mean(corr["r_geo"] ** 2)
+                 + (1 - _DELTA) * np.mean(corr["r_col"] ** 2))
 
 
 def residual_jacobians(corr) -> tuple[np.ndarray, np.ndarray]:
@@ -288,22 +273,19 @@ def residual_jacobians(corr) -> tuple[np.ndarray, np.ndarray]:
     return j_geo, j_col
 
 
-def _gauss_newton_step(corr, delta: float) -> np.ndarray:
+def _gauss_newton_step(corr) -> np.ndarray:
     j_geo, j_col = residual_jacobians(corr)
-    h = delta * (j_geo.T @ j_geo) + (1 - delta) * (j_col.T @ j_col)
-    g = delta * (j_geo.T @ corr["r_geo"]) + (1 - delta) * (j_col.T @ corr["r_col"])
+    h = _DELTA * (j_geo.T @ j_geo) + (1 - _DELTA) * (j_col.T @ j_col)
+    g = _DELTA * (j_geo.T @ corr["r_geo"]) + (1 - _DELTA) * (j_col.T @ corr["r_col"])
     h += 1e-12 * np.trace(h) / 6.0 * np.eye(6)
     return np.linalg.solve(h, -g)
 
 
 def colored_icp(source: PointCloud, target: PointCloud, init: RigidTransform,
-                params: MultiScaleParams = MultiScaleParams(),
-                target_viewpoint=(0.0, 0.0, 0.0),
-                source_viewpoint=(0.0, 0.0, 0.0)) -> RegistrationResult:
+                params: MultiScaleParams = MultiScaleParams()) -> RegistrationResult:
     """Coarse-to-fine joint geometric/photometric alignment of source onto target."""
-    return _icp(partial(_Level, source, params, viewpoint=source_viewpoint, target=False),
-                partial(_Level, target, params, viewpoint=target_viewpoint, target=True),
-                init, params)
+    return _icp(partial(_Level, source, params, target=False),
+                partial(_Level, target, params, target=True), init, params)
 
 
 def _icp(source_level, target_level, init: RigidTransform,
@@ -320,18 +302,18 @@ def _icp(source_level, target_level, init: RigidTransform,
                 raise DivergenceError(
                     f"no usable correspondences at coarsest scale (voxel {voxel})", init)
             break
-        energy = _objective(corr, params.delta)
+        energy = _objective(corr)
         history = [energy]
         prev_fit = corr["n_matched"] / len(src.points)
         prev_rmse = float(np.sqrt(np.mean(corr["dist"] ** 2)))
-        for _ in range(params.max_iterations[scale]):
-            xi = _gauss_newton_step(corr, params.delta)
+        for _ in range(_MAX_ITERATIONS[scale]):
+            xi = _gauss_newton_step(corr)
             accepted = None
             for _damp in range(7):
                 trial = apply_increment(xi, transform)
                 trial_corr = _residuals(src, tgt, trial, voxel)
                 if trial_corr is not None:
-                    trial_energy = _objective(trial_corr, params.delta)
+                    trial_energy = _objective(trial_corr)
                     if trial_energy <= energy:
                         accepted = (trial, trial_corr, trial_energy)
                         break
@@ -365,26 +347,25 @@ class PoseGraph:
     failed_edges: list = field(default_factory=list)
 
 
-def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, list],
+def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, dict],
                  params: MultiScaleParams = MultiScaleParams(),
-                 cube_model: dict | None = None,
                  order: list[int] | None = None) -> PoseGraph:
     """Chain-register per-device clouds: fiducial init + pairwise colored ICP.
 
-    ``order`` is the physical rig order (defaults to sorted device ids);
-    consecutive devices form the chain edges and ``order[0]`` is the reference
-    frame. A diverged or failed edge is flagged and the devices beyond it stay
-    out of ``global_poses``.
+    ``fiducials`` holds each device's ``make_observations`` tag corners; when
+    it is empty every edge starts from the identity. ``order`` is the physical
+    rig order (defaults to sorted device ids); consecutive devices form the
+    chain edges and ``order[0]`` is the reference frame. A diverged or failed
+    edge is flagged and the devices beyond it stay out of ``global_poses``.
     """
     order = list(order) if order is not None else sorted(clouds)
-    cube_model = cube_model if cube_model is not None else {}
     chain = list(zip(order, order[1:]))
 
     outcomes: dict[tuple, RegistrationResult | Exception] = {}
     icp_edges = []  # (a, b, fiducial init) for the edges that run ICP
     for a, b in chain:
         try:
-            init = estimate_pose_from_fiducials(fiducials[a], fiducials[b], cube_model) \
+            init = estimate_pose_from_fiducials(fiducials[a], fiducials[b]) \
                 if fiducials else RigidTransform.identity()
         except DegenerateConfigError as e:
             outcomes[(a, b)] = e
@@ -402,7 +383,7 @@ def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, list],
 
     def build(unit):
         dev, scale = unit
-        return _Level(clouds[dev], params, scale, (0.0, 0.0, 0.0), target=dev in targets)
+        return _Level(clouds[dev], params, scale, target=dev in targets)
 
     levels = dict(zip(units, map_ordered(build, units)))
 

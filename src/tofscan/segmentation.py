@@ -95,6 +95,9 @@ def load_masks(directory, device_ids) -> dict[int, MaskPair]:
             path = directory / f"{dev}_{suffix}.pgm"
             if not path.exists():
                 raise FileNotFoundError(f"missing {suffix} for device {dev}: {path}")
-            pair.append(decode_mask_pgm(path.read_bytes()))
+            try:
+                pair.append(decode_mask_pgm(path.read_bytes()))
+            except ValueError as e:
+                raise ValueError(f"{path}: {e}") from e
         out[int(dev)] = MaskPair(rgb_mask=pair[0], depth_mask=pair[1])
     return out

@@ -4,6 +4,7 @@ import pytest
 from tofscan import parallel
 from tofscan.geometry import RigidTransform
 from tofscan.reconstruction import TriangleMesh
+from tofscan.scene import Scene
 
 
 def pose_error(t: RigidTransform, t_ref: RigidTransform):
@@ -11,6 +12,14 @@ def pose_error(t: RigidTransform, t_ref: RigidTransform):
     dr = t.rotation.T @ t_ref.rotation
     ang = np.degrees(np.arccos(np.clip((np.trace(dr) - 1) / 2, -1.0, 1.0)))
     return float(ang), float(np.linalg.norm(t.translation - t_ref.translation))
+
+
+def target_surface_count(cloud_points: np.ndarray, scene: Scene, tol: float = 0.02) -> int:
+    """Points within ``tol`` of the true target surface (spurious ranges excluded)."""
+    if len(cloud_points) == 0:
+        return 0
+    d = scene.sdf(cloud_points, labels=("target",))
+    return int((np.abs(d) <= tol).sum())
 
 
 def unit_cube_mesh() -> TriangleMesh:

@@ -154,6 +154,57 @@ def test_scan_without_endpoints(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("step", ["CONFIGURE", "FETCH"])
+def test_scan_device_lost_mid_scan(tmp_path, capsys, monkeypatch, step):
+    """One of two servers stops after HELLO or after TRIGGER: one stderr line names the step.
+
+    A CONFIGURE failure exits 2 before anything is written; a FETCH failure
+    exits 1 and keeps the session JSON.
+    """
+    from tofscan.acquisition import DeviceServer, ScanClient
+    rig = known_object_rig()[:2]
+    servers = [DeviceServer(s.device_id, s, scene=SYNC_SCENE, rig=rig) for s in rig]
+    threads = [s.start_background() for s in servers]
+
+    def stop_second():
+        servers[1].stop()
+        threads[1].join(timeout=5.0)
+        assert not threads[1].is_alive()
+
+    if step == "CONFIGURE":  # stopped after HELLO
+        configure_all = ScanClient.configure_all
+
+        def configure_after_stop(client, endpoints, schedule):
+            stop_second()
+            return configure_all(client, endpoints, schedule)
+
+        monkeypatch.setattr(ScanClient, "configure_all", configure_after_stop)
+    else:  # stopped after TRIGGER
+        trigger_scan = ScanClient.trigger_scan
+
+        def trigger_then_stop(client, *args, **kwargs):
+            session = trigger_scan(client, *args, **kwargs)
+            stop_second()
+            return session
+
+        monkeypatch.setattr(ScanClient, "trigger_scan", trigger_then_stop)
+    out_dir = tmp_path / "scan"
+    try:
+        code = main(["scan", "--endpoints", ",".join(f"127.0.0.1:{s.port}" for s in servers),
+                     "--out", str(out_dir)])
+    finally:
+        for s in servers:
+            s.stop()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and step in err[0]
+    if step == "CONFIGURE":
+        assert code == 2
+        assert not out_dir.exists()
+    else:
+        assert code == 1
+        assert len(list(out_dir.glob("scan*.json"))) == 1
+
+
 def test_segment_command_on_session(tmp_path, capsys):
     from tofscan.formats import encode_mask_pgm
     from tofscan.geometry import BinaryMask
@@ -179,6 +230,27 @@ def test_segment_command_without_masks_fails(tmp_path, capsys):
     assert not (session / "segmetrics.csv").exists()
 
 
+@pytest.mark.parametrize("junk", ["gtmask", "rgbmask"])
+def test_segment_junk_mask_is_named(tmp_path, capsys, junk):
+    """A junk ground-truth mask, or a junk --masks PGM, is named on one stderr line, exit 2."""
+    from tofscan.formats import encode_mask_pgm
+    from tofscan.geometry import BinaryMask
+    session = tmp_path / "session"
+    (session / "masks").mkdir(parents=True)
+    given = tmp_path / "given"
+    given.mkdir()
+    valid = encode_mask_pgm(BinaryMask.from_bool(np.eye(8, dtype=bool)))
+    for path in (session / "masks" / "0_gtmask.pgm", given / "0_rgbmask.pgm",
+                 given / "0_depthmask.pgm"):
+        path.write_bytes(valid)
+    bad = session / "masks" / "0_gtmask.pgm" if junk == "gtmask" else given / "0_rgbmask.pgm"
+    bad.write_bytes(b"junk")
+    assert main(["segment", "--session", str(session), "--masks", str(given)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("cannot read ") and str(bad) in err[0]
+    assert not (session / "segmetrics.csv").exists()
+
+
 def test_register_command_on_session(tmp_path, rng):
     clouds_dir = tmp_path / "session" / "clouds"
     clouds_dir.mkdir(parents=True)
@@ -192,6 +264,21 @@ def test_register_command_on_session(tmp_path, rng):
     assert code == 0
     assert (tmp_path / "session" / "poses.json").exists()
     assert (clouds_dir / "merged.ply").exists()
+
+
+@pytest.mark.parametrize("voxels", ["abc", "0.01,0.02", "0.04,0.02,0", "0.08,0.04,0.02,0.01"],
+                         ids=["not-a-number", "ascending", "zero", "four-sizes"])
+def test_register_bad_voxels_named(tmp_path, capsys, rng, voxels):
+    """--voxels that is not 1 to 3 positive, strictly descending sizes: one stderr line, exit 2."""
+    clouds_dir = tmp_path / "session" / "clouds"
+    clouds_dir.mkdir(parents=True)
+    pts = rng.random((2000, 3)) * np.array([0.5, 0.5, 0.1])
+    for dev in (0, 1):
+        write_ply(clouds_dir / f"{dev}.ply", PointCloud(pts, colors=np.full((2000, 3), 0.5)))
+    assert main(["register", "--session", str(tmp_path / "session"), "--voxels", voxels]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "--voxels" in err[0]
+    assert not (tmp_path / "session" / "poses.json").exists()
 
 
 def test_experiment_known_object_runs_the_full_study(tmp_path, monkeypatch):

@@ -3,8 +3,8 @@ import pytest
 
 from conftest import pose_error
 from tofscan.geometry import RigidTransform
-from tofscan.registration import (DegenerateConfigError, FiducialObservation,
-                                  estimate_pose_from_fiducials, make_observations)
+from tofscan.registration import (DegenerateConfigError, estimate_pose_from_fiducials,
+                                  make_observations)
 from tofscan.scene import cube_tag_layout
 
 LAYOUT = cube_tag_layout(0.5, 1)
@@ -25,7 +25,7 @@ def random_cam(rng, distance=1.1):
 def test_same_camera_gives_identity(rng):
     cam = random_cam(rng)
     obs = observe(LAYOUT, TAGS, cam)
-    t = estimate_pose_from_fiducials(obs, obs, LAYOUT)
+    t = estimate_pose_from_fiducials(obs, obs)
     assert np.abs(t.matrix() - np.eye(4)).max() < 1e-12
 
 
@@ -34,7 +34,7 @@ def test_exact_recovery(rng):
         cam_a, cam_b = random_cam(rng), random_cam(rng)
         obs_a = observe(LAYOUT, TAGS, cam_a)
         obs_b = observe(LAYOUT, TAGS, cam_b)
-        est = estimate_pose_from_fiducials(obs_a, obs_b, LAYOUT)
+        est = estimate_pose_from_fiducials(obs_a, obs_b)
         t_true = cam_a.invert().compose(cam_b)
         assert np.abs(est.matrix() - t_true.matrix()).max() < 1e-9
 
@@ -46,7 +46,7 @@ def test_noise_monte_carlo(rng):
         cam_a, cam_b = random_cam(rng), random_cam(rng)
         obs_a = observe(LAYOUT, TAGS, cam_a, sigma=0.001, rng=rng)
         obs_b = observe(LAYOUT, TAGS, cam_b, sigma=0.001, rng=rng)
-        est = estimate_pose_from_fiducials(obs_a, obs_b, LAYOUT)
+        est = estimate_pose_from_fiducials(obs_a, obs_b)
         rot_e, tr_e = pose_error(est, cam_a.invert().compose(cam_b))
         rot_errs.append(rot_e)
         tr_errs.append(tr_e)
@@ -59,8 +59,9 @@ def test_order_invariance(rng):
     cam_a, cam_b = random_cam(rng), random_cam(rng)
     obs_a = observe(LAYOUT, TAGS, cam_a, sigma=0.002, rng=np.random.default_rng(5))
     obs_b = observe(LAYOUT, TAGS, cam_b, sigma=0.002, rng=np.random.default_rng(6))
-    t1 = estimate_pose_from_fiducials(obs_a, obs_b, LAYOUT)
-    t2 = estimate_pose_from_fiducials(obs_a[::-1], obs_b[::-1], LAYOUT)
+    t1 = estimate_pose_from_fiducials(obs_a, obs_b)
+    t2 = estimate_pose_from_fiducials(dict(reversed(obs_a.items())),
+                                      dict(reversed(obs_b.items())))
     assert np.array_equal(t1.matrix(), t2.matrix())
 
 
@@ -68,7 +69,7 @@ def test_single_shared_tag_suffices(rng):
     cam_a, cam_b = random_cam(rng), random_cam(rng)
     obs_a = observe(LAYOUT, [0, 2], cam_a)
     obs_b = observe(LAYOUT, [0, 4], cam_b)
-    est = estimate_pose_from_fiducials(obs_a, obs_b, LAYOUT)  # only tag 0 shared
+    est = estimate_pose_from_fiducials(obs_a, obs_b)  # only tag 0 shared
     assert np.abs(est.matrix() - cam_a.invert().compose(cam_b).matrix()).max() < 1e-9
 
 
@@ -76,10 +77,11 @@ def test_no_shared_tags_is_degenerate(rng):
     cam = random_cam(rng)
     with pytest.raises(DegenerateConfigError, match="shared"):
         estimate_pose_from_fiducials(observe(LAYOUT, [0], cam),
-                                     observe(LAYOUT, [1], cam), LAYOUT)
+                                     observe(LAYOUT, [1], cam))
 
 
 def test_collinear_corners_rejected():
     line = np.column_stack([np.arange(4.0), np.zeros(4), np.ones(4)])
+    obs = make_observations({0: line})
     with pytest.raises(DegenerateConfigError, match="collinear"):
-        FiducialObservation(0, line)
+        estimate_pose_from_fiducials(obs, obs)

@@ -114,7 +114,7 @@ def test_stage_name_attached_to_errors(cylinder_cfg):
 
 def test_unsynchronized_capture_guts_the_merged_cloud(cylinder_cfg, cylinder_run):
     """Zero delay leaves <= 20% of the synchronized on-target point count."""
-    from tofscan.experiments import target_surface_count
+    from conftest import target_surface_count
     sensors = {s.device_id: s for s in cylinder_cfg.rig}
 
     sync, _ = cylinder_run

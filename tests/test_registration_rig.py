@@ -42,10 +42,23 @@ class TestVoxelDownsample:
             voxel_downsample(textured_cloud(rng), 0.0)
 
 
+class TestMultiScaleParams:
+    @pytest.mark.parametrize("voxels", [(), (0.08, 0.04, 0.02, 0.01), (0.01, 0.02),
+                                        (0.04, 0.02, 0.0), (0.04, -0.02)],
+                             ids=["none", "four", "ascending", "zero", "negative"])
+    def test_refuses_a_bad_pyramid(self, voxels):
+        with pytest.raises(ValueError, match="voxel sizes"):
+            MultiScaleParams(voxels)
+
+    def test_one_to_three_descending_sizes(self):
+        assert MultiScaleParams((0.02,)).voxel_sizes == (0.02,)
+        assert MultiScaleParams([0.04, 0.02, 0.01]).voxel_sizes == (0.04, 0.02, 0.01)
+
+
 class TestRegisterRig:
     def test_two_identical_clouds(self, rng):
         cloud = textured_cloud(rng)
-        graph = register_rig({0: cloud, 1: cloud}, {}, MultiScaleParams((0.04, 0.02), (30, 20)))
+        graph = register_rig({0: cloud, 1: cloud}, {}, MultiScaleParams((0.04, 0.02)))
         for dev in (0, 1):
             assert np.abs(graph.global_poses[dev].matrix() - np.eye(4)).max() < 1e-6
 
@@ -66,8 +79,9 @@ class TestRegisterRig:
             fid[dev] = make_observations(observe_tags(layout, cube_pose, sensors[dev]),
                                          0.001, rng_d)
         order = [0, 1, 3, 2, 4, 5, 7, 6]
-        graph = register_rig(clouds, fid, KNOWN_OBJECT_REGISTRATION, layout, order=order)
+        graph = register_rig(clouds, fid, KNOWN_OBJECT_REGISTRATION, order=order)
         assert not graph.failed_edges
+        assert set(graph.global_poses) == set(sensors)
 
         # chain edges compose exactly into the published global poses
         for (a, b), r in graph.edges.items():
@@ -83,7 +97,7 @@ class TestRegisterRig:
     def test_unreachable_device_flagged(self, rng):
         a = textured_cloud(rng)
         c = PointCloud(a.points + 100.0, colors=a.colors)  # unregisterable outlier
-        graph = register_rig({0: a, 1: a, 2: c}, {}, MultiScaleParams((0.04, 0.02), (20, 10)))
+        graph = register_rig({0: a, 1: a, 2: c}, {}, MultiScaleParams((0.04, 0.02)))
         assert (1, 2) in graph.failed_edges
         assert 2 not in graph.global_poses
         assert set(graph.global_poses) == {0, 1}
@@ -96,7 +110,7 @@ class TestRegisterRig:
         a = textured_cloud(rng)
         far = [PointCloud(a.points + off, colors=a.colors) for off in (0.0, 100.0, 200.0)]
         clouds = {0: far[0], 1: far[0], 2: far[1], 3: far[1], 4: far[2], 5: far[2]}
-        params = MultiScaleParams((0.04, 0.02), (20, 10))
+        params = MultiScaleParams((0.04, 0.02))
         real = registration._icp
 
         def icp(source_level, target_level, init, params):
@@ -122,7 +136,7 @@ class TestRegisterRig:
 
 
 class TestSharedPyramids:
-    PARAMS = MultiScaleParams((0.04, 0.02), (20, 10))
+    PARAMS = MultiScaleParams((0.04, 0.02))
 
     def chain(self, rng):
         """Three overlapping views, each a few mm and under a degree off the last."""
@@ -187,7 +201,7 @@ class TestMergeClouds:
 
 def test_pose_graph_json_round_trip(tmp_path, rng):
     cloud = textured_cloud(rng)
-    graph = register_rig({0: cloud, 1: cloud}, {}, MultiScaleParams((0.04, 0.02), (10, 5)))
+    graph = register_rig({0: cloud, 1: cloud}, {}, MultiScaleParams((0.04, 0.02)))
     path = tmp_path / "poses.json"
     save_pose_graph(path, graph)
     doc = json.loads(path.read_text())
