@@ -3,10 +3,13 @@
 Each simulated embedded device hosts one server with a three-state machine
 (idle -> configured -> captured); STATUS reports the state and the server's
 counts of frames rendered, bytes sent and protocol errors. A server is built
-with the scene and rig it renders; the client connects to every device, pushes
-the capture schedule, triggers all devices concurrently, and later fetches the
-stored frames, verifying CRC-32 integrity. A server handles one connection at a
-time; the rig has exactly one client.
+with the scene and rig it renders. Both are fixed for its life and the render
+is deterministic, so it renders its clean view once, on the first TRIGGER; each
+TRIGGER then applies that trigger's noise and interference to it. The client
+connects to every device, pushes the capture schedule, triggers all devices
+concurrently, and later fetches the stored frames, verifying CRC-32 integrity;
+a failed CONFIGURE or FETCH names its endpoint. A server handles one connection
+at a time; the rig has exactly one client.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .formats import encode_pgm16, encode_ppm
 from .protocol import (ErrorCode, Message, MessageKind, ProtocolError,
                        encode_message, frame_crc32, json_message, pack_frame_payload,
                        payload_json, read_message, unpack_frame_payload)
-from .render import SensorModel
+from .render import RenderResult, SensorModel, render
 from .scene import Scene
 
 logger = logging.getLogger(__name__)
@@ -73,6 +76,13 @@ def _recv(sock: socket.socket) -> Message:
     return read_message(lambda n: _recv_exact(sock, n))
 
 
+def _with_endpoint(endpoint: str, e: Exception) -> Exception:
+    """``e`` again, as the same class, with its message led by ``endpoint``."""
+    named = DeviceError(e.code, e.reason) if isinstance(e, DeviceError) else type(e)()
+    named.args = (f"{endpoint}: {e}",)
+    return named
+
+
 class DeviceServer:
     """One simulated embedded device: renders and serves frames for one sensor."""
 
@@ -80,6 +90,8 @@ class DeviceServer:
                  scene: Scene, rig: list[SensorModel]):
         if sensor.device_id != device_id:
             raise ValueError(f"sensor device_id {sensor.device_id} != server id {device_id}")
+        if device_id not in {s.device_id for s in rig}:
+            raise ValueError(f"device {device_id} not in rig")
         self.device_id = device_id
         self.sensor = sensor
         self.scene = scene
@@ -87,6 +99,8 @@ class DeviceServer:
         self.schedule: CaptureSchedule | None = None
         self.state = "idle"
         self.frames: dict[int, tuple[bytes, bytes, int]] = {}  # last triggered frame only
+        # rendered by the first TRIGGER; one connection at a time, so no lock
+        self._clean: RenderResult | None = None
         # reported by STATUS; protocol_errors counts requests that broke the wire format
         self.counters = {"frames_rendered": 0, "bytes_sent": 0, "protocol_errors": 0}
         self._stop = threading.Event()
@@ -184,8 +198,11 @@ class DeviceServer:
             doc = payload_json(msg)
             frame_id = int(doc["frame_id"])
             seed = int(doc.get("seed", 0))
+            if self._clean is None:
+                sensor = next(s for s in self.rig if s.device_id == self.device_id)
+                self._clean = render(self.scene, sensor)
             result = corrupt_device_frame(self.scene, self.rig, self.schedule,
-                                          self.device_id, seed)
+                                          self.device_id, seed, clean=self._clean)
             depth_pgm = encode_pgm16(result.depth)
             color_ppm = encode_ppm(result.color)
             crc = frame_crc32(depth_pgm, color_ppm)
@@ -295,7 +312,10 @@ class ScanClient:
         with ThreadPoolExecutor(max_workers=max(1, len(endpoints))) as pool:
             futures = {ep: pool.submit(self._request, ep, msg) for ep in endpoints}
             for ep, fut in futures.items():
-                fut.result()  # propagate configuration failures immediately
+                try:
+                    fut.result()  # propagate configuration failures immediately
+                except (OSError, DeviceError, ProtocolError) as e:
+                    raise _with_endpoint(ep, e) from e
 
     def trigger_scan(self, endpoints: list[str], schedule: CaptureSchedule,
                      cattle_id: str | None = None, frame_id: int = 0,
@@ -334,7 +354,10 @@ class ScanClient:
         return session
 
     def fetch_frames(self, session: ScanSession, out_dir) -> list[Path]:
-        """Pull every triggered frame, verify CRC-32, and write PGM/PPM files."""
+        """Pull every triggered frame, verify CRC-32, and write PGM/PPM files.
+
+        The first device that fails ends the fetch, and the error names its endpoint.
+        """
         if not session.complete:
             raise DeviceError(ErrorCode.BAD_STATE,
                               f"session {session.session_id} incomplete; "
@@ -343,17 +366,20 @@ class ScanClient:
         out.mkdir(parents=True, exist_ok=True)
         paths: list[Path] = []
         for entry in session.manifest:
-            reply = self._request(entry.endpoint,
-                                  json_message(MessageKind.FETCH, {"frame_id": entry.frame_id}))
-            if reply.kind is not MessageKind.FRAME:
-                raise ProtocolError(f"expected FRAME, got {reply.kind.name}")
-            depth_pgm, color_ppm = unpack_frame_payload(reply.payload)
-            crc = frame_crc32(depth_pgm, color_ppm)
-            if crc != entry.crc32 or len(depth_pgm) != entry.depth_bytes \
-                    or len(color_ppm) != entry.color_bytes:
-                raise IntegrityError(
-                    f"device {entry.device_id}: frame payload failed integrity check "
-                    f"(crc {crc:#010x} != {entry.crc32:#010x})")
+            try:
+                reply = self._request(entry.endpoint, json_message(
+                    MessageKind.FETCH, {"frame_id": entry.frame_id}))
+                if reply.kind is not MessageKind.FRAME:
+                    raise ProtocolError(f"expected FRAME, got {reply.kind.name}")
+                depth_pgm, color_ppm = unpack_frame_payload(reply.payload)
+                crc = frame_crc32(depth_pgm, color_ppm)
+                if crc != entry.crc32 or len(depth_pgm) != entry.depth_bytes \
+                        or len(color_ppm) != entry.color_bytes:
+                    raise IntegrityError(
+                        f"device {entry.device_id}: frame payload failed integrity check "
+                        f"(crc {crc:#010x} != {entry.crc32:#010x})")
+            except (OSError, DeviceError, ProtocolError, IntegrityError) as e:
+                raise _with_endpoint(entry.endpoint, e) from e
             dp = out / f"{entry.device_id}_depth.pgm"
             cp = out / f"{entry.device_id}_color.ppm"
             dp.write_bytes(depth_pgm)

@@ -123,10 +123,10 @@ def _corrupt(clean: RenderResult, sensor: SensorModel, count: int, seed: int,
 
 
 def corrupt_device_frame(scene: Scene, rig: list[SensorModel], schedule: CaptureSchedule,
-                         device_id: int, seed: int,
-                         clean: RenderResult | None = None) -> RenderResult:
-    """Render one device (or reuse a clean render) and apply noise + interference.
+                         device_id: int, seed: int, clean: RenderResult) -> RenderResult:
+    """Apply noise and interference to a device's clean render.
 
+    ``clean`` is ``render(scene, sensor)`` for the rig's sensor ``device_id``.
     Seeding is per (capture seed, device id), so a device server computing only
     its own frame produces bytes identical to a whole-rig simulation.
     """
@@ -134,8 +134,6 @@ def corrupt_device_frame(scene: Scene, rig: list[SensorModel], schedule: Capture
     if device_id not in sensors:
         raise ValueError(f"device {device_id} not in rig")
     sensor = sensors[device_id]
-    if clean is None:
-        clean = render(scene, sensor)
     count = interferer_counts(scene, rig, schedule)[device_id]
     _, corrupted = _corrupt(clean, sensor, count, seed, scene.background_cap)
     return RenderResult(corrupted, clean.color, clean.oracle_mask)

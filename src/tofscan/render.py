@@ -3,8 +3,8 @@
 Rays go through pixel centers; the stored depth is range along the camera +z
 axis (t along the unnormalized direction ((u-cx)/fx, (v-cy)/fy, 1)), matching
 commodity depth rasters. Each primitive is intersected only with the rays of
-the pixels inside the screen rectangle of its projected local bounding box
-(widened by one pixel; every pixel when the box reaches behind the camera).
+the pixels inside the screen rectangle of its projected local bounding box,
+clipped to the camera's near side (widened by one pixel).
 Box/cylinder/capsule hits are closed-form; a superellipsoid ray is clipped to
 the bounding box by a slab test, marched in fixed steps until it first crosses
 the surface (a crossed ray leaves the march), and refined by bisection, which
@@ -35,6 +35,9 @@ _BISECT_ITERS = 25  # takes the widest march bracket of the stock rigs (3.2 cm) 
 _LIGHT_DIR = np.array([0.25, -0.15, 1.0]) / np.linalg.norm([0.25, -0.15, 1.0])
 _BOX_CORNERS = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
                         dtype=np.float64)
+# corner pairs that differ in one coordinate: the box's 12 edges
+_BOX_EDGES = np.array([(i, j) for i in range(8) for j in range(i + 1, 8)
+                       if bin(i ^ j).count("1") == 1])
 
 
 @dataclass(frozen=True)
@@ -223,15 +226,23 @@ def _candidate_pixels(prim: ScenePrimitive, world_to_cam: RigidTransform,
                       intr: CameraIntrinsics) -> np.ndarray:
     """Flat indices of the pixels whose rays can hit ``prim``, in raster order.
 
-    These are the pixels inside the bounding rectangle, widened by one pixel,
-    of the projected corners of the primitive's local bounding box. A ray
-    through a pixel outside it misses the box, so it misses the primitive. If
-    a corner is not in front of the camera, every pixel is a candidate.
+    A hit at ray parameter t lies at camera depth z = t > ``_TMIN``, so only
+    the part of the primitive's local bounding box with z >= ``_TMIN`` can be
+    hit. These are the pixels inside the bounding rectangle, widened by one
+    pixel, of that clipped box's projected vertices: the corners in front of
+    the plane z = ``_TMIN`` and the points where the edges cross it. A ray
+    through a pixel outside it misses the clipped box, so it misses the
+    primitive.
     """
     corners = world_to_cam.apply(prim.pose.apply(_BOX_CORNERS * prim.local_bounds()))
-    if np.any(corners[:, 2] <= 0):
-        return np.arange(intr.width * intr.height)
-    u, v, _ = project(corners, intr)
+    a, b = corners[_BOX_EDGES[:, 0]], corners[_BOX_EDGES[:, 1]]
+    cut = (a[:, 2] < _TMIN) != (b[:, 2] < _TMIN)
+    a, b = a[cut], b[cut]
+    s = (_TMIN - a[:, 2]) / (b[:, 2] - a[:, 2])
+    verts = np.vstack([corners[corners[:, 2] >= _TMIN], a + s[:, None] * (b - a)])
+    if not len(verts):
+        return np.empty(0, dtype=np.intp)
+    u, v, _ = project(verts, intr)
     u0, u1 = max(int(np.floor(u.min())) - 1, 0), min(int(np.ceil(u.max())) + 1, intr.width - 1)
     v0, v1 = max(int(np.floor(v.min())) - 1, 0), min(int(np.ceil(v.max())) + 1, intr.height - 1)
     if u0 > u1 or v0 > v1:

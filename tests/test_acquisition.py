@@ -9,11 +9,11 @@ from tofscan.acquisition import (DeviceError, DeviceServer, IntegrityError, Scan
                                  _recv_exact, load_session, save_session)
 from tofscan.capture import build_schedule, corrupt_device_frame
 from tofscan.experiments import SYNC_SCENE
-from tofscan.formats import decode_pgm16, decode_ppm, encode_pgm16
+from tofscan.formats import decode_pgm16, decode_ppm, encode_pgm16, encode_ppm
 from tofscan.geometry import RigidTransform
 from tofscan.protocol import (ErrorCode, Message, MessageKind, encode_message, json_message,
                               payload_json, read_message, unpack_frame_payload)
-from tofscan.render import rig_to_list
+from tofscan.render import render, rig_to_list
 from tofscan.rigs import known_object_rig
 from tofscan.scene import box, make_known_object_scene, scene_to_dict
 
@@ -92,8 +92,42 @@ class TestServerStateMachine:
         server._handle(json_message(MessageKind.TRIGGER, {"frame_id": 0, "seed": 4}))
         frame = server._handle(json_message(MessageKind.FETCH, {"frame_id": 0}))
         depth_pgm, _ = unpack_frame_payload(frame.payload)
-        expected = corrupt_device_frame(scene, rig, sched, 1, 4)
+        expected = corrupt_device_frame(scene, rig, sched, 1, 4, clean=render(scene, rig[1]))
         assert depth_pgm == encode_pgm16(expected.depth)
+
+    def test_server_renders_once_and_corrupts_each_trigger(self, setup, monkeypatch):
+        """Only the first TRIGGER renders; every frame is that trigger's seed and schedule."""
+        import tofscan.acquisition as acquisition
+        scene, rig = setup
+        renders = []
+
+        def counting_render(*args):
+            renders.append(args)
+            return render(*args)
+
+        monkeypatch.setattr(acquisition, "render", counting_render)
+        server = DeviceServer(1, rig[1], scene=scene, rig=rig)
+        ids = [s.device_id for s in rig]
+        runs = [(build_schedule(ids, 160, 125), 1), (build_schedule(ids, 160, 125), 2),
+                (build_schedule(ids, 0, 125), 3)]
+        clean = render(scene, rig[1])
+        for frame_id, (sched, seed) in enumerate(runs):
+            server._handle(json_message(MessageKind.CONFIGURE, {"schedule": sched.to_json_dict()}))
+            server._handle(json_message(MessageKind.TRIGGER, {"frame_id": frame_id, "seed": seed}))
+            frame = server._handle(json_message(MessageKind.FETCH, {"frame_id": frame_id}))
+            expected = corrupt_device_frame(scene, rig, sched, 1, seed, clean=clean)
+            assert unpack_frame_payload(frame.payload) == (encode_pgm16(expected.depth),
+                                                           encode_ppm(expected.color))
+        assert len(renders) == 1
+        synced = corrupt_device_frame(scene, rig, runs[0][0], 1, 3, clean=clean)
+        assert encode_pgm16(expected.depth) != encode_pgm16(synced.depth)
+        status = payload_json(server._handle(Message(MessageKind.STATUS)))
+        assert status["frames_rendered"] == 3
+
+    def test_server_needs_its_device_in_the_rig(self, setup):
+        scene, rig = setup
+        with pytest.raises(ValueError, match="device 1 not in rig"):
+            DeviceServer(1, rig[1], scene=scene, rig=[rig[0]])
 
     def test_unknown_frame(self, setup):
         scene, rig = setup
@@ -234,8 +268,15 @@ class TestLoopback:
         tampered = bytearray(depth)
         tampered[100] ^= 0xFF
         victim.frames[frame_id] = (bytes(tampered), color, crc)
-        with pytest.raises(IntegrityError, match="device 2"):
+        with pytest.raises(IntegrityError, match=f"^127.0.0.1:{victim.port}: device 2"):
             client.fetch_frames(session, tmp_path)
+
+    def test_configure_failure_names_the_endpoint(self, setup, servers):
+        eps = endpoints_of(servers)[:2]
+        sched = build_schedule([servers[0].device_id], 160, 125)  # the second is missing
+        with pytest.raises(DeviceError, match=f"^{eps[1]}: device error") as e:
+            ScanClient().configure_all(eps, sched)
+        assert e.value.code is ErrorCode.BAD_REQUEST
 
     def test_status_reports_the_server_counters(self, setup):
         scene, rig = setup

@@ -156,7 +156,8 @@ def test_scan_without_endpoints(tmp_path, capsys):
 
 @pytest.mark.parametrize("step", ["CONFIGURE", "FETCH"])
 def test_scan_device_lost_mid_scan(tmp_path, capsys, monkeypatch, step):
-    """One of two servers stops after HELLO or after TRIGGER: one stderr line names the step.
+    """One of two servers stops after HELLO or after TRIGGER: one stderr line names the step
+    and the stopped server's endpoint.
 
     A CONFIGURE failure exits 2 before anything is written; a FETCH failure
     exits 1 and keeps the session JSON.
@@ -197,6 +198,7 @@ def test_scan_device_lost_mid_scan(tmp_path, capsys, monkeypatch, step):
             s.stop()
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and step in err[0]
+    assert f"127.0.0.1:{servers[1].port}" in err[0]  # the stopped device
     if step == "CONFIGURE":
         assert code == 2
         assert not out_dir.exists()

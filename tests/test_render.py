@@ -172,10 +172,12 @@ class TestCulling:
                     for p in scene.primitives]
 
         n = SMALL.width * SMALL.height
-        assert sizes("crossing_camera_plane")[:2] == [n, n]
-        assert sizes("off_screen")[1:] == [n, 0]
+        crossing = sizes("crossing_camera_plane")[:2]  # clipped to the camera's near side
+        assert 0 < min(crossing) and max(crossing) < n
+        assert sizes("off_screen")[1:] == [0, 0]
         cattle = sizes("cattle")
         assert 0 < min(cattle) and max(cattle) < 384 * 288
+        assert max(sizes("known_object")) < 320 * 240  # the ground slab reaches behind
 
 
 class TestNoise:
