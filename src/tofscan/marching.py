@@ -40,16 +40,27 @@ for _e, (_a, _b) in enumerate(EDGE_CORNERS):
     _EDGE_AXIS[_e] = _ax
     _EDGE_BASE[_e] = np.minimum(_ca, _cb)
 
-_CORNER_BITS = [(np.array(off), 1 << i) for i, off in enumerate(CORNER_OFFSETS)]
+# CORNER_OFFSETS lists the four x-y corners of a cell's lower z-plane, then
+# the same four one plane up: bit i + 4 is bit i's corner at z + 1
+_XY_CORNERS = [off[:2] for off in CORNER_OFFSETS[:4]]
 
 
 def _cell_cases(values: np.ndarray) -> np.ndarray:
-    inside = values > 0.0
-    nx, ny, nz = values.shape
-    case = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.uint8)
-    for off, bit in _CORNER_BITS:
-        sub = inside[off[0]:off[0] + nx - 1, off[1]:off[1] + ny - 1, off[2]:off[2] + nz - 1]
-        case |= (sub.astype(np.uint8) * bit).astype(np.uint8)
+    """Case index of every cell: bit ``1 << i`` set when corner ``CORNER_OFFSETS[i]`` is > 0.
+
+    The four x-y corners of each node plane are packed into a nibble (bit i
+    for ``_XY_CORNERS[i]``), and a cell ORs its lower plane's nibble with its
+    upper plane's shifted by four.
+    """
+    inside = (values > 0.0).view(np.uint8)
+    nx, ny, _ = values.shape
+    planes = [inside[x:x + nx - 1, y:y + ny - 1] for x, y in _XY_CORNERS]
+    nib = planes[3].copy()
+    for plane in planes[2::-1]:  # Horner order: corner 3 ends in bit 3, corner 0 in bit 0
+        nib <<= 1
+        nib |= plane
+    case = nib[:, :, 1:] << 4
+    case |= nib[:, :, :-1]
     return case
 
 
@@ -60,7 +71,7 @@ def _emit(values: np.ndarray, base_index: np.ndarray, grid_shape):
     is the full grid node count used for key and cell index packing.
     """
     case = _cell_cases(values)
-    active = np.nonzero((case != 0) & (case != 255))
+    active = np.unravel_index(np.flatnonzero((case != 0) & (case != 255)), case.shape)
     if len(active[0]) == 0:
         return (np.empty(0, np.int64), np.empty((0, 3), np.float64),
                 np.empty((0, 3), np.int64), np.empty(0, np.int64))

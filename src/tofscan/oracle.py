@@ -17,7 +17,8 @@ primitive whose pose maps grid axes onto local axes (the animal's torso, head
 and legs) gets one short array per axis, and each term of the implicit
 function that reads one coordinate, the superellipsoid's fractional powers
 among them, is taken once per grid line. Pass 2 computes the exact union value
-only at nodes whose sign differs from a neighbor's in the slab; every other
+only at nodes whose sign differs from a neighbor's in the slab, and moves
+to a primitive's frame only those of them near its world AABB; every other
 node gets +1 or -1. Marching cubes reads node values only at the two ends of a
 sign-changing edge, and a slab's cells only have edges between its own planes,
 so the mesh is the one that exact values at every node would give. Slabs are
@@ -69,7 +70,8 @@ def _union_sampler(scene: Scene, spacing: float) -> tuple:
     union value; all others carry +1.0 (inside) or -1.0 (outside). The signs
     come from per-axis local coordinates that broadcast over the primitive's
     node box; no (N, 3) array of its nodes is built. Only the exact values
-    move (N, 3) node columns to a primitive's frame.
+    move (N, 3) node columns to a primitive's frame, and only the columns
+    near that primitive's world AABB.
     """
     lo, hi = scene.target_bounds()
     prims = scene.labeled("target")
@@ -85,21 +87,30 @@ def _union_sampler(scene: Scene, spacing: float) -> tuple:
 
     # per-primitive local AABB precheck: outside the inflated box the exact
     # distance is irrelevant to the zero level, the AABB distance (a positive
-    # lower-bound stand-in) keeps the union sign correct and is much cheaper
+    # lower-bound stand-in) keeps the union sign correct and is much cheaper.
+    # Only nodes within sqrt(3) * inflate of the world AABB, which holds the
+    # inflated box, move to the local frame. A node outside would only get a
+    # stand-in above ``inflate``, never the minimum at a crossing node: one of
+    # its neighbors, a spacing away, is inside some primitive.
     inflate = 3 * spacing
+    grow = math.sqrt(3) * inflate
+    reach = []
+    for prim in prims:
+        wlo, whi = prim.world_bounds()
+        reach.append((prim, prim.local_bounds() + inflate, wlo - grow, whi + grow))
 
     def exact(pts):
         best = np.full(len(pts), np.inf)
-        for prim in prims:
-            local = prim.to_local(pts)
-            half = prim.local_bounds() + inflate
+        for prim, half, wlo, whi in reach:
+            sel = np.flatnonzero(((pts >= wlo) & (pts <= whi)).all(axis=1))
+            local = prim.to_local(pts[sel])
             q = np.abs(local) - half
             box_d = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
             near = box_d <= 0.0
             d = box_d + inflate  # positive far-field stand-in
             if near.any():
                 d[near] = prim.sdf_local(*local[near].T)
-            best = np.minimum(best, d)
+            best[sel] = np.minimum(best[sel], d)
         return -best
 
     def inside(k0, k1):
@@ -132,7 +143,7 @@ def _union_sampler(scene: Scene, spacing: float) -> tuple:
         crossing[:, 1:] |= fy
         crossing[:, :, :-1] |= fz
         crossing[:, :, 1:] |= fz
-        i, j, k = np.nonzero(crossing)
+        i, j, k = np.unravel_index(np.flatnonzero(crossing), crossing.shape)
         values = np.where(occ, 1.0, -1.0)
         values[i, j, k] = exact(np.column_stack([axes[0][i], axes[1][j], axes[2][k0 + k]]))
         return values

@@ -208,13 +208,26 @@ def _cull_small_components(verts: np.ndarray, tris: np.ndarray, min_fraction: fl
     return _compact(verts, tris[keep])
 
 
-def _edge_keys(t: np.ndarray):
-    """int64 keys of every triangle edge: directed ``a * n + b``, undirected ``lo * n + hi``."""
-    t = t.astype(np.int64)
+def _edge_uses(t: np.ndarray):
+    """Sorted int64 key of every edge use a -> b, ``min * 2n + max * 2 + (a < b)``,
+    and the start of each undirected edge's run of keys.
+
+    ``key >> 1`` names the undirected edge; two equal keys are one directed
+    edge used twice.
+    """
     n = int(t.max()) + 1
-    a = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
-    b = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
-    return a * n + b, np.minimum(a, b) * n + np.maximum(a, b)
+    a = t.reshape(-1)
+    b = t[:, [1, 2, 0]].reshape(-1)
+    forward = a < b
+    keys = np.minimum(a, b)
+    np.maximum(a, b, out=b)
+    keys *= n
+    keys += b
+    keys *= 2
+    keys += forward
+    keys.sort()
+    edge = keys >> 1
+    return keys, np.flatnonzero(np.concatenate(([True], edge[1:] != edge[:-1])))
 
 
 def is_watertight(mesh: TriangleMesh) -> tuple[bool, int]:
@@ -222,14 +235,13 @@ def is_watertight(mesh: TriangleMesh) -> tuple[bool, int]:
     t = mesh.triangles
     if len(t) == 0:
         return False, 0
-    directed, und = _edge_keys(t)
-    _, counts = np.unique(und, return_counts=True)
+    keys, starts = _edge_uses(t)
+    counts = np.diff(starts, append=len(keys))
     boundary = int((counts == 1).sum())
     if (counts != 2).any():
         return False, boundary + int((counts > 2).sum())
     # each undirected edge must appear once per direction
-    _, dcounts = np.unique(directed, return_counts=True)
-    if (dcounts != 1).any():
+    if (keys[1:] == keys[:-1]).any():
         return False, 0
     return True, 0
 
@@ -240,5 +252,5 @@ def euler_characteristic(mesh: TriangleMesh) -> int:
     if len(t) == 0:
         return 0
     v = len(np.unique(t.reshape(-1)))
-    e = len(np.unique(_edge_keys(t)[1]))
+    e = len(_edge_uses(t)[1])
     return v - e + len(t)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tofscan import parallel
-from tofscan.marching import marching_cubes_grid, marching_cubes_stream
-from tofscan.mc_tables import EDGE_TABLE, TRI_TABLE
+from tofscan.marching import _cell_cases, marching_cubes_grid, marching_cubes_stream
+from tofscan.mc_tables import CORNER_OFFSETS, EDGE_TABLE, TRI_TABLE
 
 
 def sphere_field(n=48, r=0.6):
@@ -27,6 +27,21 @@ def test_tables_are_consistent():
             assert 0 <= e < 12
             bits |= 1 << e
         assert bits == EDGE_TABLE[case]
+
+
+def test_cell_cases_match_the_eight_corner_definition(rng):
+    """Bit ``1 << i`` is set when corner ``CORNER_OFFSETS[i]`` is > 0; 0.0 and -0.0 are outside."""
+    for _ in range(40):
+        shape = tuple(int(n) for n in rng.integers(2, 9, 3))
+        values = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=shape)
+        nx, ny, nz = shape
+        want = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.uint8)
+        for i, (x, y, z) in enumerate(CORNER_OFFSETS):
+            corner = values[x:x + nx - 1, y:y + ny - 1, z:z + nz - 1] > 0
+            want |= (corner * (1 << i)).astype(np.uint8)
+        got = _cell_cases(values)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
 
 
 def test_sphere_surface_closed_and_oriented():

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import icosphere, unit_cube_mesh
+from tofscan import metrology
 from tofscan.geometry import RigidTransform
 from tofscan.metrology import NotWatertightError, measure_mesh, surface_area, volume
 from tofscan.reconstruction import TriangleMesh
@@ -68,3 +71,22 @@ def test_area_invariant_under_reordering(rng):
 def test_measure_mesh_bundle():
     m = measure_mesh(unit_cube_mesh())
     assert (m.surface_area, m.volume) == (pytest.approx(6.0), pytest.approx(1.0))
+
+
+@pytest.mark.parametrize("n_workers", [0, 2])
+def test_blocks_give_the_one_shot_bits(rng, workers, monkeypatch, n_workers):
+    """Seven triangles past one block: area and volume equal the whole-array formula bit for bit."""
+    workers(n_workers)
+    n = (1 << 16) + 7
+    verts = rng.standard_normal((5000, 3)) * rng.uniform(0.01, 10.0, (5000, 1))
+    mesh = TriangleMesh(verts, rng.integers(0, len(verts), (n, 3)))
+    a, b, c = mesh.triangle_corners()
+    norms = np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    signed = np.einsum("ij,ij->i", a, np.cross(b, c))
+
+    # the written-out cross product and norm are numpy's, term by term
+    assert metrology._per_triangle(mesh, metrology._double_area).tobytes() == norms.tobytes()
+    assert surface_area(mesh) == 0.5 * math.fsum(norms)
+    # a soup has no volume; the check is lifted to compare the sum's bits
+    monkeypatch.setattr(metrology, "is_watertight", lambda m: (True, 0))
+    assert volume(mesh) == abs(math.fsum(signed) / 6.0)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from tofscan import registration
+from tofscan import pipeline, registration
 
 from tofscan.experiments import KNOWN_CYLINDER, known_object_config
-from tofscan.geometry import RigidTransform
+from tofscan.geometry import BinaryMask, RigidTransform
 from tofscan.pipeline import PipelineError, run_pipeline
 from tofscan.scene import Scene, box, make_known_object_scene
 
@@ -87,6 +87,38 @@ def test_worker_exception_is_a_registration_error(cylinder_cfg, workers, monkeyp
     assert raised.is_set()
     assert e.value.stage == "registration"
     assert type(e.value.cause) is RuntimeError
+
+
+def test_device_with_an_empty_mask_keeps_its_fiducial_pose(cylinder_cfg, monkeypatch):
+    """An empty fused mask gives that device no points: its edges skip ICP, keep the
+    fiducial estimate with an empty objective history, and are not failures."""
+    devices = sorted(s.device_id for s in cylinder_cfg.rig)
+    order = list(cylinder_cfg.chain_order)
+    empty = order[len(order) // 2]
+    real = pipeline.fuse
+    calls = iter(devices)  # run_pipeline fuses the devices in id order
+
+    def fuse(pair, mode):
+        mask = real(pair, mode)
+        if next(calls) == empty:
+            return BinaryMask.from_bool(np.zeros_like(mask.foreground()))
+        return mask
+
+    monkeypatch.setattr(pipeline, "fuse", fuse)
+    result = run_pipeline(cylinder_cfg)
+
+    graph = result.graph
+    prev, nxt = order[order.index(empty) - 1], order[order.index(empty) + 1]
+    fiducials = pipeline._calibration_observations(cylinder_cfg)
+    chain = graph.global_poses[prev].compose(
+        registration.estimate_pose_from_fiducials(fiducials[prev], fiducials[empty]))
+    assert np.array_equal(graph.global_poses[empty].matrix(), chain.matrix())
+    for edge in ((prev, empty), (empty, nxt)):
+        assert graph.edges[edge].objective_history == []
+        assert edge not in graph.failed_edges
+    assert not graph.failed_edges
+    assert set(graph.global_poses) == set(devices)
+    assert result.measurements.volume > 0
 
 
 def test_chute_points_absent_from_merged_cloud(cylinder_cfg):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from conftest import icosphere, sampled_mesh_points, tetrahedron_mesh, torus_grid_mesh, unit_cube_mesh
@@ -207,6 +209,86 @@ class TestWatertight:
         flipped = t.triangles.copy()
         flipped[0] = flipped[0][::-1]
         assert not is_watertight(TriangleMesh(t.vertices, flipped))[0]
+
+
+def _two_sort_watertight(mesh):
+    """The two-``np.unique`` definition: undirected counts, then directed counts."""
+    t = mesh.triangles
+    if len(t) == 0:
+        return False, 0
+    n = int(t.max()) + 1
+    a = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
+    b = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
+    _, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_counts=True)
+    boundary = int((counts == 1).sum())
+    if (counts != 2).any():
+        return False, boundary + int((counts > 2).sum())
+    _, dcounts = np.unique(a * n + b, return_counts=True)
+    if (dcounts != 1).any():
+        return False, 0
+    return True, 0
+
+
+def _two_sort_euler(mesh):
+    t = mesh.triangles
+    if len(t) == 0:
+        return 0
+    n = int(t.max()) + 1
+    a = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
+    b = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
+    e = len(np.unique(np.minimum(a, b) * n + np.maximum(a, b)))
+    return len(np.unique(t.reshape(-1))) - e + len(t)
+
+
+def _edge_used_three_times():
+    t = tetrahedron_mesh()
+    verts = np.vstack([t.vertices, [[2.0, 2.0, 2.0]]])
+    a, b = t.triangles[0, :2]
+    return TriangleMesh(verts, np.vstack([t.triangles, [[a, b, 4]]]))
+
+
+def _flipped_triangle():
+    t = tetrahedron_mesh()
+    flipped = t.triangles.copy()
+    flipped[0] = flipped[0][::-1]
+    return TriangleMesh(t.vertices, flipped)
+
+
+def _with_hole():
+    cube = unit_cube_mesh()
+    return TriangleMesh(cube.vertices, cube.triangles[:-2])
+
+
+class TestOneSortEdgeCount:
+    """``is_watertight`` and ``euler_characteristic`` on one sort of edge keys give
+    what the two-``np.unique`` definition gives."""
+
+    @pytest.mark.parametrize("make", [tetrahedron_mesh, lambda: icosphere(2), _with_hole,
+                                      _edge_used_three_times, _flipped_triangle],
+                             ids=["tetrahedron", "icosphere", "hole", "edge-x3", "flipped"])
+    def test_named_meshes(self, make):
+        mesh = make()
+        assert is_watertight(mesh) == _two_sort_watertight(mesh)
+        assert euler_characteristic(mesh) == _two_sort_euler(mesh)
+
+    def test_named_outcomes(self):
+        assert _two_sort_watertight(_with_hole()) == (False, 4)
+        assert _two_sort_watertight(_edge_used_three_times()) == (False, 3)
+        assert _two_sort_watertight(_flipped_triangle()) == (False, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 7).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(0, n - 1)] * 3), min_size=1, max_size=12)))
+    def test_triangle_soup(self, tris):
+        tris = np.array(tris, dtype=np.int64)
+        mesh = TriangleMesh(np.zeros((int(tris.max()) + 1, 3)), tris)
+        assert is_watertight(mesh) == _two_sort_watertight(mesh)
+        assert euler_characteristic(mesh) == _two_sort_euler(mesh)
+
+    def test_closed_soup_with_a_doubled_direction(self):
+        """Every edge used twice, one of them twice in the same direction."""
+        mesh = TriangleMesh(np.eye(3), np.array([[0, 1, 2], [0, 1, 2]]))
+        assert is_watertight(mesh) == _two_sort_watertight(mesh) == (False, 0)
 
 
 class TestEuler:
