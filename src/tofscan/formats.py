@@ -171,6 +171,8 @@ def read_ply(path):
         elif parts[0] == "property" and element == "vertex":
             if parts[1] == "list":
                 raise ValueError("list property on vertex element is unsupported")
+            if parts[1] not in ("float", "uchar"):
+                raise ValueError(f"unsupported vertex property type {parts[1]!r}")
             props.append((parts[2], {"float": "<f4", "uchar": "u1"}[parts[1]]))
     rec = np.frombuffer(buf, dtype=np.dtype(props), count=n_vert, offset=end)
     names = [p[0] for p in props]

@@ -2,13 +2,12 @@
 
 Uses the classic 256-case tables (``mc_tables``). Inside is ``value > 0``;
 each crossed cube edge gets one vertex by linear interpolation, identified by
-a global (node, axis) key so that coincident vertices from neighboring cells,
-and from neighboring evaluation slabs in streaming mode, weld exactly.
-Triangles wind counter-clockwise seen from outside (positive signed volume
-for a closed surface around an inside-positive region). In streaming mode the
-slabs are sampled and meshed on the ``parallel`` pool, and triangles come out
-in cell order, as from one whole-grid pass, whatever the slab size or worker
-count.
+a global (node, axis) key so that coincident vertices from neighboring cells
+and slabs weld exactly. Triangles wind counter-clockwise seen from outside
+(positive signed volume for a closed surface around an inside-positive region).
+Every grid is meshed in slabs of node planes along x on the ``parallel`` pool.
+x is the slowest axis of the cell order and of the keys, so the slabs'
+triangles concatenate in cell order, whatever the slab size or worker count.
 """
 
 from __future__ import annotations
@@ -21,6 +20,8 @@ from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 __all__ = ["marching_cubes_grid", "marching_cubes_stream", "padded_grid", "PAD_CELLS"]
 
 PAD_CELLS = 4  # empty cells kept around the bounds on every side of a padded grid
+
+_MAX_SLAB_NODES = 8_000_000  # nodes of all the x-slabs a stream holds at once
 
 _PAD = 16  # longest case has 5 triangles = 15 edge refs
 
@@ -64,17 +65,16 @@ def _cell_cases(values: np.ndarray) -> np.ndarray:
     return case
 
 
-def _emit(values: np.ndarray, base_index: np.ndarray, grid_shape):
-    """Edge keys, positions, per-triangle key triplets and cell indices of one block.
+def _emit(values: np.ndarray, i0: int):
+    """Edge keys, positions and per-triangle key triplets of the node planes from ``i0``.
 
-    ``base_index`` is the global (i, j, k) of values[0, 0, 0]; ``grid_shape``
-    is the full grid node count used for key and cell index packing.
+    ``values`` holds whole y-z node planes, so its y and z node counts are
+    the grid's and pack the keys. Triangles come out in cell order.
     """
     case = _cell_cases(values)
     active = np.unravel_index(np.flatnonzero((case != 0) & (case != 255)), case.shape)
     if len(active[0]) == 0:
-        return (np.empty(0, np.int64), np.empty((0, 3), np.float64),
-                np.empty((0, 3), np.int64), np.empty(0, np.int64))
+        return np.empty(0, np.int64), np.empty((0, 3), np.float64), np.empty((0, 3), np.int64)
     acase = case[active].astype(np.int64)
     nref = _NREF[acase]
     refs = _TRI_PAD[acase]                      # (A, 16)
@@ -82,56 +82,39 @@ def _emit(values: np.ndarray, base_index: np.ndarray, grid_shape):
     edge_ids = refs[valid]                      # (R,) in emission order
     cell_of_ref = np.repeat(np.arange(len(acase)), nref)
 
-    ci = active[0][cell_of_ref] + base_index[0]
-    cj = active[1][cell_of_ref] + base_index[1]
-    ck = active[2][cell_of_ref] + base_index[2]
-    ni = ci + _EDGE_BASE[edge_ids, 0]
-    nj = cj + _EDGE_BASE[edge_ids, 1]
-    nk = ck + _EDGE_BASE[edge_ids, 2]
+    ni = active[0][cell_of_ref] + i0 + _EDGE_BASE[edge_ids, 0]
+    nj = active[1][cell_of_ref] + _EDGE_BASE[edge_ids, 1]
+    nk = active[2][cell_of_ref] + _EDGE_BASE[edge_ids, 2]
     axis = _EDGE_AXIS[edge_ids]
-    gx, gy, gz = grid_shape
+    _, gy, gz = values.shape
     keys = ((ni * gy + nj) * gz + nk) * 3 + axis          # (R,)
 
     # interpolated positions in node units, computed on locally unique keys
     ukeys, first = np.unique(keys, return_index=True)
-    uni = ni[first] - base_index[0]
-    unj = nj[first] - base_index[1]
-    unk = nk[first] - base_index[2]
-    uax = axis[first]
-    v0 = values[uni, unj, unk]
+    uni, unj, unk, uax = ni[first], nj[first], nk[first], axis[first]
+    v0 = values[uni - i0, unj, unk]
     step = np.eye(3, dtype=np.int64)[uax]
-    v1 = values[uni + step[:, 0], unj + step[:, 1], unk + step[:, 2]]
+    v1 = values[uni - i0 + step[:, 0], unj + step[:, 1], unk + step[:, 2]]
     denom = v1 - v0
     denom[denom == 0] = 1.0  # both corners can't straddle zero if equal
     t = np.clip(-v0 / denom, 0.0, 1.0)
-    pos = np.column_stack([ni[first], nj[first], nk[first]]).astype(np.float64)
+    pos = np.column_stack([uni, unj, unk]).astype(np.float64)
     pos[np.arange(len(ukeys)), uax] += t
-
-    tri_keys = keys.reshape(-1, 3)
-    tri_cells = (ci[::3] * gy + cj[::3]) * gz + ck[::3]
-    return ukeys, pos, tri_keys, tri_cells
+    return ukeys, pos, keys.reshape(-1, 3)
 
 
 def _assemble(parts, origin, spacing):
-    """Weld the ``_emit`` parts of disjoint cell blocks into (vertices, triangles).
+    """Weld the ``_emit`` parts of consecutive x-slabs into (vertices, triangles).
 
-    Triangles of several parts are put in global cell order (stable, so a
-    cell keeps its table order); a single part already is.
+    The parts' triangles are already in cell order; a key shared by two
+    parts (an edge in their common node plane) becomes one vertex.
     """
-    all_keys, all_pos, all_tris, all_cells = zip(*parts)
-    keys = np.concatenate(all_keys)
-    pos = np.vstack(all_pos)
-    tris = np.vstack(all_tris)
-    if len(parts) > 1:
-        tris = tris[np.argsort(np.concatenate(all_cells), kind="stable")]
+    keys, pos, tris = (np.concatenate(arrays) for arrays in zip(*parts))
     ukeys, first = np.unique(keys, return_index=True)
     verts = pos[first] * np.asarray(spacing, dtype=np.float64) + np.asarray(origin, dtype=np.float64)
-    remap = np.searchsorted(ukeys, tris.reshape(-1))
-    triangles = remap.reshape(-1, 3)
     # winding: with the classic table and inside = bit set, emitted order is
     # clockwise from outside; swap two indices to get outward CCW
-    triangles = triangles[:, [0, 2, 1]]
-    return verts, triangles
+    return verts, np.searchsorted(ukeys, tris)[:, [0, 2, 1]]
 
 
 def padded_grid(lo, hi, spacing: float):
@@ -147,29 +130,27 @@ def marching_cubes_grid(values: np.ndarray, origin, spacing):
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 3 or min(values.shape) < 2:
         raise ValueError(f"need a 3D node grid with >= 2 nodes per axis, got {values.shape}")
-    part = _emit(values, np.zeros(3, dtype=np.int64), values.shape)
-    return _assemble([part], origin, spacing)
+    return marching_cubes_stream(lambda i0, i1: values[i0:i1], origin, spacing, values.shape)
 
 
-def marching_cubes_stream(sample_fn, origin, spacing, shape, max_slab_nodes: int = 8_000_000):
-    """Iso-surface of a grid too large to hold at once.
+def marching_cubes_stream(sample_fn, origin, spacing, shape):
+    """Iso-surface of a grid sampled in x-slabs, never held whole.
 
-    ``sample_fn(k0, k1)`` must return node values[:, :, k0:k1] of shape
-    (shape[0], shape[1], k1-k0); it is called from the ``parallel`` pool's
-    threads, one slab each. ``max_slab_nodes`` bounds the nodes of all slabs
-    in flight across those threads (each slab keeps at least 2 planes).
+    ``sample_fn(i0, i1)`` must return node values[i0:i1] of shape
+    (i1-i0, shape[1], shape[2]); it is called from the ``parallel`` pool's
+    threads, one slab each. All slabs in flight across those threads hold at
+    most ``_MAX_SLAB_NODES`` nodes (each slab keeps at least 2 planes).
     Slabs overlap by one node plane, and shared edge keys weld exactly because
     both evaluations see identical node values. The mesh, triangle order
-    included, is the whole-grid one for any slab size and worker count.
+    included, is the same for any slab size and worker count.
     """
     gx, gy, gz = shape
-    slab = max(2, min(gz, max_slab_nodes // max(1, gx * gy * (parallel.WORKERS + 1))))
+    slab = max(2, min(gx, _MAX_SLAB_NODES // max(1, gy * gz * (parallel.WORKERS + 1))))
 
-    def mesh_slab(k0):
-        k1 = min(gz, k0 + slab)
-        values = np.asarray(sample_fn(k0, k1), dtype=np.float64)
-        return _emit(values, np.array([0, 0, k0], dtype=np.int64), shape)
+    def mesh_slab(i0):
+        values = np.asarray(sample_fn(i0, min(gx, i0 + slab)), dtype=np.float64)
+        return _emit(values, i0)
 
     # one-plane overlap so boundary cells exist in exactly one slab
-    return _assemble(parallel.map_ordered(mesh_slab, range(0, gz - 1, slab - 1)),
+    return _assemble(parallel.map_ordered(mesh_slab, range(0, gx - 1, slab - 1)),
                      origin, spacing)

@@ -7,7 +7,7 @@ applying the mesh metrology operations. The result is accepted only if
 halving the resolution (doubling the spacing) changes both quantities by less
 than 0.1%, i.e. the discretization has converged.
 
-The grid is sampled slab by slab in two passes. Pass 1 gives every node its
+The grid is sampled in x-slabs, in two passes. Pass 1 gives every node its
 sign: for each primitive, only the nodes in its world AABB grown by one cell
 are tested with ``implicit_local < 0``, which has the sign of ``sdf_local``
 (the superellipsoid distance is the implicit value over a positive gradient
@@ -23,7 +23,8 @@ node gets +1 or -1. Marching cubes reads node values only at the two ends of a
 sign-changing edge, and a slab's cells only have edges between its own planes,
 so the mesh is the one that exact values at every node would give. Slabs are
 sampled and meshed on the ``parallel`` pool (``marching_cubes_stream``), and
-the mesh's triangles come out in cell order, whatever the worker count.
+the mesh's triangles come out in cell order by construction, whatever the slab
+size or worker count.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def closed_form_measurements(prim: ScenePrimitive) -> MeshMeasurements:
 def _union_sampler(scene: Scene, spacing: float) -> tuple:
     """Padded node grid of the target union and its slab sampler: (origin, shape, sample).
 
-    ``sample(k0, k1)`` returns the inside-positive node values [:, :, k0:k1].
+    ``sample(i0, i1)`` returns the inside-positive node values [i0:i1].
     Nodes with a neighbor of the other sign within the slab carry the exact
     union value; all others carry +1.0 (inside) or -1.0 (outside). The signs
     come from per-axis local coordinates that broadcast over the primitive's
@@ -77,13 +78,13 @@ def _union_sampler(scene: Scene, spacing: float) -> tuple:
     prims = scene.labeled("target")
     origin, shape = padded_grid(lo, hi, spacing)
     axes = [origin[a] + spacing * np.arange(shape[a]) for a in range(3)]
-    # node index box [i0, i1) of each primitive's world AABB grown by one cell
+    # node index box [blo, bhi) of each primitive's world AABB grown by one cell
     boxes = []
     for prim in prims:
         wlo, whi = prim.world_bounds()
-        i0 = np.floor((wlo - origin) / spacing).astype(np.int64) - 1
-        i1 = np.ceil((whi - origin) / spacing).astype(np.int64) + 2
-        boxes.append((prim, np.clip(i0, 0, shape), np.clip(i1, 0, shape)))
+        blo = np.floor((wlo - origin) / spacing).astype(np.int64) - 1
+        bhi = np.ceil((whi - origin) / spacing).astype(np.int64) + 2
+        boxes.append((prim, np.clip(blo, 0, shape), np.clip(bhi, 0, shape)))
 
     # per-primitive local AABB precheck: outside the inflated box the exact
     # distance is irrelevant to the zero level, the AABB distance (a positive
@@ -113,13 +114,13 @@ def _union_sampler(scene: Scene, spacing: float) -> tuple:
             best[sel] = np.minimum(best[sel], d)
         return -best
 
-    def inside(k0, k1):
+    def inside(i0, i1):
         # implicit_local has the sign of sdf_local, and no node outside a
         # primitive's AABB is inside it
-        occ = np.zeros((shape[0], shape[1], k1 - k0), dtype=bool)
-        for prim, i0, i1 in boxes:
-            a = np.maximum(i0, (0, 0, k0))
-            b = np.minimum(i1, (shape[0], shape[1], k1))
+        occ = np.zeros((i1 - i0, shape[1], shape[2]), dtype=bool)
+        for prim, blo, bhi in boxes:
+            a = np.maximum(blo, (i0, 0, 0))
+            b = np.minimum(bhi, (i1, shape[1], shape[2]))
             if (a >= b).any():
                 continue
             # the node coordinates along grid axis g, shaped to broadcast along g
@@ -129,11 +130,11 @@ def _union_sampler(scene: Scene, spacing: float) -> tuple:
             inv = prim.pose.invert()
             local = [sum((r * n for r, n in zip(row, nodes) if r != 0), 0.0) + t
                      for row, t in zip(inv.rotation, inv.translation)]
-            occ[a[0]:b[0], a[1]:b[1], a[2] - k0:b[2] - k0] |= prim.implicit_local(*local) < 0
+            occ[a[0] - i0:b[0] - i0, a[1]:b[1], a[2]:b[2]] |= prim.implicit_local(*local) < 0
         return occ
 
-    def sample(k0, k1):
-        occ = inside(k0, k1)
+    def sample(i0, i1):
+        occ = inside(i0, i1)
         # both ends of every edge inside the slab whose sign flips
         fx, fy, fz = (np.diff(occ, axis=a) for a in range(3))
         crossing = np.zeros_like(occ)
@@ -145,7 +146,7 @@ def _union_sampler(scene: Scene, spacing: float) -> tuple:
         crossing[:, :, 1:] |= fz
         i, j, k = np.unravel_index(np.flatnonzero(crossing), crossing.shape)
         values = np.where(occ, 1.0, -1.0)
-        values[i, j, k] = exact(np.column_stack([axes[0][i], axes[1][j], axes[2][k0 + k]]))
+        values[i, j, k] = exact(np.column_stack([axes[0][i0 + i], axes[1][j], axes[2][k]]))
         return values
 
     return origin, shape, sample

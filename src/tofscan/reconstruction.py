@@ -181,7 +181,7 @@ def _weld_slivers(verts: np.ndarray, tris: np.ndarray, radius: float):
 
 
 def _compact(verts: np.ndarray, tris: np.ndarray):
-    used = np.unique(tris.reshape(-1))
+    used = np.flatnonzero(np.bincount(tris.reshape(-1), minlength=len(verts)))
     remap = np.full(len(verts), -1, dtype=np.int64)
     remap[used] = np.arange(len(used))
     return verts[used], remap[tris]
@@ -251,6 +251,6 @@ def euler_characteristic(mesh: TriangleMesh) -> int:
     t = mesh.triangles
     if len(t) == 0:
         return 0
-    v = len(np.unique(t.reshape(-1)))
+    v = np.count_nonzero(np.bincount(t.reshape(-1)))
     e = len(_edge_uses(t)[1])
     return v - e + len(t)

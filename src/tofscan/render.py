@@ -387,15 +387,20 @@ def rig_to_list(rig: list[SensorModel]) -> list[dict]:
 
 def rig_from_list(doc: list[dict]) -> list[SensorModel]:
     """Sensors from rig JSON; a ``seed`` key is ignored, a non-zero ``dropout`` rejected."""
+    if not isinstance(doc, list) or not all(isinstance(d, dict) for d in doc):
+        raise ValueError("a rig is a JSON list of sensor objects")
     for d in doc:
         if float(d.get("dropout", 0.0)) != 0.0:
             raise ValueError(f"device {d.get('device_id')}: dropout is not modelled "
                              f"(got {d['dropout']})")
-    return [SensorModel(device_id=int(d["device_id"]),
-                        intrinsics=CameraIntrinsics.from_json_dict(d["intrinsics"]),
-                        pose=RigidTransform.from_json_dict(d["pose"]),
-                        sigma0=float(d.get("sigma0", 0.002)),
-                        sigma1=float(d.get("sigma1", 0.0))) for d in doc]
+    try:
+        return [SensorModel(device_id=int(d["device_id"]),
+                            intrinsics=CameraIntrinsics.from_json_dict(d["intrinsics"]),
+                            pose=RigidTransform.from_json_dict(d["pose"]),
+                            sigma0=float(d.get("sigma0", 0.002)),
+                            sigma1=float(d.get("sigma1", 0.0))) for d in doc]
+    except KeyError as e:
+        raise ValueError(f"a sensor entry has no key {e}") from e
 
 
 def save_rig(path, rig: list[SensorModel]) -> None:

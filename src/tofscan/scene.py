@@ -340,8 +340,13 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(doc: dict) -> Scene:
-    return Scene(tuple(_prim_from_dict(d) for d in doc["primitives"]),
-                 float(doc.get("background_cap", 5.0)))
+    if not isinstance(doc, dict):
+        raise ValueError(f"a scene is a JSON object, not a {type(doc).__name__}")
+    try:
+        return Scene(tuple(_prim_from_dict(d) for d in doc["primitives"]),
+                     float(doc.get("background_cap", 5.0)))
+    except KeyError as e:
+        raise ValueError(f"a scene or primitive entry has no key {e}") from e
 
 
 def save_scene(path, scene: Scene) -> None:

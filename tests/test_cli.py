@@ -52,7 +52,9 @@ def test_wrong_kind_of_ply_is_named(tmp_path, capsys, command, flag, kind):
 
 @pytest.mark.parametrize("case", ["measure-missing", "measure-not-ply", "serve-rig-missing",
                                   "serve-scene-missing", "experiment-config-missing",
-                                  "register-cloud-not-ply"])
+                                  "register-cloud-not-ply", "serve-rig-no-intrinsics",
+                                  "serve-rig-object", "serve-scene-no-primitives",
+                                  "measure-ply-double"])
 def test_unreadable_input_file_is_named(tmp_path, capsys, case):
     """A missing or malformed input file is named on one stderr line with exit 2."""
     bad = tmp_path / "absent.json"
@@ -62,6 +64,19 @@ def test_unreadable_input_file_is_named(tmp_path, capsys, case):
     cloud = tmp_path / "session" / "clouds" / "0.ply"
     cloud.parent.mkdir(parents=True)
     cloud.write_text("not a PLY file\n")
+    malformed = tmp_path / "malformed"
+    if case == "serve-rig-no-intrinsics":
+        doc = json.loads(rig_path.read_text())
+        del doc[0]["intrinsics"]
+        malformed.write_text(json.dumps(doc))
+    elif case == "serve-rig-object":
+        malformed.write_text(json.dumps({"device_id": 0}))
+    elif case == "serve-scene-no-primitives":
+        malformed.write_text(json.dumps({"background_cap": 5.0}))
+    elif case == "measure-ply-double":
+        malformed.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+                              b"property double x\nproperty double y\nproperty double z\n"
+                              b"end_header\n" + bytes(24))
     argv = {
         "measure-missing": ["measure", "--mesh", str(bad)],
         "measure-not-ply": ["measure", "--mesh", str(rig_path)],
@@ -72,8 +87,16 @@ def test_unreadable_input_file_is_named(tmp_path, capsys, case):
         "experiment-config-missing": ["experiment", "interference", "--config", str(bad),
                                       "--out", str(out)],
         "register-cloud-not-ply": ["register", "--session", str(tmp_path / "session")],
+        "serve-rig-no-intrinsics": ["serve", "--device-id", "0", "--rig", str(malformed),
+                                    "--scene", str(bad)],
+        "serve-rig-object": ["serve", "--device-id", "0", "--rig", str(malformed),
+                             "--scene", str(bad)],
+        "serve-scene-no-primitives": ["serve", "--device-id", "0", "--rig", str(rig_path),
+                                      "--scene", str(malformed)],
+        "measure-ply-double": ["measure", "--mesh", str(malformed)],
     }[case]
-    named = {"measure-not-ply": rig_path, "register-cloud-not-ply": cloud}.get(case, bad)
+    named = {"measure-not-ply": rig_path, "register-cloud-not-ply": cloud}.get(
+        case, malformed if malformed.exists() else bad)
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and str(named) in err[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tofscan import parallel
+from tofscan import marching, parallel
 from tofscan.marching import _cell_cases, marching_cubes_grid, marching_cubes_stream
 from tofscan.mc_tables import CORNER_OFFSETS, EDGE_TABLE, TRI_TABLE
 
@@ -67,32 +67,61 @@ def test_vertices_lie_on_level_set():
     assert np.abs(r - 0.6).max() < spacing ** 2 / 0.6 * 2
 
 
-def test_stream_matches_block():
+def test_stream_matches_block(monkeypatch):
     f, origin, spacing = sphere_field(40)
     verts, tris = marching_cubes_grid(f, origin, spacing)
-    v2, t2 = marching_cubes_stream(lambda k0, k1: f[:, :, k0:k1], origin, spacing,
-                                   f.shape, max_slab_nodes=40 * 40 * 7)
+    monkeypatch.setattr(marching, "_MAX_SLAB_NODES", 40 * 40 * 7)
+    v2, t2 = marching_cubes_stream(lambda i0, i1: f[i0:i1], origin, spacing, f.shape)
+    assert np.array_equal(verts, v2)
+    assert np.array_equal(tris, t2)
+
+
+def ellipsoid_field(shape=(23, 31, 37)):
+    """An off-centre ellipsoid on a non-cubic grid, so no two axes can be swapped unseen."""
+    x, y, z = np.meshgrid(*(np.linspace(-1, 1, n) for n in shape), indexing="ij")
+    return 1 - ((x - 0.2) / 0.7) ** 2 - ((y + 0.1) / 0.5) ** 2 - ((z - 0.15) / 0.6) ** 2
+
+
+@pytest.mark.parametrize("n_workers", [0, 3])
+@pytest.mark.parametrize("planes", [2, 9, 23], ids=["2-plane", "middle", "one-slab"])
+def test_stream_matches_block_on_an_asymmetric_grid(workers, monkeypatch, n_workers, planes):
+    """x-slabs of 2 planes, of a middle size and of the whole grid give the whole-grid bytes."""
+    workers(n_workers)
+    f = ellipsoid_field()
+    origin, spacing = (-1.0, -1.0, -1.0), (2 / 22, 2 / 30, 2 / 36)
+    verts, tris = marching_cubes_grid(f, origin, spacing)
+    monkeypatch.setattr(marching, "_MAX_SLAB_NODES", planes * 31 * 37 * (parallel.WORKERS + 1))
+    calls = []
+
+    def sample(i0, i1):
+        calls.append((i0, i1))
+        return f[i0:i1]
+
+    v2, t2 = marching_cubes_stream(sample, origin, spacing, f.shape)
+    assert max(i1 - i0 for i0, i1 in calls) == planes
+    assert len(tris) > 0
     assert np.array_equal(verts, v2)
     assert np.array_equal(tris, t2)
 
 
 @pytest.mark.parametrize("n_workers", [0, 3])
-def test_stream_slabs_in_flight_stay_within_budget(workers, n_workers):
-    """All slabs the pool can hold at once fit in ``max_slab_nodes``, and they tile the grid."""
+def test_stream_slabs_in_flight_stay_within_budget(workers, monkeypatch, n_workers):
+    """All slabs the pool can hold at once fit in ``_MAX_SLAB_NODES``, and they tile the grid."""
     workers(n_workers)
     f, origin, spacing = sphere_field(40)
     budget = 40 * 40 * 20
+    monkeypatch.setattr(marching, "_MAX_SLAB_NODES", budget)
     calls = []
 
-    def sample(k0, k1):
-        calls.append((k0, k1))
-        return f[:, :, k0:k1]
+    def sample(i0, i1):
+        calls.append((i0, i1))
+        return f[i0:i1]
 
-    marching_cubes_stream(sample, origin, spacing, f.shape, max_slab_nodes=budget)
+    marching_cubes_stream(sample, origin, spacing, f.shape)
     assert len(calls) > 1
-    for k0, k1 in calls:
-        if k1 - k0 > 2:
-            assert (k1 - k0) * 40 * 40 * (parallel.WORKERS + 1) <= budget
+    for i0, i1 in calls:
+        if i1 - i0 > 2:
+            assert (i1 - i0) * 40 * 40 * (parallel.WORKERS + 1) <= budget
     calls.sort()
     assert calls[0][0] == 0 and calls[-1][1] == 40
     assert all(b[0] == a[1] - 1 for a, b in zip(calls, calls[1:]))
@@ -103,18 +132,18 @@ class SlabError(RuntimeError):
 
 
 @pytest.mark.parametrize("n_workers", [0, 3])
-def test_stream_raises_the_sampler_error(workers, n_workers):
+def test_stream_raises_the_sampler_error(workers, monkeypatch, n_workers):
     workers(n_workers)
     f, origin, spacing = sphere_field(40)
+    monkeypatch.setattr(marching, "_MAX_SLAB_NODES", 40 * 40 * 4 * (parallel.WORKERS + 1))
 
-    def sample(k0, k1):
-        if k0 == 3:  # the second slab of four planes
-            raise SlabError(f"slab {k0}:{k1}")
-        return f[:, :, k0:k1]
+    def sample(i0, i1):
+        if i0 == 3:  # the second slab of four planes
+            raise SlabError(f"slab {i0}:{i1}")
+        return f[i0:i1]
 
     with pytest.raises(SlabError, match="slab 3:7"):
-        marching_cubes_stream(sample, origin, spacing, f.shape,
-                              max_slab_nodes=40 * 40 * 4 * (parallel.WORKERS + 1))
+        marching_cubes_stream(sample, origin, spacing, f.shape)
 
 
 def test_empty_and_full_fields():

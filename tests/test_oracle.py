@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tofscan import parallel
+from tofscan import marching, parallel
 from tofscan.geometry import RigidTransform
 from tofscan.oracle import (OracleUnreliableError, _union_sampler, closed_form_measurements,
                             oracle_mesh, oracle_measurements)
@@ -64,28 +64,28 @@ def _overlap_scene():
                                                                        (0.09, 0.02, 0.05)))))
 
 
-def test_union_sampler_slabs_weld_exactly():
+def test_union_sampler_slabs_weld_exactly(monkeypatch):
     """Streaming in 3+ slabs gives the whole-grid vertices and triangles, in the same order."""
     from tofscan.marching import marching_cubes_grid, marching_cubes_stream
     origin, shape, sample = _union_sampler(_overlap_scene(), 0.006)
-    whole = marching_cubes_grid(sample(0, shape[2]), origin, 0.006)
-    plane = shape[0] * shape[1] * (parallel.WORKERS + 1)
-    slabs = marching_cubes_stream(sample, origin, 0.006, shape,
-                                  max_slab_nodes=plane * (shape[2] // 4))
-    assert shape[2] // 4 >= 2 and len(whole[1]) > 0
+    whole = marching_cubes_grid(sample(0, shape[0]), origin, 0.006)
+    plane = shape[1] * shape[2] * (parallel.WORKERS + 1)
+    monkeypatch.setattr(marching, "_MAX_SLAB_NODES", plane * (shape[0] // 4))
+    slabs = marching_cubes_stream(sample, origin, 0.006, shape)
+    assert shape[0] // 4 >= 2 and len(whole[1]) > 0
     assert np.array_equal(whole[0], slabs[0])
     assert np.array_equal(whole[1], slabs[1])
 
 
-def test_union_sampler_stream_is_identical_across_worker_counts(workers):
+def test_union_sampler_stream_is_identical_across_worker_counts(workers, monkeypatch):
     """The streamed mesh has the same bytes at 0, 1 and 3 workers (8, 4 and 2 planes a slab)."""
     from tofscan.marching import marching_cubes_stream
     origin, shape, sample = _union_sampler(_overlap_scene(), 0.006)
+    monkeypatch.setattr(marching, "_MAX_SLAB_NODES", shape[1] * shape[2] * 8)
     meshes = []
     for n in (0, 1, 3):
         workers(n)
-        verts, tris = marching_cubes_stream(sample, origin, 0.006, shape,
-                                            max_slab_nodes=shape[0] * shape[1] * 8)
+        verts, tris = marching_cubes_stream(sample, origin, 0.006, shape)
         meshes.append((verts.tobytes(), tris.tobytes(), tris.shape))
     assert len(meshes[0][1]) > 0
     assert meshes[1] == meshes[0] and meshes[2] == meshes[0]
@@ -105,15 +105,15 @@ def test_union_sampler_mesh_matches_dense_union_sdf():
     assert np.abs(verts - ref_verts).max() <= 1e-12
 
 
-def _node_by_node_inside(scene, origin, shape, spacing, k0, k1):
-    """Union of ``implicit_local < 0`` over the target primitives at the nodes [:, :, k0:k1]."""
+def _node_by_node_inside(scene, origin, shape, spacing, i0, i1):
+    """Union of ``implicit_local < 0`` over the target primitives at the nodes [i0:i1]."""
     axes = [origin[a] + spacing * np.arange(shape[a]) for a in range(3)]
-    axes[2] = axes[2][k0:k1]
+    axes[0] = axes[0][i0:i1]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     inside = np.zeros(len(pts), dtype=bool)
     for prim in scene.labeled("target"):
         inside |= prim.implicit_local(*prim.to_local(pts).T) < 0
-    return inside.reshape(shape[0], shape[1], k1 - k0)
+    return inside.reshape(i1 - i0, shape[1], shape[2])
 
 
 # a leg's rotation: it maps each grid axis onto a local axis, with a sign
@@ -129,33 +129,33 @@ def test_union_sampler_signs_match_node_by_node_evaluation(prim, rotation):
     """Per-axis local coordinates give every node the sign of the (N, 3) transform's value."""
     scene = Scene((replace(prim, pose=RigidTransform(rotation, (0.013, -0.021, 0.407))),))
     origin, shape, sample = _union_sampler(scene, 0.005)
-    half = shape[2] // 2
-    for k0, k1 in ((0, half), (half, shape[2])):
-        inside = _node_by_node_inside(scene, origin, shape, 0.005, k0, k1)
+    half = shape[0] // 2
+    for i0, i1 in ((0, half), (half, shape[0])):
+        inside = _node_by_node_inside(scene, origin, shape, 0.005, i0, i1)
         assert inside.any() and not inside.all()
-        assert np.array_equal(sample(k0, k1) > 0, inside)
+        assert np.array_equal(sample(i0, i1) > 0, inside)
 
 
 def test_union_sampler_signs_match_node_by_node_evaluation_for_the_animal():
     scene = make_animal_model(1.0)
     origin, shape, sample = _union_sampler(scene, 0.008)
-    for k0 in range(0, shape[2], 64):
-        k1 = min(k0 + 64, shape[2])
-        inside = _node_by_node_inside(scene, origin, shape, 0.008, k0, k1)
-        assert np.array_equal(sample(k0, k1) > 0, inside)
+    for i0 in range(0, shape[0], 64):
+        i1 = min(i0 + 64, shape[0])
+        inside = _node_by_node_inside(scene, origin, shape, 0.008, i0, i1)
+        assert np.array_equal(sample(i0, i1) > 0, inside)
 
 
 def test_union_sampler_slab_memory_is_bounded():
     """One 40-plane slab of the 4 mm animal grid peaks at 32 traced bytes a node or less."""
     origin, shape, sample = _union_sampler(make_animal_model(1.0), 0.004)
-    k0 = shape[2] // 2 - 20
+    i0 = shape[0] // 2 - 20
     tracemalloc.start()
     try:
-        sample(k0, k0 + 40)
+        sample(i0, i0 + 40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (shape[0] * shape[1] * 40) <= 32
+    assert peak / (shape[1] * shape[2] * 40) <= 32
 
 
 def test_animal_scale_doubling():

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from tofscan import pipeline
+from tofscan import oracle, pipeline
+from tofscan.scene import Scene, superellipsoid
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -30,6 +31,18 @@ def test_every_traced_entry_point_exists(perfbench):
     tracer, _ = perfbench
     with tracer.Tracer().installed() as t:
         assert t.missing == []
+
+
+def test_oracle_sampler_spans_nest_under_marching(perfbench, workers):
+    """The tracer finds the oracle's slab sampler by ``sample_fn``'s name or position."""
+    tracer, _ = perfbench
+    workers(0)  # every slab on the calling thread, below the marching span
+    with tracer.Tracer().installed() as t:
+        oracle.oracle_mesh(Scene((superellipsoid(0.2, 0.15, 0.1, 0.8, 1.2),)), spacing=0.008)
+    streams = [s for s in t.spans if s.name == "oracle.stream"]
+    assert streams
+    assert all(s.parent is not None and s.parent.name == "marching.marching_cubes"
+               for s in streams)
 
 
 @pytest.mark.parametrize("name", ["cattle_scan", "loopback_acquire", "animal_oracle"])
