@@ -8,8 +8,10 @@ is deterministic, so it renders its clean view once, on the first TRIGGER; each
 TRIGGER then applies that trigger's noise and interference to it. The client
 connects to every device, pushes the capture schedule, triggers all devices
 concurrently, and later fetches the stored frames, verifying CRC-32 integrity;
-a failed CONFIGURE or FETCH names its endpoint. A server handles one connection
-at a time; the rig has exactly one client.
+a failed CONFIGURE or FETCH names its endpoint. A request with a malformed
+payload gets BAD_REQUEST and leaves the server's schedule, state and frames as
+they were. A server handles one connection at a time; the rig has exactly one
+client.
 """
 
 from __future__ import annotations
@@ -81,6 +83,25 @@ def _with_endpoint(endpoint: str, e: Exception) -> Exception:
     named = DeviceError(e.code, e.reason) if isinstance(e, DeviceError) else type(e)()
     named.args = (f"{endpoint}: {e}",)
     return named
+
+
+def _request_doc(msg: Message) -> dict:
+    """A request's JSON payload, which must be an object (BAD_REQUEST otherwise)."""
+    try:
+        doc = payload_json(msg)
+    except ProtocolError as e:
+        raise DeviceError(ErrorCode.BAD_REQUEST, str(e)) from None
+    if not isinstance(doc, dict):
+        raise DeviceError(ErrorCode.BAD_REQUEST, f"{msg.kind.name} payload is not a JSON object")
+    return doc
+
+
+def _int_field(doc: dict, key: str, default: int | None = None) -> int:
+    """``doc[key]`` (or ``default`` when absent), which must be a JSON integer."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DeviceError(ErrorCode.BAD_REQUEST, f"{key} must be an integer, got {value!r}")
+    return value
 
 
 class DeviceServer:
@@ -184,20 +205,24 @@ class DeviceServer:
         if msg.kind is MessageKind.STATUS:
             return json_message(MessageKind.STATUS_ACK, {"state": self.state, **self.counters})
         if msg.kind is MessageKind.CONFIGURE:
-            doc = payload_json(msg)
-            self.schedule = CaptureSchedule.from_json_dict(doc["schedule"])
-            if self.device_id not in set(self.schedule.device_order):
+            doc = _request_doc(msg)
+            try:
+                schedule = CaptureSchedule.from_json_dict(doc["schedule"])
+            except (KeyError, TypeError, ValueError) as e:
+                raise DeviceError(ErrorCode.BAD_REQUEST, f"bad schedule: {e!r}") from None
+            if self.device_id not in schedule.device_order:
                 raise DeviceError(ErrorCode.BAD_REQUEST,
                                   f"device {self.device_id} missing from schedule")
+            self.schedule = schedule
             self.state = "configured"
             return json_message(MessageKind.CONFIGURE_ACK, {"device_id": self.device_id})
         if msg.kind is MessageKind.TRIGGER:
             if self.state != "configured":
                 raise DeviceError(ErrorCode.BAD_STATE,
                                   f"TRIGGER requires state 'configured', device is '{self.state}'")
-            doc = payload_json(msg)
-            frame_id = int(doc["frame_id"])
-            seed = int(doc.get("seed", 0))
+            doc = _request_doc(msg)
+            frame_id = _int_field(doc, "frame_id")
+            seed = _int_field(doc, "seed", 0)
             if self._clean is None:
                 sensor = next(s for s in self.rig if s.device_id == self.device_id)
                 self._clean = render(self.scene, sensor)
@@ -217,8 +242,7 @@ class DeviceServer:
             if self.state != "captured":
                 raise DeviceError(ErrorCode.BAD_STATE,
                                   f"FETCH requires state 'captured', device is '{self.state}'")
-            doc = payload_json(msg)
-            frame_id = int(doc["frame_id"])
+            frame_id = _int_field(_request_doc(msg), "frame_id")
             if frame_id not in self.frames:
                 raise DeviceError(ErrorCode.UNKNOWN_FRAME, f"no stored frame {frame_id}")
             depth_pgm, color_ppm, _crc = self.frames[frame_id]

@@ -17,15 +17,13 @@ import numpy as np
 from .geometry import project
 from .parallel import map_ordered
 from .render import RenderResult, SensorModel, apply_interference, apply_tof_noise, render
-from .scene import Scene
+from .scene import BOX_CORNERS, Scene
 
 __all__ = [
     "CaptureSchedule", "CaptureResult", "RetentionStat",
     "build_schedule", "overlapping_pairs", "simulate_capture", "corrupt_device_frame",
-    "write_retention_csv", "DEFAULT_P_INT",
+    "write_retention_csv",
 ]
-
-DEFAULT_P_INT = 0.45  # per-interferer corruption probability; 9 partners -> ~99.5% loss
 
 
 @dataclass(frozen=True)
@@ -75,12 +73,8 @@ def _sees_target(sensor: SensorModel, lo: np.ndarray, hi: np.ndarray, cap: float
     c = sensor.camera_center()
     if np.all(c >= lo) and np.all(c <= hi):
         return True
-    xs = [lo[0], hi[0]]
-    ys = [lo[1], hi[1]]
-    zs = [lo[2], hi[2]]
-    samples = [np.array([x, y, z]) for x in xs for y in ys for z in zs]
-    samples.append((lo + hi) / 2)
-    pts = sensor.pose.invert().apply(np.array(samples))
+    samples = np.vstack([np.where(BOX_CORNERS > 0, hi, lo), (lo + hi) / 2])
+    pts = sensor.pose.invert().apply(samples)
     ahead = pts[pts[:, 2] > 0]
     if not len(ahead):
         return False
@@ -116,8 +110,7 @@ def _corrupt(clean: RenderResult, sensor: SensorModel, count: int, seed: int,
     """Noise, then interference from ``count`` partners: ``(noisy, corrupted)`` depth."""
     dev = sensor.device_id
     noisy = apply_tof_noise(clean.depth, sensor, _noise_seed(seed, dev))
-    corrupted = apply_interference(noisy, count, p_int=DEFAULT_P_INT,
-                                   seed=_interference_seed(seed, dev), cap_m=cap_m,
+    corrupted = apply_interference(noisy, count, _interference_seed(seed, dev), cap_m=cap_m,
                                    depth_scale=sensor.intrinsics.depth_scale)
     return noisy, corrupted
 

@@ -71,7 +71,7 @@ def main(argv=None) -> int:
 
 
 class _InputError(Exception):
-    """A file named on the command line could not be read."""
+    """A file named on the command line could not be read, or holds a value the command refuses."""
 
 
 def _read(loader, path):
@@ -244,6 +244,7 @@ def _cmd_experiment(args) -> int:
     overrides = {}
     if args.config:
         overrides = _read(lambda p: json.loads(Path(p).read_text()), args.config)
+        _check_overrides(args.config, args.kind, overrides)
 
     def configure(cfg):
         return replace(cfg, resolution=overrides.get("resolution", cfg.resolution))
@@ -273,10 +274,49 @@ def _cmd_experiment(args) -> int:
         scale = overrides.get("scale", 1.0)
         cfg = configure(ex.animal_config(make_animal_model(scale)))
         reports = [ex.run_animal_experiment(scale, overrides.get("runs", 5), cfg)]
+    failed = [rep.object_id for rep in reports if not rep.runs]
+    if failed:
+        print(f"every run failed for {', '.join(failed)}; no report written", file=sys.stderr)
+        return 1
     ex.write_report_csv(args.out, *reports)
     for rep in reports:
         print(rep.summary())
     return 0
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_POSITIVE_INT = ("a positive integer", lambda v: _is_int(v) and v >= 1)
+_POSITIVE = ("a positive number", lambda v: (_is_int(v) or isinstance(v, float)) and v > 0)
+_RESOLUTION = ("an integer in 32-512", lambda v: _is_int(v) and 32 <= v <= 512)
+# the keys each study reads from --config: key -> (what its value must be, test)
+_OVERRIDES = {
+    "interference": {
+        "delays_us": ("a non-empty list of integers >= 0",
+                      lambda v: isinstance(v, list) and v != []
+                      and all(_is_int(d) and d >= 0 for d in v)),
+        "seeds": _POSITIVE_INT},
+    "known-object": {"radius": _POSITIVE, "height": _POSITIVE, "orientations": _POSITIVE_INT,
+                     "runs": _POSITIVE_INT, "resolution": _RESOLUTION},
+    "animal": {"scale": _POSITIVE, "runs": ("an integer >= 5", lambda v: _is_int(v) and v >= 5),
+               "resolution": _RESOLUTION},
+}
+
+
+def _check_overrides(path, kind: str, overrides) -> None:
+    """Raise an _InputError naming the first key of ``--config`` that ``kind`` cannot take."""
+    if not isinstance(overrides, dict):
+        raise _InputError(f"--config {path}: not a JSON object")
+    allowed = _OVERRIDES[kind]
+    for key, value in overrides.items():
+        if key not in allowed:
+            raise _InputError(f"--config {path}: unknown key {key!r} for the {kind} study "
+                              f"(allowed: {', '.join(sorted(allowed))})")
+        what, ok = allowed[key]
+        if not ok(value):
+            raise _InputError(f"--config {path}: {key!r} must be {what}, got {value!r}")
 
 
 _COMMANDS = {

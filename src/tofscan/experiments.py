@@ -62,17 +62,21 @@ _ORACLE_SPACING = 0.004
 KNOWN_OBJECT_REGISTRATION = MultiScaleParams((0.02, 0.01, 0.005))
 
 
-def known_object_config(scene: Scene, resolution: int = 128) -> RunConfig:
-    """The known-object study's run: 10-sensor ring, 0.4 m calibration cube."""
+def known_object_config(scene: Scene) -> RunConfig:
+    """The known-object study's run: 10-sensor ring, 0.4 m calibration cube, 128^3 grid."""
     return RunConfig(scene=scene, rig=known_object_rig(),
-                     registration=KNOWN_OBJECT_REGISTRATION, resolution=resolution,
+                     registration=KNOWN_OBJECT_REGISTRATION, resolution=128,
                      cube_edge=0.4, cube_tags_per_face=4, chain_order=KNOWN_OBJECT_CHAIN)
 
 
-def animal_config(scene: Scene, resolution: int = 192) -> RunConfig:
-    """The cattle-analogue study's run: 8-sensor chute rig, 0.6 m calibration cube."""
-    return RunConfig(scene=scene, rig=cattle_rig(), resolution=resolution,
+def animal_config(scene: Scene) -> RunConfig:
+    """The cattle-analogue study's run: 8-sensor chute rig, 0.6 m calibration cube, 192^3 grid."""
+    return RunConfig(scene=scene, rig=cattle_rig(), resolution=192,
                      cube_edge=0.6, cube_tags_per_face=4, chain_order=CATTLE_CHAIN)
+
+
+def _pct_err(value: float, reference: float) -> float:
+    return 100.0 * abs(value - reference) / reference
 
 
 @dataclass
@@ -97,11 +101,11 @@ class ExperimentReport:
 
     @property
     def pct_err_area(self) -> float:
-        return 100.0 * abs(self.mean_area - self.reference.surface_area) / self.reference.surface_area
+        return _pct_err(self.mean_area, self.reference.surface_area)
 
     @property
     def pct_err_volume(self) -> float:
-        return 100.0 * abs(self.mean_volume - self.reference.volume) / self.reference.volume
+        return _pct_err(self.mean_volume, self.reference.volume)
 
     def summary(self) -> str:
         return (f"{self.object_id}: area {self.mean_area:.4f} m^2 "
@@ -217,8 +221,8 @@ def write_report_csv(path, *reports: ExperimentReport) -> None:
                                                  report.mean_volume)]:
                 w.writerow([report.object_id, run, seed, f"{area:.6f}", f"{vol:.8f}",
                             f"{ref.surface_area:.6f}", f"{ref.volume:.8f}",
-                            f"{100 * abs(area - ref.surface_area) / ref.surface_area:.4f}",
-                            f"{100 * abs(vol - ref.volume) / ref.volume:.4f}"])
+                            f"{_pct_err(area, ref.surface_area):.4f}",
+                            f"{_pct_err(vol, ref.volume):.4f}"])
 
 
 def write_retention_report_csv(path, retention_by_delay: dict[int, float]) -> None:

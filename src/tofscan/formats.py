@@ -14,7 +14,7 @@ import numpy as np
 from .geometry import BinaryMask, ColorImage, DepthImage, PointCloud
 
 __all__ = [
-    "encode_pgm16", "decode_pgm16", "encode_pgm8", "decode_pgm8",
+    "encode_pgm16", "decode_pgm16",
     "encode_ppm", "decode_ppm",
     "write_ply", "read_ply",
     "encode_mask_pgm", "decode_mask_pgm",
@@ -74,20 +74,12 @@ def decode_pgm16(buf: bytes) -> DepthImage:
     return DepthImage(data.shape[1], data.shape[0], data.astype(np.uint16))
 
 
-def encode_pgm8(data: np.ndarray) -> bytes:
-    return _encode_pnm("P5", np.ascontiguousarray(data, dtype=np.uint8))
-
-
-def decode_pgm8(buf: bytes) -> np.ndarray:
-    return _decode_pnm(buf, b"P5", "u1").copy()
-
-
 def encode_mask_pgm(mask: BinaryMask) -> bytes:
-    return encode_pgm8(mask.data)
+    return _encode_pnm("P5", mask.data)
 
 
 def decode_mask_pgm(buf: bytes) -> BinaryMask:
-    data = decode_pgm8(buf)
+    data = _decode_pnm(buf, b"P5", "u1").copy()
     return BinaryMask(data.shape[1], data.shape[0], data)  # rejects non-{0,255} values
 
 

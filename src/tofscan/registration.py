@@ -184,9 +184,7 @@ def rodrigues(omega: np.ndarray) -> np.ndarray:
         k = np.array([[0, -omega[2], omega[1]], [omega[2], 0, -omega[0]],
                       [-omega[1], omega[0], 0]])
         return np.eye(3) + k  # first order is exact enough at this scale
-    a = omega / theta
-    k = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
-    return np.eye(3) + np.sin(theta) * k + (1 - np.cos(theta)) * (k @ k)
+    return RigidTransform.from_axis_angle(omega, theta).rotation
 
 
 def apply_increment(xi: np.ndarray, t: RigidTransform) -> RigidTransform:
@@ -258,6 +256,11 @@ def _residuals(src: _Level, tgt: _Level, transform: RigidTransform, voxel: float
             "dist": dist[valid], "valid": valid, "n_matched": n_matched}
 
 
+def _fit_rmse(corr, n_source: int) -> tuple[float, float]:
+    """Fitness (matched share of ``n_source`` points) and inlier rmse of one match set."""
+    return corr["n_matched"] / n_source, float(np.sqrt(np.mean(corr["dist"] ** 2)))
+
+
 def _objective(corr) -> float:
     return float(_DELTA * np.mean(corr["r_geo"] ** 2)
                  + (1 - _DELTA) * np.mean(corr["r_col"] ** 2))
@@ -297,15 +300,14 @@ def _icp(source_level, target_level, init: RigidTransform,
     for scale, voxel in enumerate(params.voxel_sizes):
         src, tgt = source_level(scale), target_level(scale)
         corr = _residuals(src, tgt, transform, voxel)
-        if corr is None or (scale == 0 and corr["n_matched"] / len(src.points) < _MIN_FITNESS):
+        if corr is None or (scale == 0 and _fit_rmse(corr, len(src.points))[0] < _MIN_FITNESS):
             if scale == 0:
                 raise DivergenceError(
                     f"no usable correspondences at coarsest scale (voxel {voxel})", init)
             break
         energy = _objective(corr)
         history = [energy]
-        prev_fit = corr["n_matched"] / len(src.points)
-        prev_rmse = float(np.sqrt(np.mean(corr["dist"] ** 2)))
+        prev_fit, prev_rmse = _fit_rmse(corr, len(src.points))
         for _ in range(_MAX_ITERATIONS[scale]):
             xi = _gauss_newton_step(corr)
             accepted = None
@@ -322,17 +324,14 @@ def _icp(source_level, target_level, init: RigidTransform,
                 break
             transform, corr, energy = accepted
             history.append(energy)
-            fit = corr["n_matched"] / len(src.points)
-            rmse = float(np.sqrt(np.mean(corr["dist"] ** 2)))
+            fit, rmse = _fit_rmse(corr, len(src.points))
             if (abs(fit - prev_fit) < _RELATIVE_CHANGE * max(prev_fit, 1e-12)
                     and abs(rmse - prev_rmse) < _RELATIVE_CHANGE * max(prev_rmse, 1e-12)):
-                prev_fit, prev_rmse = fit, rmse
                 break
             prev_fit, prev_rmse = fit, rmse
         history_all.append(history)
 
-    fitness = 0.0 if corr is None else float(corr["n_matched"] / len(src.points))
-    rmse = 0.0 if corr is None else float(np.sqrt(np.mean(corr["dist"] ** 2)))
+    fitness, rmse = (0.0, 0.0) if corr is None else _fit_rmse(corr, len(src.points))
     return RegistrationResult(transform, rmse, fitness, history_all)
 
 

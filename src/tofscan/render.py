@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import (BinaryMask, CameraIntrinsics, ColorImage, DepthImage, RigidTransform,
                        project)
-from .scene import Scene, ScenePrimitive
+from .scene import BOX_CORNERS, Scene, ScenePrimitive
 
 __all__ = [
     "SensorModel", "RenderResult",
@@ -33,9 +33,8 @@ _TMIN = 1e-6
 _MARCH_STEPS = 64
 _BISECT_ITERS = 25  # takes the widest march bracket of the stock rigs (3.2 cm) below 1e-9 m
 _LIGHT_DIR = np.array([0.25, -0.15, 1.0]) / np.linalg.norm([0.25, -0.15, 1.0])
-_BOX_CORNERS = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-                        dtype=np.float64)
-# corner pairs that differ in one coordinate: the box's 12 edges
+_P_INT = 0.45  # per-interferer corruption probability; 9 partners -> ~99.5% loss
+# corner pairs of BOX_CORNERS that differ in one coordinate: the box's 12 edges
 _BOX_EDGES = np.array([(i, j) for i in range(8) for j in range(i + 1, 8)
                        if bin(i ^ j).count("1") == 1])
 
@@ -234,7 +233,7 @@ def _candidate_pixels(prim: ScenePrimitive, world_to_cam: RigidTransform,
     through a pixel outside it misses the clipped box, so it misses the
     primitive.
     """
-    corners = world_to_cam.apply(prim.pose.apply(_BOX_CORNERS * prim.local_bounds()))
+    corners = world_to_cam.apply(prim.pose.apply(BOX_CORNERS * prim.local_bounds()))
     a, b = corners[_BOX_EDGES[:, 0]], corners[_BOX_EDGES[:, 1]]
     cut = (a[:, 2] < _TMIN) != (b[:, 2] < _TMIN)
     a, b = a[cut], b[cut]
@@ -248,6 +247,12 @@ def _candidate_pixels(prim: ScenePrimitive, world_to_cam: RigidTransform,
     if u0 > u1 or v0 > v1:
         return np.empty(0, dtype=np.intp)
     return (np.arange(v0, v1 + 1)[:, None] * intr.width + np.arange(u0, u1 + 1)).ravel()
+
+
+def _raw_depth(depth_m: np.ndarray, valid: np.ndarray, depth_scale: float) -> np.ndarray:
+    """Metres rounded to raw uint16 depth units; 0 (no return) outside ``valid``."""
+    return np.clip(np.round(np.where(valid, depth_m, 0.0) / depth_scale),
+                   0, 65535).astype(np.uint16)
 
 
 def render(scene: Scene, sensor: SensorModel) -> RenderResult:
@@ -272,9 +277,7 @@ def render(scene: Scene, sensor: SensorModel) -> RenderResult:
         best_prim[rays[closer]] = i
 
     hit = np.isfinite(best_t) & (best_t <= scene.background_cap)
-    depth_m = np.where(hit, best_t, 0.0)
-    raw = np.clip(np.round(depth_m / intr.depth_scale), 0, 65535).astype(np.uint16)
-    raw[~hit] = 0
+    raw = _raw_depth(best_t, hit, intr.depth_scale)
 
     color = np.zeros((n, 3), dtype=np.float64)
     mask = np.zeros(n, dtype=bool)
@@ -314,27 +317,24 @@ def apply_tof_noise(depth: DepthImage, model: SensorModel, seed: int) -> DepthIm
     z = raw * model.intrinsics.depth_scale
     sigma = model.sigma0 + model.sigma1 * z * z
     noisy = z + rng.standard_normal(z.shape) * sigma
-    out = np.where(valid, noisy, 0.0)
-    out_raw = np.clip(np.round(out / model.intrinsics.depth_scale), 0, 65535).astype(np.uint16)
-    out_raw[~valid] = 0
-    return DepthImage(depth.width, depth.height, out_raw)
+    return DepthImage(depth.width, depth.height,
+                      _raw_depth(noisy, valid, model.intrinsics.depth_scale))
 
 
-def apply_interference(depth: DepthImage, interferer_count: int, p_int: float, seed: int,
+def apply_interference(depth: DepthImage, interferer_count: int, seed: int,
                        cap_m: float = 5.0, depth_scale: float = 0.001) -> DepthImage:
-    """Corrupt valid pixels with probability 1 - (1 - p_int)^interferer_count.
+    """Corrupt valid pixels with probability 1 - (1 - 0.45)^interferer_count.
 
-    A corrupted pixel is zeroed with probability 0.7, otherwise replaced with a
+    Each interferer corrupts a pixel independently with probability 0.45. A
+    corrupted pixel is zeroed with probability 0.7, otherwise replaced with a
     spurious uniform range in [0.3 m, cap_m]. Invalid pixels are never revived.
     """
     if interferer_count < 0:
         raise ValueError("interferer_count must be >= 0")
-    if not (0.0 <= p_int <= 1.0):
-        raise ValueError("p_int must be in [0, 1]")
-    if interferer_count == 0 or p_int == 0.0:
+    if interferer_count == 0:
         return DepthImage(depth.width, depth.height, depth.data.copy())
     rng = np.random.default_rng(seed)
-    p_corrupt = 1.0 - (1.0 - p_int) ** interferer_count
+    p_corrupt = 1.0 - (1.0 - _P_INT) ** interferer_count
     valid = depth.data > 0
     corrupt = (rng.random(depth.data.shape) < p_corrupt) & valid
     zero_out = rng.random(depth.data.shape) < 0.7
@@ -386,21 +386,27 @@ def rig_to_list(rig: list[SensorModel]) -> list[dict]:
 
 
 def rig_from_list(doc: list[dict]) -> list[SensorModel]:
-    """Sensors from rig JSON; a ``seed`` key is ignored, a non-zero ``dropout`` rejected."""
+    """Sensors from rig JSON; a ``seed`` key is ignored, a non-zero ``dropout`` rejected.
+
+    Any defect in an entry raises ValueError naming the entry.
+    """
     if not isinstance(doc, list) or not all(isinstance(d, dict) for d in doc):
         raise ValueError("a rig is a JSON list of sensor objects")
-    for d in doc:
-        if float(d.get("dropout", 0.0)) != 0.0:
-            raise ValueError(f"device {d.get('device_id')}: dropout is not modelled "
-                             f"(got {d['dropout']})")
-    try:
-        return [SensorModel(device_id=int(d["device_id"]),
-                            intrinsics=CameraIntrinsics.from_json_dict(d["intrinsics"]),
-                            pose=RigidTransform.from_json_dict(d["pose"]),
-                            sigma0=float(d.get("sigma0", 0.002)),
-                            sigma1=float(d.get("sigma1", 0.0))) for d in doc]
-    except KeyError as e:
-        raise ValueError(f"a sensor entry has no key {e}") from e
+    rig = []
+    for i, d in enumerate(doc):
+        try:
+            if float(d.get("dropout", 0.0)) != 0.0:
+                raise ValueError(f"dropout is not modelled (got {d['dropout']})")
+            rig.append(SensorModel(device_id=int(d["device_id"]),
+                                   intrinsics=CameraIntrinsics.from_json_dict(d["intrinsics"]),
+                                   pose=RigidTransform.from_json_dict(d["pose"]),
+                                   sigma0=float(d.get("sigma0", 0.002)),
+                                   sigma1=float(d.get("sigma1", 0.0))))
+        except KeyError as e:
+            raise ValueError(f"sensor entry {i} has no key {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"sensor entry {i}: {e}") from e
+    return rig
 
 
 def save_rig(path, rig: list[SensorModel]) -> None:

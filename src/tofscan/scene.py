@@ -30,6 +30,10 @@ __all__ = [
 
 LABELS = ("target", "chute", "background")
 TEXTURE_KINDS = ("patches", "smooth_noise")
+_PARAM_COUNTS = {"box": 3, "cylinder": 2, "capsule": 2, "superellipsoid": 5}
+# the eight corners of the box [-1, 1]^3, x slowest and z fastest
+BOX_CORNERS = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
+                       dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -44,11 +48,13 @@ class ScenePrimitive:
     texture: dict | None = None     # {"kind": "patches"|"smooth_noise", ...}
 
     def __post_init__(self):
-        if self.shape not in ("box", "cylinder", "capsule", "superellipsoid"):
+        if self.shape not in _PARAM_COUNTS:
             raise ValueError(f"unknown shape {self.shape!r}")
         if self.label not in LABELS:
             raise ValueError(f"unknown label {self.label!r}")
         p = tuple(float(v) for v in self.params)
+        if len(p) != _PARAM_COUNTS[self.shape]:
+            raise ValueError(f"{self.shape} takes {_PARAM_COUNTS[self.shape]} parameters: {p}")
         sizes = p[:3] if self.shape == "superellipsoid" else p
         if any(v <= 0 for v in sizes):
             raise ValueError(f"{self.shape} size parameters must be positive: {p}")
@@ -134,10 +140,7 @@ class ScenePrimitive:
 
     def world_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(min, max) corners of the world-frame AABB."""
-        h = self.local_bounds()
-        corners = np.array([[sx * h[0], sy * h[1], sz * h[2]]
-                            for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
-        w = self.pose.apply(corners)
+        w = self.pose.apply(BOX_CORNERS * self.local_bounds())
         return w.min(axis=0), w.max(axis=0)
 
     def albedo_at(self, pts_local: np.ndarray) -> np.ndarray:
@@ -340,13 +343,23 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(doc: dict) -> Scene:
+    """A scene from its JSON object; any defect raises ValueError naming the entry."""
     if not isinstance(doc, dict):
         raise ValueError(f"a scene is a JSON object, not a {type(doc).__name__}")
+    if not isinstance(doc.get("primitives"), list):
+        raise ValueError("a scene's 'primitives' is a JSON list of primitive objects")
+    prims = []
+    for i, d in enumerate(doc["primitives"]):
+        try:
+            prims.append(_prim_from_dict(d))
+        except KeyError as e:
+            raise ValueError(f"primitive entry {i} has no key {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"primitive entry {i}: {e}") from e
     try:
-        return Scene(tuple(_prim_from_dict(d) for d in doc["primitives"]),
-                     float(doc.get("background_cap", 5.0)))
-    except KeyError as e:
-        raise ValueError(f"a scene or primitive entry has no key {e}") from e
+        return Scene(tuple(prims), float(doc.get("background_cap", 5.0)))
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"background_cap: {e}") from e
 
 
 def save_scene(path, scene: Scene) -> None:

@@ -153,6 +153,50 @@ class TestServerStateMachine:
         assert frame.kind is MessageKind.FRAME
         assert len(server.frames) == 1
 
+    @pytest.mark.parametrize("kind, payload", [
+        ("CONFIGURE", {}),
+        ("CONFIGURE", {"schedule": {"device_order": [0, 1], "delay_us": 160}}),
+        ("CONFIGURE", ["schedule"]),
+        ("CONFIGURE", b"{not json"),
+        ("CONFIGURE", {"schedule": build_schedule([1, 2], 160, 125).to_json_dict()}),
+        ("TRIGGER", {}),
+        ("TRIGGER", {"frame_id": "1"}),
+        ("TRIGGER", {"frame_id": 1, "seed": 0.5}),
+        ("FETCH", {}),
+        ("FETCH", {"frame_id": 1.5}),
+    ], ids=["configure-no-schedule", "configure-schedule-lacks-key", "configure-not-object",
+            "configure-not-json", "configure-omits-device", "trigger-no-frame-id",
+            "trigger-frame-id-string", "trigger-seed-float", "fetch-no-frame-id",
+            "fetch-frame-id-float"])
+    def test_malformed_payload_is_bad_request_and_changes_nothing(self, setup, kind, payload):
+        """BAD_REQUEST, the server as it was, then the same connection serves a valid request."""
+        scene, rig = setup
+        server = DeviceServer(0, rig[0], scene=scene, rig=rig)
+        server.start_background()
+        sched = build_schedule([s.device_id for s in rig], 160, 125)
+        valid = {"CONFIGURE": json_message(MessageKind.CONFIGURE,
+                                           {"schedule": sched.to_json_dict()}),
+                 "TRIGGER": json_message(MessageKind.TRIGGER, {"frame_id": 1}),
+                 "FETCH": json_message(MessageKind.FETCH, {"frame_id": 1})}
+        bad = (Message(MessageKind[kind], payload) if isinstance(payload, bytes)
+               else json_message(MessageKind[kind], payload))
+        try:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+                def ask(m: Message) -> Message:
+                    sock.sendall(encode_message(m))
+                    return read_message(lambda n: _recv_exact(sock, n))
+
+                for step in ("CONFIGURE", "TRIGGER")[:1 + (kind == "FETCH")]:
+                    assert ask(valid[step]).kind is not MessageKind.ERROR
+                before = (server.schedule, server.state, dict(server.frames))
+                reply = ask(bad)
+                assert reply.kind is MessageKind.ERROR
+                assert payload_json(reply)["code"] == ErrorCode.BAD_REQUEST
+                assert (server.schedule, server.state, server.frames) == before
+                assert ask(valid[kind]).kind is not MessageKind.ERROR
+        finally:
+            server.stop()
+
     def test_all_request_orderings_up_to_length_5(self, setup):
         """FETCH can only succeed after CONFIGURE then TRIGGER, in any request mix."""
         scene, _ = setup

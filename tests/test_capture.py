@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tofscan.capture import (CaptureSchedule, build_schedule, corrupt_device_frame,
-                             overlapping_pairs, simulate_capture, write_retention_csv)
+                             interferer_counts, overlapping_pairs, simulate_capture,
+                             write_retention_csv)
 from tofscan.experiments import SYNC_SCENE
 from tofscan.render import apply_tof_noise, render
-from tofscan.rigs import known_object_rig
+from tofscan.rigs import CATTLE_CHAIN, cattle_rig, known_object_rig, look_at
+from tofscan.scene import make_animal_model
 
 
 class TestSchedule:
@@ -67,6 +71,27 @@ def small_setup():
     rig = known_object_rig()
     renders = {s.device_id: render(SYNC_SCENE, s) for s in rig}
     return SYNC_SCENE, rig, renders
+
+
+class TestInterfererCounts:
+    """Overlapping exposure windows interfere only between two sensors that see the target."""
+
+    def test_cattle_rig(self):
+        scene = make_animal_model(1.0)
+        rig = cattle_rig()
+        n = len(rig)
+        at_zero = build_schedule(CATTLE_CHAIN, 0)
+        assert interferer_counts(scene, rig, at_zero) == {d: n - 1 for d in range(n)}
+        assert interferer_counts(scene, rig, build_schedule(CATTLE_CHAIN, 160)) == \
+            {d: 0 for d in range(n)}
+
+        # device 3 turned to face straight away from the target's centre
+        lo, hi = scene.target_bounds()
+        eye = rig[3].camera_center()
+        turned = list(rig)
+        turned[3] = replace(rig[3], pose=look_at(eye, 2 * eye - (lo + hi) / 2))
+        counts = interferer_counts(scene, turned, at_zero)
+        assert counts == {d: 0 if d == 3 else n - 2 for d in range(n)}
 
 
 class TestSimulateCapture:

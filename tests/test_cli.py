@@ -11,7 +11,7 @@ from tofscan.formats import read_ply, write_ply
 from tofscan.geometry import PointCloud
 from tofscan.render import save_rig
 from tofscan.rigs import known_object_rig
-from tofscan.scene import save_scene
+from tofscan.scene import save_scene, scene_to_dict
 
 
 def test_measure_command(tmp_path, capsys):
@@ -54,7 +54,8 @@ def test_wrong_kind_of_ply_is_named(tmp_path, capsys, command, flag, kind):
                                   "serve-scene-missing", "experiment-config-missing",
                                   "register-cloud-not-ply", "serve-rig-no-intrinsics",
                                   "serve-rig-object", "serve-scene-no-primitives",
-                                  "measure-ply-double"])
+                                  "measure-ply-double", "serve-rig-intrinsics-int",
+                                  "serve-scene-params-int", "serve-scene-params-count"])
 def test_unreadable_input_file_is_named(tmp_path, capsys, case):
     """A missing or malformed input file is named on one stderr line with exit 2."""
     bad = tmp_path / "absent.json"
@@ -71,8 +72,17 @@ def test_unreadable_input_file_is_named(tmp_path, capsys, case):
         malformed.write_text(json.dumps(doc))
     elif case == "serve-rig-object":
         malformed.write_text(json.dumps({"device_id": 0}))
+    elif case == "serve-rig-intrinsics-int":
+        doc = json.loads(rig_path.read_text())
+        doc[0]["intrinsics"] = 5
+        malformed.write_text(json.dumps(doc))
     elif case == "serve-scene-no-primitives":
         malformed.write_text(json.dumps({"background_cap": 5.0}))
+    elif case.startswith("serve-scene-params"):
+        doc = scene_to_dict(SYNC_SCENE)
+        doc["primitives"][1].update({"params": 3} if case.endswith("int") else
+                                    {"shape": "superellipsoid", "params": [1.0, 1.0, 1.0]})
+        malformed.write_text(json.dumps(doc))
     elif case == "measure-ply-double":
         malformed.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
                               b"property double x\nproperty double y\nproperty double z\n"
@@ -91,6 +101,12 @@ def test_unreadable_input_file_is_named(tmp_path, capsys, case):
                                     "--scene", str(bad)],
         "serve-rig-object": ["serve", "--device-id", "0", "--rig", str(malformed),
                              "--scene", str(bad)],
+        "serve-rig-intrinsics-int": ["serve", "--device-id", "0", "--rig", str(malformed),
+                                     "--scene", str(bad)],
+        "serve-scene-params-int": ["serve", "--device-id", "0", "--rig", str(rig_path),
+                                   "--scene", str(malformed)],
+        "serve-scene-params-count": ["serve", "--device-id", "0", "--rig", str(rig_path),
+                                     "--scene", str(malformed)],
         "serve-scene-no-primitives": ["serve", "--device-id", "0", "--rig", str(rig_path),
                                       "--scene", str(malformed)],
         "measure-ply-double": ["measure", "--mesh", str(malformed)],
@@ -100,6 +116,9 @@ def test_unreadable_input_file_is_named(tmp_path, capsys, case):
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and str(named) in err[0]
+    if case.endswith(("-int", "-count")):
+        entry = "sensor entry 0" if "rig" in case else "primitive entry 1"
+        assert entry in err[0]
     assert not out.exists()
 
 
@@ -348,3 +367,49 @@ def test_experiment_interference(tmp_path):
     assert len(rows) == 2
     retention = {int(d): float(r) for d, r in (row.split(",") for row in rows)}
     assert retention[0] < retention[160]
+
+
+@pytest.mark.parametrize("kind, doc, named", [
+    ("animal", [1, 2], "not a JSON object"),
+    ("animal", {"radius": 0.1}, "'radius' for the animal study (allowed: resolution, runs, scale)"),
+    ("known-object", {"runs": "3"}, "'runs' must be a positive integer"),
+    ("interference", {"delays_us": [0, 1.5]}, "'delays_us' must be"),
+    ("known-object", {"resolution": 16}, "'resolution' must be an integer in 32-512"),
+    ("animal", {"resolution": 1024}, "'resolution' must be an integer in 32-512"),
+], ids=["not-object", "unknown-key", "wrong-type", "wrong-item-type", "resolution-low",
+        "resolution-high"])
+def test_experiment_config_is_checked(tmp_path, capsys, monkeypatch, kind, doc, named):
+    """A --config the study cannot take: one stderr line naming the key, exit 2, no study run."""
+    import tofscan.experiments as experiments
+
+    def never(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    for runner in ("run_known_object_experiment", "run_interference_experiment",
+                   "run_animal_experiment"):
+        monkeypatch.setattr(experiments, runner, never)
+    config = tmp_path / "overrides.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "report.csv"
+    assert main(["experiment", kind, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(config) in err[0] and named in err[0]
+    assert not out.exists()
+
+
+def test_experiment_with_every_run_failed_exits_1(tmp_path, capsys, monkeypatch):
+    """A study left with no successful run is named on stderr, exit 1, and no CSV is written."""
+    import tofscan.experiments as experiments
+    from tofscan.pipeline import PipelineError
+
+    def diverged(cfg):
+        raise PipelineError("registration", RuntimeError("diverged edges [(0, 1)]"))
+
+    monkeypatch.setattr(experiments, "_measured_run", diverged)
+    config = tmp_path / "overrides.json"
+    config.write_text(json.dumps({"runs": 1, "orientations": 1}))
+    out = tmp_path / "report.csv"
+    assert main(["experiment", "known-object", "--config", str(config), "--out", str(out)]) == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if "every run failed" in line]
+    assert len(err) == 1 and "cylinder" in err[0] and "box-large" in err[0]
+    assert not out.exists()

@@ -21,7 +21,7 @@ from tofscan.scene import make_known_object_scene
 @pytest.fixture(scope="module")
 def box_cfg():
     obj = KNOWN_BOXES["medium"]
-    return obj, known_object_config(make_known_object_scene(obj), resolution=64)
+    return obj, replace(known_object_config(make_known_object_scene(obj)), resolution=64)
 
 
 class TestKnownObject:
@@ -127,8 +127,9 @@ def test_noise_free_box_is_tightest_case(monkeypatch):
     """
     monkeypatch.setattr(pipeline, "_CORNER_NOISE_SIGMA", 0.0)
     obj = KNOWN_BOXES["medium"]
-    cfg = known_object_config(make_known_object_scene(obj), resolution=192)
-    cfg = replace(cfg, rig=tuple(replace(s, sigma0=0.0, sigma1=0.0) for s in cfg.rig))
+    cfg = known_object_config(make_known_object_scene(obj))
+    cfg = replace(cfg, resolution=192,
+                  rig=tuple(replace(s, sigma0=0.0, sigma1=0.0) for s in cfg.rig))
     report = run_known_object_experiment("box-medium", obj, 1, [RigidTransform.identity()],
                                          cfg)
     assert not report.failed_runs

@@ -14,7 +14,7 @@ from tofscan.scene import Scene, box, make_known_object_scene
 
 @pytest.fixture(scope="module")
 def cylinder_cfg():
-    return known_object_config(make_known_object_scene(KNOWN_CYLINDER), resolution=64)
+    return replace(known_object_config(make_known_object_scene(KNOWN_CYLINDER)), resolution=64)
 
 
 @pytest.fixture(scope="module")

@@ -216,39 +216,33 @@ class TestNoise:
 
 
 class TestInterference:
-    def _depth(self, rng=None, fill=1500):
+    def _depth(self, rng=None):
         from tofscan.geometry import DepthImage
-        data = np.full((250, 400), fill, np.uint16)
+        data = np.full((250, 400), 1500, np.uint16)
         if rng is not None:
             data[rng.random((250, 400)) < 0.3] = 0
         return DepthImage(400, 250, data)
 
     def test_zero_interferers_identity(self):
         d = self._depth()
-        out = apply_interference(d, 0, 0.45, seed=1)
+        out = apply_interference(d, 0, seed=1)
         assert np.array_equal(out.data, d.data)
 
-    def test_full_probability_corrupts_everything(self):
-        # fill 0.1 m, below the 0.3 m spurious floor, so corruption always shows
-        d = self._depth(fill=100)
-        out = apply_interference(d, 1, 1.0, seed=1)
-        assert (out.data != d.data).all()
-
     def test_corrupted_fraction_matches_binomial(self):
-        # 1e5 pixels, p_int = 0.6, 3 interferers -> 1 - 0.4^3 = 0.936
+        # 1e5 pixels, p_int = 0.45, 3 interferers -> 1 - 0.55^3 = 0.833625
         d = self._depth()
-        out = apply_interference(d, 3, 0.6, seed=3)
+        out = apply_interference(d, 3, seed=3)
         frac = (out.data != d.data).mean()
-        assert abs(frac - 0.936) < 0.01
+        assert abs(frac - 0.833625) < 0.01
 
     def test_never_revives_invalid_pixels(self, rng):
         d = self._depth(rng)
-        out = apply_interference(d, 5, 0.9, seed=4)
+        out = apply_interference(d, 5, seed=4)
         assert not out.data[d.data == 0].any()
 
     def test_spurious_mix(self):
         d = self._depth()
-        out = apply_interference(d, 4, 0.9, seed=5, cap_m=5.0)
+        out = apply_interference(d, 4, seed=5, cap_m=5.0)
         corrupted = out.data != d.data
         zeroed = corrupted & (out.data == 0)
         spurious = corrupted & (out.data > 0)
@@ -258,8 +252,8 @@ class TestInterference:
 
     def test_dims_preserved_and_deterministic(self):
         d = self._depth()
-        a = apply_interference(d, 2, 0.5, seed=9)
-        b = apply_interference(d, 2, 0.5, seed=9)
+        a = apply_interference(d, 2, seed=9)
+        b = apply_interference(d, 2, seed=9)
         assert a.data.shape == d.data.shape
         assert np.array_equal(a.data, b.data)
 

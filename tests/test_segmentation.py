@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tofscan.formats import encode_pgm8
 from tofscan.geometry import BinaryMask, CameraIntrinsics, DepthImage, back_project
 from tofscan.segmentation import ArbitrationMode, MaskPair, fuse, load_masks, metrics
 
@@ -130,7 +129,10 @@ class TestApplyMask:
 
 class TestLoadMasks:
     def _write(self, directory, dev, suffix, data):
-        (directory / f"{dev}_{suffix}.pgm").write_bytes(encode_pgm8(data))
+        """An 8-bit PGM of ``data`` as written by hand, so gray values reach the reader."""
+        h, w = data.shape
+        (directory / f"{dev}_{suffix}.pgm").write_bytes(f"P5\n{w} {h}\n255\n".encode()
+                                                         + data.tobytes())
 
     def test_loads_complete_pairs(self, tmp_path, rng):
         for dev in range(8):

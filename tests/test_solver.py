@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tofscan import solver
 from tofscan.solver import SolverError, apply_neg_laplacian, solve_poisson_grid
 
 
@@ -16,18 +17,18 @@ def dense_neg_laplacian(shape, spacing):
 
 def test_operator_is_symmetric_positive_definite():
     shape = (4, 5, 3)
-    a = dense_neg_laplacian(shape, (0.1, 0.2, 0.15))
+    a = dense_neg_laplacian(shape, 0.15)
     np.testing.assert_allclose(a, a.T, atol=1e-12)
     assert np.linalg.eigvalsh(a).min() > 0
 
 
 def test_matches_dense_solve(rng):
     shape = (5, 4, 6)
-    spacing = (0.1, 0.2, 0.15)
+    spacing = 0.15
     a = dense_neg_laplacian(shape, spacing)
     b = rng.standard_normal(shape)
     x_ref = np.linalg.solve(a, b.ravel())
-    x, info = solve_poisson_grid(b, spacing, tol=1e-12)
+    x, info = solve_poisson_grid(b, spacing)
     np.testing.assert_allclose(x.ravel(), x_ref, rtol=0, atol=1e-10 * np.abs(x_ref).max())
     assert info.iterations == 1 and info.residual <= 1e-12
 
@@ -41,10 +42,11 @@ def test_non_finite_rhs_raises_with_residual(rng, bad):
     assert e.value.residual is not None and not np.isfinite(e.value.residual)
 
 
-def test_unreachable_tol_raises(rng):
-    """A finite residual above ``tol`` fails the gate and is reported."""
+def test_unreachable_tol_raises(rng, monkeypatch):
+    """A finite residual above the tolerance fails the gate and is reported."""
+    monkeypatch.setattr(solver, "_TOL", 1e-30)
     with pytest.raises(SolverError) as e:
-        solve_poisson_grid(rng.standard_normal((6, 7, 5)), 0.05, tol=1e-30)
+        solve_poisson_grid(rng.standard_normal((6, 7, 5)), 0.05)
     assert 1e-30 < e.value.residual < 1e-6
 
 
@@ -61,6 +63,7 @@ def test_manufactured_solution():
     x, y, z = np.meshgrid(idx, idx, idx, indexing="ij")
     u_exact = np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z)
     rhs = 3 * np.pi ** 2 * u_exact
-    u, _ = solve_poisson_grid(rhs, h, tol=1e-10)
+    u, info = solve_poisson_grid(rhs, h)
+    assert info.residual <= 1e-10
     # second-order discretization error dominates
     assert np.abs(u - u_exact).max() < 2e-3
