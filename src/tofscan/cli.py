@@ -71,7 +71,8 @@ def main(argv=None) -> int:
 
 
 class _InputError(Exception):
-    """A file named on the command line could not be read, or holds a value the command refuses."""
+    """A flag or file named on the command line holds a value the command refuses,
+    or the file could not be read."""
 
 
 def _read(loader, path):
@@ -106,6 +107,8 @@ def _cmd_scan(args) -> int:
     from .capture import build_schedule
     from .protocol import ProtocolError
 
+    _check_flag("--delay-us", args.delay_us, _NON_NEGATIVE_INT)
+    _check_flag("--exposure-us", args.exposure_us, _POSITIVE_INT)
     endpoints = [e.strip() for e in args.endpoints.split(",") if e.strip()]
     if not endpoints:
         print(f"--endpoints {args.endpoints!r} names no host:port", file=sys.stderr)
@@ -200,13 +203,17 @@ def _cmd_register(args) -> int:
 def _cmd_reconstruct(args) -> int:
     from .formats import read_ply, write_ply
     from .geometry import PointCloud
-    from .reconstruction import estimate_normals, poisson_reconstruct
+    from .reconstruction import ReconstructionError, estimate_normals, poisson_reconstruct
 
+    _check_flag("--resolution", args.resolution, _RESOLUTION)
     cloud = _read(read_ply, args.cloud)
     if not isinstance(cloud, PointCloud):
         print(f"{args.cloud} is a mesh PLY, not a point cloud", file=sys.stderr)
         return 2
-    mesh = poisson_reconstruct(estimate_normals(cloud), resolution=args.resolution)
+    try:
+        mesh = poisson_reconstruct(estimate_normals(cloud), resolution=args.resolution)
+    except (ValueError, ReconstructionError) as e:  # too few points, zero extent, ...
+        raise _InputError(f"cannot reconstruct {args.cloud}: {e}") from e
     write_ply(args.out, vertices=mesh.vertices, triangles=mesh.triangles)
     print(f"wrote {args.out}: {len(mesh.vertices)} vertices, {len(mesh.triangles)} triangles")
     return 0
@@ -289,6 +296,7 @@ def _is_int(v) -> bool:
 
 
 _POSITIVE_INT = ("a positive integer", lambda v: _is_int(v) and v >= 1)
+_NON_NEGATIVE_INT = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
 _POSITIVE = ("a positive number", lambda v: (_is_int(v) or isinstance(v, float)) and v > 0)
 _RESOLUTION = ("an integer in 32-512", lambda v: _is_int(v) and 32 <= v <= 512)
 # the keys each study reads from --config: key -> (what its value must be, test)
@@ -296,13 +304,20 @@ _OVERRIDES = {
     "interference": {
         "delays_us": ("a non-empty list of integers >= 0",
                       lambda v: isinstance(v, list) and v != []
-                      and all(_is_int(d) and d >= 0 for d in v)),
+                      and all(_NON_NEGATIVE_INT[1](d) for d in v)),
         "seeds": _POSITIVE_INT},
     "known-object": {"radius": _POSITIVE, "height": _POSITIVE, "orientations": _POSITIVE_INT,
                      "runs": _POSITIVE_INT, "resolution": _RESOLUTION},
     "animal": {"scale": _POSITIVE, "runs": ("an integer >= 5", lambda v: _is_int(v) and v >= 5),
                "resolution": _RESOLUTION},
 }
+
+
+def _check_flag(flag: str, value, rule) -> None:
+    """Raise an _InputError naming ``flag`` unless ``value`` passes ``rule`` = (what, test)."""
+    what, ok = rule
+    if not ok(value):
+        raise _InputError(f"{flag} must be {what}, got {value}")
 
 
 def _check_overrides(path, kind: str, overrides) -> None:

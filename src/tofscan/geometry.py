@@ -34,10 +34,14 @@ __all__ = [
     "project",
     "transform_cloud",
     "pca_normals",
+    "neighbour_normals",
 ]
 
 _ORTHONORMAL_TOL = 1e-9
 PCA_BLOCK = 4096  # points per pca_normals block, the unit the pool shares out
+# relative floor on the longest cross product of two rows of A - lambda I:
+# below it the two smaller eigenvalues are too close for the closed form
+_CROSS_FLOOR = 1e-3
 
 
 class GeometryError(ValueError):
@@ -310,11 +314,11 @@ def transform_cloud(cloud: PointCloud, t: RigidTransform) -> PointCloud:
 def pca_normals(points: np.ndarray, tree, k: int, centers) -> np.ndarray:
     """Unit normals by PCA over each point's k nearest neighbours in ``tree``.
 
-    ``tree`` is a KD-tree built on ``points``. Each normal is the covariance
-    eigenvector of least eigenvalue, flipped to face ``centers`` (one
-    viewpoint, or one per point). Points go through in blocks of
-    ``PCA_BLOCK``, which bounds the (block, k, 3) neighbour array; the
-    blocks run concurrently, each writing its own slice.
+    ``tree`` is a KD-tree built on ``points``. Each block of ``PCA_BLOCK``
+    points runs one k-nearest query and hands the indices to
+    ``neighbour_normals``, flipping each normal to face ``centers`` (one
+    viewpoint, or one per point). The block bounds the (block, k) neighbour
+    arrays; the blocks run concurrently, each writing its own slice.
     """
     centers = np.asarray(centers, dtype=np.float64)
     normals = np.empty((len(points), 3))
@@ -322,13 +326,59 @@ def pca_normals(points: np.ndarray, tree, k: int, centers) -> np.ndarray:
     def fill(lo: int) -> None:
         block = slice(lo, lo + PCA_BLOCK)
         _, idx = tree.query(points[block], k=k)
-        centered = points[idx]                       # (B, k, 3), centred in place
-        centered -= centered.mean(axis=1, keepdims=True)
-        _, vecs = np.linalg.eigh(np.einsum("nki,nkj->nij", centered, centered))
-        n = vecs[:, :, 0]                            # least eigenvalue (ascending order)
         toward = centers if centers.ndim == 1 else centers[block]
-        n[np.einsum("ni,ni->n", n, toward - points[block]) < 0] *= -1.0
-        normals[block] = n / np.linalg.norm(n, axis=1)[:, None]
+        normals[block] = neighbour_normals(points, idx, toward - points[block])
 
     map_ordered(fill, range(0, len(points), PCA_BLOCK))
     return normals
+
+
+def neighbour_normals(points: np.ndarray, idx: np.ndarray, toward: np.ndarray) -> np.ndarray:
+    """Unit PCA normal of each row of neighbour indices ``idx`` (B, k) into ``points``.
+
+    The normal is the least eigenvector of the neighbours' 3x3 covariance
+    (Hoppe et al., SIGGRAPH 1992), flipped so that its dot product with
+    ``toward`` (B, 3), the direction from the point to its viewpoint, is not
+    negative. The least eigenvalue comes from the trigonometric formula for
+    symmetric 3x3 matrices and the eigenvector is the longest cross product
+    of two rows of A - lambda I. Rows with zero covariance or a cross product
+    below ``_CROSS_FLOOR`` relative to |A - lambda I|^2 (coincident or
+    collinear neighbours) fall back to ``np.linalg.eigh`` on those rows only.
+    """
+    x, y, z = (points[idx, axis] for axis in range(3))  # (B, k) each, centred in place
+    for coord in (x, y, z):
+        coord -= coord.mean(axis=1, keepdims=True)
+    sxx, syy, szz = (np.einsum("nk,nk->n", coord, coord) for coord in (x, y, z))
+    sxy, sxz, syz = (np.einsum("nk,nk->n", a, b) for a, b in ((x, y), (x, z), (y, z)))
+
+    # least eigenvalue: A = q I + p B with det(B) / 2 = cos(3 phi)
+    q = (sxx + syy + szz) / 3.0
+    a, b, c = sxx - q, syy - q, szz - q
+    off = sxy * sxy + sxz * sxz + syz * syz
+    p = np.sqrt((a * a + b * b + c * c + 2.0 * off) / 6.0)
+    det = a * (b * c - syz * syz) - sxy * (sxy * c - syz * sxz) + sxz * (sxy * syz - b * sxz)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.clip(det / (2.0 * p ** 3), -1.0, 1.0)
+    lam = q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0)
+
+    # rows of A - lam I and their three pairwise cross products
+    dx, dy, dz = sxx - lam, syy - lam, szz - lam
+    crosses = np.array([
+        [sxy * syz - sxz * dy, sxz * sxy - dx * syz, dx * dy - sxy * sxy],     # r0 x r1
+        [sxy * dz - sxz * syz, sxz * sxz - dx * dz, dx * syz - sxy * sxz],     # r0 x r2
+        [dy * dz - syz * syz, syz * sxz - sxy * dz, sxy * syz - dy * sxz]])    # r1 x r2
+    lengths = np.einsum("pin,pin->pn", crosses, crosses)
+    n = crosses[lengths.argmax(axis=0), :, np.arange(len(dx))]  # (B, 3)
+    longest = lengths.max(axis=0)
+    scale = dx * dx + dy * dy + dz * dz + 2.0 * off             # |A - lam I|_F^2
+    bad = ~(longest > (_CROSS_FLOOR * scale) ** 2)              # NaN-safe: p == 0 lands here
+    if bad.any():
+        cov = np.empty((int(bad.sum()), 3, 3))
+        cov[:, 0, 0], cov[:, 1, 1], cov[:, 2, 2] = sxx[bad], syy[bad], szz[bad]
+        cov[:, 0, 1] = cov[:, 1, 0] = sxy[bad]
+        cov[:, 0, 2] = cov[:, 2, 0] = sxz[bad]
+        cov[:, 1, 2] = cov[:, 2, 1] = syz[bad]
+        n[bad] = np.linalg.eigh(cov)[1][:, :, 0]              # least eigenvalue first
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    n[np.einsum("ni,ni->n", n, toward) < 0] *= -1.0
+    return n

@@ -55,11 +55,6 @@ class TriangleMesh:
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
 
-    def triangle_corners(self):
-        v = self.vertices
-        t = self.triangles
-        return v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-
 
 def estimate_normals(cloud: PointCloud, camera_centers: dict | None = None) -> PointCloud:
     """``cloud`` with PCA normals over its 30 nearest neighbors, flipped toward the camera.

@@ -19,10 +19,12 @@ recorded objective never increases across accepted iterations.
 
 Each cloud's level at one scale (downsampled points, intensity, PCA normals,
 one KD-tree for every neighbour query and, for a target, intensity gradients)
-is built once. ``register_rig`` builds every device's levels at every scale
-up front, shares them across both of the device's chain edges, and then runs
-the chain edges concurrently; results and warnings are collected in chain
-order before the chain walk. ``colored_icp`` runs the same loop on one pair.
+is built once, and one KD query per level serves both: each point's 30
+nearest neighbours give its normal and the nearest 15 of them its gradient.
+``register_rig`` builds every device's levels at every scale up front, shares
+them across both of the device's chain edges, and then runs the chain edges
+concurrently; results and warnings are collected in chain order before the
+chain walk. ``colored_icp`` runs the same loop on one pair.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import PointCloud, RigidTransform, pca_normals, transform_cloud
+from .geometry import PointCloud, RigidTransform, neighbour_normals, transform_cloud
 from .parallel import map_ordered
 
 logger = logging.getLogger(__name__)
@@ -207,13 +209,13 @@ class _Level:
         self.points = down.points
         self.intensity = down.colors.mean(axis=1)
         self.tree = cKDTree(self.points)
-        self.normals = pca_normals(self.points, self.tree, min(_NORMAL_K, len(down)),
-                                   (0.0, 0.0, 0.0))
-        self.gradients = self._gradients() if target else None
+        # one query: all columns give the normals, the nearest _GRADIENT_K the gradients
+        _, idx = self.tree.query(self.points, k=min(_NORMAL_K, len(down)))
+        self.normals = neighbour_normals(self.points, idx, -self.points)
+        self.gradients = self._gradients(idx[:, :_GRADIENT_K]) if target else None
 
-    def _gradients(self) -> np.ndarray:
+    def _gradients(self, idx: np.ndarray) -> np.ndarray:
         points, n, intensity = self.points, self.normals, self.intensity
-        _, idx = self.tree.query(points, k=min(_GRADIENT_K, len(points)))
         # project neighbors onto each point's tangent plane
         rel = points[idx] - points[:, None, :]
         rel_t = rel - np.einsum("nkj,nj->nk", rel, n)[:, :, None] * n[:, None, :]

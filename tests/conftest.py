@@ -22,6 +22,12 @@ def target_surface_count(cloud_points: np.ndarray, scene: Scene, tol: float = 0.
     return int((np.abs(d) <= tol).sum())
 
 
+def triangle_corners(mesh: TriangleMesh):
+    """The (T, 3) first, second and third corner of every triangle."""
+    v, t = mesh.vertices, mesh.triangles
+    return v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+
+
 def unit_cube_mesh() -> TriangleMesh:
     """12-triangle unit cube [0,1]^3 with outward CCW winding."""
     v = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=float)
@@ -39,7 +45,7 @@ def unit_cube_mesh() -> TriangleMesh:
                 tri = [tri[0], tri[2], tri[1]]
             tris.append(tri)
     mesh = TriangleMesh(v, np.array(tris))
-    corners = mesh.triangle_corners()
+    corners = triangle_corners(mesh)
     assert np.einsum("ij,ij->i", corners[0],
                      np.cross(corners[1], corners[2])).sum() / 6.0 > 0
     return mesh
@@ -107,7 +113,7 @@ def torus_grid_mesh(n: int = 8, big_r: float = 1.0, small_r: float = 0.3) -> Tri
 def sampled_mesh_points(mesh: TriangleMesh, n: int, seed: int = 0):
     """Uniform area-weighted surface samples with face normals."""
     rng = np.random.default_rng(seed)
-    a, b, c = mesh.triangle_corners()
+    a, b, c = triangle_corners(mesh)
     cross = np.cross(b - a, c - a)
     areas = 0.5 * np.linalg.norm(cross, axis=1)
     probs = areas / areas.sum()

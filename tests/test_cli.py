@@ -134,6 +134,31 @@ def test_reconstruct_command(tmp_path, capsys, rng):
     assert len(tris) > 100
 
 
+def test_reconstruct_resolution_out_of_range(tmp_path, capsys, rng):
+    """--resolution outside Poisson's 32-512: one stderr line, exit 2, no mesh."""
+    write_ply(tmp_path / "cloud.ply", PointCloud(rng.standard_normal((500, 3))))
+    out = tmp_path / "mesh.ply"
+    assert main(["reconstruct", "--cloud", str(tmp_path / "cloud.ply"),
+                 "--resolution", "16", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "--resolution" in err[0] and "16" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["ten-points", "coincident"])
+def test_reconstruct_degenerate_cloud(tmp_path, capsys, case):
+    """Fewer points than the normal neighbourhood, or no extent: one stderr line, exit 2."""
+    pts = (np.random.default_rng(0).standard_normal((10, 3)) if case == "ten-points"
+           else np.tile([0.1, 0.2, 0.3], (40, 1)))
+    cloud = tmp_path / "cloud.ply"
+    write_ply(cloud, PointCloud(pts))
+    out = tmp_path / "mesh.ply"
+    assert main(["reconstruct", "--cloud", str(cloud), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(cloud) in err[0]
+    assert not out.exists()
+
+
 def test_serve_and_scan_loopback(tmp_path, capsys):
     scene = SYNC_SCENE
     rig = known_object_rig()[:3]
@@ -185,6 +210,22 @@ def test_scan_endpoint_not_host_port(tmp_path, capsys, endpoint):
     assert main(["scan", "--endpoints", endpoint, "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert f"device at {endpoint} unreachable" in err and "host:port" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--delay-us", "-5"), ("--exposure-us", "0")])
+def test_scan_bad_timing_flag_is_named(tmp_path, capsys, monkeypatch, flag, value):
+    """A negative delay or a non-positive exposure: one stderr line and exit 2, before HELLO."""
+    from tofscan.acquisition import ScanClient
+
+    def no_hello(client, endpoint):
+        raise AssertionError(f"HELLO sent to {endpoint}")
+
+    monkeypatch.setattr(ScanClient, "hello", no_hello)
+    out_dir = tmp_path / "scan"
+    assert main(["scan", "--endpoints", "127.0.0.1:9", flag, value, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and flag in err[0] and value in err[0]
     assert not out_dir.exists()
 
 

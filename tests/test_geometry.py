@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 from tofscan import geometry
 from tofscan.geometry import (BinaryMask, CameraIntrinsics, ColorImage, DepthImage,
                               GeometryError, PointCloud, RigidTransform, back_project,
-                              pca_normals, project, transform_cloud)
+                              neighbour_normals, pca_normals, project, transform_cloud)
 
 INTR = CameraIntrinsics(fx=600, fy=600, cx=320, cy=240, width=640, height=480)
 
@@ -193,3 +193,61 @@ def test_pca_normals_blocks_match_one_block(per_point, monkeypatch):
     whole = pca_normals(pts, tree, 20, centers)
     monkeypatch.setattr(geometry, "PCA_BLOCK", 300)  # 9 blocks, the last one partial
     assert np.array_equal(pca_normals(pts, tree, 20, centers), whole)
+
+
+def _facing(normals, points, centers):
+    return np.einsum("ni,ni->n", normals, np.broadcast_to(centers, points.shape) - points)
+
+
+@pytest.mark.parametrize("per_point", [True, False], ids=["per-point-centers", "viewpoint"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pca_normals_match_eigh(per_point, seed):
+    """The closed-form least eigenvector is the batched eigh one, up to sign, and faces its centre."""
+    rng = np.random.default_rng(seed)
+    rotation = RigidTransform.from_axis_angle(rng.standard_normal(3), rng.uniform(0, np.pi)).rotation
+    pts = (rng.standard_normal((3000, 3)) * np.array([0.6, 0.25, 0.04])) @ rotation.T + 1.5
+    centers = rng.standard_normal((3000, 3)) if per_point else np.array([0.3, -0.2, 4.0])
+    tree = cKDTree(pts)
+    normals = pca_normals(pts, tree, 30, centers)
+
+    _, idx = tree.query(pts, k=30)
+    nb = pts[idx] - pts[idx].mean(axis=1, keepdims=True)
+    reference = np.linalg.eigh(np.einsum("nki,nkj->nij", nb, nb))[1][:, :, 0]
+    assert np.abs(np.einsum("ni,ni->n", normals, reference)).min() >= 1 - 1e-10
+    assert np.abs(np.linalg.norm(normals, axis=1) - 1).max() < 1e-12
+    assert (_facing(normals, pts, centers) >= 0).all()
+
+
+@pytest.mark.parametrize("case", ["coincident", "collinear", "planar-grid"])
+def test_degenerate_neighbourhoods_give_unit_normals(case):
+    """Coincident, collinear and exactly planar neighbours: finite unit normals facing the viewpoint."""
+    viewpoint = np.array([0.31, -0.17, 2.0])
+    if case == "coincident":
+        pts = np.tile([0.1, 0.2, 0.3], (40, 1))
+    elif case == "collinear":
+        pts = np.outer(np.linspace(-0.5, 0.5, 40), [1.0, 2.0, 3.0]) + [0.1, 0.2, 0.3]
+    else:
+        u, v = np.meshgrid(np.arange(8) * 0.01, np.arange(8) * 0.01)
+        pts = np.column_stack([u.ravel(), v.ravel(), np.zeros(u.size)])
+    normals = pca_normals(pts, cKDTree(pts), 30, viewpoint)
+    assert np.isfinite(normals).all()
+    assert np.abs(np.linalg.norm(normals, axis=1) - 1).max() < 1e-12
+    assert (_facing(normals, pts, viewpoint) >= 0).all()
+    if case == "collinear":
+        line = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+        assert np.abs(normals @ line).max() < 1e-9
+    elif case == "planar-grid":
+        assert np.abs(normals - [0.0, 0.0, 1.0]).max() < 1e-12
+
+
+def test_neighbour_normals_take_given_neighbours():
+    """The kernel reads only the rows of ``points`` that ``idx`` names."""
+    rng = np.random.default_rng(3)
+    pts = rng.standard_normal((500, 3)) * np.array([1.0, 0.5, 0.02])
+    idx = rng.integers(0, len(pts), (60, 30))
+    toward = rng.standard_normal((60, 3))
+    normals = neighbour_normals(pts, idx, toward)
+    moved = pts.copy()
+    moved[np.setdiff1d(np.arange(len(pts)), idx)] = np.nan
+    assert np.array_equal(neighbour_normals(moved, idx, toward), normals)
+    assert (np.einsum("ni,ni->n", normals, toward) >= 0).all()

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from conftest import icosphere, sampled_mesh_points, tetrahedron_mesh, torus_grid_mesh, unit_cube_mesh
+from conftest import (icosphere, sampled_mesh_points, tetrahedron_mesh, torus_grid_mesh,
+                      triangle_corners, unit_cube_mesh)
 from tofscan.geometry import PointCloud
 from tofscan.metrology import surface_area, volume
 from tofscan.reconstruction import (_BYTES_PER_NODE, GRID_MEMORY_BYTES, ReconstructionError,
@@ -135,7 +136,7 @@ class TestPoisson:
         assert np.prod(shape) * _BYTES_PER_NODE <= GRID_MEMORY_BYTES
 
     def test_no_degenerate_triangles_after_cleanup(self, sphere_mesh):
-        a, b, c = sphere_mesh.triangle_corners()
+        a, b, c = triangle_corners(sphere_mesh)
         areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
         assert areas.min() > 1e-12
 

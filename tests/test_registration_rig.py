@@ -152,16 +152,35 @@ class TestSharedPyramids:
 
     def test_normals_once_per_device_and_scale(self, rng, monkeypatch):
         calls = []
-        real = registration.pca_normals
+        real = registration.neighbour_normals
 
         def counting(*args):
             calls.append(len(args[0]))
             return real(*args)
 
-        monkeypatch.setattr(registration, "pca_normals", counting)
+        monkeypatch.setattr(registration, "neighbour_normals", counting)
         graph = register_rig(self.chain(rng), {}, self.PARAMS)
         assert not graph.failed_edges
         assert len(calls) == 3 * len(self.PARAMS.voxel_sizes)
+
+    def test_target_gradients_use_the_normal_query(self, rng, monkeypatch):
+        """A target level's gradient stencil is the first _GRADIENT_K columns of its normal query."""
+        queries = []
+        real = registration.neighbour_normals
+
+        def recording(points, idx, toward):
+            queries.append(idx)
+            return real(points, idx, toward)
+
+        monkeypatch.setattr(registration, "neighbour_normals", recording)
+        level = registration._Level(textured_cloud(rng), self.PARAMS, 1, target=True)
+        (idx,) = queries
+        assert idx.shape == (len(level.points), registration._NORMAL_K)
+        stencil = idx[:, :registration._GRADIENT_K]
+        assert np.array_equal(level.gradients, level._gradients(stencil))
+        # and those columns are each point's _GRADIENT_K nearest neighbours
+        _, nearest = level.tree.query(level.points, k=registration._GRADIENT_K)
+        assert np.array_equal(np.sort(stencil, axis=1), np.sort(nearest, axis=1))
 
     def test_edges_match_standalone_icp(self, rng):
         clouds = self.chain(rng)
