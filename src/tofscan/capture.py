@@ -170,7 +170,7 @@ def simulate_capture(scene: Scene, rig: list[SensorModel], schedule: CaptureSche
         dev = sensor.device_id
         clean = renders[dev] if renders is not None else render(scene, sensor)
         noisy, corrupted = _corrupt(clean, sensor, counts[dev], seed, scene.background_cap)
-        fg = clean.oracle_mask.foreground()
+        fg = clean.oracle_mask.data
         before = noisy.data[fg]
         after = corrupted.data[fg]
         survived = int(((after == before) & (before > 0)).sum())

@@ -42,7 +42,10 @@ def _read_pnm_header(buf: bytes, magic: bytes):
                 j += 1
             tokens.append(int(buf[i:j]))
             i = j
-    return tokens[0], tokens[1], tokens[2], i + 1  # single whitespace after maxval
+    w, h, maxval = tokens
+    if w < 0 or h < 0:
+        raise ValueError(f"negative PNM size {w}x{h}")
+    return w, h, maxval, i + 1  # single whitespace after maxval
 
 
 def _encode_pnm(magic: str, data: np.ndarray) -> bytes:
@@ -71,16 +74,22 @@ def encode_pgm16(img: DepthImage) -> bytes:
 
 def decode_pgm16(buf: bytes) -> DepthImage:
     data = _decode_pnm(buf, b"P5", ">u2")
-    return DepthImage(data.shape[1], data.shape[0], data.astype(np.uint16))
+    return DepthImage(data.astype(np.uint16))
 
 
 def encode_mask_pgm(mask: BinaryMask) -> bytes:
-    return _encode_pnm("P5", mask.data)
+    """8-bit PGM with foreground 255 and background 0."""
+    return _encode_pnm("P5", mask.data * np.uint8(255))
 
 
 def decode_mask_pgm(buf: bytes) -> BinaryMask:
-    data = _decode_pnm(buf, b"P5", "u1").copy()
-    return BinaryMask(data.shape[1], data.shape[0], data)  # rejects non-{0,255} values
+    """Foreground where the 8-bit PGM holds 255; any value but 0 and 255 is refused."""
+    data = _decode_pnm(buf, b"P5", "u1")
+    fg = data == 255
+    bad = ~fg & (data != 0)
+    if bad.any():
+        raise ValueError(f"mask contains non-binary values {np.unique(data[bad])[:8].tolist()}")
+    return BinaryMask(fg)
 
 
 def encode_ppm(img: ColorImage) -> bytes:
@@ -89,7 +98,7 @@ def encode_ppm(img: ColorImage) -> bytes:
 
 def decode_ppm(buf: bytes) -> ColorImage:
     data = _decode_pnm(buf, b"P6", "u1")
-    return ColorImage(data.shape[1], data.shape[0], data.copy())
+    return ColorImage(data.copy())
 
 
 # --- PLY ---------------------------------------------------------------
@@ -145,21 +154,33 @@ def read_ply(path):
     Returns a PointCloud when the file has no faces, else (vertices, triangles).
     """
     buf = Path(path).read_bytes()
-    end = buf.index(b"end_header\n") + len(b"end_header\n")
+    end = buf.find(b"end_header\n")
+    if end < 0:
+        raise ValueError("PLY header has no end_header line")
+    end += len(b"end_header\n")
     header = buf[:end].decode().splitlines()
+    if header[0] != "ply":
+        raise ValueError(f"PLY header starts with {header[0]!r}, not 'ply'")
     if header[1] != "format binary_little_endian 1.0":
         raise ValueError(f"unsupported PLY format line: {header[1]}")
     n_vert = n_face = 0
     props = []
     element = None
-    for line in header[2:]:
+    for line in header[2:-1]:
         parts = line.split()
+        if not parts:
+            raise ValueError("blank line in PLY header")
+        if parts[0] in ("element", "property") and len(parts) < 3:
+            raise ValueError(f"incomplete PLY header line {line!r}")
         if parts[0] == "element":
             element = parts[1]
+            count = int(parts[2])
+            if count < 0:
+                raise ValueError(f"negative PLY element count in {line!r}")
             if element == "vertex":
-                n_vert = int(parts[2])
+                n_vert = count
             elif element == "face":
-                n_face = int(parts[2])
+                n_face = count
         elif parts[0] == "property" and element == "vertex":
             if parts[1] == "list":
                 raise ValueError("list property on vertex element is unsupported")
@@ -174,7 +195,10 @@ def read_ply(path):
         faces = np.frombuffer(buf, dtype=face_dt, count=n_face, offset=end + rec.nbytes)
         if not np.all(faces["n"] == 3):
             raise ValueError("non-triangular face in PLY")
-        return pts, faces["i"].astype(np.int64).copy()
+        tris = faces["i"].astype(np.int64)
+        if tris.max() >= n_vert:
+            raise ValueError(f"PLY face names vertex {tris.max()} of {n_vert}")
+        return pts, tris
     colors = None
     if "red" in names:
         colors = np.column_stack([rec["red"], rec["green"], rec["blue"]]).astype(np.float64) / 255.0

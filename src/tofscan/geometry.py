@@ -157,23 +157,41 @@ class CameraIntrinsics:
                                 depth_scale=float(d.get("depth_scale", 0.001)))
 
 
-def _check_raster(name: str, data: np.ndarray, height: int, width: int, channels: int | None):
-    expected = (height, width) if channels is None else (height, width, channels)
-    if data.shape != expected:
-        raise ValueError(f"{name} raster shape {data.shape} does not match expected {expected}")
+def _check_raster(name: str, data: np.ndarray, channels: int | None):
+    expected = ("height", "width") if channels is None else ("height", "width", channels)
+    if data.ndim != len(expected) or data.shape[2:] != expected[2:]:
+        raise ValueError(f"{name} raster shape {data.shape} is not {expected}")
+
+
+def check_size(name: str, raster, ref_name: str, ref) -> None:
+    """Raise ValueError unless ``raster`` has the width and height of ``ref``
+    (a raster or the intrinsics), naming both in the message."""
+    if (raster.width, raster.height) != (ref.width, ref.height):
+        raise ValueError(f"{name} {raster.width}x{raster.height} does not match "
+                         f"{ref_name} {ref.width}x{ref.height}")
+
+
+class _Raster:
+    """A raster's size is its array's: ``data`` is (height, width[, channels])."""
+
+    @property
+    def height(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
-class DepthImage:
+class DepthImage(_Raster):
     """16-bit depth raster in millimeters; 0 = invalid / no return."""
 
-    width: int
-    height: int
     data: np.ndarray  # (height, width) uint16
 
     def __post_init__(self):
         d = np.ascontiguousarray(self.data, dtype=np.uint16)
-        _check_raster("depth", d, self.height, self.width, None)
+        _check_raster("depth", d, None)
         object.__setattr__(self, "data", d)
 
     def valid_mask(self) -> np.ndarray:
@@ -181,46 +199,32 @@ class DepthImage:
 
 
 @dataclass(frozen=True)
-class ColorImage:
+class ColorImage(_Raster):
     """8-bit RGB raster."""
 
-    width: int
-    height: int
     data: np.ndarray  # (height, width, 3) uint8
 
     def __post_init__(self):
         d = np.ascontiguousarray(self.data, dtype=np.uint8)
-        _check_raster("color", d, self.height, self.width, 3)
+        _check_raster("color", d, 3)
         object.__setattr__(self, "data", d)
 
 
 @dataclass(frozen=True)
-class BinaryMask:
-    """{0, 255} raster; 255 = foreground."""
+class BinaryMask(_Raster):
+    """Boolean raster; True = foreground."""
 
-    width: int
-    height: int
-    data: np.ndarray  # (height, width) uint8
+    data: np.ndarray  # (height, width) bool
 
     def __post_init__(self):
-        d = np.ascontiguousarray(self.data, dtype=np.uint8)
-        _check_raster("mask", d, self.height, self.width, None)
-        bad = ~np.isin(d, (0, 255))
-        if bad.any():
-            vals = np.unique(d[bad])[:8]
-            raise ValueError(f"mask contains non-binary values {vals.tolist()}")
+        d = np.ascontiguousarray(self.data)
+        if d.dtype != bool:
+            raise ValueError(f"non-binary mask: dtype {d.dtype}, not bool")
+        _check_raster("mask", d, None)
         object.__setattr__(self, "data", d)
 
-    def foreground(self) -> np.ndarray:
-        return self.data == 255
-
     def count(self) -> int:
-        return int((self.data == 255).sum())
-
-    @staticmethod
-    def from_bool(fg: np.ndarray) -> "BinaryMask":
-        fg = np.asarray(fg, dtype=bool)
-        return BinaryMask(fg.shape[1], fg.shape[0], np.where(fg, 255, 0).astype(np.uint8))
+        return int(np.count_nonzero(self.data))
 
 
 @dataclass(frozen=True)
@@ -271,19 +275,15 @@ def back_project(depth: DepthImage, intr: CameraIntrinsics,
     One point per pixel with depth > 0 and, when a mask is given, mask
     foreground. Point = ((u-cx)·z/fx, (v-cy)·z/fy, z) with z = raw·depth_scale.
     """
-    if (depth.width, depth.height) != (intr.width, intr.height):
-        raise ValueError(f"depth raster {depth.width}x{depth.height} does not match "
-                         f"intrinsics {intr.width}x{intr.height}")
-    if color is not None and (color.width, color.height) != (depth.width, depth.height):
-        raise ValueError(f"color raster {color.width}x{color.height} does not match "
-                         f"depth {depth.width}x{depth.height}")
-    if mask is not None and (mask.width, mask.height) != (depth.width, depth.height):
-        raise ValueError(f"mask raster {mask.width}x{mask.height} does not match "
-                         f"depth {depth.width}x{depth.height}")
+    check_size("depth raster", depth, "intrinsics", intr)
+    if color is not None:
+        check_size("color raster", color, "depth", depth)
+    if mask is not None:
+        check_size("mask raster", mask, "depth", depth)
 
     keep = depth.valid_mask()
     if mask is not None:
-        keep &= mask.foreground()
+        keep &= mask.data
     v, u = np.nonzero(keep)
     z = depth.data[v, u].astype(np.float64) * intr.depth_scale
     x = (u.astype(np.float64) - intr.cx) * z / intr.fx

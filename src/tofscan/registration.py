@@ -57,7 +57,8 @@ class DegenerateConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """ICP found no usable correspondences; carries the initial transform."""
+    """ICP found no usable correspondences, or a level of fewer than 2 points;
+    carries the initial transform."""
 
     def __init__(self, msg: str, init: RigidTransform):
         super().__init__(msg)
@@ -199,7 +200,8 @@ class _Level:
     """One cloud at one pyramid scale; its one KD-tree serves every neighbour query.
 
     Only a target needs the tangent-plane intensity gradients, so a source
-    level has ``gradients = None``.
+    level has ``gradients = None``. A level of fewer than 2 points has no
+    normals either (``normals = None``), and ICP on it diverges.
     """
 
     def __init__(self, cloud: PointCloud, params: MultiScaleParams, scale: int, target: bool):
@@ -209,10 +211,14 @@ class _Level:
         self.points = down.points
         self.intensity = down.colors.mean(axis=1)
         self.tree = cKDTree(self.points)
+        self.normals = self.gradients = None
+        if len(down) < 2:
+            return  # no neighbourhood to fit a normal to; _icp refuses the level
         # one query: all columns give the normals, the nearest _GRADIENT_K the gradients
         _, idx = self.tree.query(self.points, k=min(_NORMAL_K, len(down)))
         self.normals = neighbour_normals(self.points, idx, -self.points)
-        self.gradients = self._gradients(idx[:, :_GRADIENT_K]) if target else None
+        if target:
+            self.gradients = self._gradients(idx[:, :_GRADIENT_K])
 
     def _gradients(self, idx: np.ndarray) -> np.ndarray:
         points, n, intensity = self.points, self.normals, self.intensity
@@ -301,6 +307,8 @@ def _icp(source_level, target_level, init: RigidTransform,
     corr = None
     for scale, voxel in enumerate(params.voxel_sizes):
         src, tgt = source_level(scale), target_level(scale)
+        if src.normals is None or tgt.normals is None:
+            raise DivergenceError(f"a cloud has fewer than 2 points at voxel {voxel}", init)
         corr = _residuals(src, tgt, transform, voxel)
         if corr is None or (scale == 0 and _fit_rmse(corr, len(src.points))[0] < _MIN_FITNESS):
             if scale == 0:

@@ -303,10 +303,9 @@ def render(scene: Scene, sensor: SensorModel) -> RenderResult:
             mask[sel] = True
 
     h, w = intr.height, intr.width
-    depth_img = DepthImage(w, h, raw.reshape(h, w))
-    color_img = ColorImage(w, h, np.clip(np.round(color * 255), 0, 255).astype(np.uint8).reshape(h, w, 3))
-    oracle = BinaryMask.from_bool(mask.reshape(h, w))
-    return RenderResult(depth_img, color_img, oracle)
+    depth_img = DepthImage(raw.reshape(h, w))
+    color_img = ColorImage(np.clip(np.round(color * 255), 0, 255).astype(np.uint8).reshape(h, w, 3))
+    return RenderResult(depth_img, color_img, BinaryMask(mask.reshape(h, w)))
 
 
 def apply_tof_noise(depth: DepthImage, model: SensorModel, seed: int) -> DepthImage:
@@ -317,8 +316,7 @@ def apply_tof_noise(depth: DepthImage, model: SensorModel, seed: int) -> DepthIm
     z = raw * model.intrinsics.depth_scale
     sigma = model.sigma0 + model.sigma1 * z * z
     noisy = z + rng.standard_normal(z.shape) * sigma
-    return DepthImage(depth.width, depth.height,
-                      _raw_depth(noisy, valid, model.intrinsics.depth_scale))
+    return DepthImage(_raw_depth(noisy, valid, model.intrinsics.depth_scale))
 
 
 def apply_interference(depth: DepthImage, interferer_count: int, seed: int,
@@ -332,7 +330,7 @@ def apply_interference(depth: DepthImage, interferer_count: int, seed: int,
     if interferer_count < 0:
         raise ValueError("interferer_count must be >= 0")
     if interferer_count == 0:
-        return DepthImage(depth.width, depth.height, depth.data.copy())
+        return DepthImage(depth.data.copy())
     rng = np.random.default_rng(seed)
     p_corrupt = 1.0 - (1.0 - _P_INT) ** interferer_count
     valid = depth.data > 0
@@ -343,7 +341,7 @@ def apply_interference(depth: DepthImage, interferer_count: int, seed: int,
     out[corrupt & zero_out] = 0
     sp = corrupt & ~zero_out
     out[sp] = np.clip(np.round(spurious_m[sp] / depth_scale), 1, 65535).astype(np.uint16)
-    return DepthImage(depth.width, depth.height, out)
+    return DepthImage(out)
 
 
 def observe_tags(layout: dict[int, np.ndarray], cube_pose: RigidTransform,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .formats import decode_mask_pgm
-from .geometry import BinaryMask
+from .geometry import BinaryMask, check_size
 
 __all__ = [
     "ArbitrationMode", "MaskPair", "SegMetrics",
@@ -40,10 +40,7 @@ class MaskPair:
     depth_mask: BinaryMask
 
     def __post_init__(self):
-        a, b = self.rgb_mask, self.depth_mask
-        if (a.width, a.height) != (b.width, b.height):
-            raise ValueError(f"rgb mask {a.width}x{a.height} does not match "
-                             f"depth mask {b.width}x{b.height}")
+        check_size("rgb mask", self.rgb_mask, "depth mask", self.depth_mask)
 
 
 @dataclass(frozen=True)
@@ -59,19 +56,14 @@ def fuse(pair: MaskPair, mode: ArbitrationMode) -> BinaryMask:
         return pair.rgb_mask
     if mode is ArbitrationMode.DEPTH_ONLY:
         return pair.depth_mask
-    a = pair.rgb_mask.foreground()
-    b = pair.depth_mask.foreground()
-    fg = a | b if mode is ArbitrationMode.ONE_VOTE_OR else a & b
-    return BinaryMask.from_bool(fg)
+    a, b = pair.rgb_mask.data, pair.depth_mask.data
+    return BinaryMask(a | b if mode is ArbitrationMode.ONE_VOTE_OR else a & b)
 
 
 def metrics(pred: BinaryMask, gt: BinaryMask) -> SegMetrics:
     """IOU, false-positive and false-negative rates of ``pred`` against ``gt``."""
-    if (pred.width, pred.height) != (gt.width, gt.height):
-        raise ValueError(f"prediction {pred.width}x{pred.height} does not match "
-                         f"ground truth {gt.width}x{gt.height}")
-    p = pred.foreground()
-    g = gt.foreground()
+    check_size("prediction", pred, "ground truth", gt)
+    p, g = pred.data, gt.data
     n_g = int(g.sum())
     n_p = int(p.sum())
     if n_g == 0:

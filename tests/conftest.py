@@ -28,6 +28,23 @@ def triangle_corners(mesh: TriangleMesh):
     return v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
 
 
+_PLY_HEAD = b"ply\nformat binary_little_endian 1.0\nelement vertex 3\n"
+_PLY_XYZ = b"property float x\nproperty float y\nproperty float z\n"
+# name -> (file bytes, the defect read_ply names)
+MALFORMED_PLY = {
+    "only-end-header": (b"end_header\n", "not 'ply'"),
+    "blank-line": (_PLY_HEAD + b"\n" + _PLY_XYZ + b"end_header\n" + bytes(36), "blank line"),
+    "property-without-name": (_PLY_HEAD + b"property float\nend_header\n" + bytes(36),
+                              "incomplete PLY header line 'property float'"),
+    "negative-count": (_PLY_HEAD.replace(b"vertex 3", b"vertex -1") + _PLY_XYZ
+                       + b"end_header\n" + bytes(48), "negative PLY element count"),
+    "face-index-out-of-range": (
+        _PLY_HEAD + _PLY_XYZ + b"element face 1\nproperty list uchar uint vertex_indices\n"
+        b"end_header\n" + bytes(36) + b"\x03" + np.array([0, 1, 5], "<u4").tobytes(),
+        "vertex 5 of 3"),
+}
+
+
 def unit_cube_mesh() -> TriangleMesh:
     """12-triangle unit cube [0,1]^3 with outward CCW winding."""
     v = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=float)

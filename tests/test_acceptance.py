@@ -93,10 +93,10 @@ def test_criterion_3_arbitration_structure(rng):
             cx, cy, r = rng.integers(2, 14), rng.integers(2, 14), rng.uniform(1.5, 4)
             yy, xx = np.mgrid[0:n, 0:n]
             blobs.append((xx - cx) ** 2 + (yy - cy) ** 2 < r ** 2)
-        gt = BinaryMask.from_bool(blobs[0])
+        gt = BinaryMask(blobs[0])
         if gt.count() == 0:
             continue
-        jitter = lambda b: BinaryMask.from_bool(
+        jitter = lambda b: BinaryMask(
             (b | (rng.random((n, n)) < 0.05)) & (rng.random((n, n)) > 0.05))
         pair = MaskPair(jitter(blobs[0] | blobs[1]), jitter(blobs[0] | blobs[2]))
         m_rgb = metrics(pair.rgb_mask, gt)
@@ -109,10 +109,10 @@ def test_criterion_3_arbitration_structure(rng):
             violations += 1
 
     def mask_of(coords):
-        data = np.zeros((4, 4), np.uint8)
+        data = np.zeros((4, 4), bool)
         for u, v in coords:
-            data[v, u] = 255
-        return BinaryMask(4, 4, data)
+            data[v, u] = True
+        return BinaryMask(data)
 
     gt = mask_of([(0, 0), (1, 0), (2, 0), (3, 0)])
     pred = mask_of([(0, 0), (1, 0), (2, 0), (1, 1)])

@@ -4,7 +4,7 @@ import socket
 import numpy as np
 import pytest
 
-from conftest import unit_cube_mesh
+from conftest import MALFORMED_PLY, unit_cube_mesh
 from tofscan.cli import main
 from tofscan.experiments import SYNC_SCENE
 from tofscan.formats import read_ply, write_ply
@@ -159,6 +159,24 @@ def test_reconstruct_degenerate_cloud(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, case", [("measure", case) for case in MALFORMED_PLY]
+                         + [("reconstruct", "blank-line"),
+                            ("register", "property-without-name")])
+def test_malformed_ply_is_named(tmp_path, capsys, command, case):
+    """A broken PLY header, or a face past the last vertex: one stderr line, exit 2."""
+    path = tmp_path / "session" / "clouds" / "0.ply"
+    path.parent.mkdir(parents=True)
+    path.write_bytes(MALFORMED_PLY[case][0])
+    out = tmp_path / "out.ply"
+    argv = {"measure": ["measure", "--mesh", str(path)],
+            "reconstruct": ["reconstruct", "--cloud", str(path), "--out", str(out)],
+            "register": ["register", "--session", str(tmp_path / "session")]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("cannot read ") and str(path) in err[0]
+    assert not out.exists()
+
+
 def test_serve_and_scan_loopback(tmp_path, capsys):
     scene = SYNC_SCENE
     rig = known_object_rig()[:3]
@@ -297,7 +315,7 @@ def test_segment_command_on_session(tmp_path, capsys):
     masks.mkdir(parents=True)
     rng = np.random.default_rng(0)
     for dev in range(2):
-        gt = BinaryMask.from_bool(rng.random((8, 8)) < 0.4)
+        gt = BinaryMask(rng.random((8, 8)) < 0.4)
         (masks / f"{dev}_gtmask.pgm").write_bytes(encode_mask_pgm(gt))
     code = main(["segment", "--session", str(tmp_path / "session"), "--mode", "or"])
     assert code == 0
@@ -324,7 +342,7 @@ def test_segment_junk_mask_is_named(tmp_path, capsys, junk):
     (session / "masks").mkdir(parents=True)
     given = tmp_path / "given"
     given.mkdir()
-    valid = encode_mask_pgm(BinaryMask.from_bool(np.eye(8, dtype=bool)))
+    valid = encode_mask_pgm(BinaryMask(np.eye(8, dtype=bool)))
     for path in (session / "masks" / "0_gtmask.pgm", given / "0_rgbmask.pgm",
                  given / "0_depthmask.pgm"):
         path.write_bytes(valid)
@@ -334,6 +352,17 @@ def test_segment_junk_mask_is_named(tmp_path, capsys, junk):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("cannot read ") and str(bad) in err[0]
     assert not (session / "segmetrics.csv").exists()
+
+
+def test_segment_negative_size_mask_is_named(tmp_path, capsys):
+    """A ground-truth mask PGM with a negative width: one stderr line naming it, exit 2."""
+    bad = tmp_path / "session" / "masks" / "0_gtmask.pgm"
+    bad.parent.mkdir(parents=True)
+    bad.write_bytes(b"P5\n-1 1\n255\n" + bytes(2))
+    assert main(["segment", "--session", str(tmp_path / "session")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(bad) in err[0] and "negative" in err[0]
+    assert not (tmp_path / "session" / "segmetrics.csv").exists()
 
 
 def test_register_command_on_session(tmp_path, rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import MALFORMED_PLY
 from tofscan.formats import (decode_mask_pgm, decode_pgm16, decode_ppm, encode_mask_pgm,
                              encode_pgm16, encode_ppm, read_ply, write_ply)
 from tofscan.geometry import BinaryMask, ColorImage, DepthImage, PointCloud
@@ -8,13 +9,13 @@ from tofscan.geometry import BinaryMask, ColorImage, DepthImage, PointCloud
 
 def test_pgm16_round_trip(rng):
     data = (rng.random((24, 32)) * 65535).astype(np.uint16)
-    img = DepthImage(32, 24, data)
+    img = DepthImage(data)
     out = decode_pgm16(encode_pgm16(img))
     assert np.array_equal(out.data, data)
 
 
 def test_pgm16_samples_are_big_endian():
-    img = DepthImage(1, 1, np.array([[0x1234]], dtype=np.uint16))
+    img = DepthImage(np.array([[0x1234]], dtype=np.uint16))
     buf = encode_pgm16(img)
     assert buf.endswith(b"\x12\x34")
 
@@ -26,14 +27,14 @@ def test_pgm16_header_and_comment_handling():
 
 
 def test_pgm16_truncated_raises():
-    img = DepthImage(4, 4, np.ones((4, 4), np.uint16))
+    img = DepthImage(np.ones((4, 4), np.uint16))
     with pytest.raises(ValueError, match="truncated"):
         decode_pgm16(encode_pgm16(img)[:-3])
 
 
 def test_ppm_round_trip(rng):
     data = (rng.random((8, 6, 3)) * 255).astype(np.uint8)
-    img = ColorImage(6, 8, data)
+    img = ColorImage(data)
     assert np.array_equal(decode_ppm(encode_ppm(img)).data, data)
 
 
@@ -43,8 +44,24 @@ def test_mask_pgm_rejects_gray_values():
         decode_mask_pgm(buf)
 
 
+def test_mask_pgm_bytes():
+    """Foreground is written as 255 and background as 0, row by row."""
+    mask = BinaryMask(np.array([[False, True, False], [True, False, True]]))
+    assert encode_mask_pgm(mask) == b"P5\n3 2\n255\n\x00\xff\x00\xff\x00\xff"
+
+
+@pytest.mark.parametrize("decode, buf", [
+    (decode_pgm16, b"P5\n-1 1\n65535\n" + bytes(4)),
+    (decode_pgm16, b"P5\n-2 2\n65535\n" + bytes(8)),
+    (decode_mask_pgm, b"P5\n-1 1\n255\n" + bytes(2)),
+], ids=["depth-negative-width", "depth-negative-both", "mask-negative-width"])
+def test_pnm_negative_size_rejected(decode, buf):
+    with pytest.raises(ValueError, match="negative PNM size"):
+        decode(buf)
+
+
 def test_mask_pgm_round_trip():
-    mask = BinaryMask(3, 2, np.array([[0, 255, 0], [255, 0, 255]], np.uint8))
+    mask = BinaryMask(np.array([[0, 1, 0], [1, 0, 1]], bool))
     assert np.array_equal(decode_mask_pgm(encode_mask_pgm(mask)).data, mask.data)
 
 
@@ -78,3 +95,13 @@ def test_ply_header_is_binary_little_endian(tmp_path):
     header = path.read_bytes().split(b"end_header")[0].decode()
     assert "format binary_little_endian 1.0" in header
     assert "property float x" in header
+
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PLY))
+def test_read_ply_names_malformed_header(tmp_path, case):
+    data, named = MALFORMED_PLY[case]
+    path = tmp_path / "bad.ply"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=named):
+        read_ply(path)

@@ -35,7 +35,28 @@ class TestTypes:
 
     def test_mask_rejects_non_binary(self):
         with pytest.raises(ValueError, match="non-binary"):
-            BinaryMask(2, 2, np.array([[0, 255], [128, 0]], dtype=np.uint8))
+            BinaryMask(np.array([[0, 255], [128, 0]], dtype=np.uint8))
+
+    @pytest.mark.parametrize("raster", [
+        DepthImage(np.zeros((3, 5), np.uint16)),
+        ColorImage(np.zeros((3, 5, 3), np.uint8)),
+        BinaryMask(np.zeros((3, 5), bool)),
+    ], ids=["depth", "color", "mask"])
+    def test_raster_size_is_its_array_shape(self, raster):
+        assert (raster.height, raster.width) == raster.data.shape[:2] == (3, 5)
+
+    @pytest.mark.parametrize("make, data", [
+        (DepthImage, np.zeros((3, 5, 1), np.uint16)),
+        (ColorImage, np.zeros((3, 5), np.uint8)),
+        (BinaryMask, np.zeros((3, 5), np.uint8)),
+        (BinaryMask, np.array([[0, 255], [255, 0]], np.uint8)),
+        (BinaryMask, np.zeros((3, 5), np.float64)),
+        (BinaryMask, np.zeros((3, 5, 1), bool)),
+    ], ids=["depth-3d", "color-2d", "mask-uint8-zero", "mask-uint8-0-255", "mask-float",
+            "mask-3d"])
+    def test_raster_refuses_wrong_array(self, make, data):
+        with pytest.raises(ValueError):
+            make(data)
 
     def test_cloud_length_checks(self):
         with pytest.raises(ValueError):
@@ -48,7 +69,7 @@ class TestBackProject:
     def test_principal_point_ray(self):
         data = np.zeros((480, 640), np.uint16)
         data[240, 320] = 1000
-        cloud = back_project(DepthImage(640, 480, data), INTR)
+        cloud = back_project(DepthImage(data), INTR)
         np.testing.assert_allclose(cloud.points, [[0.0, 0.0, 1.0]])
 
     def test_off_axis_pixel(self):
@@ -56,27 +77,27 @@ class TestBackProject:
         wide = CameraIntrinsics(fx=600, fy=600, cx=320, cy=240, width=1280, height=480)
         data = np.zeros((480, 1280), np.uint16)
         data[240, 920] = 1000
-        cloud = back_project(DepthImage(1280, 480, data), wide)
+        cloud = back_project(DepthImage(data), wide)
         np.testing.assert_allclose(cloud.points, [[1.0, 0.0, 1.0]])
 
     def test_empty_mask_gives_empty_cloud(self):
         data = np.full((480, 640), 1000, np.uint16)
-        mask = BinaryMask(640, 480, np.zeros((480, 640), np.uint8))
-        assert len(back_project(DepthImage(640, 480, data), INTR, mask=mask)) == 0
+        mask = BinaryMask(np.zeros((480, 640), bool))
+        assert len(back_project(DepthImage(data), INTR, mask=mask)) == 0
 
     def test_point_count_equals_valid_foreground(self, rng):
         data = (rng.random((480, 640)) < 0.3).astype(np.uint16) * 1500
         fg = rng.random((480, 640)) < 0.5
-        mask = BinaryMask.from_bool(fg)
-        cloud = back_project(DepthImage(640, 480, data), INTR, mask=mask)
+        mask = BinaryMask(fg)
+        cloud = back_project(DepthImage(data), INTR, mask=mask)
         assert len(cloud) == int(((data > 0) & fg).sum())
 
     def test_dimension_mismatch_names_raster(self):
-        depth = DepthImage(640, 480, np.zeros((480, 640), np.uint16))
-        bad_color = ColorImage(320, 240, np.zeros((240, 320, 3), np.uint8))
+        depth = DepthImage(np.zeros((480, 640), np.uint16))
+        bad_color = ColorImage(np.zeros((240, 320, 3), np.uint8))
         with pytest.raises(ValueError, match="color"):
             back_project(depth, INTR, color=bad_color)
-        bad_mask = BinaryMask(320, 240, np.zeros((240, 320), np.uint8))
+        bad_mask = BinaryMask(np.zeros((240, 320), bool))
         with pytest.raises(ValueError, match="mask"):
             back_project(depth, INTR, mask=bad_mask)
 
@@ -85,7 +106,7 @@ class TestBackProject:
         data[10, 20] = 500
         img = np.zeros((480, 640, 3), np.uint8)
         img[10, 20] = (255, 0, 128)
-        cloud = back_project(DepthImage(640, 480, data), INTR, ColorImage(640, 480, img))
+        cloud = back_project(DepthImage(data), INTR, ColorImage(img))
         np.testing.assert_allclose(cloud.colors, [[1.0, 0.0, 128 / 255]])
 
 
@@ -97,7 +118,7 @@ class TestProject:
     def test_round_trip_with_back_project(self):
         data = np.zeros((480, 640), np.uint16)
         data[50, 100] = 2000
-        cloud = back_project(DepthImage(640, 480, data), INTR)
+        cloud = back_project(DepthImage(data), INTR)
         (u,), (v,), (z,) = project(cloud.points, INTR)
         assert abs(u - 100) < 1e-9 and abs(v - 50) < 1e-9 and abs(z - 2.0) < 1e-9
 
@@ -108,7 +129,7 @@ class TestProject:
     def test_full_raster_round_trip(self, rng):
         data = (rng.random((48, 64)) * 4000).astype(np.uint16)
         intr = CameraIntrinsics(80, 90, 31.5, 23.5, 64, 48)
-        cloud = back_project(DepthImage(64, 48, data), intr)
+        cloud = back_project(DepthImage(data), intr)
         v, u = np.nonzero(data > 0)
         pu, pv, pz = project(cloud.points, intr)
         assert np.abs(pu - u).max() < 1e-6

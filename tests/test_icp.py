@@ -64,6 +64,14 @@ class TestBasics:
             colored_icp(cloud, far, init, PARAMS)
         assert e.value.init is init
 
+    def test_one_point_level_diverges_with_init(self, rng):
+        """200 points inside one 4 cm voxel make a 1-point level."""
+        tiny = PointCloud(0.005 + rng.random((200, 3)) * 0.03, colors=rng.random((200, 3)))
+        init = RigidTransform.identity()
+        with pytest.raises(DivergenceError) as e:
+            colored_icp(tiny, tiny, init, MultiScaleParams((0.04,)))
+        assert e.value.init is init
+
     def test_objective_never_increases(self, rng):
         cloud = corner_cloud(rng, noise=0.002)
         t_true = centered_perturbation(rng, cloud.points, max_deg=8)

@@ -101,7 +101,7 @@ def test_device_with_an_empty_mask_keeps_its_fiducial_pose(cylinder_cfg, monkeyp
     def fuse(pair, mode):
         mask = real(pair, mode)
         if next(calls) == empty:
-            return BinaryMask.from_bool(np.zeros_like(mask.foreground()))
+            return BinaryMask(np.zeros_like(mask.data))
         return mask
 
     monkeypatch.setattr(pipeline, "fuse", fuse)

@@ -102,6 +102,14 @@ class TestRegisterRig:
         assert 2 not in graph.global_poses
         assert set(graph.global_poses) == {0, 1}
 
+    def test_one_point_level_fails_its_edge(self, rng):
+        """A device whose 200 points sit inside one 4 cm voxel fails its edge."""
+        a = textured_cloud(rng)
+        tiny = PointCloud(0.005 + rng.random((200, 3)) * 0.03, colors=rng.random((200, 3)))
+        graph = register_rig({0: a, 1: a, 2: tiny}, {}, MultiScaleParams((0.04,)))
+        assert graph.failed_edges == [(1, 2)]
+        assert set(graph.global_poses) == {0, 1}
+
     def test_failed_middle_edges_same_on_the_pool(self, rng, workers, caplog, monkeypatch):
         """Edges (1, 2) and (3, 4) diverge; (1, 2) is made to fail last, yet warns first.
 

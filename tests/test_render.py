@@ -52,7 +52,7 @@ def test_mask_subset_of_valid_depth():
                    box((2.0, 2.0, 0.01), pose=RigidTransform(np.eye(3), (0, 0, 3.0)),
                        label="background")), 5.0)
     rr = render(scene, CAM)
-    assert not (rr.oracle_mask.foreground() & ~rr.depth.valid_mask()).any()
+    assert not (rr.oracle_mask.data & ~rr.depth.valid_mask()).any()
 
 
 def test_mask_against_independent_march_oracle():
@@ -94,7 +94,7 @@ def test_mask_against_independent_march_oracle():
         for u in range(32):
             t, label = march_first_hit(u, v)
             expect_fg = label == "target" and t <= scene.background_cap
-            assert bool(rr.oracle_mask.data[v, u] == 255) == expect_fg, (u, v, t, label)
+            assert bool(rr.oracle_mask.data[v, u]) == expect_fg, (u, v, t, label)
 
 
 SMALL = CameraIntrinsics(fx=50, fy=50, cx=31.5, cy=23.5, width=64, height=48)
@@ -154,7 +154,7 @@ class TestCulling:
         depth = np.round(np.where(hit, t, 0.0) / intr.depth_scale)
         target = np.array([p.label == "target" for p in scene.primitives] + [False])
         assert np.array_equal(culled.depth.data.ravel(), depth.astype(np.uint16))
-        assert np.array_equal(culled.oracle_mask.foreground().ravel(), hit & target[prim])
+        assert np.array_equal(culled.oracle_mask.data.ravel(), hit & target[prim])
 
         # colour: the same render with every pixel a candidate for every primitive
         monkeypatch.setattr(render_module, "_candidate_pixels",
@@ -193,7 +193,7 @@ class TestNoise:
         from tofscan.geometry import DepthImage
         sensor = SensorModel(0, INTR, RigidTransform.identity(), sigma0=0.002, sigma1=0.0)
         data = np.full((250, 400), 1000, np.uint16)
-        out = apply_tof_noise(DepthImage(400, 250, data), sensor, seed=11)
+        out = apply_tof_noise(DepthImage(data), sensor, seed=11)
         std = (out.data.astype(float)[out.data > 0] * 0.001).std()
         assert 0.0019 <= std <= 0.0021
 
@@ -201,16 +201,16 @@ class TestNoise:
         from tofscan.geometry import DepthImage
         data = (rng.random((100, 100)) < 0.5).astype(np.uint16) * 2000
         sensor = SensorModel(0, INTR, RigidTransform.identity(), sigma0=0.01)
-        out = apply_tof_noise(DepthImage(100, 100, data), sensor, seed=2)
+        out = apply_tof_noise(DepthImage(data), sensor, seed=2)
         assert not out.data[data == 0].any()
 
     def test_deterministic_per_seed(self):
         from tofscan.geometry import DepthImage
         data = np.full((50, 50), 1200, np.uint16)
         sensor = SensorModel(0, INTR, RigidTransform.identity(), sigma0=0.005)
-        a = apply_tof_noise(DepthImage(50, 50, data), sensor, seed=7)
-        b = apply_tof_noise(DepthImage(50, 50, data), sensor, seed=7)
-        c = apply_tof_noise(DepthImage(50, 50, data), sensor, seed=8)
+        a = apply_tof_noise(DepthImage(data), sensor, seed=7)
+        b = apply_tof_noise(DepthImage(data), sensor, seed=7)
+        c = apply_tof_noise(DepthImage(data), sensor, seed=8)
         assert np.array_equal(a.data, b.data)
         assert not np.array_equal(a.data, c.data)
 
@@ -221,7 +221,7 @@ class TestInterference:
         data = np.full((250, 400), 1500, np.uint16)
         if rng is not None:
             data[rng.random((250, 400)) < 0.3] = 0
-        return DepthImage(400, 250, data)
+        return DepthImage(data)
 
     def test_zero_interferers_identity(self):
         d = self._depth()

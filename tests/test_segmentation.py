@@ -8,15 +8,15 @@ from tofscan.segmentation import ArbitrationMode, MaskPair, fuse, load_masks, me
 
 
 def mask_of(coords, w=4, h=4):
-    data = np.zeros((h, w), np.uint8)
+    data = np.zeros((h, w), bool)
     for u, v in coords:
-        data[v, u] = 255
-    return BinaryMask(w, h, data)
+        data[v, u] = True
+    return BinaryMask(data)
 
 
 class TestFuse:
     def test_identical_pair_any_mode(self, rng):
-        m = BinaryMask.from_bool(rng.random((6, 6)) < 0.5)
+        m = BinaryMask(rng.random((6, 6)) < 0.5)
         pair = MaskPair(m, m)
         for mode in ArbitrationMode:
             assert np.array_equal(fuse(pair, mode).data, m.data)
@@ -42,7 +42,7 @@ class TestFuse:
 
 class TestMetrics:
     def test_perfect_prediction(self, rng):
-        gt = BinaryMask.from_bool(rng.random((8, 8)) < 0.4)
+        gt = BinaryMask(rng.random((8, 8)) < 0.4)
         m = metrics(gt, gt)
         assert m.iou == 1.0 and m.fp_rate == 0.0 and m.fn_rate == 0.0
 
@@ -65,9 +65,9 @@ class TestMetrics:
             metrics(mask_of([(0, 0)]), mask_of([]))
 
     def test_rgb_only_is_exact_passthrough(self, rng):
-        gt = BinaryMask.from_bool(rng.random((10, 10)) < 0.5)
-        a = BinaryMask.from_bool(rng.random((10, 10)) < 0.5)
-        b = BinaryMask.from_bool(rng.random((10, 10)) < 0.5)
+        gt = BinaryMask(rng.random((10, 10)) < 0.5)
+        a = BinaryMask(rng.random((10, 10)) < 0.5)
+        b = BinaryMask(rng.random((10, 10)) < 0.5)
         fused = fuse(MaskPair(a, b), ArbitrationMode.RGB_ONLY)
         assert metrics(fused, gt) == metrics(a, gt)
 
@@ -78,8 +78,8 @@ def _random_pair_and_gt(rng, n=16):
         cx, cy, r = rng.integers(2, n - 2), rng.integers(2, n - 2), rng.uniform(1.5, 4)
         yy, xx = np.mgrid[0:n, 0:n]
         blobs.append((xx - cx) ** 2 + (yy - cy) ** 2 < r ** 2)
-    gt = BinaryMask.from_bool(blobs[0])
-    noisy = lambda base: BinaryMask.from_bool(
+    gt = BinaryMask(blobs[0])
+    noisy = lambda base: BinaryMask(
         (base | (rng.random((n, n)) < 0.05)) & (rng.random((n, n)) > 0.05))
     return MaskPair(noisy(blobs[0] | blobs[1]), noisy(blobs[0] | blobs[2])), gt
 
@@ -88,9 +88,9 @@ class TestOrderingProperties:
     def test_lattice_ordering(self, rng):
         for _ in range(200):
             pair, _ = _random_pair_and_gt(rng)
-            lo = fuse(pair, ArbitrationMode.TWO_VOTE_AND).foreground()
-            hi = fuse(pair, ArbitrationMode.ONE_VOTE_OR).foreground()
-            for mid in (pair.rgb_mask.foreground(), pair.depth_mask.foreground()):
+            lo = fuse(pair, ArbitrationMode.TWO_VOTE_AND).data
+            hi = fuse(pair, ArbitrationMode.ONE_VOTE_OR).data
+            for mid in (pair.rgb_mask.data, pair.depth_mask.data):
                 assert not (lo & ~mid).any()
                 assert not (mid & ~hi).any()
 
@@ -112,8 +112,8 @@ class TestApplyMask:
 
     def test_full_mask_identity(self, rng):
         intr = CameraIntrinsics(10, 10, 3, 3, 6, 6)
-        depth = DepthImage(6, 6, (rng.random((6, 6)) * 3000).astype(np.uint16))
-        full = BinaryMask.from_bool(np.ones((6, 6), bool))
+        depth = DepthImage((rng.random((6, 6)) * 3000).astype(np.uint16))
+        full = BinaryMask(np.ones((6, 6), bool))
         assert np.array_equal(back_project(depth, intr, mask=full).points,
                               back_project(depth, intr).points)
 
@@ -121,8 +121,8 @@ class TestApplyMask:
         intr = CameraIntrinsics(100, 100, 32, 24, 64, 48)
         data = (rng.random((48, 64)) < 0.6).astype(np.uint16) * 1200
         fg = rng.random((48, 64)) < 0.5
-        mask = BinaryMask.from_bool(fg)
-        depth = DepthImage(64, 48, data)
+        mask = BinaryMask(fg)
+        depth = DepthImage(data)
         cloud = back_project(depth, intr, mask=mask)
         assert len(cloud) == int((fg & (data > 0)).sum())
 
@@ -158,10 +158,10 @@ class TestLoadMasks:
 @given(st.integers(0, 2 ** 32 - 1))
 def test_lattice_property_hypothesis(seed):
     rng = np.random.default_rng(seed)
-    a = BinaryMask.from_bool(rng.random((5, 5)) < 0.5)
-    b = BinaryMask.from_bool(rng.random((5, 5)) < 0.5)
+    a = BinaryMask(rng.random((5, 5)) < 0.5)
+    b = BinaryMask(rng.random((5, 5)) < 0.5)
     pair = MaskPair(a, b)
-    lo = fuse(pair, ArbitrationMode.TWO_VOTE_AND).foreground()
-    hi = fuse(pair, ArbitrationMode.ONE_VOTE_OR).foreground()
-    assert not (lo & ~a.foreground()).any()
-    assert not (a.foreground() & ~hi).any()
+    lo = fuse(pair, ArbitrationMode.TWO_VOTE_AND).data
+    hi = fuse(pair, ArbitrationMode.ONE_VOTE_OR).data
+    assert not (lo & ~a.data).any()
+    assert not (a.data & ~hi).any()
