@@ -26,6 +26,7 @@ from pathlib import Path
 
 from .capture import CaptureSchedule, corrupt_device_frame
 from .formats import encode_pgm16, encode_ppm
+from .jsondoc import build, check, get
 from .protocol import (ErrorCode, Message, MessageKind, ProtocolError,
                        encode_message, frame_crc32, json_message, pack_frame_payload,
                        payload_json, read_message, unpack_frame_payload)
@@ -85,23 +86,18 @@ def _with_endpoint(endpoint: str, e: Exception) -> Exception:
     return named
 
 
-def _request_doc(msg: Message) -> dict:
-    """A request's JSON payload, which must be an object (BAD_REQUEST otherwise)."""
+def _read_payload(msg: Message, read, error=ProtocolError):
+    """``read(doc, path)`` of ``msg``'s JSON object payload, ``path`` being the message
+    kind; a payload that is not JSON, or any defect ``read`` finds, raises ``error(reason)``."""
     try:
-        doc = payload_json(msg)
-    except ProtocolError as e:
-        raise DeviceError(ErrorCode.BAD_REQUEST, str(e)) from None
-    if not isinstance(doc, dict):
-        raise DeviceError(ErrorCode.BAD_REQUEST, f"{msg.kind.name} payload is not a JSON object")
-    return doc
+        return read(check(payload_json(msg), msg.kind.name, "object"), msg.kind.name)
+    except (ProtocolError, ValueError) as e:
+        raise error(str(e)) from None
 
 
-def _int_field(doc: dict, key: str, default: int | None = None) -> int:
-    """``doc[key]`` (or ``default`` when absent), which must be a JSON integer."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DeviceError(ErrorCode.BAD_REQUEST, f"{key} must be an integer, got {value!r}")
-    return value
+def _bad_request(reason: str) -> DeviceError:
+    """A request payload's defect is the client's fault."""
+    return DeviceError(ErrorCode.BAD_REQUEST, reason)
 
 
 class DeviceServer:
@@ -205,11 +201,8 @@ class DeviceServer:
         if msg.kind is MessageKind.STATUS:
             return json_message(MessageKind.STATUS_ACK, {"state": self.state, **self.counters})
         if msg.kind is MessageKind.CONFIGURE:
-            doc = _request_doc(msg)
-            try:
-                schedule = CaptureSchedule.from_json_dict(doc["schedule"])
-            except (KeyError, TypeError, ValueError) as e:
-                raise DeviceError(ErrorCode.BAD_REQUEST, f"bad schedule: {e!r}") from None
+            schedule = _read_payload(msg, lambda d, p: CaptureSchedule.from_json_dict(
+                get(d, p, "schedule", "object"), f"{p}.schedule"), _bad_request)
             if self.device_id not in schedule.device_order:
                 raise DeviceError(ErrorCode.BAD_REQUEST,
                                   f"device {self.device_id} missing from schedule")
@@ -220,9 +213,9 @@ class DeviceServer:
             if self.state != "configured":
                 raise DeviceError(ErrorCode.BAD_STATE,
                                   f"TRIGGER requires state 'configured', device is '{self.state}'")
-            doc = _request_doc(msg)
-            frame_id = _int_field(doc, "frame_id")
-            seed = _int_field(doc, "seed", 0)
+            frame_id, seed = _read_payload(msg, lambda d, p: (
+                get(d, p, "frame_id", "integer"),
+                get(d, p, "seed", "integer", default=0)), _bad_request)
             if self._clean is None:
                 sensor = next(s for s in self.rig if s.device_id == self.device_id)
                 self._clean = render(self.scene, sensor)
@@ -242,7 +235,8 @@ class DeviceServer:
             if self.state != "captured":
                 raise DeviceError(ErrorCode.BAD_STATE,
                                   f"FETCH requires state 'captured', device is '{self.state}'")
-            frame_id = _int_field(_request_doc(msg), "frame_id")
+            frame_id = _read_payload(msg, lambda d, p: get(d, p, "frame_id", "integer"),
+                                     _bad_request)
             if frame_id not in self.frames:
                 raise DeviceError(ErrorCode.UNKNOWN_FRAME, f"no stored frame {frame_id}")
             depth_pgm, color_ppm, _crc = self.frames[frame_id]
@@ -290,7 +284,7 @@ def save_session(path, session: ScanSession) -> None:
 def load_session(path) -> ScanSession:
     doc = json.loads(Path(path).read_text())
     session = ScanSession(doc["session_id"], doc["cattle_id"],
-                          CaptureSchedule.from_json_dict(doc["schedule"]))
+                          CaptureSchedule.from_json_dict(doc["schedule"], "schedule"))
     session.manifest = [ManifestEntry(d["id"], d["frame_id"], d["depth_bytes"],
                                       d["color_bytes"], d["crc32"], d.get("endpoint", ""))
                         for d in doc["devices"]]
@@ -320,16 +314,22 @@ class ScanClient:
             _send(sock, msg)
             reply = _recv(sock)
         if reply.kind is MessageKind.ERROR:
-            doc = payload_json(reply)
-            raise DeviceError(doc.get("code", int(ErrorCode.INTERNAL)),
-                              doc.get("reason", "unknown"))
+            raise _read_payload(reply, lambda d, p: build(f"{p}.code", DeviceError,
+                                                          get(d, p, "code", "integer"),
+                                                          get(d, p, "reason", "string")))
         return reply
 
     def hello(self, endpoint: str) -> dict:
-        return payload_json(self._request(endpoint, Message(MessageKind.HELLO)))
+        """The HELLO_ACK payload, whose ``device_id`` is an integer."""
+        def read(d: dict, path: str) -> dict:
+            get(d, path, "device_id", "integer")
+            return d
+
+        return _read_payload(self._request(endpoint, Message(MessageKind.HELLO)), read)
 
     def status(self, endpoint: str) -> str:
-        return payload_json(self._request(endpoint, Message(MessageKind.STATUS)))["state"]
+        return _read_payload(self._request(endpoint, Message(MessageKind.STATUS)),
+                             lambda d, p: get(d, p, "state", "string"))
 
     def configure_all(self, endpoints: list[str], schedule: CaptureSchedule) -> None:
         msg = json_message(MessageKind.CONFIGURE, {"schedule": schedule.to_json_dict()})
@@ -360,10 +360,9 @@ class ScanClient:
                                                  "frame_id": frame_id, "seed": seed})
 
         def one(ep: str) -> ManifestEntry:
-            doc = payload_json(self._request(ep, msg))
-            return ManifestEntry(int(doc["device_id"]), int(doc["frame_id"]),
-                                 int(doc["depth_bytes"]), int(doc["color_bytes"]),
-                                 int(doc["crc32"]), ep)
+            return _read_payload(self._request(ep, msg), lambda d, p: ManifestEntry(
+                *(get(d, p, k, "integer") for k in ("device_id", "frame_id", "depth_bytes",
+                                                     "color_bytes", "crc32")), ep))
 
         if endpoints:
             with ThreadPoolExecutor(max_workers=len(endpoints)) as pool:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import project
+from .jsondoc import build, get
 from .parallel import map_ordered
 from .render import RenderResult, SensorModel, apply_interference, apply_tof_noise, render
 from .scene import BOX_CORNERS, Scene
@@ -49,8 +50,10 @@ class CaptureSchedule:
                 "delay_us": self.delay_us, "exposure_us": self.exposure_us}
 
     @staticmethod
-    def from_json_dict(d: dict) -> "CaptureSchedule":
-        return CaptureSchedule(tuple(d["device_order"]), int(d["delay_us"]), int(d["exposure_us"]))
+    def from_json_dict(d: dict, path: str) -> "CaptureSchedule":
+        """The schedule of JSON object ``d``, read at key path ``path``."""
+        return build(path, CaptureSchedule, get(d, path, "device_order", "list", "integer"),
+                     get(d, path, "delay_us", "integer"), get(d, path, "exposure_us", "integer"))
 
 
 def build_schedule(device_ids, delay_us: int, exposure_us: int = 125) -> CaptureSchedule:
@@ -110,8 +113,7 @@ def _corrupt(clean: RenderResult, sensor: SensorModel, count: int, seed: int,
     """Noise, then interference from ``count`` partners: ``(noisy, corrupted)`` depth."""
     dev = sensor.device_id
     noisy = apply_tof_noise(clean.depth, sensor, _noise_seed(seed, dev))
-    corrupted = apply_interference(noisy, count, _interference_seed(seed, dev), cap_m=cap_m,
-                                   depth_scale=sensor.intrinsics.depth_scale)
+    corrupted = apply_interference(noisy, count, _interference_seed(seed, dev), cap_m=cap_m)
     return noisy, corrupted
 
 

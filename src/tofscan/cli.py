@@ -17,6 +17,8 @@ import logging
 import sys
 from pathlib import Path
 
+from .jsondoc import is_kind
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tofscan", description=__doc__,
@@ -148,6 +150,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_segment(args) -> int:
     from .formats import decode_mask_pgm, encode_mask_pgm
+    from .geometry import check_size
     from .segmentation import ArbitrationMode, MaskPair, fuse, load_masks, metrics
 
     session = Path(args.session)
@@ -158,7 +161,16 @@ def _cmd_segment(args) -> int:
     if not gts:
         print(f"no ground-truth masks under {gt_dir}", file=sys.stderr)
         return 2
-    pairs = (_read(lambda d: load_masks(d, list(gts)), args.masks) if args.masks
+
+    def load_sized(directory):
+        """The --masks pairs, each the size of its device's ground truth."""
+        pairs = load_masks(directory, list(gts))
+        for dev, pair in pairs.items():
+            check_size(str(Path(directory) / f"{dev}_rgbmask.pgm"), pair.rgb_mask,
+                       str(gt_dir / f"{dev}_gtmask.pgm"), gts[dev])
+        return pairs
+
+    pairs = (_read(load_sized, args.masks) if args.masks
              else {d: MaskPair(gt, gt) for d, gt in gts.items()})
     rows = ["device_id,iou,fp_rate,fn_rate"]
     for dev, gt in gts.items():
@@ -291,24 +303,21 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-_POSITIVE_INT = ("a positive integer", lambda v: _is_int(v) and v >= 1)
-_NON_NEGATIVE_INT = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
-_POSITIVE = ("a positive number", lambda v: (_is_int(v) or isinstance(v, float)) and v > 0)
-_RESOLUTION = ("an integer in 32-512", lambda v: _is_int(v) and 32 <= v <= 512)
+_POSITIVE_INT = ("a positive integer", lambda v: is_kind(v, "integer") and v >= 1)
+_NON_NEGATIVE_INT = ("an integer >= 0", lambda v: is_kind(v, "integer") and v >= 0)
+_POSITIVE = ("a positive number", lambda v: is_kind(v, "number") and v > 0)
+_RESOLUTION = ("an integer in 32-512", lambda v: is_kind(v, "integer") and 32 <= v <= 512)
 # the keys each study reads from --config: key -> (what its value must be, test)
 _OVERRIDES = {
     "interference": {
         "delays_us": ("a non-empty list of integers >= 0",
-                      lambda v: isinstance(v, list) and v != []
+                      lambda v: is_kind(v, "list") and v != []
                       and all(_NON_NEGATIVE_INT[1](d) for d in v)),
         "seeds": _POSITIVE_INT},
     "known-object": {"radius": _POSITIVE, "height": _POSITIVE, "orientations": _POSITIVE_INT,
                      "runs": _POSITIVE_INT, "resolution": _RESOLUTION},
-    "animal": {"scale": _POSITIVE, "runs": ("an integer >= 5", lambda v: _is_int(v) and v >= 5),
+    "animal": {"scale": _POSITIVE,
+               "runs": ("an integer >= 5", lambda v: is_kind(v, "integer") and v >= 5),
                "resolution": _RESOLUTION},
 }
 
@@ -322,7 +331,7 @@ def _check_flag(flag: str, value, rule) -> None:
 
 def _check_overrides(path, kind: str, overrides) -> None:
     """Raise an _InputError naming the first key of ``--config`` that ``kind`` cannot take."""
-    if not isinstance(overrides, dict):
+    if not is_kind(overrides, "object"):
         raise _InputError(f"--config {path}: not a JSON object")
     allowed = _OVERRIDES[kind]
     for key, value in overrides.items():

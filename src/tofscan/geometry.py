@@ -8,8 +8,8 @@ Conventions used throughout the package:
     (u, v) back-projects and re-projects onto itself.
 
     Depth rasters store range along +z (not Euclidean ray length) as 16-bit
-    unsigned integers in millimeters; 0 means no return. ``depth_scale``
-    converts raw units to meters (default 0.001).
+    unsigned integers in millimeters; 0 means no return. ``DEPTH_SCALE``
+    converts raw units to meters.
 
     Points and translations are in meters.
 """
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsondoc import build, get
 from .parallel import map_ordered
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "neighbour_normals",
 ]
 
+DEPTH_SCALE = 0.001  # meters per raw depth unit
 _ORTHONORMAL_TOL = 1e-9
 PCA_BLOCK = 4096  # points per pca_normals block, the unit the pool shares out
 # relative floor on the longest cross product of two rows of A - lambda I:
@@ -118,9 +120,10 @@ class RigidTransform:
                 "translation": self.translation.tolist()}
 
     @staticmethod
-    def from_json_dict(d: dict) -> "RigidTransform":
-        return RigidTransform(np.asarray(d["rotation"], dtype=np.float64).reshape(3, 3),
-                              np.asarray(d["translation"], dtype=np.float64))
+    def from_json_dict(d: dict, path: str) -> "RigidTransform":
+        """The transform of JSON object ``d`` (row-major rotation), read at key path ``path``."""
+        return build(path, RigidTransform, get(d, path, "rotation", "list", "number"),
+                     get(d, path, "translation", "list", "number"))
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,6 @@ class CameraIntrinsics:
     cy: float
     width: int
     height: int
-    depth_scale: float = 0.001  # meters per raw depth unit
 
     def __post_init__(self):
         if self.fx <= 0 or self.fy <= 0:
@@ -142,19 +144,21 @@ class CameraIntrinsics:
             raise GeometryError(f"cx={self.cx} outside [0, {self.width})")
         if not (0 <= self.cy < self.height):
             raise GeometryError(f"cy={self.cy} outside [0, {self.height})")
-        if self.depth_scale <= 0:
-            raise GeometryError("depth_scale must be positive")
 
     def to_json_dict(self) -> dict:
         return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
-                "width": self.width, "height": self.height, "depth_scale": self.depth_scale}
+                "width": self.width, "height": self.height}
 
     @staticmethod
-    def from_json_dict(d: dict) -> "CameraIntrinsics":
-        return CameraIntrinsics(fx=float(d["fx"]), fy=float(d["fy"]),
-                                cx=float(d["cx"]), cy=float(d["cy"]),
-                                width=int(d["width"]), height=int(d["height"]),
-                                depth_scale=float(d.get("depth_scale", 0.001)))
+    def from_json_dict(d: dict, path: str) -> "CameraIntrinsics":
+        """The intrinsics of JSON object ``d``, read at key path ``path``; a
+        ``depth_scale`` other than ``DEPTH_SCALE`` is refused."""
+        if get(d, path, "depth_scale", "number", default=DEPTH_SCALE) != DEPTH_SCALE:
+            raise ValueError(f"{path}.depth_scale: only {DEPTH_SCALE} is modelled "
+                             f"(got {d['depth_scale']})")
+        return build(path, CameraIntrinsics,
+                     *(get(d, path, k, "number") for k in ("fx", "fy", "cx", "cy")),
+                     *(get(d, path, k, "integer") for k in ("width", "height")))
 
 
 def _check_raster(name: str, data: np.ndarray, channels: int | None):
@@ -273,7 +277,7 @@ def back_project(depth: DepthImage, intr: CameraIntrinsics,
     """Lift valid (and optionally masked) depth pixels to 3D camera-frame points.
 
     One point per pixel with depth > 0 and, when a mask is given, mask
-    foreground. Point = ((u-cx)·z/fx, (v-cy)·z/fy, z) with z = raw·depth_scale.
+    foreground. Point = ((u-cx)·z/fx, (v-cy)·z/fy, z) with z = raw·DEPTH_SCALE.
     """
     check_size("depth raster", depth, "intrinsics", intr)
     if color is not None:
@@ -285,7 +289,7 @@ def back_project(depth: DepthImage, intr: CameraIntrinsics,
     if mask is not None:
         keep &= mask.data
     v, u = np.nonzero(keep)
-    z = depth.data[v, u].astype(np.float64) * intr.depth_scale
+    z = depth.data[v, u].astype(np.float64) * DEPTH_SCALE
     x = (u.astype(np.float64) - intr.cx) * z / intr.fx
     y = (v.astype(np.float64) - intr.cy) * z / intr.fy
     pts = np.column_stack([x, y, z])

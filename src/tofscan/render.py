@@ -19,8 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import (BinaryMask, CameraIntrinsics, ColorImage, DepthImage, RigidTransform,
-                       project)
+from .geometry import (DEPTH_SCALE, BinaryMask, CameraIntrinsics, ColorImage, DepthImage,
+                       RigidTransform, project)
+from .jsondoc import build, check, get
 from .scene import BOX_CORNERS, Scene, ScenePrimitive
 
 __all__ = [
@@ -249,9 +250,9 @@ def _candidate_pixels(prim: ScenePrimitive, world_to_cam: RigidTransform,
     return (np.arange(v0, v1 + 1)[:, None] * intr.width + np.arange(u0, u1 + 1)).ravel()
 
 
-def _raw_depth(depth_m: np.ndarray, valid: np.ndarray, depth_scale: float) -> np.ndarray:
+def _raw_depth(depth_m: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Metres rounded to raw uint16 depth units; 0 (no return) outside ``valid``."""
-    return np.clip(np.round(np.where(valid, depth_m, 0.0) / depth_scale),
+    return np.clip(np.round(np.where(valid, depth_m, 0.0) / DEPTH_SCALE),
                    0, 65535).astype(np.uint16)
 
 
@@ -277,7 +278,7 @@ def render(scene: Scene, sensor: SensorModel) -> RenderResult:
         best_prim[rays[closer]] = i
 
     hit = np.isfinite(best_t) & (best_t <= scene.background_cap)
-    raw = _raw_depth(best_t, hit, intr.depth_scale)
+    raw = _raw_depth(best_t, hit)
 
     color = np.zeros((n, 3), dtype=np.float64)
     mask = np.zeros(n, dtype=bool)
@@ -313,14 +314,14 @@ def apply_tof_noise(depth: DepthImage, model: SensorModel, seed: int) -> DepthIm
     rng = np.random.default_rng(seed)
     raw = depth.data.astype(np.float64)
     valid = raw > 0
-    z = raw * model.intrinsics.depth_scale
+    z = raw * DEPTH_SCALE
     sigma = model.sigma0 + model.sigma1 * z * z
     noisy = z + rng.standard_normal(z.shape) * sigma
-    return DepthImage(_raw_depth(noisy, valid, model.intrinsics.depth_scale))
+    return DepthImage(_raw_depth(noisy, valid))
 
 
 def apply_interference(depth: DepthImage, interferer_count: int, seed: int,
-                       cap_m: float = 5.0, depth_scale: float = 0.001) -> DepthImage:
+                       cap_m: float = 5.0) -> DepthImage:
     """Corrupt valid pixels with probability 1 - (1 - 0.45)^interferer_count.
 
     Each interferer corrupts a pixel independently with probability 0.45. A
@@ -340,7 +341,7 @@ def apply_interference(depth: DepthImage, interferer_count: int, seed: int,
     out = depth.data.copy()
     out[corrupt & zero_out] = 0
     sp = corrupt & ~zero_out
-    out[sp] = np.clip(np.round(spurious_m[sp] / depth_scale), 1, 65535).astype(np.uint16)
+    out[sp] = np.clip(np.round(spurious_m[sp] / DEPTH_SCALE), 1, 65535).astype(np.uint16)
     return DepthImage(out)
 
 
@@ -386,24 +387,19 @@ def rig_to_list(rig: list[SensorModel]) -> list[dict]:
 def rig_from_list(doc: list[dict]) -> list[SensorModel]:
     """Sensors from rig JSON; a ``seed`` key is ignored, a non-zero ``dropout`` rejected.
 
-    Any defect in an entry raises ValueError naming the entry.
+    Any defect raises ValueError naming its key path, ``rig[0].intrinsics`` say.
     """
-    if not isinstance(doc, list) or not all(isinstance(d, dict) for d in doc):
-        raise ValueError("a rig is a JSON list of sensor objects")
     rig = []
-    for i, d in enumerate(doc):
-        try:
-            if float(d.get("dropout", 0.0)) != 0.0:
-                raise ValueError(f"dropout is not modelled (got {d['dropout']})")
-            rig.append(SensorModel(device_id=int(d["device_id"]),
-                                   intrinsics=CameraIntrinsics.from_json_dict(d["intrinsics"]),
-                                   pose=RigidTransform.from_json_dict(d["pose"]),
-                                   sigma0=float(d.get("sigma0", 0.002)),
-                                   sigma1=float(d.get("sigma1", 0.0))))
-        except KeyError as e:
-            raise ValueError(f"sensor entry {i} has no key {e}") from e
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"sensor entry {i}: {e}") from e
+    for i, d in enumerate(check(doc, "rig", "list", "object")):
+        p = f"rig[{i}]"
+        if get(d, p, "dropout", "number", default=0) != 0:
+            raise ValueError(f"{p}.dropout: not modelled (got {d['dropout']})")
+        rig.append(build(p, SensorModel, get(d, p, "device_id", "integer"),
+                         CameraIntrinsics.from_json_dict(get(d, p, "intrinsics", "object"),
+                                                         f"{p}.intrinsics"),
+                         RigidTransform.from_json_dict(get(d, p, "pose", "object"), f"{p}.pose"),
+                         get(d, p, "sigma0", "number", default=0.002),
+                         get(d, p, "sigma1", "number", default=0.0)))
     return rig
 
 

@@ -12,6 +12,7 @@ columns for rays and points, or one array per grid axis for the oracle.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import RigidTransform
+from .jsondoc import build, check, get
 
 __all__ = [
     "ScenePrimitive", "Scene",
@@ -152,7 +154,7 @@ class ScenePrimitive:
         kind = self.texture["kind"]
         if kind == "patches":
             # hash-based two-tone patches (cattle-hide look, deterministic)
-            s = float(self.texture.get("scale", 0.18))
+            s = self.texture.get("scale", 0.18)
             c2 = np.asarray(self.texture.get("color2", (0.92, 0.9, 0.88)))
             cells = np.floor(pts_local / s).astype(np.int64)
             hsh = (cells[:, 0] * 73856093 ^ cells[:, 1] * 19349663
@@ -161,7 +163,7 @@ class ScenePrimitive:
             return base
         # smooth_noise: aperiodic gradient texture; smooth at voxel scale so that
         # visual alignment terms see view-consistent colors under point averaging
-        s = float(self.texture.get("scale", 0.08))
+        s = self.texture.get("scale", 0.08)
         c2 = np.asarray(self.texture.get("color2", (0.2, 0.25, 0.5)))
         k = 2 * np.pi / s
         x, y, z = pts_local[:, 0], pts_local[:, 1], pts_local[:, 2]
@@ -327,14 +329,21 @@ def make_known_object_scene(obj: ScenePrimitive) -> Scene:
 
 def _prim_to_dict(p: ScenePrimitive) -> dict:
     return {"shape": p.shape, "params": list(p.params), "pose": p.pose.to_json_dict(),
-            "albedo": list(p.albedo), "label": p.label, "texture": p.texture}
+            "albedo": list(p.albedo), "label": p.label,
+            "texture": copy.deepcopy(p.texture)}
 
 
-def _prim_from_dict(d: dict) -> ScenePrimitive:
-    return ScenePrimitive(d["shape"], tuple(d["params"]),
-                          RigidTransform.from_json_dict(d["pose"]),
-                          tuple(d.get("albedo", (0.7, 0.7, 0.7))),
-                          d.get("label", "target"), d.get("texture"))
+def _prim_from_dict(d: dict, path: str) -> ScenePrimitive:
+    texture = d.get("texture")
+    if isinstance(texture, dict):  # a non-object or kindless texture is ScenePrimitive's to refuse
+        for key, kind, items in (("kind", "string", None), ("scale", "number", None),
+                                 ("color2", "list", "number")):
+            get(texture, f"{path}.texture", key, kind, items, default=None)
+    return build(path, ScenePrimitive, get(d, path, "shape", "string"),
+                 get(d, path, "params", "list", "number"),
+                 RigidTransform.from_json_dict(get(d, path, "pose", "object"), f"{path}.pose"),
+                 get(d, path, "albedo", "list", "number", default=(0.7, 0.7, 0.7)),
+                 get(d, path, "label", "string", default="target"), texture)
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -343,23 +352,11 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(doc: dict) -> Scene:
-    """A scene from its JSON object; any defect raises ValueError naming the entry."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"a scene is a JSON object, not a {type(doc).__name__}")
-    if not isinstance(doc.get("primitives"), list):
-        raise ValueError("a scene's 'primitives' is a JSON list of primitive objects")
-    prims = []
-    for i, d in enumerate(doc["primitives"]):
-        try:
-            prims.append(_prim_from_dict(d))
-        except KeyError as e:
-            raise ValueError(f"primitive entry {i} has no key {e}") from e
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"primitive entry {i}: {e}") from e
-    try:
-        return Scene(tuple(prims), float(doc.get("background_cap", 5.0)))
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"background_cap: {e}") from e
+    """A scene from its JSON object; any defect raises ValueError naming its key path,
+    ``scene.primitives[1].params`` say."""
+    prims = get(check(doc, "scene", "object"), "scene", "primitives", "list", "object")
+    return Scene(tuple(_prim_from_dict(d, f"scene.primitives[{i}]") for i, d in enumerate(prims)),
+                 get(doc, "scene", "background_cap", "number", default=5.0))
 
 
 def save_scene(path, scene: Scene) -> None:

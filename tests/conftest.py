@@ -1,10 +1,21 @@
+import copy
+import functools
+import operator
+import re
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from tofscan import parallel
 from tofscan.geometry import RigidTransform
 from tofscan.reconstruction import TriangleMesh
 from tofscan.scene import Scene
+
+# examples render, solve and serve, so the suite's Hypothesis tests run without a deadline
+settings.register_profile("tofscan", deadline=None)
+settings.load_profile("tofscan")
 
 
 def pose_error(t: RigidTransform, t_ref: RigidTransform):
@@ -43,6 +54,67 @@ MALFORMED_PLY = {
         b"end_header\n" + bytes(36) + b"\x03" + np.array([0, 1, 5], "<u4").tobytes(),
         "vertex 5 of 3"),
 }
+
+
+def _locations(value, at=()):
+    """Every location inside a JSON value, as tuples of object keys and list indices."""
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield at + (key,)
+        yield from _locations(child, at + (key,))
+
+
+def _other_types(value) -> list:
+    """Values of another JSON type: bool or float for an integer, string or bool for a number."""
+    if isinstance(value, bool):
+        return [1, "true"]
+    if isinstance(value, int):
+        return [True, value + 0.5, str(value)]
+    if isinstance(value, float):
+        return [str(value), True]
+    return [1, None] if isinstance(value, str) else [1.5, "x"]
+
+
+@st.composite
+def json_mutants(draw, doc):
+    """``(location, mutant)``: ``doc`` with one object key dropped, one value's JSON type
+    swapped, or the whole document wrapped in a list (location ``()``)."""
+    how = draw(st.sampled_from(("drop", "swap", "wrap")))
+    if how == "wrap":
+        return (), [doc]
+    at = draw(st.sampled_from([at for at in _locations(doc)
+                               if how == "swap" or isinstance(at[-1], str)]))
+    mutant = copy.deepcopy(doc)
+    parent = functools.reduce(operator.getitem, at[:-1], mutant)
+    if how == "drop":
+        del parent[at[-1]]
+    else:
+        parent[at[-1]] = draw(st.sampled_from(_other_types(parent[at[-1]])))
+    return at, mutant
+
+
+def assert_names_key_path(message: str, root: str, at: tuple) -> None:
+    """``message`` opens with a key path from ``root`` that contains, or lies inside, the
+    mutated location ``at``, then ``": "``."""
+    named = re.match(rf"{re.escape(root)}(\[\d+\]|\.\w+)*(?=: )", message)
+    assert named, message
+    mutated = root + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in at)
+    assert mutated.startswith(named[0]) or named[0].startswith(mutated), (named[0], mutated)
+
+
+def assert_json_types_kept(original, mutant, read) -> None:
+    """What a reader took from ``mutant`` and gave back as ``read`` keeps the JSON types of
+    ``original`` (an integer and a float both being numbers) wherever all three hold a value."""
+    def kind(value):
+        return "number" if type(value) in (int, float) else type(value).__name__
+
+    for at in _locations(mutant):
+        try:
+            was, now = (functools.reduce(operator.getitem, at, doc) for doc in (original, read))
+        except (KeyError, IndexError, TypeError):
+            continue
+        assert kind(now) == kind(was), at
 
 
 def unit_cube_mesh() -> TriangleMesh:

@@ -4,18 +4,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import assert_json_types_kept, assert_names_key_path, json_mutants
 from tofscan.acquisition import (DeviceError, DeviceServer, IntegrityError, ScanClient,
                                  _recv_exact, load_session, save_session)
 from tofscan.capture import build_schedule, corrupt_device_frame
 from tofscan.experiments import SYNC_SCENE
 from tofscan.formats import decode_pgm16, decode_ppm, encode_pgm16, encode_ppm
-from tofscan.geometry import RigidTransform
+from tofscan.geometry import CameraIntrinsics, RigidTransform
 from tofscan.protocol import (ErrorCode, Message, MessageKind, encode_message, json_message,
                               payload_json, read_message, unpack_frame_payload)
-from tofscan.render import render, rig_to_list
-from tofscan.rigs import known_object_rig
+from tofscan.render import SensorModel, render, rig_to_list
+from tofscan.rigs import known_object_rig, look_at
 from tofscan.scene import box, make_known_object_scene, scene_to_dict
+
+
+# one 16x12 sensor: a server for tests that trigger many times
+TINY_RIG = [SensorModel(0, CameraIntrinsics(10, 10, 7.5, 5.5, 16, 12),
+                        look_at((1.2, 0, 0.8), (0, 0, 0.8)))]
 
 
 @pytest.fixture(scope="module")
@@ -159,13 +166,19 @@ class TestServerStateMachine:
         ("CONFIGURE", ["schedule"]),
         ("CONFIGURE", b"{not json"),
         ("CONFIGURE", {"schedule": build_schedule([1, 2], 160, 125).to_json_dict()}),
+        ("CONFIGURE", {"schedule": {"device_order": [0, 1], "delay_us": 1.9, "exposure_us": 125}}),
+        ("CONFIGURE", {"schedule": {"device_order": [0, 1], "delay_us": "160",
+                                    "exposure_us": 125}}),
+        ("CONFIGURE", {"schedule": {"device_order": [0, 1], "delay_us": True,
+                                    "exposure_us": 125}}),
         ("TRIGGER", {}),
         ("TRIGGER", {"frame_id": "1"}),
         ("TRIGGER", {"frame_id": 1, "seed": 0.5}),
         ("FETCH", {}),
         ("FETCH", {"frame_id": 1.5}),
     ], ids=["configure-no-schedule", "configure-schedule-lacks-key", "configure-not-object",
-            "configure-not-json", "configure-omits-device", "trigger-no-frame-id",
+            "configure-not-json", "configure-omits-device", "configure-delay-float",
+            "configure-delay-string", "configure-delay-bool", "trigger-no-frame-id",
             "trigger-frame-id-string", "trigger-seed-float", "fetch-no-frame-id",
             "fetch-frame-id-float"])
     def test_malformed_payload_is_bad_request_and_changes_nothing(self, setup, kind, payload):
@@ -194,6 +207,47 @@ class TestServerStateMachine:
                 assert payload_json(reply)["code"] == ErrorCode.BAD_REQUEST
                 assert (server.schedule, server.state, server.frames) == before
                 assert ask(valid[kind]).kind is not MessageKind.ERROR
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("kind", ["CONFIGURE", "TRIGGER", "FETCH"])
+    def test_mutated_payload_is_served_or_bad_request(self, setup, kind):
+        """A payload with a key dropped, a value's type swapped, or wrapped in a list: served
+        if still valid, else BAD_REQUEST naming a key path, the server as it was, and the
+        same connection then serves the valid request."""
+        server = DeviceServer(0, TINY_RIG[0], scene=setup[0], rig=TINY_RIG)
+        server.start_background()
+        valid = {"CONFIGURE": {"schedule": build_schedule([0], 160, 125).to_json_dict()},
+                 "TRIGGER": {"session_id": "scan0001", "frame_id": 1, "seed": 3},
+                 "FETCH": {"frame_id": 1}}
+
+        @settings(max_examples=60)
+        @given(json_mutants(valid[kind]))
+        def mutate(mutation):
+            at, payload = mutation
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+                def ask(kind: str, payload) -> Message:
+                    sock.sendall(encode_message(json_message(MessageKind[kind], payload)))
+                    return read_message(lambda n: _recv_exact(sock, n))
+
+                for step in ("CONFIGURE", "TRIGGER")[:1 + (kind != "TRIGGER")]:
+                    assert ask(step, valid[step]).kind is not MessageKind.ERROR
+                before = (server.schedule, server.state, dict(server.frames))
+                reply = ask(kind, payload)
+                if reply.kind is MessageKind.ERROR:
+                    doc = payload_json(reply)
+                    assert doc["code"] == ErrorCode.BAD_REQUEST
+                    assert_names_key_path(doc["reason"], kind, at)
+                    assert (server.schedule, server.state, server.frames) == before
+                    assert ask(kind, valid[kind]).kind is not MessageKind.ERROR
+                else:  # served: what the server took keeps its JSON types
+                    assert_json_types_kept(valid[kind], payload, {
+                        "CONFIGURE": lambda: {"schedule": server.schedule.to_json_dict()},
+                        "TRIGGER": lambda: {"frame_id": next(iter(server.frames))},
+                        "FETCH": dict}[kind]())
+
+        try:
+            mutate()
         finally:
             server.stop()
 
@@ -275,6 +329,32 @@ class TestLoopback:
         loaded = load_session(mpath)
         assert loaded.session_id == session.session_id
         assert [e.crc32 for e in loaded.manifest] == [e.crc32 for e in session.manifest]
+
+    @pytest.mark.parametrize("defect", ["frame-id-missing", "crc32-string"])
+    def test_trigger_ack_with_a_bad_key_fails_only_its_device(self, servers, defect):
+        """A device whose TRIGGER_ACK lacks a key or mistypes one is recorded in ``failed``."""
+        eps = endpoints_of(servers)[:2]
+        answer = servers[1]._handle
+
+        def answer_short(msg: Message) -> Message:
+            reply = answer(msg)
+            if reply.kind is MessageKind.TRIGGER_ACK:
+                doc = payload_json(reply)
+                if defect == "frame-id-missing":
+                    del doc["frame_id"]
+                else:
+                    doc["crc32"] = str(doc["crc32"])
+                reply = json_message(reply.kind, doc)
+            return reply
+
+        servers[1]._handle = answer_short
+        client = ScanClient()
+        sched = build_schedule([servers[0].device_id, servers[1].device_id], 160, 125)
+        client.configure_all(eps, sched)
+        session = client.trigger_scan(eps, sched, cattle_id="short")
+        assert list(session.failed) == [eps[1]]
+        assert session.failed[eps[1]].startswith("TRIGGER_ACK")
+        assert [e.device_id for e in session.manifest] == [servers[0].device_id]
 
     def test_zero_reachable_devices(self):
         client = ScanClient(timeout_s=0.3)

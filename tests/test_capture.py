@@ -27,7 +27,7 @@ class TestSchedule:
 
     def test_json_round_trip(self):
         s = build_schedule([3, 1, 2], 80, 110)
-        assert CaptureSchedule.from_json_dict(s.to_json_dict()) == s
+        assert CaptureSchedule.from_json_dict(s.to_json_dict(), "schedule") == s
 
 
 def _window_overlaps(order, delay, exposure):
@@ -38,7 +38,7 @@ def _window_overlaps(order, delay, exposure):
 
 
 class TestOverlap:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(order=st.lists(st.integers(0, 99), min_size=1, max_size=12, unique=True),
            delay=st.integers(0, 10_000), exposure=st.integers(1, 10_000))
     def test_matches_window_intersection(self, order, delay, exposure):

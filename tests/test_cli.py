@@ -3,9 +3,10 @@ import socket
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import MALFORMED_PLY, unit_cube_mesh
-from tofscan.cli import main
+from conftest import MALFORMED_PLY, assert_json_types_kept, json_mutants, unit_cube_mesh
+from tofscan.cli import _check_overrides, _InputError, main
 from tofscan.experiments import SYNC_SCENE
 from tofscan.formats import read_ply, write_ply
 from tofscan.geometry import PointCloud
@@ -117,7 +118,9 @@ def test_unreadable_input_file_is_named(tmp_path, capsys, case):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and str(named) in err[0]
     if case.endswith(("-int", "-count")):
-        entry = "sensor entry 0" if "rig" in case else "primitive entry 1"
+        entry = {"serve-rig-intrinsics-int": "rig[0].intrinsics: expected object, got int",
+                 "serve-scene-params-int": "scene.primitives[1].params: expected list, got int",
+                 "serve-scene-params-count": "scene.primitives[1]: superellipsoid takes 5"}[case]
         assert entry in err[0]
     assert not out.exists()
 
@@ -247,6 +250,27 @@ def test_scan_bad_timing_flag_is_named(tmp_path, capsys, monkeypatch, flag, valu
     assert not out_dir.exists()
 
 
+def test_scan_hello_without_device_id_is_named(tmp_path, capsys):
+    """A HELLO_ACK that lacks ``device_id``: one stderr line naming the endpoint, exit 2."""
+    from tofscan.acquisition import DeviceServer
+    from tofscan.protocol import MessageKind, json_message
+    rig = known_object_rig()[:1]
+    server = DeviceServer(0, rig[0], scene=SYNC_SCENE, rig=rig)
+    server._handle = lambda msg: json_message(MessageKind.HELLO_ACK, {"intrinsics": {}})
+    server.start_background()
+    endpoint = f"127.0.0.1:{server.port}"
+    out_dir = tmp_path / "scan"
+    try:
+        code = main(["scan", "--endpoints", endpoint, "--out", str(out_dir)])
+    finally:
+        server.stop()
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and endpoint in err[0]
+    assert "HELLO_ACK: missing key 'device_id'" in err[0]
+    assert not out_dir.exists()
+
+
 def test_scan_without_endpoints(tmp_path, capsys):
     """An --endpoints list with no entries is named on stderr with exit 2, before any session."""
     out_dir = tmp_path / "scan"
@@ -333,9 +357,10 @@ def test_segment_command_without_masks_fails(tmp_path, capsys):
     assert not (session / "segmetrics.csv").exists()
 
 
-@pytest.mark.parametrize("junk", ["gtmask", "rgbmask"])
+@pytest.mark.parametrize("junk", ["gtmask", "rgbmask", "rgbmask-size"])
 def test_segment_junk_mask_is_named(tmp_path, capsys, junk):
-    """A junk ground-truth mask, or a junk --masks PGM, is named on one stderr line, exit 2."""
+    """A junk ground-truth mask, or a junk --masks PGM or pair of the wrong size, is named on
+    one stderr line, exit 2, before anything is written."""
     from tofscan.formats import encode_mask_pgm
     from tofscan.geometry import BinaryMask
     session = tmp_path / "session"
@@ -347,11 +372,17 @@ def test_segment_junk_mask_is_named(tmp_path, capsys, junk):
                  given / "0_depthmask.pgm"):
         path.write_bytes(valid)
     bad = session / "masks" / "0_gtmask.pgm" if junk == "gtmask" else given / "0_rgbmask.pgm"
-    bad.write_bytes(b"junk")
+    if junk == "rgbmask-size":
+        small = encode_mask_pgm(BinaryMask(np.eye(4, dtype=bool)))
+        bad.write_bytes(small)
+        (given / "0_depthmask.pgm").write_bytes(small)
+    else:
+        bad.write_bytes(b"junk")
     assert main(["segment", "--session", str(session), "--masks", str(given)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("cannot read ") and str(bad) in err[0]
     assert not (session / "segmetrics.csv").exists()
+    assert not (session / "masks" / "0_fused.pgm").exists()
 
 
 def test_segment_negative_size_mask_is_named(tmp_path, capsys):
@@ -465,6 +496,30 @@ def test_experiment_config_is_checked(tmp_path, capsys, monkeypatch, kind, doc, 
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and str(config) in err[0] and named in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, doc", [
+    ("interference", {"delays_us": [0, 40, 160], "seeds": 2}),
+    ("known-object", {"radius": 0.1, "height": 0.3, "orientations": 2, "runs": 3,
+                      "resolution": 64}),
+    ("animal", {"scale": 1.5, "runs": 5, "resolution": 96}),
+])
+def test_mutated_config_is_taken_or_names_its_key(kind, doc):
+    """A --config with a key dropped, a value's JSON type swapped, or wrapped in a list: taken
+    if still valid, else refused naming the mutated key."""
+    @settings(max_examples=100)
+    @given(json_mutants(doc))
+    def mutate(mutation):
+        at, overrides = mutation
+        try:
+            _check_overrides("overrides.json", kind, overrides)
+        except _InputError as e:
+            assert str(e).startswith("--config overrides.json: ")
+            assert (f"{at[0]!r} must be" if at else "not a JSON object") in str(e)
+        else:
+            assert_json_types_kept(doc, overrides, overrides)
+
+    mutate()
 
 
 def test_experiment_with_every_run_failed_exits_1(tmp_path, capsys, monkeypatch):

@@ -193,7 +193,7 @@ class TestTransforms:
         assert err < 1e-7
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(angle=st.floats(-3.1, 3.1), x=st.floats(-5, 5), y=st.floats(-5, 5), z=st.floats(-5, 5))
 def test_axis_angle_transforms_are_rigid(angle, x, y, z):
     t = RigidTransform.from_axis_angle((1, 2, 3), angle, (x, y, z))

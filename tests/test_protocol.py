@@ -71,7 +71,7 @@ def test_round_trip_randomized_bulk(rng):
         assert decode_message(encode_message(m)) == m
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(kind=st.sampled_from(KINDS), payload=st.binary(max_size=4096))
 def test_round_trip_property(kind, payload):
     m = Message(kind, payload)
@@ -106,7 +106,7 @@ _HEADER_SHAPED = st.builds(
     st.one_of(st.integers(0, 64), st.integers(0, 2 ** 32 - 1)), st.binary(max_size=80))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(b=st.one_of(st.binary(max_size=64), _HEADER_SHAPED))
 def test_decode_and_read_agree(b):
     """Both readers return the same Message or raise the same ProtocolError subclass."""

@@ -277,7 +277,7 @@ class TestOneSortEdgeCount:
         assert _two_sort_watertight(_edge_used_three_times()) == (False, 3)
         assert _two_sort_watertight(_flipped_triangle()) == (False, 0)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.integers(3, 7).flatmap(lambda n: st.lists(
         st.tuples(*[st.integers(0, n - 1)] * 3), min_size=1, max_size=12)))
     def test_triangle_soup(self, tris):

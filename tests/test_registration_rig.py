@@ -236,5 +236,5 @@ def test_pose_graph_json_round_trip(tmp_path, rng):
     assert doc["failed_edges"] == [list(e) for e in graph.failed_edges]
     assert set(doc["global_poses"]) == {str(d) for d in graph.global_poses}
     for d, t in graph.global_poses.items():
-        loaded = RigidTransform.from_json_dict(doc["global_poses"][str(d)])
+        loaded = RigidTransform.from_json_dict(doc["global_poses"][str(d)], f"global_poses.{d}")
         np.testing.assert_allclose(loaded.matrix(), t.matrix(), atol=1e-15)

@@ -1,9 +1,14 @@
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import assert_json_types_kept, assert_names_key_path, json_mutants
 import tofscan.render as render_module
 from tofscan.experiments import KNOWN_CYLINDER
-from tofscan.geometry import CameraIntrinsics, RigidTransform
+from tofscan.geometry import DEPTH_SCALE, CameraIntrinsics, RigidTransform
 from tofscan.render import (SensorModel, apply_interference, apply_tof_noise, observe_tags, render,
                             rig_from_list, rig_to_list)
 from tofscan.rigs import cattle_rig, known_object_rig
@@ -145,13 +150,12 @@ class TestCulling:
     @pytest.mark.parametrize("case", list(CULLING_CASES))
     def test_culled_render_matches_every_ray(self, case, monkeypatch):
         scene, sensor = CULLING_CASES[case]()
-        intr = sensor.intrinsics
         culled = render(scene, sensor)
         assert culled.depth.data.any()
 
         t, prim = _every_ray_first_hits(scene, sensor)
         hit = np.isfinite(t) & (t <= scene.background_cap)
-        depth = np.round(np.where(hit, t, 0.0) / intr.depth_scale)
+        depth = np.round(np.where(hit, t, 0.0) / DEPTH_SCALE)
         target = np.array([p.label == "target" for p in scene.primitives] + [False])
         assert np.array_equal(culled.depth.data.ravel(), depth.astype(np.uint16))
         assert np.array_equal(culled.oracle_mask.data.ravel(), hit & target[prim])
@@ -295,3 +299,37 @@ class TestRigFile:
         doc[0]["dropout"] = 0.1
         with pytest.raises(ValueError, match="dropout"):
             rig_from_list(doc)
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("width", 320.9, "rig[0].intrinsics.width: expected integer, got float"),
+        ("fy", True, "rig[0].intrinsics.fy: expected number, got bool"),
+        ("translation", ["0.5", 0, 0], "rig[0].pose.translation[0]: expected number, got str"),
+        ("depth_scale", 0.002, "rig[0].intrinsics.depth_scale: only 0.001 is modelled"),
+    ], ids=["width-float", "fy-bool", "translation-string", "depth-scale-other"])
+    def test_mistyped_value_is_named_by_key_path(self, key, value, named):
+        doc = rig_to_list([self.SENSOR])
+        doc[0]["pose" if key == "translation" else "intrinsics"][key] = value
+        with pytest.raises(ValueError, match=re.escape(named)):
+            rig_from_list(doc)
+
+    def test_depth_scale_is_not_written_and_its_one_value_is_read(self):
+        doc = rig_to_list([self.SENSOR])
+        assert "depth_scale" not in doc[0]["intrinsics"]
+        doc[0]["intrinsics"]["depth_scale"] = DEPTH_SCALE
+        assert rig_to_list(rig_from_list(doc)) == rig_to_list([self.SENSOR])
+
+    DOC = [{**rig_to_list([SENSOR])[0], "seed": 17, "dropout": 0.0},
+           {**rig_to_list([CAM])[0], "sigma1": 0.0}]
+
+    @settings(max_examples=300)
+    @given(json_mutants(DOC))
+    def test_mutated_rig_is_read_or_names_a_key_path(self, mutation):
+        at, doc = mutation
+        try:
+            rig = rig_from_list(doc)
+        except ValueError as e:
+            assert_names_key_path(str(e), "rig", at)
+        else:  # a valid rig: it writes a file that reads back the same
+            again = json.loads(json.dumps(rig_to_list(rig)))
+            assert rig_to_list(rig_from_list(again)) == rig_to_list(rig)
+            assert_json_types_kept(self.DOC, doc, again)

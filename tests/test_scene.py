@@ -1,12 +1,22 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import assert_json_types_kept, assert_names_key_path, json_mutants
 from tofscan.geometry import RigidTransform
 from tofscan.scene import (Scene, ScenePrimitive, box, capsule, cube_tag_layout, cylinder,
                            load_scene, make_animal_model, make_known_object_scene, save_scene,
                            scene_from_dict, scene_to_dict, superellipsoid)
+
+# a textured target over an untextured ground: every key a scene file can hold
+TEXTURED = make_known_object_scene(
+    cylinder(0.1, 0.3, pose=RigidTransform.from_axis_angle((1, 0, 0), 0.4, (0, 0, 0.5)),
+             albedo=(0.6, 0.5, 0.4),
+             texture={"kind": "patches", "scale": 0.05, "color2": [0.9, 0.9, 0.88]}))
+
 
 
 class TestPrimitives:
@@ -142,3 +152,37 @@ class TestSceneIO:
         doc["primitives"][0]["texture"] = texture
         with pytest.raises(ValueError, match="texture kind"):
             scene_from_dict(doc)
+
+    @pytest.mark.parametrize("where, value, named", [
+        (("texture", "scale"), "big", "scene.primitives[0].texture.scale: expected number, got str"),
+        (("texture", "color2"), [0.9, "0.9", 0.9],
+         "scene.primitives[0].texture.color2[1]: expected number, got str"),
+        (("pose", "translation"), ["0.5", 0, 0],
+         "scene.primitives[0].pose.translation[0]: expected number, got str"),
+    ], ids=["texture-scale-string", "texture-color2-string", "translation-string"])
+    def test_mistyped_value_is_named_by_key_path(self, where, value, named):
+        """Refused when the scene is read, not at a device server's first TRIGGER."""
+        doc = scene_to_dict(TEXTURED)
+        doc["primitives"][0][where[0]][where[1]] = value
+        with pytest.raises(ValueError, match=re.escape(named)):
+            scene_from_dict(doc)
+
+    def test_editing_the_document_leaves_the_scene_unchanged(self):
+        before = json.dumps(scene_to_dict(TEXTURED))
+        doc = scene_to_dict(TEXTURED)
+        doc["primitives"][0]["texture"]["scale"] = "big"
+        doc["primitives"][0]["texture"]["color2"][0] = "0.9"
+        assert json.dumps(scene_to_dict(TEXTURED)) == before
+
+    @settings(max_examples=300)
+    @given(json_mutants(scene_to_dict(TEXTURED)))
+    def test_mutated_scene_is_read_or_names_a_key_path(self, mutation):
+        at, doc = mutation
+        try:
+            scene = scene_from_dict(doc)
+        except ValueError as e:
+            assert_names_key_path(str(e), "scene", at)
+        else:  # a valid scene: it writes a file that reads back the same
+            again = json.loads(json.dumps(scene_to_dict(scene)))
+            assert scene_to_dict(scene_from_dict(again)) == scene_to_dict(scene)
+            assert_json_types_kept(scene_to_dict(TEXTURED), doc, again)

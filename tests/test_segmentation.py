@@ -154,7 +154,7 @@ class TestLoadMasks:
             load_masks(tmp_path, [3])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_lattice_property_hypothesis(seed):
     rng = np.random.default_rng(seed)
