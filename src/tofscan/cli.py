@@ -187,7 +187,16 @@ def _cmd_segment(args) -> int:
 
 def _cmd_register(args) -> int:
     from .formats import read_ply, write_ply
+    from .geometry import PointCloud
     from .registration import MultiScaleParams, merge_clouds, register_rig, save_pose_graph
+
+    def read_colored_cloud(path):
+        cloud = read_ply(path)
+        if not isinstance(cloud, PointCloud):
+            raise ValueError("a mesh PLY, not a point cloud")
+        if cloud.colors is None:
+            raise ValueError("a point cloud without colours, which colored ICP needs")
+        return cloud
 
     try:
         params = MultiScaleParams(tuple(float(v) for v in args.voxels.split(",")))
@@ -198,7 +207,7 @@ def _cmd_register(args) -> int:
     clouds = {}
     for f in sorted((session / "clouds").glob("*.ply")):
         if f.stem.isdigit():
-            clouds[int(f.stem)] = _read(read_ply, f)
+            clouds[int(f.stem)] = _read(read_colored_cloud, f)
     if not clouds:
         print(f"no per-device clouds under {session}/clouds", file=sys.stderr)
         return 2

@@ -271,32 +271,21 @@ class PointCloud:
         return len(self.points)
 
 
-def back_project(depth: DepthImage, intr: CameraIntrinsics,
-                 color: ColorImage | None = None,
-                 mask: BinaryMask | None = None) -> PointCloud:
-    """Lift valid (and optionally masked) depth pixels to 3D camera-frame points.
-
-    One point per pixel with depth > 0 and, when a mask is given, mask
-    foreground. Point = ((u-cx)·z/fx, (v-cy)·z/fy, z) with z = raw·DEPTH_SCALE.
+def back_project(depth: DepthImage, intr: CameraIntrinsics, color: ColorImage,
+                 mask: BinaryMask) -> PointCloud:
+    """Lift the depth pixels that are valid and mask foreground to coloured 3D
+    camera-frame points: ((u-cx)·z/fx, (v-cy)·z/fy, z) with z = raw·DEPTH_SCALE.
     """
     check_size("depth raster", depth, "intrinsics", intr)
-    if color is not None:
-        check_size("color raster", color, "depth", depth)
-    if mask is not None:
-        check_size("mask raster", mask, "depth", depth)
+    check_size("color raster", color, "depth", depth)
+    check_size("mask raster", mask, "depth", depth)
 
-    keep = depth.valid_mask()
-    if mask is not None:
-        keep &= mask.data
-    v, u = np.nonzero(keep)
+    v, u = np.nonzero(depth.valid_mask() & mask.data)
     z = depth.data[v, u].astype(np.float64) * DEPTH_SCALE
     x = (u.astype(np.float64) - intr.cx) * z / intr.fx
     y = (v.astype(np.float64) - intr.cy) * z / intr.fy
-    pts = np.column_stack([x, y, z])
-    cols = None
-    if color is not None:
-        cols = color.data[v, u].astype(np.float64) / 255.0
-    return PointCloud(pts, colors=cols)
+    return PointCloud(np.column_stack([x, y, z]),
+                      colors=color.data[v, u].astype(np.float64) / 255.0)
 
 
 def project(pts: np.ndarray, intr: CameraIntrinsics) -> tuple:

@@ -1,9 +1,10 @@
 """Order-preserving map over a persistent thread pool.
 
-A scan's independent units (one device's capture, one ICP level, one chain
-edge, one block of PCA normals) spend their time in numpy and scipy calls
-that release the interpreter lock, so threads run them side by side. Each
-unit keeps its own arithmetic, so results do not depend on the worker count.
+A scan's independent units (one device's capture, one device's raster stage,
+one ICP level, one chain edge, one block of PCA normals) spend their time in
+numpy and scipy calls that release the interpreter lock, so threads run them
+side by side. Each unit keeps its own arithmetic, so results do not depend on
+the worker count.
 """
 
 from __future__ import annotations

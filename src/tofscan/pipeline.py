@@ -20,6 +20,7 @@ from .capture import CaptureResult, build_schedule, simulate_capture, write_rete
 from .formats import encode_pgm16, encode_ppm, encode_mask_pgm, write_ply
 from .geometry import PointCloud, RigidTransform, back_project
 from .metrology import MeshMeasurements, measure_mesh
+from .parallel import map_ordered
 from .reconstruction import TriangleMesh, estimate_normals, poisson_reconstruct
 from .registration import (MultiScaleParams, PoseGraph, make_observations, merge_clouds,
                            register_rig, save_pose_graph)
@@ -81,15 +82,31 @@ class PipelineResult:
     capture: CaptureResult
 
 
-def _stage(name):
-    def wrap(fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except PipelineError:
-            raise
-        except Exception as e:
-            raise PipelineError(name, e) from e
-    return wrap
+def _stage(name, fn, *args):
+    """``fn(*args)``, with any failure raised as a PipelineError naming the stage."""
+    try:
+        return fn(*args)
+    except PipelineError:
+        raise
+    except Exception as e:
+        raise PipelineError(name, e) from e
+
+
+def _device_cloud(out: Path | None, frame, sensor) -> PointCloud:
+    """One device's raster stage: its masks fused by one-vote OR, its depth lifted
+    through the fused mask, and, with a session directory, its five files."""
+    dev = sensor.device_id
+    fused = _stage("segmentation", fuse, MaskPair(frame.oracle_mask, frame.oracle_mask),
+                   ArbitrationMode.ONE_VOTE_OR)
+    cloud = _stage("back-projection", back_project, frame.depth, sensor.intrinsics,
+                   frame.color, fused)
+    if out is not None:
+        (out / "raw" / f"{dev}_depth.pgm").write_bytes(encode_pgm16(frame.depth))
+        (out / "raw" / f"{dev}_color.ppm").write_bytes(encode_ppm(frame.color))
+        (out / "masks" / f"{dev}_gtmask.pgm").write_bytes(encode_mask_pgm(frame.oracle_mask))
+        (out / "masks" / f"{dev}_fused.pgm").write_bytes(encode_mask_pgm(fused))
+        write_ply(out / "clouds" / f"{dev}.ply", cloud)
+    return cloud
 
 
 def _calibration_observations(cfg: RunConfig):
@@ -114,36 +131,25 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             (out / sub).mkdir(parents=True, exist_ok=True)
 
     schedule = build_schedule([s.device_id for s in cfg.rig], cfg.delay_us, cfg.exposure_us)
-    capture = _stage("capture")(simulate_capture, cfg.scene, cfg.rig, schedule, cfg.seed)
+    capture = _stage("capture", simulate_capture, cfg.scene, cfg.rig, schedule, cfg.seed)
 
     device_ids = sorted(capture.frames)
     sensors = {s.device_id: s for s in cfg.rig}
-    clouds: dict[int, PointCloud] = {}
-    for dev in device_ids:
-        frame = capture.frames[dev]
-        fused = _stage("segmentation")(fuse, MaskPair(frame.oracle_mask, frame.oracle_mask),
-                                       ArbitrationMode.ONE_VOTE_OR)
-        clouds[dev] = _stage("back-projection")(
-            back_project, frame.depth, sensors[dev].intrinsics, frame.color, fused)
-        if out is not None:
-            (out / "raw" / f"{dev}_depth.pgm").write_bytes(encode_pgm16(frame.depth))
-            (out / "raw" / f"{dev}_color.ppm").write_bytes(encode_ppm(frame.color))
-            (out / "masks" / f"{dev}_gtmask.pgm").write_bytes(encode_mask_pgm(frame.oracle_mask))
-            (out / "masks" / f"{dev}_fused.pgm").write_bytes(encode_mask_pgm(fused))
-            write_ply(out / "clouds" / f"{dev}.ply", clouds[dev])
+    clouds = dict(zip(device_ids, map_ordered(
+        lambda dev: _device_cloud(out, capture.frames[dev], sensors[dev]), device_ids)))
 
-    fiducials = _stage("calibration")(_calibration_observations, cfg)
+    fiducials = _stage("calibration", _calibration_observations, cfg)
     order = list(cfg.chain_order) if cfg.chain_order is not None else device_ids
-    graph = _stage("registration")(register_rig, clouds, fiducials, cfg.registration, order)
+    graph = _stage("registration", register_rig, clouds, fiducials, cfg.registration, order)
 
     reachable = {d: clouds[d] for d in graph.global_poses if d in clouds}
-    merged = _stage("merge")(merge_clouds, reachable, graph,
-                             cfg.registration.voxel_sizes[-1] / 2)
+    merged = _stage("merge", merge_clouds, reachable, graph,
+                    cfg.registration.voxel_sizes[-1] / 2)
 
     centers = {dev: graph.global_poses[dev].translation for dev in graph.global_poses}
-    oriented = _stage("normal-estimation")(estimate_normals, merged, centers)
-    mesh = _stage("reconstruction")(poisson_reconstruct, oriented, cfg.resolution)
-    measurements = _stage("metrology")(measure_mesh, mesh)
+    oriented = _stage("normal-estimation", estimate_normals, merged, centers)
+    mesh = _stage("reconstruction", poisson_reconstruct, oriented, cfg.resolution)
+    measurements = _stage("metrology", measure_mesh, mesh)
 
     if out is not None:
         write_ply(out / "clouds" / "merged.ply", merged)

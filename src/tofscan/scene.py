@@ -65,11 +65,19 @@ class ScenePrimitive:
             if not (0 < e1 <= 2 and 0 < e2 <= 2):
                 raise ValueError(f"superellipsoid exponents must be in (0, 2]: {e1}, {e2}")
         object.__setattr__(self, "params", p)
-        object.__setattr__(self, "albedo", tuple(float(c) for c in self.albedo))
+        albedo = tuple(float(c) for c in self.albedo)
+        if len(albedo) != 3:
+            raise ValueError(f"albedo takes 3 values: {albedo}")
+        object.__setattr__(self, "albedo", albedo)
         if self.texture is not None:
             kind = self.texture.get("kind") if isinstance(self.texture, dict) else None
             if kind not in TEXTURE_KINDS:
                 raise ValueError(f"unknown texture kind {kind!r}: expected one of {TEXTURE_KINDS}")
+            color2, scale = self.texture.get("color2"), self.texture.get("scale")
+            if color2 is not None and len(color2) != 3:
+                raise ValueError(f"texture color2 takes 3 values: {color2}")
+            if scale is not None and scale <= 0:
+                raise ValueError(f"texture scale must be positive: {scale}")
             # normalize through JSON so in-memory and file-loaded scenes compare equal
             object.__setattr__(self, "texture", json.loads(json.dumps(self.texture)))
 

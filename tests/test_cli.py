@@ -53,7 +53,8 @@ def test_wrong_kind_of_ply_is_named(tmp_path, capsys, command, flag, kind):
 
 @pytest.mark.parametrize("case", ["measure-missing", "measure-not-ply", "serve-rig-missing",
                                   "serve-scene-missing", "experiment-config-missing",
-                                  "register-cloud-not-ply", "serve-rig-no-intrinsics",
+                                  "register-cloud-not-ply", "register-cloud-no-colors",
+                                  "register-cloud-mesh", "serve-rig-no-intrinsics",
                                   "serve-rig-object", "serve-scene-no-primitives",
                                   "measure-ply-double", "serve-rig-intrinsics-int",
                                   "serve-scene-params-int", "serve-scene-params-count"])
@@ -84,6 +85,11 @@ def test_unreadable_input_file_is_named(tmp_path, capsys, case):
         doc["primitives"][1].update({"params": 3} if case.endswith("int") else
                                     {"shape": "superellipsoid", "params": [1.0, 1.0, 1.0]})
         malformed.write_text(json.dumps(doc))
+    elif case == "register-cloud-no-colors":
+        write_ply(cloud, PointCloud(np.random.default_rng(0).random((50, 3))))
+    elif case == "register-cloud-mesh":
+        mesh = unit_cube_mesh()
+        write_ply(cloud, vertices=mesh.vertices, triangles=mesh.triangles)
     elif case == "measure-ply-double":
         malformed.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
                               b"property double x\nproperty double y\nproperty double z\n"
@@ -98,6 +104,8 @@ def test_unreadable_input_file_is_named(tmp_path, capsys, case):
         "experiment-config-missing": ["experiment", "interference", "--config", str(bad),
                                       "--out", str(out)],
         "register-cloud-not-ply": ["register", "--session", str(tmp_path / "session")],
+        "register-cloud-no-colors": ["register", "--session", str(tmp_path / "session")],
+        "register-cloud-mesh": ["register", "--session", str(tmp_path / "session")],
         "serve-rig-no-intrinsics": ["serve", "--device-id", "0", "--rig", str(malformed),
                                     "--scene", str(bad)],
         "serve-rig-object": ["serve", "--device-id", "0", "--rig", str(malformed),
@@ -112,7 +120,7 @@ def test_unreadable_input_file_is_named(tmp_path, capsys, case):
                                       "--scene", str(malformed)],
         "measure-ply-double": ["measure", "--mesh", str(malformed)],
     }[case]
-    named = {"measure-not-ply": rig_path, "register-cloud-not-ply": cloud}.get(
+    named = cloud if case.startswith("register") else {"measure-not-ply": rig_path}.get(
         case, malformed if malformed.exists() else bad)
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -123,6 +131,7 @@ def test_unreadable_input_file_is_named(tmp_path, capsys, case):
                  "serve-scene-params-count": "scene.primitives[1]: superellipsoid takes 5"}[case]
         assert entry in err[0]
     assert not out.exists()
+    assert not (tmp_path / "session" / "poses.json").exists()
 
 
 def test_reconstruct_command(tmp_path, capsys, rng):

@@ -12,6 +12,16 @@ from tofscan.geometry import (BinaryMask, CameraIntrinsics, ColorImage, DepthIma
 INTR = CameraIntrinsics(fx=600, fy=600, cx=320, cy=240, width=640, height=480)
 
 
+def grey(data):
+    """A mid-grey colour image the size of the depth array ``data``."""
+    return ColorImage(np.full((*data.shape, 3), 128, np.uint8))
+
+
+def everywhere(data):
+    """An all-foreground mask the size of the depth array ``data``."""
+    return BinaryMask(np.ones(data.shape, bool))
+
+
 def random_transform(rng):
     return RigidTransform.from_axis_angle(rng.standard_normal(3),
                                           rng.uniform(0, 2 * np.pi),
@@ -69,7 +79,7 @@ class TestBackProject:
     def test_principal_point_ray(self):
         data = np.zeros((480, 640), np.uint16)
         data[240, 320] = 1000
-        cloud = back_project(DepthImage(data), INTR)
+        cloud = back_project(DepthImage(data), INTR, grey(data), everywhere(data))
         np.testing.assert_allclose(cloud.points, [[0.0, 0.0, 1.0]])
 
     def test_off_axis_pixel(self):
@@ -77,36 +87,36 @@ class TestBackProject:
         wide = CameraIntrinsics(fx=600, fy=600, cx=320, cy=240, width=1280, height=480)
         data = np.zeros((480, 1280), np.uint16)
         data[240, 920] = 1000
-        cloud = back_project(DepthImage(data), wide)
+        cloud = back_project(DepthImage(data), wide, grey(data), everywhere(data))
         np.testing.assert_allclose(cloud.points, [[1.0, 0.0, 1.0]])
 
     def test_empty_mask_gives_empty_cloud(self):
         data = np.full((480, 640), 1000, np.uint16)
         mask = BinaryMask(np.zeros((480, 640), bool))
-        assert len(back_project(DepthImage(data), INTR, mask=mask)) == 0
+        assert len(back_project(DepthImage(data), INTR, grey(data), mask)) == 0
 
     def test_point_count_equals_valid_foreground(self, rng):
         data = (rng.random((480, 640)) < 0.3).astype(np.uint16) * 1500
         fg = rng.random((480, 640)) < 0.5
         mask = BinaryMask(fg)
-        cloud = back_project(DepthImage(data), INTR, mask=mask)
+        cloud = back_project(DepthImage(data), INTR, grey(data), mask)
         assert len(cloud) == int(((data > 0) & fg).sum())
 
     def test_dimension_mismatch_names_raster(self):
         depth = DepthImage(np.zeros((480, 640), np.uint16))
         bad_color = ColorImage(np.zeros((240, 320, 3), np.uint8))
         with pytest.raises(ValueError, match="color"):
-            back_project(depth, INTR, color=bad_color)
+            back_project(depth, INTR, bad_color, everywhere(depth.data))
         bad_mask = BinaryMask(np.zeros((240, 320), bool))
         with pytest.raises(ValueError, match="mask"):
-            back_project(depth, INTR, mask=bad_mask)
+            back_project(depth, INTR, grey(depth.data), bad_mask)
 
     def test_colors_copied(self):
         data = np.zeros((480, 640), np.uint16)
         data[10, 20] = 500
         img = np.zeros((480, 640, 3), np.uint8)
         img[10, 20] = (255, 0, 128)
-        cloud = back_project(DepthImage(data), INTR, ColorImage(img))
+        cloud = back_project(DepthImage(data), INTR, ColorImage(img), everywhere(data))
         np.testing.assert_allclose(cloud.colors, [[1.0, 0.0, 128 / 255]])
 
 
@@ -118,7 +128,7 @@ class TestProject:
     def test_round_trip_with_back_project(self):
         data = np.zeros((480, 640), np.uint16)
         data[50, 100] = 2000
-        cloud = back_project(DepthImage(data), INTR)
+        cloud = back_project(DepthImage(data), INTR, grey(data), everywhere(data))
         (u,), (v,), (z,) = project(cloud.points, INTR)
         assert abs(u - 100) < 1e-9 and abs(v - 50) < 1e-9 and abs(z - 2.0) < 1e-9
 
@@ -129,7 +139,7 @@ class TestProject:
     def test_full_raster_round_trip(self, rng):
         data = (rng.random((48, 64)) * 4000).astype(np.uint16)
         intr = CameraIntrinsics(80, 90, 31.5, 23.5, 64, 48)
-        cloud = back_project(DepthImage(data), intr)
+        cloud = back_project(DepthImage(data), intr, grey(data), everywhere(data))
         v, u = np.nonzero(data > 0)
         pu, pv, pz = project(cloud.points, intr)
         assert np.abs(pu - u).max() < 1e-6

