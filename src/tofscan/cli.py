@@ -46,9 +46,8 @@ def main(argv=None) -> int:
     p.add_argument("--masks", default=None, help="directory of <dev>_rgbmask/_depthmask PGMs")
 
     p = sub.add_parser("register", help="register a session's clouds")
-    p.add_argument("--session", required=True)
-    p.add_argument("--voxels", default="0.04,0.02,0.01",
-                   help="1 to 3 ICP voxel sizes in meters, coarsest first")
+    p.add_argument("--session", required=True, help="a run's session directory, "
+                   "with clouds/<dev>.ply and calibration.json")
 
     p = sub.add_parser("reconstruct", help="Poisson reconstruction of a cloud")
     p.add_argument("--cloud", required=True)
@@ -188,7 +187,7 @@ def _cmd_segment(args) -> int:
 def _cmd_register(args) -> int:
     from .formats import read_ply, write_ply
     from .geometry import PointCloud
-    from .registration import MultiScaleParams, merge_clouds, register_rig, save_pose_graph
+    from .registration import load_calibration, merge_clouds, register_rig, save_pose_graph
 
     def read_colored_cloud(path):
         cloud = read_ply(path)
@@ -198,11 +197,6 @@ def _cmd_register(args) -> int:
             raise ValueError("a point cloud without colours, which colored ICP needs")
         return cloud
 
-    try:
-        params = MultiScaleParams(tuple(float(v) for v in args.voxels.split(",")))
-    except ValueError as e:
-        print(f"--voxels {args.voxels!r}: {e}", file=sys.stderr)
-        return 2
     session = Path(args.session)
     clouds = {}
     for f in sorted((session / "clouds").glob("*.ply")):
@@ -211,10 +205,14 @@ def _cmd_register(args) -> int:
     if not clouds:
         print(f"no per-device clouds under {session}/clouds", file=sys.stderr)
         return 2
-    graph = register_rig(clouds, {}, params)
+    calibration = session / "calibration.json"
+    order, params, fiducials = _read(load_calibration, calibration)
+    if not order or not set(order) <= set(clouds):
+        raise _InputError(f"cannot read {calibration}: calibration.order: {order} does not "
+                          f"name devices with a cloud under {session}/clouds")
+    graph = register_rig(clouds, fiducials, params, order)
     save_pose_graph(session / "poses.json", graph)
-    merged = merge_clouds({d: clouds[d] for d in graph.global_poses}, graph,
-                          dedup_voxel=params.voxel_sizes[-1] / 2)
+    merged = merge_clouds(clouds, graph, dedup_voxel=params.voxel_sizes[-1] / 2)
     write_ply(session / "clouds" / "merged.ply", merged)
     print(f"registered {len(graph.global_poses)} devices "
           f"({len(graph.failed_edges)} failed edges) -> {session/'poses.json'}")

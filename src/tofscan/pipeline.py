@@ -23,7 +23,7 @@ from .metrology import MeshMeasurements, measure_mesh
 from .parallel import map_ordered
 from .reconstruction import TriangleMesh, estimate_normals, poisson_reconstruct
 from .registration import (MultiScaleParams, PoseGraph, make_observations, merge_clouds,
-                           register_rig, save_pose_graph)
+                           register_rig, save_calibration, save_pose_graph)
 from .render import observe_tags
 from .scene import Scene, cube_tag_layout
 from .segmentation import ArbitrationMode, MaskPair, fuse
@@ -142,8 +142,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     order = list(cfg.chain_order) if cfg.chain_order is not None else device_ids
     graph = _stage("registration", register_rig, clouds, fiducials, cfg.registration, order)
 
-    reachable = {d: clouds[d] for d in graph.global_poses if d in clouds}
-    merged = _stage("merge", merge_clouds, reachable, graph,
+    merged = _stage("merge", merge_clouds, clouds, graph,
                     cfg.registration.voxel_sizes[-1] / 2)
 
     centers = {dev: graph.global_poses[dev].translation for dev in graph.global_poses}
@@ -155,6 +154,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         write_ply(out / "clouds" / "merged.ply", merged)
         write_ply(out / "mesh.ply", vertices=mesh.vertices, triangles=mesh.triangles)
         save_pose_graph(out / "poses.json", graph)
+        save_calibration(out / "calibration.json", order, cfg.registration, fiducials)
         write_retention_csv(out / "retention.csv", capture.retention)
         (out / "session.json").write_text(json.dumps({
             "seed": cfg.seed, "delay_us": cfg.delay_us, "exposure_us": cfg.exposure_us,

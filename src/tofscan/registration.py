@@ -22,9 +22,9 @@ one KD-tree for every neighbour query and, for a target, intensity gradients)
 is built once, and one KD query per level serves both: each point's 30
 nearest neighbours give its normal and the nearest 15 of them its gradient.
 ``register_rig`` builds every device's levels at every scale up front, shares
-them across both of the device's chain edges, and then runs the chain edges
-concurrently; results and warnings are collected in chain order before the
-chain walk. ``colored_icp`` runs the same loop on one pair.
+them across both of the device's chain edges, and runs one function per chain
+edge (fiducial start, ICP, outcome) concurrently; one pass in chain order then
+flags the failed edges and walks the chain. ``colored_icp`` runs one pair.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import PointCloud, RigidTransform, neighbour_normals, transform_cloud
+from .jsondoc import build, check, get
 from .parallel import map_ordered
 
 logger = logging.getLogger(__name__)
@@ -48,7 +49,7 @@ __all__ = [
     "MultiScaleParams", "RegistrationResult", "PoseGraph",
     "make_observations", "estimate_pose_from_fiducials",
     "voxel_downsample", "colored_icp", "register_rig", "merge_clouds",
-    "save_pose_graph", "rodrigues", "apply_increment",
+    "save_pose_graph", "save_calibration", "load_calibration", "rodrigues", "apply_increment",
 ]
 
 
@@ -370,46 +371,31 @@ def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, dict],
     order = list(order) if order is not None else sorted(clouds)
     chain = list(zip(order, order[1:]))
 
-    outcomes: dict[tuple, RegistrationResult | Exception] = {}
-    icp_edges = []  # (a, b, fiducial init) for the edges that run ICP
-    for a, b in chain:
+    # one level per (non-empty device, scale); a device that is some edge's
+    # target also gets its gradients
+    targets = set(order[:-1])
+    units = [(dev, scale) for dev in order if len(clouds[dev])
+             for scale in range(len(params.voxel_sizes))]
+    levels = dict(zip(units, map_ordered(
+        lambda u: _Level(clouds[u[0]], params, u[1], target=u[0] in targets), units)))
+
+    def run_edge(edge):
+        """The edge's result, or the DegenerateConfigError or DivergenceError that fails it."""
+        a, b = edge
         try:
             init = estimate_pose_from_fiducials(fiducials[a], fiducials[b]) \
                 if fiducials else RigidTransform.identity()
-        except DegenerateConfigError as e:
-            outcomes[(a, b)] = e
-            continue
-        if len(clouds[a]) and len(clouds[b]):
-            icp_edges.append((a, b, init))
-        else:
-            outcomes[(a, b)] = RegistrationResult(init, 0.0, 1.0, [])
-
-    # every level of every device an edge needs, one unit per (device, scale);
-    # a device that is some edge's target also gets its gradients
-    targets = {a for a, _, _ in icp_edges}
-    devices = list(dict.fromkeys(dev for a, b, _ in icp_edges for dev in (a, b)))
-    units = [(dev, scale) for dev in devices for scale in range(len(params.voxel_sizes))]
-
-    def build(unit):
-        dev, scale = unit
-        return _Level(clouds[dev], params, scale, target=dev in targets)
-
-    levels = dict(zip(units, map_ordered(build, units)))
-
-    def run_edge(edge):
-        a, b, init = edge
-        try:
+            if not (len(clouds[a]) and len(clouds[b])):
+                return RegistrationResult(init, 0.0, 1.0, [])
             return _icp(lambda s: levels[b, s], lambda s: levels[a, s], init, params)
-        except DivergenceError as e:
+        except (DegenerateConfigError, DivergenceError) as e:
             return e
 
-    for (a, b, _), outcome in zip(icp_edges, map_ordered(run_edge, icp_edges)):
-        outcomes[(a, b)] = outcome
-
+    # in chain order: flag the failed edges, walk the rest from the reference
     edges: dict[tuple, RegistrationResult] = {}
     failed: list[tuple] = []
-    for a, b in chain:
-        outcome = outcomes[(a, b)]
+    poses: dict[int, RigidTransform] = {order[0]: RigidTransform.identity()}
+    for (a, b), outcome in zip(chain, map_ordered(run_edge, chain)):
         if isinstance(outcome, Exception):
             logger.warning("edge (%s, %s) failed: %s", a, b, outcome)
             failed.append((a, b))
@@ -418,28 +404,23 @@ def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, dict],
             failed.append((a, b))
         else:
             edges[(a, b)] = outcome
-
-    # walk the chain from the reference along surviving edges
-    poses: dict[int, RigidTransform] = {order[0]: RigidTransform.identity()}
-    for a, b in chain:
-        if (a, b) in edges and a in poses:
-            poses[b] = poses[a].compose(edges[(a, b)].transform)
+            if a in poses:
+                poses[b] = poses[a].compose(outcome.transform)
     return PoseGraph(order[0], edges, poses, failed)
 
 
 def merge_clouds(clouds: dict[int, PointCloud], graph: PoseGraph,
                  dedup_voxel: float) -> PointCloud:
-    """Transform every cloud into the reference frame, concatenate and deduplicate.
+    """Move every posed cloud into the reference frame, concatenate and deduplicate.
 
-    Adds per-point source device ids for downstream camera-aware normal
-    orientation; voxel deduplication keeps one averaged point per
-    ``dedup_voxel`` cell.
+    Devices without a global pose are left out. Adds per-point source device
+    ids for downstream camera-aware normal orientation; voxel deduplication
+    keeps one averaged point per ``dedup_voxel`` cell.
     """
+    posed = sorted(d for d in clouds if d in graph.global_poses)
     pts, cols, ids = [], [], []
-    has_colors = all(clouds[d].colors is not None for d in clouds)
-    for dev in sorted(clouds):
-        if dev not in graph.global_poses:
-            raise ValueError(f"device {dev} has no global pose (diverged edge?)")
+    has_colors = all(clouds[d].colors is not None for d in posed)
+    for dev in posed:
         moved = transform_cloud(clouds[dev], graph.global_poses[dev])
         pts.append(moved.points)
         if has_colors:
@@ -459,3 +440,33 @@ def save_pose_graph(path, graph: PoseGraph) -> None:
            "failed_edges": [list(e) for e in graph.failed_edges],
            "global_poses": {str(d): t.to_json_dict() for d, t in graph.global_poses.items()}}
     Path(path).write_text(json.dumps(doc, indent=2))
+
+
+def save_calibration(path, order: list[int], params: MultiScaleParams,
+                     fiducials: dict[int, dict]) -> None:
+    """What ``register_rig`` gets besides the clouds: chain order, ICP pyramid, tag corners."""
+    doc = {"order": list(order), "voxel_sizes": list(params.voxel_sizes),
+           "fiducials": {str(d): {str(t): c.ravel().tolist() for t, c in obs.items()}
+                         for d, obs in fiducials.items()}}
+    Path(path).write_text(json.dumps(doc, indent=2))
+
+
+def load_calibration(path) -> tuple[list[int], MultiScaleParams, dict[int, dict]]:
+    """``save_calibration``'s order, pyramid and tag corners of every device in the order.
+
+    Any defect raises ValueError naming its key path, ``calibration.voxel_sizes`` say.
+    """
+    doc = check(json.loads(Path(path).read_text()), "calibration", "object")
+    order = get(doc, "calibration", "order", "list", "integer")
+    params = build("calibration.voxel_sizes", MultiScaleParams,
+                   get(doc, "calibration", "voxel_sizes", "list", "number"))
+    tags = get(doc, "calibration", "fiducials", "object")
+    fiducials = {}
+    for dev in order:
+        fiducials[dev] = obs = {}
+        for t, corners in get(tags, "calibration.fiducials", str(dev), "object").items():
+            p = f"calibration.fiducials.{dev}.{t}"
+            if len(check(corners, p, "list", "number")) != 12:
+                raise ValueError(f"{p}: expected 12 numbers, 4 corners of 3, got {len(corners)}")
+            obs[build(p, int, t)] = np.reshape(corners, (4, 3)).astype(np.float64)
+    return order, params, fiducials

@@ -1,18 +1,21 @@
 import json
 import socket
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import MALFORMED_PLY, assert_json_types_kept, json_mutants, unit_cube_mesh
+from conftest import (MALFORMED_PLY, assert_json_types_kept, json_mutants, pose_error,
+                      unit_cube_mesh)
 from tofscan.cli import _check_overrides, _InputError, main
-from tofscan.experiments import SYNC_SCENE
+from tofscan.experiments import KNOWN_CYLINDER, SYNC_SCENE, known_object_config
 from tofscan.formats import read_ply, write_ply
-from tofscan.geometry import PointCloud
+from tofscan.geometry import PointCloud, RigidTransform
+from tofscan.pipeline import run_pipeline
 from tofscan.render import save_rig
 from tofscan.rigs import known_object_rig
-from tofscan.scene import save_scene, scene_to_dict
+from tofscan.scene import make_known_object_scene, save_scene, scene_to_dict
 
 
 def test_measure_command(tmp_path, capsys):
@@ -405,33 +408,74 @@ def test_segment_negative_size_mask_is_named(tmp_path, capsys):
     assert not (tmp_path / "session" / "segmetrics.csv").exists()
 
 
-def test_register_command_on_session(tmp_path, rng):
-    clouds_dir = tmp_path / "session" / "clouds"
-    clouds_dir.mkdir(parents=True)
-    pts = rng.random((4000, 3)) * np.array([0.5, 0.5, 0.1])
-    w = 0.5 + 0.4 * np.sin(15 * pts[:, 0])
-    cloud = PointCloud(pts, colors=np.clip(np.column_stack([w, w, 1 - w]), 0, 1))
-    for dev in (0, 1):
-        write_ply(clouds_dir / f"{dev}.ply", cloud)
-    code = main(["register", "--session", str(tmp_path / "session"),
-                 "--voxels", "0.04,0.02"])
-    assert code == 0
-    assert (tmp_path / "session" / "poses.json").exists()
-    assert (clouds_dir / "merged.ply").exists()
+def test_register_command_on_session(tmp_path, capsys):
+    """A run's session registers again from its clouds and calibration.json: every
+    device within 2 degrees and 30 mm of the rig's extrinsics."""
+    cfg = replace(known_object_config(make_known_object_scene(KNOWN_CYLINDER)), seed=1,
+                  resolution=64, out_dir=str(tmp_path))
+    run_pipeline(cfg)
+    (tmp_path / "poses.json").unlink()
+    (tmp_path / "clouds" / "merged.ply").unlink()
+    assert main(["register", "--session", str(tmp_path)]) == 0
+    assert "registered 10 devices (0 failed edges)" in capsys.readouterr().out
+    assert (tmp_path / "clouds" / "merged.ply").exists()
+    poses = json.loads((tmp_path / "poses.json").read_text())["global_poses"]
+    extrinsics = {s.device_id: s.pose for s in cfg.rig}
+    assert set(poses) == {str(d) for d in extrinsics}
+    reference = extrinsics[cfg.chain_order[0]].invert()
+    for dev, pose in poses.items():
+        angle, offset = pose_error(RigidTransform.from_json_dict(pose, dev),
+                                   reference.compose(extrinsics[int(dev)]))
+        assert angle < 2.0 and offset < 0.030, (dev, angle, offset)
 
 
-@pytest.mark.parametrize("voxels", ["abc", "0.01,0.02", "0.04,0.02,0", "0.08,0.04,0.02,0.01"],
+@pytest.mark.parametrize("voxels", [["abc"], [0.01, 0.02], [0.04, 0.02, 0],
+                                    [0.08, 0.04, 0.02, 0.01]],
                          ids=["not-a-number", "ascending", "zero", "four-sizes"])
 def test_register_bad_voxels_named(tmp_path, capsys, rng, voxels):
-    """--voxels that is not 1 to 3 positive, strictly descending sizes: one stderr line, exit 2."""
+    """calibration.voxel_sizes that is not 1 to 3 positive, strictly descending sizes:
+    one stderr line naming it, exit 2."""
     clouds_dir = tmp_path / "session" / "clouds"
     clouds_dir.mkdir(parents=True)
     pts = rng.random((2000, 3)) * np.array([0.5, 0.5, 0.1])
     for dev in (0, 1):
         write_ply(clouds_dir / f"{dev}.ply", PointCloud(pts, colors=np.full((2000, 3), 0.5)))
-    assert main(["register", "--session", str(tmp_path / "session"), "--voxels", voxels]) == 2
+    (tmp_path / "session" / "calibration.json").write_text(json.dumps(
+        {"order": [0, 1], "voxel_sizes": voxels, "fiducials": {"0": {}, "1": {}}}))
+    assert main(["register", "--session", str(tmp_path / "session")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "--voxels" in err[0]
+    assert len(err) == 1 and "calibration.json: calibration.voxel_sizes" in err[0]
+    assert not (tmp_path / "session" / "poses.json").exists()
+
+
+_SQUARE = [0, 0, 1, 0.1, 0, 1, 0.1, 0.1, 1, 0, 0.1, 1]
+
+
+@pytest.mark.parametrize("calibration, named", [
+    (None, "No such file"),
+    ({"order": [0, 5], "voxel_sizes": [0.04], "fiducials": {"0": {}, "5": {}}},
+     "calibration.order"),
+    ({"order": [0, 1], "voxel_sizes": [0.04], "fiducials": {"0": {}}},
+     "calibration.fiducials: missing key '1'"),
+    ({"order": [0, 1], "voxel_sizes": [0.04], "fiducials": {"0": {}, "1": {"3": _SQUARE[:9]}}},
+     "calibration.fiducials.1.3: expected 12 numbers"),
+    ({"order": [0, 1], "voxel_sizes": [0.04], "fiducials": {"0": {"x": _SQUARE}, "1": {}}},
+     "calibration.fiducials.0.x: "),
+], ids=["missing", "order-without-cloud", "device-without-tags", "nine-numbers", "tag-id"])
+def test_register_bad_calibration_named(tmp_path, capsys, rng, calibration, named):
+    """A calibration.json that is missing or holds a defect: one stderr line naming the
+    file and the defect's key path, exit 2."""
+    clouds_dir = tmp_path / "session" / "clouds"
+    clouds_dir.mkdir(parents=True)
+    pts = rng.random((2000, 3)) * np.array([0.5, 0.5, 0.1])
+    for dev in (0, 1):
+        write_ply(clouds_dir / f"{dev}.ply", PointCloud(pts, colors=np.full((2000, 3), 0.5)))
+    path = tmp_path / "session" / "calibration.json"
+    if calibration is not None:
+        path.write_text(json.dumps(calibration))
+    assert main(["register", "--session", str(tmp_path / "session")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"cannot read {path}: ") and named in err[0]
     assert not (tmp_path / "session" / "poses.json").exists()
 
 

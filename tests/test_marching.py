@@ -3,7 +3,7 @@ import pytest
 
 from tofscan import marching, parallel
 from tofscan.marching import _cell_cases, marching_cubes_grid, marching_cubes_stream
-from tofscan.mc_tables import CORNER_OFFSETS, EDGE_TABLE, TRI_TABLE
+from tofscan.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 
 
 def sphere_field(n=48, r=0.6):
@@ -19,14 +19,14 @@ def edge_incidence(tris):
 
 
 def test_tables_are_consistent():
-    assert len(TRI_TABLE) == 256 and len(EDGE_TABLE) == 256
+    """Each case's triangles use exactly the edges whose two corners differ in sign."""
+    assert len(TRI_TABLE) == 256 and len(EDGE_CORNERS) == 12
     for case, edges in enumerate(TRI_TABLE):
         assert len(edges) % 3 == 0
-        bits = 0
-        for e in edges:
-            assert 0 <= e < 12
-            bits |= 1 << e
-        assert bits == EDGE_TABLE[case]
+        assert all(0 <= e < 12 for e in edges)
+        crossed = {e for e, (i, j) in enumerate(EDGE_CORNERS)
+                   if (case >> i & 1) != (case >> j & 1)}
+        assert set(edges) == crossed, case
 
 
 def test_cell_cases_match_the_eight_corner_definition(rng):

@@ -142,6 +142,22 @@ class TestRegisterRig:
         for dev, pose in inline.global_poses.items():
             assert np.array_equal(pose.matrix(), pooled.global_poses[dev].matrix())
 
+    def test_edge_without_shared_tags_fails(self, rng, workers, caplog):
+        """Devices 1 and 2 see no common tag: that edge alone fails, inline and on a pool."""
+        cloud = textured_cloud(rng)
+        square = np.array([[0, 0, 1], [0.1, 0, 1], [0.1, 0.1, 1], [0, 0.1, 1]], dtype=float)
+        fiducials = {0: {0: square}, 1: {0: square}, 2: {1: square}, 3: {1: square}}
+        for n in (0, 2):
+            workers(n)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="tofscan.registration"):
+                graph = register_rig(dict.fromkeys(range(4), cloud), fiducials,
+                                     MultiScaleParams((0.04, 0.02)))
+            assert graph.failed_edges == [(1, 2)]
+            assert [r.getMessage() for r in caplog.records] == \
+                ["edge (1, 2) failed: no shared tags between the two cameras"]
+            assert set(graph.global_poses) == {0, 1}
+
 
 class TestSharedPyramids:
     PARAMS = MultiScaleParams((0.04, 0.02))
@@ -220,10 +236,13 @@ class TestMergeClouds:
         solo = voxel_downsample(cloud, 0.01)
         assert len(merged) == len(solo)
 
-    def test_missing_pose_is_error(self, rng):
+    def test_device_without_pose_left_out(self, rng):
         cloud = textured_cloud(rng)
-        with pytest.raises(ValueError, match="no global pose"):
-            merge_clouds({0: cloud, 5: cloud}, self._graph([0]), dedup_voxel=0.01)
+        far = PointCloud(cloud.points + 100.0, colors=cloud.colors)
+        merged = merge_clouds({0: cloud, 5: far}, self._graph([0]), dedup_voxel=0.01)
+        solo = merge_clouds({0: cloud}, self._graph([0]), dedup_voxel=0.01)
+        assert np.array_equal(merged.points, solo.points)
+        assert (merged.source_ids == 0).all()
 
 
 def test_pose_graph_json_round_trip(tmp_path, rng):
