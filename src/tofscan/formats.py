@@ -2,7 +2,8 @@
 
 PGM stores 16-bit samples big-endian (most significant byte first, as the
 netpbm spec requires for maxval > 255); PLY is binary little-endian with
-float32 coordinates, optional uchar RGB and float32 normals.
+float64 coordinates, so a session's clouds read back as the run registered
+them, optional uchar RGB and float32 normals.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ def write_ply(path, cloud: PointCloud = None, *, vertices: np.ndarray = None,
         tris = np.asarray(triangles, dtype=np.uint32) if triangles is not None else None
 
     lines = ["ply", "format binary_little_endian 1.0", f"element vertex {len(verts)}"]
-    lines += ["property float x", "property float y", "property float z"]
-    fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
+    lines += ["property double x", "property double y", "property double z"]
+    fields = [("x", "<f8"), ("y", "<f8"), ("z", "<f8")]
     if colors is not None:
         lines += ["property uchar red", "property uchar green", "property uchar blue"]
         fields += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
@@ -146,6 +147,9 @@ def write_ply(path, cloud: PointCloud = None, *, vertices: np.ndarray = None,
             face["n"] = 3
             face["i"] = tris
             f.write(face.tobytes())
+
+
+_PLY_TYPES = {"double": "<f8", "float": "<f4", "uchar": "u1"}  # vertex property types read
 
 
 def read_ply(path):
@@ -184,9 +188,9 @@ def read_ply(path):
         elif parts[0] == "property" and element == "vertex":
             if parts[1] == "list":
                 raise ValueError("list property on vertex element is unsupported")
-            if parts[1] not in ("float", "uchar"):
+            if parts[1] not in _PLY_TYPES:
                 raise ValueError(f"unsupported vertex property type {parts[1]!r}")
-            props.append((parts[2], {"float": "<f4", "uchar": "u1"}[parts[1]]))
+            props.append((parts[2], _PLY_TYPES[parts[1]]))
     rec = np.frombuffer(buf, dtype=np.dtype(props), count=n_vert, offset=end)
     names = [p[0] for p in props]
     pts = np.column_stack([rec["x"], rec["y"], rec["z"]]).astype(np.float64)

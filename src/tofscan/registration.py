@@ -14,8 +14,10 @@ absolute value, a flip negates both r_geo and its Jacobian row, and the
 intensity gradients use n n^T), so every level's normals face the camera
 origin. Gauss-Newton steps are parameterized by (omega, t) with the update
 T <- (Rodrigues(omega), t) o T; a step that would raise the objective is
-halved up to six times and the scale stops if it still raises, so the
-recorded objective never increases across accepted iterations.
+halved up to three times and the scale stops if it still raises, so the
+recorded objective never increases across accepted iterations. Each trial
+re-queries the correspondences; a halving mostly re-draws which matches
+fall inside the trim quantile, so further halvings would rarely pay.
 
 Each cloud's level at one scale (downsampled points, intensity, PCA normals,
 one KD-tree for every neighbour query and, for a target, intensity gradients)
@@ -126,6 +128,7 @@ _TRIM_FRACTION = 0.85
 _MIN_NORMAL_DOT = float(np.cos(np.radians(40.0)))
 _DELTA = 0.968  # geometric weight of the objective
 _MAX_ITERATIONS = (50, 30, 14)  # per scale, coarsest first
+_MAX_HALVINGS = 3  # a step is tried at full length and at most this many halvings
 
 
 @dataclass(frozen=True)
@@ -222,16 +225,32 @@ class _Level:
             self.gradients = self._gradients(idx[:, :_GRADIENT_K])
 
     def _gradients(self, idx: np.ndarray) -> np.ndarray:
+        """Each point's intensity gradient in its tangent plane, from neighbours ``idx``.
+
+        Least squares over the tangent-projected neighbour offsets u:
+        (sum u u^T + n n^T + 1e-12 I) g = sum u (i_nb - i), the n n^T term
+        pinning the normal component to zero; the symmetric 3x3 system is
+        built from its six moments and solved by its adjugate.
+        """
         points, n, intensity = self.points, self.normals, self.intensity
-        # project neighbors onto each point's tangent plane
-        rel = points[idx] - points[:, None, :]
-        rel_t = rel - np.einsum("nkj,nj->nk", rel, n)[:, :, None] * n[:, None, :]
+        rel = [points[idx, axis] - points[:, axis, None] for axis in range(3)]  # (N, k) each
+        along = sum(r * n[:, axis, None] for axis, r in enumerate(rel))
+        ux, uy, uz = (r - along * n[:, axis, None] for axis, r in enumerate(rel))
         di = intensity[idx] - intensity[:, None]
-        g = np.einsum("nki,nkj->nij", rel_t, rel_t)
-        g += n[:, :, None] * n[:, None, :]  # pin the normal component to zero
-        rhs = np.einsum("nki,nk->ni", rel_t, di)
-        g += 1e-12 * np.eye(3)
-        return np.linalg.solve(g, rhs[:, :, None])[:, :, 0]
+        nx, ny, nz = n.T
+        dot = partial(np.einsum, "nk,nk->n")
+        sxx = dot(ux, ux) + nx * nx + 1e-12
+        syy = dot(uy, uy) + ny * ny + 1e-12
+        szz = dot(uz, uz) + nz * nz + 1e-12
+        sxy, sxz, syz = dot(ux, uy) + nx * ny, dot(ux, uz) + nx * nz, dot(uy, uz) + ny * nz
+        rx, ry, rz = dot(ux, di), dot(uy, di), dot(uz, di)
+        # adjugate (the cofactors, symmetric) and determinant
+        c_xx, c_yy, c_zz = syy * szz - syz * syz, sxx * szz - sxz * sxz, sxx * syy - sxy * sxy
+        c_xy, c_xz, c_yz = sxz * syz - sxy * szz, sxy * syz - syy * sxz, sxy * sxz - sxx * syz
+        det = sxx * c_xx + sxy * c_xy + sxz * c_xz
+        return np.column_stack([c_xx * rx + c_xy * ry + c_xz * rz,
+                                c_xy * rx + c_yy * ry + c_yz * rz,
+                                c_xz * rx + c_yz * ry + c_zz * rz]) / det[:, None]
 
 
 def _residuals(src: _Level, tgt: _Level, transform: RigidTransform, voxel: float):
@@ -322,7 +341,7 @@ def _icp(source_level, target_level, init: RigidTransform,
         for _ in range(_MAX_ITERATIONS[scale]):
             xi = _gauss_newton_step(corr)
             accepted = None
-            for _damp in range(7):
+            for _damp in range(1 + _MAX_HALVINGS):
                 trial = apply_increment(xi, transform)
                 trial_corr = _residuals(src, tgt, trial, voxel)
                 if trial_corr is not None:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
+
 __all__ = ["SolverError", "SolveInfo", "apply_neg_laplacian", "solve_poisson_grid"]
 
 _TOL = 1e-6  # largest relative residual a solve may return
@@ -68,7 +70,9 @@ def solve_poisson_grid(rhs: np.ndarray, spacing: float) -> tuple[np.ndarray, Sol
     ex, ey, ez = [(2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))) / h2
                   for n in rhs.shape]
     lam = ex[:, None, None] + ey[None, :, None] + ez[None, None, :]
-    u = fft.idstn(fft.dstn(rhs, type=1) / lam, type=1)
+    # the pool idles during the solve, so the transforms take its cores and the caller's
+    workers = parallel.WORKERS + 1
+    u = fft.idstn(fft.dstn(rhs, type=1, workers=workers) / lam, type=1, workers=workers)
 
     residual = float(np.linalg.norm(rhs - apply_neg_laplacian(u, spacing))) / norm_b
     if not residual <= _TOL:

@@ -47,6 +47,8 @@ MALFORMED_PLY = {
     "blank-line": (_PLY_HEAD + b"\n" + _PLY_XYZ + b"end_header\n" + bytes(36), "blank line"),
     "property-without-name": (_PLY_HEAD + b"property float\nend_header\n" + bytes(36),
                               "incomplete PLY header line 'property float'"),
+    "unsupported-type": (_PLY_HEAD + _PLY_XYZ.replace(b"float x", b"int x") + b"end_header\n"
+                         + bytes(36), "unsupported vertex property type 'int'"),
     "negative-count": (_PLY_HEAD.replace(b"vertex 3", b"vertex -1") + _PLY_XYZ
                        + b"end_header\n" + bytes(48), "negative PLY element count"),
     "face-index-out-of-range": (

@@ -1,4 +1,5 @@
 import json
+import shutil
 import socket
 from dataclasses import replace
 
@@ -408,18 +409,33 @@ def test_segment_negative_size_mask_is_named(tmp_path, capsys):
     assert not (tmp_path / "session" / "segmetrics.csv").exists()
 
 
-def test_register_command_on_session(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def cylinder_session(tmp_path_factory):
+    """The seed-1, resolution-64 cylinder run: its config, its pose graph and its session."""
+    out = tmp_path_factory.mktemp("cylinder")
+    cfg = replace(known_object_config(make_known_object_scene(KNOWN_CYLINDER)), seed=1,
+                  resolution=64, out_dir=str(out))
+    return cfg, run_pipeline(cfg).graph, out
+
+
+def _register_copy(session, tmp_path):
+    """Copy ``session`` without its poses.json and merged.ply and run ``register`` on it."""
+    copy = tmp_path / "session"
+    shutil.copytree(session, copy)
+    (copy / "poses.json").unlink()
+    (copy / "clouds" / "merged.ply").unlink()
+    assert main(["register", "--session", str(copy)]) == 0
+    return copy
+
+
+def test_register_command_on_session(cylinder_session, tmp_path, capsys):
     """A run's session registers again from its clouds and calibration.json: every
     device within 2 degrees and 30 mm of the rig's extrinsics."""
-    cfg = replace(known_object_config(make_known_object_scene(KNOWN_CYLINDER)), seed=1,
-                  resolution=64, out_dir=str(tmp_path))
-    run_pipeline(cfg)
-    (tmp_path / "poses.json").unlink()
-    (tmp_path / "clouds" / "merged.ply").unlink()
-    assert main(["register", "--session", str(tmp_path)]) == 0
+    cfg, _, session = cylinder_session
+    copy = _register_copy(session, tmp_path)
     assert "registered 10 devices (0 failed edges)" in capsys.readouterr().out
-    assert (tmp_path / "clouds" / "merged.ply").exists()
-    poses = json.loads((tmp_path / "poses.json").read_text())["global_poses"]
+    assert (copy / "clouds" / "merged.ply").exists()
+    poses = json.loads((copy / "poses.json").read_text())["global_poses"]
     extrinsics = {s.device_id: s.pose for s in cfg.rig}
     assert set(poses) == {str(d) for d in extrinsics}
     reference = extrinsics[cfg.chain_order[0]].invert()
@@ -427,6 +443,17 @@ def test_register_command_on_session(tmp_path, capsys):
         angle, offset = pose_error(RigidTransform.from_json_dict(pose, dev),
                                    reference.compose(extrinsics[int(dev)]))
         assert angle < 2.0 and offset < 0.030, (dev, angle, offset)
+
+
+def test_register_replays_the_run(cylinder_session, tmp_path):
+    """``register`` on a run's session gives the run's global poses and merged
+    cloud bit for bit: the session's clouds hold the points the run registered."""
+    _, graph, session = cylinder_session
+    copy = _register_copy(session, tmp_path)
+    poses = json.loads((copy / "poses.json").read_text())["global_poses"]
+    assert poses == {str(d): t.to_json_dict() for d, t in graph.global_poses.items()}
+    merged = "clouds/merged.ply"
+    assert (copy / merged).read_bytes() == (session / merged).read_bytes()
 
 
 @pytest.mark.parametrize("voxels", [["abc"], [0.01, 0.02], [0.04, 0.02, 0],

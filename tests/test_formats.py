@@ -74,7 +74,7 @@ def test_ply_cloud_round_trip(tmp_path, rng):
     path = tmp_path / "c.ply"
     write_ply(path, cloud)
     out = read_ply(path)
-    np.testing.assert_allclose(out.points, cloud.points, atol=1e-6)  # float32 storage
+    assert out.points.tobytes() == cloud.points.tobytes()  # float64 storage
     np.testing.assert_allclose(out.colors, cloud.colors, atol=1 / 255)
     np.testing.assert_allclose(out.normals, cloud.normals, atol=1e-5)
 
@@ -85,7 +85,7 @@ def test_ply_mesh_round_trip(tmp_path, rng):
     path = tmp_path / "m.ply"
     write_ply(path, vertices=verts, triangles=tris)
     v, t = read_ply(path)
-    np.testing.assert_allclose(v, verts, atol=1e-6)
+    assert v.tobytes() == verts.tobytes()
     assert np.array_equal(t, tris)
 
 
@@ -94,7 +94,7 @@ def test_ply_header_is_binary_little_endian(tmp_path):
     write_ply(path, PointCloud(np.zeros((1, 3))))
     header = path.read_bytes().split(b"end_header")[0].decode()
     assert "format binary_little_endian 1.0" in header
-    assert "property float x" in header
+    assert "property double x" in header
 
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import pose_error
 from tofscan.geometry import PointCloud, RigidTransform, transform_cloud
+from tofscan import registration
 from tofscan.registration import (DivergenceError, MultiScaleParams, apply_increment,
                                   colored_icp, residual_jacobians, rodrigues)
 
@@ -80,6 +81,74 @@ class TestBasics:
         for history in r.objective_history:
             assert all(history[i + 1] <= history[i] * (1 + 1e-12)
                        for i in range(len(history) - 1))
+
+    def test_each_step_pays_at_most_the_halvings_in_queries(self, rng, monkeypatch):
+        """A scale opens with one correspondence query; every later query prices a
+        trial of the latest Gauss-Newton step, at full length or one of its halvings."""
+        events = []
+
+        def counted(name):
+            fn = getattr(registration, name)
+
+            def call(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(registration, name, call)
+
+        for name in ("_Level", "_residuals", "_gauss_newton_step"):
+            counted(name)
+        cloud = corner_cloud(rng, noise=0.002)
+        t_true = centered_perturbation(rng, cloud.points, max_deg=8)
+        target = transform_cloud(corner_cloud(np.random.default_rng(99), noise=0.002), t_true)
+        r = colored_icp(cloud, target, RigidTransform.identity(), PARAMS)
+
+        queries, steps = events.count("_residuals"), events.count("_gauss_newton_step")
+        scales = len(r.objective_history)
+        assert scales == len(PARAMS.voxel_sizes) and steps > 0
+        assert queries <= scales + steps * (1 + registration._MAX_HALVINGS)
+        # the queries after each level build or step, up to the next one
+        runs = "".join("q" if e == "_residuals" else "|" for e in events).split("|")
+        assert max(len(run) for run in runs) <= 1 + registration._MAX_HALVINGS
+
+
+def _reference_gradients(level, idx):
+    """The tangent-plane intensity gradients by a batched 3x3 solve of each system."""
+    points, n, intensity = level.points, level.normals, level.intensity
+    rel = points[idx] - points[:, None, :]
+    rel_t = rel - np.einsum("nkj,nj->nk", rel, n)[:, :, None] * n[:, None, :]
+    di = intensity[idx] - intensity[:, None]
+    g = np.einsum("nki,nkj->nij", rel_t, rel_t) + n[:, :, None] * n[:, None, :]
+    g += 1e-12 * np.eye(3)
+    return np.linalg.solve(g, np.einsum("nki,nk->ni", rel_t, di)[:, :, None])[:, :, 0]
+
+
+class TestGradients:
+    def _check(self, cloud):
+        level = registration._Level(cloud, MultiScaleParams((0.01,)), 0, target=True)
+        _, idx = level.tree.query(level.points, k=registration._NORMAL_K)
+        ref = _reference_gradients(level, idx[:, :registration._GRADIENT_K])
+        assert np.abs(level.gradients - ref).max() <= 1e-9 * np.abs(ref).max()
+        return level
+
+    def test_random_level_matches_solve(self, rng):
+        n = 3000
+        pts = rng.random((n, 3)) * np.array([0.3, 0.2, 0.25])
+        self._check(PointCloud(pts, colors=rng.random((n, 3))))
+
+    def test_planar_neighbourhood_matches_solve(self, rng):
+        """On a tilted plane under a linear intensity ramp the gradient is the
+        ramp's in-plane part, with no normal component."""
+        n = 3000
+        frame = RigidTransform.from_axis_angle((1.0, 2.0, 0.5), 0.7)
+        pts = frame.apply(np.column_stack([rng.random(n) * 0.3, rng.random(n) * 0.3,
+                                           np.zeros(n)]))
+        ramp = np.array([0.8, -0.5, 1.5])
+        intensity = 0.2 + pts @ ramp
+        level = self._check(PointCloud(pts, colors=np.tile(intensity[:, None], (1, 3))))
+        normal = frame.rotation[:, 2]
+        in_plane = ramp - (ramp @ normal) * normal
+        np.testing.assert_allclose(level.gradients, np.tile(in_plane, (len(level.points), 1)),
+                                   atol=1e-6)
 
 
 class TestColorTerm:

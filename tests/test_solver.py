@@ -50,6 +50,15 @@ def test_unreachable_tol_raises(rng, monkeypatch):
     assert 1e-30 < e.value.residual < 1e-6
 
 
+def test_solve_does_not_depend_on_the_worker_count(rng, workers):
+    b = rng.standard_normal((48, 40, 36))
+    out = {}
+    for n in (0, 2):
+        workers(n)
+        out[n] = solve_poisson_grid(b, 0.01)[0].tobytes()
+    assert out[0] == out[2]
+
+
 def test_zero_rhs_short_circuits():
     x, info = solve_poisson_grid(np.zeros((9, 9, 9)), 0.1)
     assert not x.any() and info.iterations == 0
