@@ -230,7 +230,8 @@ def _cmd_reconstruct(args) -> int:
         print(f"{args.cloud} is a mesh PLY, not a point cloud", file=sys.stderr)
         return 2
     try:
-        mesh = poisson_reconstruct(estimate_normals(cloud), resolution=args.resolution)
+        oriented = cloud if cloud.normals is not None else estimate_normals(cloud)
+        mesh = poisson_reconstruct(oriented, resolution=args.resolution)
     except (ValueError, ReconstructionError) as e:  # too few points, zero extent, ...
         raise _InputError(f"cannot reconstruct {args.cloud}: {e}") from e
     write_ply(args.out, vertices=mesh.vertices, triangles=mesh.triangles)

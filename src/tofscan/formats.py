@@ -2,8 +2,8 @@
 
 PGM stores 16-bit samples big-endian (most significant byte first, as the
 netpbm spec requires for maxval > 255); PLY is binary little-endian with
-float64 coordinates, so a session's clouds read back as the run registered
-them, optional uchar RGB and float32 normals.
+float64 coordinates and normals, so a session's clouds read back as the run
+registered them, and optional uchar RGB.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ def write_ply(path, cloud: PointCloud = None, *, vertices: np.ndarray = None,
         lines += ["property uchar red", "property uchar green", "property uchar blue"]
         fields += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
     if normals is not None:
-        lines += ["property float nx", "property float ny", "property float nz"]
-        fields += [("nx", "<f4"), ("ny", "<f4"), ("nz", "<f4")]
+        lines += ["property double nx", "property double ny", "property double nz"]
+        fields += [("nx", "<f8"), ("ny", "<f8"), ("nz", "<f8")]
     if tris is not None:
         lines += [f"element face {len(tris)}", "property list uchar uint vertex_indices"]
     lines.append("end_header")
@@ -150,6 +150,7 @@ def write_ply(path, cloud: PointCloud = None, *, vertices: np.ndarray = None,
 
 
 _PLY_TYPES = {"double": "<f8", "float": "<f4", "uchar": "u1"}  # vertex property types read
+_UNIT_NORMAL_TOL = 1e-9  # largest | |n| - 1 | of a normal read
 
 
 def read_ply(path):
@@ -209,7 +210,13 @@ def read_ply(path):
     normals = None
     if "nx" in names:
         normals = np.column_stack([rec["nx"], rec["ny"], rec["nz"]]).astype(np.float64)
-        lens = np.linalg.norm(normals, axis=1)
-        lens[lens == 0] = 1.0
-        normals = normals / lens[:, None]  # float32 round trip re-normalization
+        if rec.dtype["nx"] == np.float32:  # re-normalized after float rounding
+            lens = np.linalg.norm(normals, axis=1)
+            lens[lens == 0] = 1.0
+            normals = normals / lens[:, None]
+        # refused, not re-normalized: a double normal is used exactly as stored
+        off_unit = ~(np.abs(np.linalg.norm(normals, axis=1) - 1.0) <= _UNIT_NORMAL_TOL)
+        if off_unit.any():
+            raise ValueError(f"PLY vertex {np.argmax(off_unit)} has a normal that is not "
+                             f"a finite unit vector")
     return PointCloud(pts, colors=colors, normals=normals)

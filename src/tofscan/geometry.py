@@ -36,6 +36,8 @@ __all__ = [
     "transform_cloud",
     "pca_normals",
     "neighbour_normals",
+    "raster_normals",
+    "covariance_normals",
 ]
 
 DEPTH_SCALE = 0.001  # meters per raw depth unit
@@ -44,6 +46,11 @@ PCA_BLOCK = 4096  # points per pca_normals block, the unit the pool shares out
 # relative floor on the longest cross product of two rows of A - lambda I:
 # below it the two smaller eigenvalues are too close for the closed form
 _CROSS_FLOOR = 1e-3
+# raster normals: a pixel's neighbourhood is its (2 r + 1)^2 pixel window, less
+# the pixels whose depth differs from its own by more than the tolerance
+# (another surface across a depth step)
+_RASTER_RADIUS = 2
+_RASTER_DEPTH_TOL = 0.03  # meters
 
 
 class GeometryError(ValueError):
@@ -233,16 +240,11 @@ class BinaryMask(_Raster):
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Points in meters with optional per-point color, unit normals, and source device ids.
-
-    ``source_ids`` records which device produced each point; it is filled in
-    by cloud merging and consumed by camera-aware normal estimation.
-    """
+    """Points in meters with optional per-point color and unit normals."""
 
     points: np.ndarray                      # (N, 3) float64
     colors: np.ndarray | None = None        # (N, 3) float64 in [0, 1]
     normals: np.ndarray | None = None       # (N, 3) float64, unit length
-    source_ids: np.ndarray | None = None    # (N,) int32
 
     def __post_init__(self):
         p = np.ascontiguousarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -261,11 +263,6 @@ class PointCloud:
             if n and np.abs(lens - 1.0).max() > 1e-6:
                 raise ValueError("normals must be unit length")
             object.__setattr__(self, "normals", nm)
-        if self.source_ids is not None:
-            s = np.ascontiguousarray(self.source_ids, dtype=np.int32).reshape(-1)
-            if len(s) != n:
-                raise ValueError(f"source_ids length {len(s)} != points length {n}")
-            object.__setattr__(self, "source_ids", s)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -274,7 +271,8 @@ class PointCloud:
 def back_project(depth: DepthImage, intr: CameraIntrinsics, color: ColorImage,
                  mask: BinaryMask) -> PointCloud:
     """Lift the depth pixels that are valid and mask foreground to coloured 3D
-    camera-frame points: ((u-cx)·z/fx, (v-cy)·z/fy, z) with z = raw·DEPTH_SCALE.
+    camera-frame points: ((u-cx)·z/fx, (v-cy)·z/fy, z) with z = raw·DEPTH_SCALE,
+    each with its ``raster_normals`` normal facing the camera.
     """
     check_size("depth raster", depth, "intrinsics", intr)
     check_size("color raster", color, "depth", depth)
@@ -284,8 +282,54 @@ def back_project(depth: DepthImage, intr: CameraIntrinsics, color: ColorImage,
     z = depth.data[v, u].astype(np.float64) * DEPTH_SCALE
     x = (u.astype(np.float64) - intr.cx) * z / intr.fx
     y = (v.astype(np.float64) - intr.cy) * z / intr.fy
-    return PointCloud(np.column_stack([x, y, z]),
-                      colors=color.data[v, u].astype(np.float64) / 255.0)
+    points = np.column_stack([x, y, z])
+    return PointCloud(points, colors=color.data[v, u].astype(np.float64) / 255.0,
+                      normals=raster_normals(points, v, u, depth.data.shape))
+
+
+def raster_normals(points: np.ndarray, v: np.ndarray, u: np.ndarray, shape) -> np.ndarray:
+    """Unit normal of each camera-frame point ``points[i]`` lifted from pixel (v[i], u[i])
+    of a raster of ``shape``, from its pixel neighbours, facing the camera origin.
+
+    The neighbourhood is the pixels of the list within ``_RASTER_RADIUS`` rows
+    and columns whose depth is within ``_RASTER_DEPTH_TOL`` of the centre's, so
+    a window across a depth step keeps to the centre's surface. Each of the
+    window's offsets adds its neighbours' offsets from the centre to the
+    first and second moments, whose covariance goes to ``covariance_normals``
+    (the fixed-window form of the integral-image normals of Holzer et al.,
+    IROS 2012). A pixel alone in its window, or with collinear neighbours,
+    gets ``covariance_normals``' eigh fallback, turned to face the camera.
+    """
+    r = _RASTER_RADIUS
+    # pixel -> row of ``ext`` through a padded, flattened lookup raster; the
+    # padding and the pixels off the list name the last row, whose depth no
+    # tolerance admits
+    width = shape[1] + 2 * r
+    lookup = np.full((shape[0] + 2 * r) * width, len(points))
+    corner = v * width + u  # the window's first pixel, in the padded raster
+    lookup[corner + r * width + r] = np.arange(len(points))
+    ext = np.hstack([points.T, [[0.0], [0.0], [1e9]]])  # (3, N + 1)
+    (ex, ey, ez), (x, y, z) = ext, ext[:, :-1]
+    count = np.ones(len(points))
+    sums = [np.zeros(len(points)) for _ in range(9)]  # x y z xx yy zz xy xz yz of offsets
+    for dv in range(2 * r + 1):
+        for du in range(2 * r + 1):
+            if dv == du == r:
+                continue  # the centre's own offset is zero
+            nb = lookup.take(corner + dv * width + du)
+            oz = ez.take(nb) - z
+            keep = np.abs(oz) <= _RASTER_DEPTH_TOL
+            oz *= keep
+            ox = (ex.take(nb) - x) * keep
+            oy = (ey.take(nb) - y) * keep
+            count += keep
+            for acc, term in zip(sums, (ox, oy, oz, ox * ox, oy * oy, oz * oz,
+                                        ox * oy, ox * oz, oy * oz)):
+                acc += term
+    sx, sy, sz = sums[:3]
+    centred = [second - a * b / count for second, (a, b) in
+               zip(sums[3:], ((sx, sx), (sy, sy), (sz, sz), (sx, sy), (sx, sz), (sy, sz)))]
+    return covariance_normals(centred, -points)
 
 
 def project(pts: np.ndarray, intr: CameraIntrinsics) -> tuple:
@@ -301,26 +345,25 @@ def project(pts: np.ndarray, intr: CameraIntrinsics) -> tuple:
 def transform_cloud(cloud: PointCloud, t: RigidTransform) -> PointCloud:
     """Rigidly move a cloud; normals are rotated only, colors are untouched."""
     normals = None if cloud.normals is None else t.apply_direction(cloud.normals)
-    return PointCloud(t.apply(cloud.points), cloud.colors, normals, cloud.source_ids)
+    return PointCloud(t.apply(cloud.points), cloud.colors, normals)
 
 
-def pca_normals(points: np.ndarray, tree, k: int, centers) -> np.ndarray:
+def pca_normals(points: np.ndarray, tree, k: int, viewpoint) -> np.ndarray:
     """Unit normals by PCA over each point's k nearest neighbours in ``tree``.
 
     ``tree`` is a KD-tree built on ``points``. Each block of ``PCA_BLOCK``
     points runs one k-nearest query and hands the indices to
-    ``neighbour_normals``, flipping each normal to face ``centers`` (one
-    viewpoint, or one per point). The block bounds the (block, k) neighbour
-    arrays; the blocks run concurrently, each writing its own slice.
+    ``neighbour_normals``, flipping each normal to face ``viewpoint`` (3,).
+    The block bounds the (block, k) neighbour arrays; the blocks run
+    concurrently, each writing its own slice.
     """
-    centers = np.asarray(centers, dtype=np.float64)
+    viewpoint = np.asarray(viewpoint, dtype=np.float64)
     normals = np.empty((len(points), 3))
 
     def fill(lo: int) -> None:
         block = slice(lo, lo + PCA_BLOCK)
         _, idx = tree.query(points[block], k=k)
-        toward = centers if centers.ndim == 1 else centers[block]
-        normals[block] = neighbour_normals(points, idx, toward - points[block])
+        normals[block] = neighbour_normals(points, idx, viewpoint - points[block])
 
     map_ordered(fill, range(0, len(points), PCA_BLOCK))
     return normals
@@ -330,20 +373,30 @@ def neighbour_normals(points: np.ndarray, idx: np.ndarray, toward: np.ndarray) -
     """Unit PCA normal of each row of neighbour indices ``idx`` (B, k) into ``points``.
 
     The normal is the least eigenvector of the neighbours' 3x3 covariance
-    (Hoppe et al., SIGGRAPH 1992), flipped so that its dot product with
-    ``toward`` (B, 3), the direction from the point to its viewpoint, is not
-    negative. The least eigenvalue comes from the trigonometric formula for
-    symmetric 3x3 matrices and the eigenvector is the longest cross product
-    of two rows of A - lambda I. Rows with zero covariance or a cross product
-    below ``_CROSS_FLOOR`` relative to |A - lambda I|^2 (coincident or
-    collinear neighbours) fall back to ``np.linalg.eigh`` on those rows only.
+    (Hoppe et al., SIGGRAPH 1992), by ``covariance_normals``, flipped so that
+    its dot product with ``toward`` (B, 3), the direction from the point to
+    its viewpoint, is not negative.
     """
     x, y, z = (points[idx, axis] for axis in range(3))  # (B, k) each, centred in place
     for coord in (x, y, z):
         coord -= coord.mean(axis=1, keepdims=True)
     sxx, syy, szz = (np.einsum("nk,nk->n", coord, coord) for coord in (x, y, z))
     sxy, sxz, syz = (np.einsum("nk,nk->n", a, b) for a, b in ((x, y), (x, z), (y, z)))
+    return covariance_normals((sxx, syy, szz, sxy, sxz, syz), toward)
 
+
+def covariance_normals(moments, toward: np.ndarray) -> np.ndarray:
+    """Unit least eigenvector of each symmetric 3x3 matrix given by its six
+    ``moments`` (sxx, syy, szz, sxy, sxz, syz), each (B,), flipped so that its
+    dot product with ``toward`` (B, 3) is not negative.
+
+    The least eigenvalue comes from the trigonometric formula for symmetric
+    3x3 matrices and the eigenvector is the longest cross product of two rows
+    of A - lambda I. Rows with zero covariance or a cross product below
+    ``_CROSS_FLOOR`` relative to |A - lambda I|^2 (coincident or collinear
+    neighbours) fall back to ``np.linalg.eigh`` on those rows only.
+    """
+    sxx, syy, szz, sxy, sxz, syz = moments
     # least eigenvalue: A = q I + p B with det(B) / 2 = cos(3 phi)
     q = (sxx + syy + szz) / 3.0
     a, b, c = sxx - q, syy - q, szz - q

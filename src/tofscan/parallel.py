@@ -14,7 +14,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["map_ordered"]
+__all__ = ["map_ordered", "trim_heap"]
 
 # The calling thread takes items too, so one worker per other usable core.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -45,6 +45,13 @@ def _pool() -> ThreadPoolExecutor:
         if _executor is None:
             _executor = ThreadPoolExecutor(WORKERS, thread_name_prefix="tofscan-map")
         return _executor
+
+
+def trim_heap() -> None:
+    """Return the C heap's freed memory to the system (glibc's ``malloc_trim``;
+    nothing where the C library has none)."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def map_ordered(fn, items) -> list:
@@ -94,8 +101,7 @@ def map_ordered(fn, items) -> list:
                 f.result()
         # freed worker-arena memory goes back to the system, where the
         # caller's own arena could not reuse it
-        if _malloc_trim is not None:
-            _malloc_trim(0)
+        trim_heap()
     if errors:
         raise errors[min(errors)]
     return results

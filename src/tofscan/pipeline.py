@@ -20,8 +20,10 @@ from .capture import CaptureResult, build_schedule, simulate_capture, write_rete
 from .formats import encode_pgm16, encode_ppm, encode_mask_pgm, write_ply
 from .geometry import PointCloud, RigidTransform, back_project
 from .metrology import MeshMeasurements, measure_mesh
-from .parallel import map_ordered
-from .reconstruction import TriangleMesh, estimate_normals, poisson_reconstruct
+from .parallel import map_ordered, trim_heap
+# estimate_normals is not called by a scan (its clouds carry raster normals);
+# the benchmark's tracer still rebinds it here by name
+from .reconstruction import TriangleMesh, estimate_normals, poisson_reconstruct  # noqa: F401
 from .registration import (MultiScaleParams, PoseGraph, make_observations, merge_clouds,
                            register_rig, save_calibration, save_pose_graph)
 from .render import observe_tags
@@ -94,7 +96,8 @@ def _stage(name, fn, *args):
 
 def _device_cloud(out: Path | None, frame, sensor) -> PointCloud:
     """One device's raster stage: its masks fused by one-vote OR, its depth lifted
-    through the fused mask, and, with a session directory, its five files."""
+    through the fused mask with normals from its pixel neighbours, and, with a
+    session directory, its five files."""
     dev = sensor.device_id
     fused = _stage("segmentation", fuse, MaskPair(frame.oracle_mask, frame.oracle_mask),
                    ArbitrationMode.ONE_VOTE_OR)
@@ -130,6 +133,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         for sub in ("raw", "masks", "clouds"):
             (out / sub).mkdir(parents=True, exist_ok=True)
 
+    trim_heap()  # what earlier runs in this process freed goes back to the system first
     schedule = build_schedule([s.device_id for s in cfg.rig], cfg.delay_us, cfg.exposure_us)
     capture = _stage("capture", simulate_capture, cfg.scene, cfg.rig, schedule, cfg.seed)
 
@@ -142,12 +146,12 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     order = list(cfg.chain_order) if cfg.chain_order is not None else device_ids
     graph = _stage("registration", register_rig, clouds, fiducials, cfg.registration, order)
 
+    # the merged cloud keeps each device's raster normals, averaged per voxel
     merged = _stage("merge", merge_clouds, clouds, graph,
                     cfg.registration.voxel_sizes[-1] / 2)
-
-    centers = {dev: graph.global_poses[dev].translation for dev in graph.global_poses}
-    oriented = _stage("normal-estimation", estimate_normals, merged, centers)
-    mesh = _stage("reconstruction", poisson_reconstruct, oriented, cfg.resolution)
+    del clouds  # merged: their memory and the merge's freed temporaries
+    trim_heap()  # go back to the system before the Poisson grids
+    mesh = _stage("reconstruction", poisson_reconstruct, merged, cfg.resolution)
     measurements = _stage("metrology", measure_mesh, mesh)
 
     if out is not None:

@@ -56,21 +56,12 @@ class TriangleMesh:
         object.__setattr__(self, "triangles", t)
 
 
-def estimate_normals(cloud: PointCloud, camera_centers: dict | None = None) -> PointCloud:
-    """``cloud`` with PCA normals over its 30 nearest neighbors, flipped toward the camera.
-
-    Per-point cameras come from ``cloud.source_ids`` and ``camera_centers``
-    (device id -> center); without them every point faces the origin.
-    """
+def estimate_normals(cloud: PointCloud) -> PointCloud:
+    """``cloud`` with PCA normals over its 30 nearest neighbors, each facing the origin."""
     pts = cloud.points
     if len(pts) < _NORMAL_K:
         raise ValueError(f"need at least k={_NORMAL_K} points, got {len(pts)}")
-    centers = np.zeros((len(pts), 3))
-    if camera_centers is not None and cloud.source_ids is not None:
-        for dev, c in camera_centers.items():
-            sel = cloud.source_ids == dev
-            centers[sel] = np.asarray(c, dtype=np.float64)
-    normals = pca_normals(pts, cKDTree(pts), _NORMAL_K, centers)
+    normals = pca_normals(pts, cKDTree(pts), _NORMAL_K, np.zeros(3))
     return replace(cloud, normals=normals)
 
 

@@ -21,8 +21,8 @@ fall inside the trim quantile, so further halvings would rarely pay.
 
 Each cloud's level at one scale (downsampled points, intensity, PCA normals,
 one KD-tree for every neighbour query and, for a target, intensity gradients)
-is built once, and one KD query per level serves both: each point's 30
-nearest neighbours give its normal and the nearest 15 of them its gradient.
+is built once, and one KD query per level serves both: each point's 15
+nearest neighbours give its normal and its gradient.
 ``register_rig`` builds every device's levels at every scale up front, shares
 them across both of the device's chain edges, and runs one function per chain
 edge (fiducial start, ICP, outcome) concurrently; one pass in chain order then
@@ -33,14 +33,14 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import PointCloud, RigidTransform, neighbour_normals, transform_cloud
+from .geometry import PointCloud, RigidTransform, neighbour_normals
 from .jsondoc import build, check, get
 from .parallel import map_ordered
 
@@ -117,8 +117,9 @@ def _absolute_orientation(pa: np.ndarray, pb: np.ndarray) -> RigidTransform:
 
 _RELATIVE_CHANGE = 1e-6  # fitness/rmse convergence threshold
 _MIN_FITNESS = 0.1  # below this matched fraction an edge has diverged
-_NORMAL_K = 30
-_GRADIENT_K = 15
+_LEVEL_K = 15  # neighbours of a level point's PCA normal and intensity gradient
+# an averaged normal shorter than this is a voxel whose normals cancel
+_CANCELLED_NORMAL = 1e-6
 _MAX_CORR_FACTOR = 2.0  # max correspondence distance / voxel
 # keep this fraction of matches by distance: partial-overlap boundary points
 # otherwise clamp to the target rim and drag the pose
@@ -157,7 +158,11 @@ class RegistrationResult:
 
 
 def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
-    """Average position/color per occupied voxel; deterministic ordering."""
+    """Average position, color and normal per occupied voxel; deterministic ordering.
+
+    An averaged normal is scaled back to unit length; a voxel whose normals
+    cancel keeps the normal of its first point.
+    """
     if voxel <= 0:
         raise ValueError("voxel size must be positive")
     if len(cloud) == 0:
@@ -169,6 +174,7 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     group = np.concatenate([[0], np.cumsum(boundaries)])
     n_groups = group[-1] + 1
     counts = np.bincount(group, minlength=n_groups).astype(np.float64)
+    first = order[np.concatenate([[0], np.nonzero(boundaries)[0] + 1])]
 
     def mean_of(arr):
         out = np.zeros((n_groups, arr.shape[1]))
@@ -178,11 +184,14 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
 
     pts = mean_of(cloud.points)
     cols = mean_of(cloud.colors) if cloud.colors is not None else None
-    src = None
-    if cloud.source_ids is not None:
-        first = np.concatenate([[0], np.nonzero(boundaries)[0] + 1])
-        src = cloud.source_ids[order][first]
-    return PointCloud(pts, colors=cols, source_ids=src)
+    normals = None
+    if cloud.normals is not None:
+        normals = mean_of(cloud.normals)
+        lengths = np.linalg.norm(normals, axis=1)
+        cancel = lengths < _CANCELLED_NORMAL
+        normals[cancel], lengths[cancel] = cloud.normals[first[cancel]], 1.0
+        normals /= lengths[:, None]
+    return PointCloud(pts, colors=cols, normals=normals)
 
 
 def rodrigues(omega: np.ndarray) -> np.ndarray:
@@ -203,26 +212,30 @@ def apply_increment(xi: np.ndarray, t: RigidTransform) -> RigidTransform:
 class _Level:
     """One cloud at one pyramid scale; its one KD-tree serves every neighbour query.
 
-    Only a target needs the tangent-plane intensity gradients, so a source
-    level has ``gradients = None``. A level of fewer than 2 points has no
-    normals either (``normals = None``), and ICP on it diverges.
+    Each point's ``_LEVEL_K`` nearest give its PCA normal and, for a target,
+    its tangent-plane intensity gradient; a source level has ``gradients =
+    None``. The cloud's own normals (a raster cloud's) are not used: a 5x5
+    raster window on oblique, curved overlap tilts them, and the
+    point-to-plane residuals would carry that tilt into the pose. A level of
+    fewer than 2 points has no normals either (``normals = None``), and ICP
+    on it diverges.
     """
 
     def __init__(self, cloud: PointCloud, params: MultiScaleParams, scale: int, target: bool):
         if cloud.colors is None:
             raise ValueError("colored ICP needs per-point colors on both clouds")
-        down = voxel_downsample(cloud, params.voxel_sizes[scale])
+        # the cloud's own normals are not averaged: the level fits its own
+        down = voxel_downsample(replace(cloud, normals=None), params.voxel_sizes[scale])
         self.points = down.points
         self.intensity = down.colors.mean(axis=1)
         self.tree = cKDTree(self.points)
         self.normals = self.gradients = None
         if len(down) < 2:
             return  # no neighbourhood to fit a normal to; _icp refuses the level
-        # one query: all columns give the normals, the nearest _GRADIENT_K the gradients
-        _, idx = self.tree.query(self.points, k=min(_NORMAL_K, len(down)))
+        _, idx = self.tree.query(self.points, k=min(_LEVEL_K, len(down)))
         self.normals = neighbour_normals(self.points, idx, -self.points)
         if target:
-            self.gradients = self._gradients(idx[:, :_GRADIENT_K])
+            self.gradients = self._gradients(idx)
 
     def _gradients(self, idx: np.ndarray) -> np.ndarray:
         """Each point's intensity gradient in its tangent plane, from neighbours ``idx``.
@@ -432,22 +445,30 @@ def merge_clouds(clouds: dict[int, PointCloud], graph: PoseGraph,
                  dedup_voxel: float) -> PointCloud:
     """Move every posed cloud into the reference frame, concatenate and deduplicate.
 
-    Devices without a global pose are left out. Adds per-point source device
-    ids for downstream camera-aware normal orientation; voxel deduplication
-    keeps one averaged point per ``dedup_voxel`` cell.
+    Devices without a global pose are left out. Colours and normals are kept
+    when every posed cloud has them, each normal still facing its own
+    camera. Voxel deduplication keeps one averaged point per ``dedup_voxel``
+    cell.
     """
     posed = sorted(d for d in clouds if d in graph.global_poses)
-    pts, cols, ids = [], [], []
-    has_colors = all(clouds[d].colors is not None for d in posed)
-    for dev in posed:
-        moved = transform_cloud(clouds[dev], graph.global_poses[dev])
-        pts.append(moved.points)
-        if has_colors:
-            cols.append(moved.colors)
-        ids.append(np.full(len(moved), dev, dtype=np.int32))
-    merged = PointCloud(np.vstack(pts) if pts else np.empty((0, 3)),
-                        colors=np.vstack(cols) if has_colors and cols else None,
-                        source_ids=np.concatenate(ids) if ids else None)
+    if not posed:
+        return PointCloud(np.empty((0, 3)))
+    parts = [(clouds[d], graph.global_poses[d]) for d in posed]
+    bounds = np.cumsum([0] + [len(c) for c, _ in parts])
+
+    def joined(attr, move):
+        """Each posed cloud's ``attr`` moved by its pose, filled into one array (no
+        per-device copies held at once); None unless every posed cloud has it."""
+        if any(getattr(c, attr) is None for c, _ in parts):
+            return None
+        out = np.empty((bounds[-1], 3))
+        for (c, pose), lo, hi in zip(parts, bounds, bounds[1:]):
+            out[lo:hi] = move(pose, getattr(c, attr))
+        return out
+
+    merged = PointCloud(joined("points", RigidTransform.apply),
+                        colors=joined("colors", lambda pose, colors: colors),
+                        normals=joined("normals", RigidTransform.apply_direction))
     return voxel_downsample(merged, dedup_voxel)
 
 

@@ -41,6 +41,15 @@ def triangle_corners(mesh: TriangleMesh):
 
 _PLY_HEAD = b"ply\nformat binary_little_endian 1.0\nelement vertex 3\n"
 _PLY_XYZ = b"property float x\nproperty float y\nproperty float z\n"
+
+
+def _ply_with_second_normal(normal) -> bytes:
+    """A two-point cloud of double coordinates and normals: (0, 0, 1), then ``normal``."""
+    head = _PLY_HEAD.replace(b"vertex 3", b"vertex 2") + b"".join(
+        b"property double %s\n" % axis for axis in (b"x", b"y", b"z", b"nx", b"ny", b"nz"))
+    return head + b"end_header\n" + np.array([0, 0, 0, 0, 0, 1, 0, 0, 0, *normal], "<f8").tobytes()
+
+
 # name -> (file bytes, the defect read_ply names)
 MALFORMED_PLY = {
     "only-end-header": (b"end_header\n", "not 'ply'"),
@@ -55,6 +64,10 @@ MALFORMED_PLY = {
         _PLY_HEAD + _PLY_XYZ + b"element face 1\nproperty list uchar uint vertex_indices\n"
         b"end_header\n" + bytes(36) + b"\x03" + np.array([0, 1, 5], "<u4").tobytes(),
         "vertex 5 of 3"),
+    **{f"{name}-normal": (_ply_with_second_normal(normal),
+                          "vertex 1 has a normal that is not a finite unit vector")
+       for name, normal in (("nan", (np.nan, 0.0, 1.0)), ("zero", (0.0, 0.0, 0.0)),
+                            ("non-unit", (0.0, 0.0, 1.0 + 1e-8)))},
 }
 
 
@@ -219,7 +232,7 @@ def sampled_mesh_points(mesh: TriangleMesh, n: int, seed: int = 0):
     return pts, normals
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
 

@@ -176,10 +176,12 @@ def test_reconstruct_degenerate_cloud(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("command, case", [("measure", case) for case in MALFORMED_PLY]
-                         + [("reconstruct", "blank-line"),
+                         + [("reconstruct", "blank-line"), ("reconstruct", "nan-normal"),
+                            ("reconstruct", "non-unit-normal"),
                             ("register", "property-without-name")])
 def test_malformed_ply_is_named(tmp_path, capsys, command, case):
-    """A broken PLY header, or a face past the last vertex: one stderr line, exit 2."""
+    """A broken PLY header, a face past the last vertex, or a normal that is not a
+    finite unit vector: one stderr line, exit 2."""
     path = tmp_path / "session" / "clouds" / "0.ply"
     path.parent.mkdir(parents=True)
     path.write_bytes(MALFORMED_PLY[case][0])
@@ -454,6 +456,16 @@ def test_register_replays_the_run(cylinder_session, tmp_path):
     assert poses == {str(d): t.to_json_dict() for d, t in graph.global_poses.items()}
     merged = "clouds/merged.ply"
     assert (copy / merged).read_bytes() == (session / merged).read_bytes()
+
+
+def test_reconstruct_keeps_the_session_normals(cylinder_session, tmp_path):
+    """``reconstruct`` on a run's merged cloud, at the run's resolution, writes the
+    run's mesh byte for byte: the cloud's raster normals are used as stored."""
+    cfg, _, session = cylinder_session
+    out = tmp_path / "mesh.ply"
+    assert main(["reconstruct", "--cloud", str(session / "clouds" / "merged.ply"),
+                 "--resolution", str(cfg.resolution), "--out", str(out)]) == 0
+    assert out.read_bytes() == (session / "mesh.ply").read_bytes()
 
 
 @pytest.mark.parametrize("voxels", [["abc"], [0.01, 0.02], [0.04, 0.02, 0],

@@ -76,7 +76,25 @@ def test_ply_cloud_round_trip(tmp_path, rng):
     out = read_ply(path)
     assert out.points.tobytes() == cloud.points.tobytes()  # float64 storage
     np.testing.assert_allclose(out.colors, cloud.colors, atol=1 / 255)
-    np.testing.assert_allclose(out.normals, cloud.normals, atol=1e-5)
+    assert out.normals.tobytes() == cloud.normals.tobytes()  # float64, not re-normalized
+
+
+def test_ply_float_normals_are_renormalized(tmp_path):
+    """Normals stored as float come back at unit length in float64."""
+    normal = np.array([0.6, 0.0, 0.8])
+    rec = np.zeros(1, dtype=[("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
+                             ("nx", "<f4"), ("ny", "<f4"), ("nz", "<f4")])
+    rec["nx"], rec["nz"] = normal[0], normal[2]
+    path = tmp_path / "f.ply"
+    path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+                     + b"".join(f"property {t} {n}\n".encode() for t, n in
+                                (("double", "x"), ("double", "y"), ("double", "z"),
+                                 ("float", "nx"), ("float", "ny"), ("float", "nz")))
+                     + b"end_header\n" + rec.tobytes())
+    out = read_ply(path)
+    assert out.normals.dtype == np.float64
+    assert abs(np.linalg.norm(out.normals[0]) - 1.0) < 1e-15
+    np.testing.assert_allclose(out.normals[0], normal, atol=1e-7)
 
 
 def test_ply_mesh_round_trip(tmp_path, rng):

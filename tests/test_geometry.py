@@ -7,7 +7,8 @@ from scipy.spatial import cKDTree
 from tofscan import geometry
 from tofscan.geometry import (BinaryMask, CameraIntrinsics, ColorImage, DepthImage,
                               GeometryError, PointCloud, RigidTransform, back_project,
-                              neighbour_normals, pca_normals, project, transform_cloud)
+                              neighbour_normals, pca_normals, project, raster_normals,
+                              transform_cloud)
 
 INTR = CameraIntrinsics(fx=600, fy=600, cx=320, cy=240, width=640, height=480)
 
@@ -120,6 +121,38 @@ class TestBackProject:
         np.testing.assert_allclose(cloud.colors, [[1.0, 0.0, 128 / 255]])
 
 
+class TestRasterNormals:
+    def test_tilted_plane_gets_its_exact_normal(self):
+        """A plane off the camera has inverse depth affine in the pixel coordinates."""
+        normal = np.array([0.3, -0.4, -1.0]) / np.linalg.norm([0.3, -0.4, -1.0])
+        v, u = (a.ravel() for a in np.mgrid[100:140, 200:250])
+        slope = (normal[0] * (u - INTR.cx) / INTR.fx + normal[1] * (v - INTR.cy) / INTR.fy
+                 + normal[2])
+        z = normal[2] * 1.2 / slope  # the plane through (0, 0, 1.2)
+        pts = np.column_stack([(u - INTR.cx) * z / INTR.fx, (v - INTR.cy) * z / INTR.fy, z])
+        normals = raster_normals(pts, v, u, (INTR.height, INTR.width))
+        assert np.abs(normals - normal).max() < 1e-9
+
+    def test_depth_step_keeps_the_surfaces_apart(self):
+        """A near box in front of a far wall: every normal is the one of its own plane."""
+        data = np.full((INTR.height, INTR.width), 1500, np.uint16)
+        data[200:260, 280:360] = 1000
+        cloud = back_project(DepthImage(data), INTR, grey(data), everywhere(data))
+        assert np.abs(cloud.normals - [0.0, 0.0, -1.0]).max() < 1e-12
+
+    def test_isolated_and_collinear_pixels_face_the_camera(self):
+        """A pixel alone, and a one-pixel row: finite unit normals facing the camera,
+        the row's normal to the row."""
+        data = np.zeros((INTR.height, INTR.width), np.uint16)
+        data[100, 100] = 1000
+        data[300, 200:220] = 1200
+        cloud = back_project(DepthImage(data), INTR, grey(data), everywhere(data))
+        assert np.isfinite(cloud.normals).all()
+        assert np.abs(np.linalg.norm(cloud.normals, axis=1) - 1).max() < 1e-12
+        assert (np.einsum("ni,ni->n", cloud.normals, -cloud.points) >= 0).all()
+        assert np.abs(cloud.normals[1:, 0]).max() < 1e-12  # the row runs along x
+
+
 class TestProject:
     def test_principal_axis(self):
         u, v, z = project(np.array([[0, 0, 1.0]]), INTR)
@@ -213,40 +246,38 @@ def test_axis_angle_transforms_are_rigid(angle, x, y, z):
     assert abs(np.linalg.norm(moved[2] - moved[0]) - 2.0) < 1e-9
 
 
-@pytest.mark.parametrize("per_point", [True, False], ids=["per-point-centers", "viewpoint"])
-def test_pca_normals_blocks_match_one_block(per_point, monkeypatch):
+def test_pca_normals_blocks_match_one_block(monkeypatch):
     """Blocked normals are bit-identical to one block over all the points."""
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((2500, 3)) * np.array([0.5, 0.3, 0.05])
-    centers = rng.standard_normal((2500, 3)) if per_point else np.array([0.0, 0.0, 2.0])
+    viewpoint = np.array([0.0, 0.0, 2.0])
     tree = cKDTree(pts)
     monkeypatch.setattr(geometry, "PCA_BLOCK", len(pts))
-    whole = pca_normals(pts, tree, 20, centers)
+    whole = pca_normals(pts, tree, 20, viewpoint)
     monkeypatch.setattr(geometry, "PCA_BLOCK", 300)  # 9 blocks, the last one partial
-    assert np.array_equal(pca_normals(pts, tree, 20, centers), whole)
+    assert np.array_equal(pca_normals(pts, tree, 20, viewpoint), whole)
 
 
-def _facing(normals, points, centers):
-    return np.einsum("ni,ni->n", normals, np.broadcast_to(centers, points.shape) - points)
+def _facing(normals, points, viewpoint):
+    return np.einsum("ni,ni->n", normals, viewpoint - points)
 
 
-@pytest.mark.parametrize("per_point", [True, False], ids=["per-point-centers", "viewpoint"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_pca_normals_match_eigh(per_point, seed):
-    """The closed-form least eigenvector is the batched eigh one, up to sign, and faces its centre."""
+def test_pca_normals_match_eigh(seed):
+    """The closed-form least eigenvector is the batched eigh one, up to sign, and faces the viewpoint."""
     rng = np.random.default_rng(seed)
     rotation = RigidTransform.from_axis_angle(rng.standard_normal(3), rng.uniform(0, np.pi)).rotation
     pts = (rng.standard_normal((3000, 3)) * np.array([0.6, 0.25, 0.04])) @ rotation.T + 1.5
-    centers = rng.standard_normal((3000, 3)) if per_point else np.array([0.3, -0.2, 4.0])
+    viewpoint = np.array([0.3, -0.2, 4.0])
     tree = cKDTree(pts)
-    normals = pca_normals(pts, tree, 30, centers)
+    normals = pca_normals(pts, tree, 30, viewpoint)
 
     _, idx = tree.query(pts, k=30)
     nb = pts[idx] - pts[idx].mean(axis=1, keepdims=True)
     reference = np.linalg.eigh(np.einsum("nki,nkj->nij", nb, nb))[1][:, :, 0]
     assert np.abs(np.einsum("ni,ni->n", normals, reference)).min() >= 1 - 1e-10
     assert np.abs(np.linalg.norm(normals, axis=1) - 1).max() < 1e-12
-    assert (_facing(normals, pts, centers) >= 0).all()
+    assert (_facing(normals, pts, viewpoint) >= 0).all()
 
 
 @pytest.mark.parametrize("case", ["coincident", "collinear", "planar-grid"])

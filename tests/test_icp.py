@@ -125,8 +125,8 @@ def _reference_gradients(level, idx):
 class TestGradients:
     def _check(self, cloud):
         level = registration._Level(cloud, MultiScaleParams((0.01,)), 0, target=True)
-        _, idx = level.tree.query(level.points, k=registration._NORMAL_K)
-        ref = _reference_gradients(level, idx[:, :registration._GRADIENT_K])
+        _, idx = level.tree.query(level.points, k=registration._LEVEL_K)
+        ref = _reference_gradients(level, idx)
         assert np.abs(level.gradients - ref).max() <= 1e-9 * np.abs(ref).max()
         return level
 

@@ -9,7 +9,7 @@ from tofscan import pipeline, registration
 from tofscan.experiments import KNOWN_CYLINDER, known_object_config
 from tofscan.geometry import BinaryMask, DepthImage, RigidTransform
 from tofscan.pipeline import PipelineError, run_pipeline
-from tofscan.scene import Scene, box, make_known_object_scene
+from tofscan.scene import Scene, box, cylinder, make_known_object_scene
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +141,16 @@ def test_failed_back_projection_names_its_stage(cylinder_cfg, workers, monkeypat
     assert e.value.stage == "back-projection"
     assert type(e.value.cause) is ValueError
     assert "depth raster 2x2" in str(e.value.cause)
+
+
+@pytest.mark.parametrize("radius, stage", [(0.003, "metrology"), (0.002, "reconstruction")])
+def test_target_too_small_for_a_mesh_names_its_stage(cylinder_cfg, radius, stage):
+    """A target a few pixels across gives a few points or none: the run ends in the
+    error of the stage that cannot go on, not in another exception."""
+    tiny = cylinder(radius, 2 * radius, pose=KNOWN_CYLINDER.pose, albedo=KNOWN_CYLINDER.albedo)
+    with pytest.raises(PipelineError) as e:
+        run_pipeline(replace(cylinder_cfg, scene=make_known_object_scene(tiny)))
+    assert e.value.stage == stage
 
 
 def test_chute_points_absent_from_merged_cloud(cylinder_cfg):

@@ -26,16 +26,6 @@ class TestEstimateNormals:
         np.testing.assert_allclose(oriented.normals, np.tile([0, 0, -1.0], (500, 1)),
                                    atol=1e-3)
 
-    def test_sphere_normals_face_outside_camera(self, rng):
-        v = rng.standard_normal((4000, 3))
-        v /= np.linalg.norm(v, axis=1)[:, None]
-        cloud = PointCloud(v, source_ids=np.zeros(4000, dtype=np.int32))
-        oriented = estimate_normals(cloud, camera_centers={0: (6.0, 0.0, 0.0)})
-        # points on the camera-facing hemisphere should carry outward normals
-        facing = v[:, 0] > 0.2
-        agree = np.einsum("ni,ni->n", oriented.normals[facing], v[facing]) > 0
-        assert agree.mean() >= 0.99
-
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="at least"):
             estimate_normals(PointCloud(np.zeros((5, 3))))

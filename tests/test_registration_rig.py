@@ -1,8 +1,10 @@
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from tofscan import registration
 from tofscan.geometry import PointCloud, RigidTransform, back_project, transform_cloud
@@ -30,6 +32,15 @@ class TestVoxelDownsample:
         assert len(out) == 2
         np.testing.assert_allclose(out.points[0], [0.002, 0, 0])
         np.testing.assert_allclose(out.colors[0], [0.5, 0.5, 0.5])
+
+    def test_normals_average_to_unit_length(self):
+        """Two normals average and re-normalize; a voxel whose normals cancel keeps
+        its first point's normal."""
+        pts = np.array([[0.001, 0, 0], [0.003, 0, 0], [0.012, 0, 0], [0.011, 0, 0]])
+        normals = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0, 0, -1.0]])
+        out = voxel_downsample(PointCloud(pts, normals=normals), 0.01)
+        np.testing.assert_allclose(out.normals[0], [np.sqrt(0.5), np.sqrt(0.5), 0])
+        assert np.array_equal(out.normals[1], [0.0, 0.0, 1.0])
 
     def test_deterministic(self, rng):
         cloud = textured_cloud(rng)
@@ -188,7 +199,8 @@ class TestSharedPyramids:
         assert len(calls) == 3 * len(self.PARAMS.voxel_sizes)
 
     def test_target_gradients_use_the_normal_query(self, rng, monkeypatch):
-        """A target level's gradient stencil is the first _GRADIENT_K columns of its normal query."""
+        """A target level's gradients use the neighbours of its normal query: each
+        point's _LEVEL_K nearest."""
         queries = []
         real = registration.neighbour_normals
 
@@ -199,12 +211,33 @@ class TestSharedPyramids:
         monkeypatch.setattr(registration, "neighbour_normals", recording)
         level = registration._Level(textured_cloud(rng), self.PARAMS, 1, target=True)
         (idx,) = queries
-        assert idx.shape == (len(level.points), registration._NORMAL_K)
-        stencil = idx[:, :registration._GRADIENT_K]
-        assert np.array_equal(level.gradients, level._gradients(stencil))
-        # and those columns are each point's _GRADIENT_K nearest neighbours
-        _, nearest = level.tree.query(level.points, k=registration._GRADIENT_K)
-        assert np.array_equal(np.sort(stencil, axis=1), np.sort(nearest, axis=1))
+        assert idx.shape == (len(level.points), registration._LEVEL_K)
+        assert np.array_equal(level.gradients, level._gradients(idx))
+        _, nearest = level.tree.query(level.points, k=registration._LEVEL_K)
+        assert np.array_equal(np.sort(idx, axis=1), np.sort(nearest, axis=1))
+
+    @pytest.mark.parametrize("target", [False, True], ids=["source", "target"])
+    def test_level_ignores_the_cloud_normals(self, rng, monkeypatch, target):
+        """A level of a cloud with normals makes the one _LEVEL_K query of a level
+        of the same cloud without them, and gets the same normals and gradients."""
+        queries = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, k=1, **kwargs):
+                queries.append(k)
+                return super().query(x, k=k, **kwargs)
+
+        monkeypatch.setattr(registration, "cKDTree", CountingTree)
+        plain = textured_cloud(rng)
+        normals = rng.standard_normal((len(plain), 3)) + [0.0, 0.0, -3.0]
+        cloud = replace(plain, normals=normals / np.linalg.norm(normals, axis=1)[:, None])
+        level = registration._Level(cloud, self.PARAMS, 1, target=target)
+        assert queries == [registration._LEVEL_K]
+        ref = registration._Level(plain, self.PARAMS, 1, target=target)
+        assert np.array_equal(level.normals, ref.normals)
+        assert (level.gradients is None) == (not target)
+        if target:
+            assert np.array_equal(level.gradients, ref.gradients)
 
     def test_edges_match_standalone_icp(self, rng):
         clouds = self.chain(rng)
@@ -228,7 +261,6 @@ class TestMergeClouds:
         cloud = textured_cloud(rng)
         merged = merge_clouds({0: cloud}, self._graph([0]), dedup_voxel=0.01)
         assert np.array_equal(merged.points, voxel_downsample(cloud, 0.01).points)
-        assert (merged.source_ids == 0).all()
 
     def test_dedup_collapses_duplicates(self, rng):
         cloud = textured_cloud(rng)
@@ -242,7 +274,6 @@ class TestMergeClouds:
         merged = merge_clouds({0: cloud, 5: far}, self._graph([0]), dedup_voxel=0.01)
         solo = merge_clouds({0: cloud}, self._graph([0]), dedup_voxel=0.01)
         assert np.array_equal(merged.points, solo.points)
-        assert (merged.source_ids == 0).all()
 
 
 def test_pose_graph_json_round_trip(tmp_path, rng):
