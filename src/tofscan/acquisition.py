@@ -30,7 +30,7 @@ from .jsondoc import build, check, get
 from .protocol import (ErrorCode, Message, MessageKind, ProtocolError,
                        encode_message, frame_crc32, json_message, pack_frame_payload,
                        payload_json, read_message, unpack_frame_payload)
-from .render import RenderResult, SensorModel, render
+from .render import RenderResult, SensorModel, render, rig_to_list
 from .scene import Scene
 
 logger = logging.getLogger(__name__)
@@ -107,8 +107,12 @@ class DeviceServer:
                  scene: Scene, rig: list[SensorModel]):
         if sensor.device_id != device_id:
             raise ValueError(f"sensor device_id {sensor.device_id} != server id {device_id}")
-        if device_id not in {s.device_id for s in rig}:
+        entry = next((s for s in rig if s.device_id == device_id), None)
+        if entry is None:
             raise ValueError(f"device {device_id} not in rig")
+        # by value: == on the dataclasses would compare numpy arrays
+        if rig_to_list([sensor]) != rig_to_list([entry]):
+            raise ValueError(f"sensor differs from the rig's device {device_id}")
         self.device_id = device_id
         self.sensor = sensor
         self.scene = scene
@@ -217,8 +221,7 @@ class DeviceServer:
                 get(d, p, "frame_id", "integer"),
                 get(d, p, "seed", "integer", default=0)), _bad_request)
             if self._clean is None:
-                sensor = next(s for s in self.rig if s.device_id == self.device_id)
-                self._clean = render(self.scene, sensor)
+                self._clean = render(self.scene, self.sensor)
             result = corrupt_device_frame(self.scene, self.rig, self.schedule,
                                           self.device_id, seed, clean=self._clean)
             depth_pgm = encode_pgm16(result.depth)

@@ -179,7 +179,7 @@ def run_interference_experiment(delays_us: list[int], cfg: RunConfig,
     renders = {s.device_id: render(cfg.scene, s) for s in cfg.rig}
     out: dict[int, float] = {}
     for delay in delays_us:
-        schedule = build_schedule([s.device_id for s in cfg.rig], delay, cfg.exposure_us)
+        schedule = build_schedule([s.device_id for s in cfg.rig], delay)
         values = []
         for k in range(n_seeds):
             capture = simulate_capture(cfg.scene, list(cfg.rig), schedule,

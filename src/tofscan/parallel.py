@@ -1,10 +1,11 @@
 """Order-preserving map over a persistent thread pool.
 
 A scan's independent units (one device's capture, one device's raster stage,
-one ICP level, one chain edge, one block of PCA normals) spend their time in
-numpy and scipy calls that release the interpreter lock, so threads run them
-side by side. Each unit keeps its own arithmetic, so results do not depend on
-the worker count.
+one ICP level, one chain edge, one block of PCA normals, one marching-cubes
+slab, one metrology block) spend their time in numpy and scipy calls that
+release the interpreter lock, so threads run them side by side. The pool runs
+every item of a map while the caller waits for the results. Each unit keeps
+its own arithmetic, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -12,17 +13,18 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 __all__ = ["map_ordered", "trim_heap"]
 
-# The calling thread takes items too, so one worker per other usable core.
+# The pool has WORKERS + 1 threads, one per usable core, since the caller
+# only waits; WORKERS = 0 runs every map inline.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1) - 1
 
+_THREAD_PREFIX = "tofscan-map"
 _executor: ThreadPoolExecutor | None = None
 _executor_lock = threading.Lock()
-_in_item = threading.local()
 
 
 def _find_malloc_trim():
@@ -43,7 +45,7 @@ def _pool() -> ThreadPoolExecutor:
     global _executor
     with _executor_lock:
         if _executor is None:
-            _executor = ThreadPoolExecutor(WORKERS, thread_name_prefix="tofscan-map")
+            _executor = ThreadPoolExecutor(WORKERS + 1, thread_name_prefix=_THREAD_PREFIX)
         return _executor
 
 
@@ -55,53 +57,25 @@ def trim_heap() -> None:
 
 
 def map_ordered(fn, items) -> list:
-    """``[fn(x) for x in items]``, with the items shared by the caller and the pool.
+    """``[fn(x) for x in items]``, with the items run on the pool.
 
-    A map called from inside an item runs inline: the pool's threads are
-    already busy with the outer items. If items raise, the exception of the
-    first failing item in order is raised once every started item has
-    finished; items not yet started are skipped.
+    A map called from inside an item runs inline on that item's thread: the
+    pool's threads are already busy with the outer items. If items raise, the
+    exception of the first failing item in order is raised once every started
+    item has finished; items not yet started are skipped.
     """
     items = list(items)
-    helpers = min(WORKERS, len(items) - 1)
-    if helpers < 1 or getattr(_in_item, "active", False):
+    if (WORKERS < 1 or len(items) < 2
+            or threading.current_thread().name.startswith(_THREAD_PREFIX)):
         return [fn(x) for x in items]
 
-    results = [None] * len(items)
-    errors: dict[int, BaseException] = {}
-    lock = threading.Lock()
-    cursor = {"next": 0, "stop": False}
-
-    def drain():
-        _in_item.active = True
-        try:
-            while True:
-                with lock:
-                    i = cursor["next"]
-                    if cursor["stop"] or i == len(items):
-                        return
-                    cursor["next"] = i + 1
-                try:
-                    results[i] = fn(items[i])
-                except BaseException as e:  # re-raised in the caller below
-                    with lock:
-                        errors[i] = e
-                        cursor["stop"] = True
-        finally:
-            _in_item.active = False
-
-    futures = [_pool().submit(drain) for _ in range(helpers)]
+    futures = [_pool().submit(fn, x) for x in items]
     try:
-        drain()
+        return [f.result() for f in futures]
     finally:
-        with lock:  # the caller returns only when every item is taken, unless interrupted
-            cursor["stop"] = True
         for f in futures:
-            if not f.cancel():
-                f.result()
+            f.cancel()
+        wait(futures)
         # freed worker-arena memory goes back to the system, where the
         # caller's own arena could not reuse it
         trim_heap()
-    if errors:
-        raise errors[min(errors)]
-    return results

@@ -62,7 +62,6 @@ class RunConfig:
     scene: Scene
     rig: tuple
     delay_us: int = 160
-    exposure_us: int = 125
     seed: int = 0
     registration: MultiScaleParams = field(default_factory=MultiScaleParams)
     resolution: int = 128
@@ -134,7 +133,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             (out / sub).mkdir(parents=True, exist_ok=True)
 
     trim_heap()  # what earlier runs in this process freed goes back to the system first
-    schedule = build_schedule([s.device_id for s in cfg.rig], cfg.delay_us, cfg.exposure_us)
+    schedule = build_schedule([s.device_id for s in cfg.rig], cfg.delay_us)
     capture = _stage("capture", simulate_capture, cfg.scene, cfg.rig, schedule, cfg.seed)
 
     device_ids = sorted(capture.frames)
@@ -161,7 +160,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         save_calibration(out / "calibration.json", order, cfg.registration, fiducials)
         write_retention_csv(out / "retention.csv", capture.retention)
         (out / "session.json").write_text(json.dumps({
-            "seed": cfg.seed, "delay_us": cfg.delay_us, "exposure_us": cfg.exposure_us,
+            "seed": cfg.seed, "delay_us": cfg.delay_us, "exposure_us": schedule.exposure_us,
             "arbitration": ArbitrationMode.ONE_VOTE_OR.value, "resolution": cfg.resolution,
             "surface_area_m2": measurements.surface_area, "volume_m3": measurements.volume},
             indent=2))

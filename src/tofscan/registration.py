@@ -287,14 +287,13 @@ def _residuals(src: _Level, tgt: _Level, transform: RigidTransform, voxel: float
             return None
     s = moved[valid]
     j = idx[valid]
-    t = tgt.points[j]
     n = tgt.normals[j]
     d = tgt.gradients[j]
-    diff = s - t
+    diff = s - tgt.points[j]
     r_geo = np.einsum("ni,ni->n", diff, n)
     r_col = tgt.intensity[j] + np.einsum("ni,ni->n", d, diff) - src.intensity[valid]
-    return {"s": s, "t": t, "n": n, "d": d, "r_geo": r_geo, "r_col": r_col,
-            "dist": dist[valid], "valid": valid, "n_matched": n_matched}
+    return {"s": s, "n": n, "d": d, "r_geo": r_geo, "r_col": r_col,
+            "dist": dist[valid], "n_matched": n_matched}
 
 
 def _fit_rmse(corr, n_source: int) -> tuple[float, float]:

@@ -70,7 +70,7 @@ def solve_poisson_grid(rhs: np.ndarray, spacing: float) -> tuple[np.ndarray, Sol
     ex, ey, ez = [(2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))) / h2
                   for n in rhs.shape]
     lam = ex[:, None, None] + ey[None, :, None] + ez[None, None, :]
-    # the pool idles during the solve, so the transforms take its cores and the caller's
+    # the pool idles during the solve, so the transforms take its threads, one per core
     workers = parallel.WORKERS + 1
     u = fft.idstn(fft.dstn(rhs, type=1, workers=workers) / lam, type=1, workers=workers)
 

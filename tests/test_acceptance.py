@@ -73,7 +73,7 @@ def test_criterion_1_known_object_metrology(tmp_path):
 
 def test_criterion_2_synchronization_study():
     """Retention: <= 20% at zero delay, >= 99% at 160 us, monotone over delays."""
-    cfg = RunConfig(scene=SYNC_SCENE, rig=known_object_rig(), exposure_us=125)
+    cfg = RunConfig(scene=SYNC_SCENE, rig=known_object_rig())
     retention = run_interference_experiment([0, 40, 80, 120, 160], cfg, n_seeds=20)
     vals = [retention[d] for d in (0, 40, 80, 120, 160)]
     monotone = all(vals[i] <= vals[i + 1] + 1e-9 for i in range(4))

@@ -15,7 +15,7 @@ from tofscan.formats import decode_pgm16, decode_ppm, encode_pgm16, encode_ppm
 from tofscan.geometry import CameraIntrinsics, RigidTransform
 from tofscan.protocol import (ErrorCode, Message, MessageKind, encode_message, json_message,
                               payload_json, read_message, unpack_frame_payload)
-from tofscan.render import SensorModel, render, rig_to_list
+from tofscan.render import SensorModel, render, rig_from_list, rig_to_list
 from tofscan.rigs import known_object_rig, look_at
 from tofscan.scene import box, make_known_object_scene, scene_to_dict
 
@@ -135,6 +135,19 @@ class TestServerStateMachine:
         scene, rig = setup
         with pytest.raises(ValueError, match="device 1 not in rig"):
             DeviceServer(1, rig[1], scene=scene, rig=[rig[0]])
+
+    @pytest.mark.parametrize("change", [
+        lambda s: replace(s, sigma0=2 * s.sigma0),
+        lambda s: replace(s, pose=RigidTransform(s.pose.rotation, s.pose.translation + 0.01)),
+        lambda s: replace(s, intrinsics=replace(s.intrinsics, fx=s.intrinsics.fx + 1)),
+    ], ids=["noise", "pose", "intrinsics"])
+    def test_server_sensor_must_be_the_rigs(self, setup, change):
+        """TRIGGER renders the sensor HELLO reports, so it must be the rig's entry."""
+        scene, rig = setup
+        with pytest.raises(ValueError, match="differs from the rig's device 1"):
+            DeviceServer(1, change(rig[1]), scene=scene, rig=rig)
+        copy = rig_from_list(rig_to_list(rig))[1]  # equal by value, not the same object
+        assert DeviceServer(1, copy, scene=scene, rig=rig).sensor is copy
 
     def test_unknown_frame(self, setup):
         scene, rig = setup

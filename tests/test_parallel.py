@@ -64,3 +64,45 @@ def test_first_failure_in_item_order_is_raised(workers):
     for _ in range(5):
         with pytest.raises(ValueError, match="item 3"):
             map_ordered(unit, range(8))
+
+
+def test_failure_waits_for_every_started_item(workers):
+    """Item 0 fails while item 1 still runs: the map raises only after item 1 ends."""
+    workers(1)
+    started, ended = set(), set()
+    running = threading.Event()  # item 1 has started
+    failed = threading.Event()  # item 0 is about to raise
+
+    def unit(i):
+        started.add(i)
+        try:
+            if i == 0:
+                running.wait()
+                failed.set()
+                raise ValueError("item 0")
+            if i == 1:
+                running.set()
+                failed.wait()
+                time.sleep(0.1)  # gives a map that did not wait the time to return early
+        finally:
+            ended.add(i)
+        return i
+
+    with pytest.raises(ValueError, match="item 0"):
+        map_ordered(unit, range(6))
+    assert {0, 1} <= started
+    assert ended == started
+
+
+def test_nested_map_runs_on_its_items_thread(workers):
+    """Outer items run on the pool while the caller waits; each inner map runs
+    inline on its outer item's thread."""
+    workers(2)
+
+    def outer(i):
+        return threading.get_ident(), map_ordered(lambda j: threading.get_ident(), range(3))
+
+    caller = threading.get_ident()
+    for outer_thread, inner_threads in map_ordered(outer, range(4)):
+        assert outer_thread != caller
+        assert inner_threads == [outer_thread] * 3
