@@ -125,7 +125,6 @@ class DeviceServer:
         # reported by STATUS; protocol_errors counts requests that broke the wire format
         self.counters = {"frames_rendered": 0, "bytes_sent": 0, "protocol_errors": 0}
         self._stop = threading.Event()
-        self._sock: socket.socket | None = None
         self.port: int | None = None
 
     # -- service loop -----------------------------------------------------
@@ -136,7 +135,6 @@ class DeviceServer:
         srv.bind((host, port))
         srv.listen(1)
         srv.settimeout(0.2)  # poll the stop flag between accepts
-        self._sock = srv
         self.port = srv.getsockname()[1]
         return srv
 
@@ -171,28 +169,31 @@ class DeviceServer:
         self._stop.set()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        while not self._stop.is_set():
+        """Answer requests until the peer hangs up; every reply leaves by one guarded send."""
+        broken = False
+        while not (broken or self._stop.is_set()):
+            error = None
             try:
                 msg = _recv(conn)
-            except (ConnectionError, socket.timeout):
+            except OSError:  # the peer hung up, reset or went quiet
                 return
-            except ProtocolError as e:
+            except ProtocolError as e:  # answered, counted, then hung up on
                 self.counters["protocol_errors"] += 1
-                self.counters["bytes_sent"] += _send(conn, json_message(
-                    MessageKind.ERROR, {"code": int(ErrorCode.BAD_REQUEST), "reason": str(e)}))
-                return
-            try:
-                reply = self._handle(msg)
-            except DeviceError as e:
+                broken, error = True, _bad_request(str(e))
+            else:
+                try:
+                    reply = self._handle(msg)
+                except DeviceError as e:
+                    error = e
+                except Exception as e:  # keep the connection alive per contract
+                    logger.exception("device %d: internal error", self.device_id)
+                    error = DeviceError(ErrorCode.INTERNAL, str(e))
+            if error is not None:
                 reply = json_message(MessageKind.ERROR,
-                                     {"code": int(e.code), "reason": e.reason})
-            except Exception as e:  # keep the connection alive per contract
-                logger.exception("device %d: internal error", self.device_id)
-                reply = json_message(MessageKind.ERROR,
-                                     {"code": int(ErrorCode.INTERNAL), "reason": str(e)})
+                                     {"code": int(error.code), "reason": error.reason})
             try:
                 self.counters["bytes_sent"] += _send(conn, reply)
-            except (ConnectionError, OSError):
+            except OSError:
                 return
 
     # -- request handlers ---------------------------------------------------
@@ -285,13 +286,20 @@ def save_session(path, session: ScanSession) -> None:
 
 
 def load_session(path) -> ScanSession:
-    doc = json.loads(Path(path).read_text())
-    session = ScanSession(doc["session_id"], doc["cattle_id"],
-                          CaptureSchedule.from_json_dict(doc["schedule"], "schedule"))
-    session.manifest = [ManifestEntry(d["id"], d["frame_id"], d["depth_bytes"],
-                                      d["color_bytes"], d["crc32"], d.get("endpoint", ""))
-                        for d in doc["devices"]]
-    session.failed = dict(doc.get("failed", {}))
+    """``save_session``'s session; any defect raises ValueError naming its key path."""
+    doc = check(json.loads(Path(path).read_text()), "session", "object")
+    session = ScanSession(get(doc, "session", "session_id", "string"),
+                          get(doc, "session", "cattle_id", "string"),
+                          CaptureSchedule.from_json_dict(
+                              get(doc, "session", "schedule", "object"), "session.schedule"))
+    for i, d in enumerate(get(doc, "session", "devices", "list", "object")):
+        p = f"session.devices[{i}]"
+        session.manifest.append(ManifestEntry(
+            *(get(d, p, k, "integer") for k in ("id", "frame_id", "depth_bytes",
+                                                "color_bytes", "crc32")),
+            get(d, p, "endpoint", "string", default="")))
+    failed = get(doc, "session", "failed", "object", default={})
+    session.failed = {ep: check(r, f"session.failed.{ep}", "string") for ep, r in failed.items()}
     return session
 
 
@@ -308,7 +316,7 @@ class ScanClient:
     def __init__(self, timeout_s: float = DEFAULT_TIMEOUT_S):
         self.timeout_s = timeout_s
         self._next_cattle_id = 1
-        self._next_session = 1
+        self.next_session = 1  # tofscan scan starts it after the sessions in its --out
 
     def _request(self, endpoint: str, msg: Message) -> Message:
         host, port = _parse_endpoint(endpoint)
@@ -355,8 +363,8 @@ class ScanClient:
         if cattle_id is None:
             cattle_id = str(self._next_cattle_id)
             self._next_cattle_id += 1
-        session_id = f"scan{self._next_session:04d}"
-        self._next_session += 1
+        session_id = f"scan{self.next_session:04d}"
+        self.next_session += 1
         session = ScanSession(session_id, cattle_id, schedule)
 
         msg = json_message(MessageKind.TRIGGER, {"session_id": session_id,

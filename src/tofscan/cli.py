@@ -72,8 +72,8 @@ def main(argv=None) -> int:
 
 
 class _InputError(Exception):
-    """A flag or file named on the command line holds a value the command refuses,
-    or the file could not be read."""
+    """A flag, file or device named on the command line holds a value the command
+    refuses, or could not be read or reached."""
 
 
 def _read(loader, path):
@@ -92,8 +92,7 @@ def _cmd_serve(args) -> int:
     rig = _read(load_rig, args.rig)
     sensors = {s.device_id: s for s in rig}
     if args.device_id not in sensors:
-        print(f"device {args.device_id} not in rig file", file=sys.stderr)
-        return 2
+        raise _InputError(f"device {args.device_id} not in rig file")
     server = DeviceServer(args.device_id, sensors[args.device_id],
                           scene=_read(load_scene, args.scene), rig=rig)
     try:
@@ -112,26 +111,26 @@ def _cmd_scan(args) -> int:
     _check_flag("--exposure-us", args.exposure_us, _POSITIVE_INT)
     endpoints = [e.strip() for e in args.endpoints.split(",") if e.strip()]
     if not endpoints:
-        print(f"--endpoints {args.endpoints!r} names no host:port", file=sys.stderr)
-        return 2
+        raise _InputError(f"--endpoints {args.endpoints!r} names no host:port")
+    out = Path(args.out)
     client = ScanClient()
+    # each run is a new client: number its session after the highest already in --out
+    client.next_session = 1 + max((int(p.stem[4:]) for p in out.glob("scan*.json")
+                                   if p.stem[4:].isdigit()), default=0)
     ids = []
     for ep in endpoints:
         try:
             ids.append(client.hello(ep)["device_id"])
         except (OSError, DeviceError, ProtocolError, ValueError) as e:
-            print(f"device at {ep} unreachable: {e}", file=sys.stderr)
-            return 2
+            raise _InputError(f"device at {ep} unreachable: {e}") from e
     failures = (OSError, DeviceError, ProtocolError, IntegrityError)
     schedule = build_schedule(ids, args.delay_us, args.exposure_us)
     try:
         client.configure_all(endpoints, schedule)
     except failures as e:
-        print(f"CONFIGURE failed: {e}", file=sys.stderr)
-        return 2
+        raise _InputError(f"CONFIGURE failed: {e}") from e
     session = client.trigger_scan(endpoints, cattle_id=args.cattle_id,
                                   schedule=schedule, seed=args.seed)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_session(out / f"{session.session_id}.json", session)
     if not session.complete:
@@ -158,8 +157,7 @@ def _cmd_segment(args) -> int:
     gts = {int(f.name.split("_")[0]): _read(lambda p: decode_mask_pgm(p.read_bytes()), f)
            for f in sorted(gt_dir.glob("*_gtmask.pgm"))}
     if not gts:
-        print(f"no ground-truth masks under {gt_dir}", file=sys.stderr)
-        return 2
+        raise _InputError(f"no ground-truth masks under {gt_dir}")
 
     def load_sized(directory):
         """The --masks pairs, each the size of its device's ground truth."""
@@ -203,8 +201,7 @@ def _cmd_register(args) -> int:
         if f.stem.isdigit():
             clouds[int(f.stem)] = _read(read_colored_cloud, f)
     if not clouds:
-        print(f"no per-device clouds under {session}/clouds", file=sys.stderr)
-        return 2
+        raise _InputError(f"no per-device clouds under {session}/clouds")
     calibration = session / "calibration.json"
     order, params, fiducials = _read(load_calibration, calibration)
     if not order or not set(order) <= set(clouds):
@@ -227,8 +224,7 @@ def _cmd_reconstruct(args) -> int:
     _check_flag("--resolution", args.resolution, _RESOLUTION)
     cloud = _read(read_ply, args.cloud)
     if not isinstance(cloud, PointCloud):
-        print(f"{args.cloud} is a mesh PLY, not a point cloud", file=sys.stderr)
-        return 2
+        raise _InputError(f"{args.cloud} is a mesh PLY, not a point cloud")
     try:
         oriented = cloud if cloud.normals is not None else estimate_normals(cloud)
         mesh = poisson_reconstruct(oriented, resolution=args.resolution)
@@ -247,8 +243,7 @@ def _cmd_measure(args) -> int:
 
     data = _read(read_ply, args.mesh)
     if isinstance(data, PointCloud):
-        print(f"{args.mesh} is a point-cloud PLY, not a mesh", file=sys.stderr)
-        return 2
+        raise _InputError(f"{args.mesh} is a point-cloud PLY, not a mesh")
     mesh = TriangleMesh(*data)
     ok, boundary = is_watertight(mesh)
     print(f"surface_area_m2 {surface_area(mesh):.6f}")

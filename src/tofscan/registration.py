@@ -60,8 +60,8 @@ class DegenerateConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """ICP found no usable correspondences, or a level of fewer than 2 points;
-    carries the initial transform."""
+    """ICP found no usable correspondences at some scale, a level of fewer than 2
+    points, or ended below fitness ``_MIN_FITNESS``; carries the initial transform."""
 
     def __init__(self, msg: str, init: RigidTransform):
         super().__init__(msg)
@@ -336,17 +336,13 @@ def _icp(source_level, target_level, init: RigidTransform,
     """The ICP loop over scales; ``*_level(scale)`` gives each cloud's level."""
     transform = init
     history_all: list[list[float]] = []
-    corr = None
     for scale, voxel in enumerate(params.voxel_sizes):
         src, tgt = source_level(scale), target_level(scale)
         if src.normals is None or tgt.normals is None:
             raise DivergenceError(f"a cloud has fewer than 2 points at voxel {voxel}", init)
         corr = _residuals(src, tgt, transform, voxel)
         if corr is None or (scale == 0 and _fit_rmse(corr, len(src.points))[0] < _MIN_FITNESS):
-            if scale == 0:
-                raise DivergenceError(
-                    f"no usable correspondences at coarsest scale (voxel {voxel})", init)
-            break
+            raise DivergenceError(f"no usable correspondences at voxel {voxel}", init)
         energy = _objective(corr)
         history = [energy]
         prev_fit, prev_rmse = _fit_rmse(corr, len(src.points))
@@ -373,7 +369,9 @@ def _icp(source_level, target_level, init: RigidTransform,
             prev_fit, prev_rmse = fit, rmse
         history_all.append(history)
 
-    fitness, rmse = (0.0, 0.0) if corr is None else _fit_rmse(corr, len(src.points))
+    fitness, rmse = _fit_rmse(corr, len(src.points))
+    if fitness < _MIN_FITNESS:
+        raise DivergenceError(f"fitness {fitness:.3f} below {_MIN_FITNESS}", init)
     return RegistrationResult(transform, rmse, fitness, history_all)
 
 
@@ -396,8 +394,8 @@ def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, dict],
     ``fiducials`` holds each device's ``make_observations`` tag corners; when
     it is empty every edge starts from the identity. ``order`` is the physical
     rig order (defaults to sorted device ids); consecutive devices form the
-    chain edges and ``order[0]`` is the reference frame. A diverged or failed
-    edge is flagged and the devices beyond it stay out of ``global_poses``.
+    chain edges and ``order[0]`` is the reference frame. An edge that raises is
+    flagged and the devices beyond it stay out of ``global_poses``.
     """
     order = list(order) if order is not None else sorted(clouds)
     chain = list(zip(order, order[1:]))
@@ -429,9 +427,6 @@ def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, dict],
     for (a, b), outcome in zip(chain, map_ordered(run_edge, chain)):
         if isinstance(outcome, Exception):
             logger.warning("edge (%s, %s) failed: %s", a, b, outcome)
-            failed.append((a, b))
-        elif outcome.fitness < _MIN_FITNESS:
-            logger.warning("edge (%s, %s) diverged (fitness %.3f)", a, b, outcome.fitness)
             failed.append((a, b))
         else:
             edges[(a, b)] = outcome

@@ -1,5 +1,7 @@
 import itertools
+import json
 import socket
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import assert_json_types_kept, assert_names_key_path, json_mutants
-from tofscan.acquisition import (DeviceError, DeviceServer, IntegrityError, ScanClient,
-                                 _recv_exact, load_session, save_session)
+from tofscan.acquisition import (DeviceError, DeviceServer, IntegrityError, ManifestEntry,
+                                 ScanClient, ScanSession, _recv_exact, load_session,
+                                 save_session)
 from tofscan.capture import build_schedule, corrupt_device_frame
 from tofscan.experiments import SYNC_SCENE
 from tofscan.formats import decode_pgm16, decode_ppm, encode_pgm16, encode_ppm
@@ -23,6 +26,21 @@ from tofscan.scene import box, make_known_object_scene, scene_to_dict
 # one 16x12 sensor: a server for tests that trigger many times
 TINY_RIG = [SensorModel(0, CameraIntrinsics(10, 10, 7.5, 5.5, 16, 12),
                         look_at((1.2, 0, 0.8), (0, 0, 0.8)))]
+
+
+class _ResetPeer:
+    """A connection that delivers ``data``, and whose peer resets it when answered."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def recv_into(self, view) -> int:
+        n = min(len(view), len(self.data))
+        view[:n], self.data = self.data[:n], self.data[n:]
+        return n
+
+    def sendall(self, data: bytes) -> None:
+        raise ConnectionResetError("connection reset by peer")
 
 
 @pytest.fixture(scope="module")
@@ -443,3 +461,65 @@ class TestLoopback:
             assert ScanClient().status(ep) == "captured"
         finally:
             server.stop()
+
+    def test_reset_peer_ends_only_its_connection(self, setup):
+        """A peer that sends a malformed header and resets before the BAD_REQUEST reply:
+        its connection ends, the break is counted, and the same server answers HELLO and
+        STATUS. Driven once through a stub connection, once by a loopback peer."""
+        server = DeviceServer(0, TINY_RIG[0], scene=setup[0], rig=TINY_RIG)
+        malformed = b"XSCN" + encode_message(Message(MessageKind.STATUS))[4:]
+        server._serve_connection(_ResetPeer(malformed))
+        assert server.counters["protocol_errors"] == 1
+        server.start_background()
+        try:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                sock.sendall(malformed)  # closing with linger 0 sends a reset
+            ep, client = f"127.0.0.1:{server.port}", ScanClient()
+            assert client.hello(ep)["device_id"] == 0
+            assert client.status(ep) == "idle"
+            assert server.counters["protocol_errors"] >= 1
+        finally:
+            server.stop()
+
+
+class TestSessionJson:
+    SESSION = ScanSession("scan0003", "cow-A", build_schedule([0, 1], 160, 125), [
+        ManifestEntry(0, 2, 1234, 5678, 0xDEADBEEF, "127.0.0.1:9000"),
+        ManifestEntry(1, 2, 1234, 5678, 7, "127.0.0.1:9001")])
+
+    def test_round_trip(self, tmp_path):
+        incomplete = replace(self.SESSION, manifest=self.SESSION.manifest[:1],
+                             failed={"127.0.0.1:9001": "connection refused"})
+        for session in (self.SESSION, incomplete):
+            save_session(tmp_path / "s.json", session)
+            assert load_session(tmp_path / "s.json") == session
+
+    def test_failed_reason_must_be_a_string(self, tmp_path):
+        path = tmp_path / "s.json"
+        save_session(path, replace(self.SESSION, failed={"127.0.0.1:9001": 1}))
+        with pytest.raises(ValueError, match=r"^session\.failed\.127\.0\.0\.1:9001: "
+                                             r"expected string, got int$"):
+            load_session(path)
+
+    def test_mutated_session_loads_or_names_its_key_path(self, tmp_path):
+        """A session JSON with a key dropped, a value's type swapped, or wrapped in a list:
+        loaded if still valid, else a ValueError naming a key path."""
+        path = tmp_path / "s.json"
+        save_session(path, self.SESSION)
+        doc = json.loads(path.read_text())
+
+        @settings(max_examples=100)
+        @given(json_mutants(doc))
+        def mutate(mutation):
+            at, mutant = mutation
+            path.write_text(json.dumps(mutant))
+            try:
+                session = load_session(path)
+            except ValueError as e:
+                assert_names_key_path(str(e), "session", at)
+            else:  # loaded: what it saves keeps the JSON types of the original
+                save_session(path, session)
+                assert_json_types_kept(doc, mutant, json.loads(path.read_text()))
+
+        mutate()

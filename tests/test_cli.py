@@ -227,6 +227,32 @@ def test_serve_and_scan_loopback(tmp_path, capsys):
             s.stop()
 
 
+def test_second_scan_into_one_out_keeps_the_first(tmp_path):
+    """Two scans into one --out: the first session's files stay byte for byte, and the
+    second session is numbered after it, scan0002."""
+    from tofscan.acquisition import DeviceServer
+    rig = known_object_rig()[:2]
+    servers = [DeviceServer(s.device_id, s, scene=SYNC_SCENE, rig=rig) for s in rig]
+    for s in servers:
+        s.start_background()
+    out_dir = tmp_path / "scan"
+    argv = ["scan", "--endpoints", ",".join(f"127.0.0.1:{s.port}" for s in servers),
+            "--out", str(out_dir)]
+    try:
+        assert main(argv + ["--cattle-id", "cow-A"]) == 0
+        first = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+        assert main(argv + ["--cattle-id", "cow-B", "--seed", "1"]) == 0
+    finally:
+        for s in servers:
+            s.stop()
+    assert sorted(p.name for p in first) == sorted(
+        ["scan0001.json"] + [f"{d}_{k}" for d in (0, 1) for k in ("depth.pgm", "color.ppm")])
+    assert {p: p.read_bytes() for p in first} == first
+    doc = json.loads((out_dir / "scan0002.json").read_text())
+    assert (doc["session_id"], doc["cattle_id"]) == ("scan0002", "cow-B")
+    assert len(list((out_dir / "scan0002").glob("*_depth.pgm"))) == 2
+
+
 def test_scan_unreachable_endpoint(tmp_path, capsys):
     """A refused connection names the endpoint on stderr and exits 2, without a session."""
     with socket.socket() as sock:

@@ -5,7 +5,7 @@ from conftest import pose_error
 from tofscan.geometry import PointCloud, RigidTransform, transform_cloud
 from tofscan import registration
 from tofscan.registration import (DivergenceError, MultiScaleParams, apply_increment,
-                                  colored_icp, residual_jacobians, rodrigues)
+                                  colored_icp, register_rig, residual_jacobians, rodrigues)
 
 PARAMS = MultiScaleParams((0.04, 0.02, 0.01))
 
@@ -25,6 +25,21 @@ def corner_cloud(rng, n=4000, noise=0.0):
     if noise:
         pts = pts + rng.standard_normal(pts.shape) * noise
     return PointCloud(pts, colors=cols)
+
+
+def plane_and_blob():
+    """(source, target): a 20 cm textured plane, one point per 1 cm cell, as the target;
+    the same plane plus a solid 20 cm cube of such points, 1 m away, as the source."""
+    cells = 0.005 + 0.01 * np.arange(20)
+    plane = np.column_stack([*(a.ravel() for a in np.meshgrid(cells, cells)),
+                             np.ones(400)])
+    blob = np.stack(np.meshgrid(cells, cells, cells), -1).reshape(-1, 3) + [1.0, 0.0, 1.0]
+
+    def textured(pts):
+        w = 0.5 + 0.4 * np.sin(19 * pts[:, 0] + np.sin(8 * pts[:, 1]))
+        return PointCloud(pts, colors=np.column_stack([w, w, 1 - w]))
+
+    return textured(np.vstack([plane, blob])), textured(plane)
 
 
 def centered_perturbation(rng, pts, max_deg=10.0, max_t=0.05):
@@ -71,6 +86,35 @@ class TestBasics:
         init = RigidTransform.identity()
         with pytest.raises(DivergenceError) as e:
             colored_icp(tiny, tiny, init, MultiScaleParams((0.04,)))
+        assert e.value.init is init
+
+    def test_low_final_fitness_diverges_with_init(self, caplog):
+        """The blob fills 125 coarse voxels but 8,000 fine ones: 25 of the source's 150
+        coarse points match (fitness 0.17), 400 of its 8,400 finest (0.048). The pair
+        raises, and register_rig flags its edge by that error."""
+        source, target = plane_and_blob()
+        init = RigidTransform.identity()
+        with pytest.raises(DivergenceError, match=r"^fitness 0\.048 below 0\.1$") as e:
+            colored_icp(source, target, init, PARAMS)
+        assert e.value.init is init
+        with caplog.at_level("WARNING", logger="tofscan.registration"):
+            graph = register_rig({0: target, 1: source}, {}, PARAMS)
+        assert graph.failed_edges == [(0, 1)] and set(graph.global_poses) == {0}
+        assert [r.getMessage() for r in caplog.records] == \
+            ["edge (0, 1) failed: fitness 0.048 below 0.1"]
+
+    def test_finer_scale_without_match_diverges_with_init(self, rng, monkeypatch):
+        """A finer scale whose query finds no usable match raises, as the coarsest does."""
+        real = registration._residuals
+
+        def none_below_coarsest(src, tgt, transform, voxel):
+            return None if voxel < PARAMS.voxel_sizes[0] else real(src, tgt, transform, voxel)
+
+        monkeypatch.setattr(registration, "_residuals", none_below_coarsest)
+        cloud = corner_cloud(rng)
+        init = RigidTransform.identity()
+        with pytest.raises(DivergenceError, match="no usable correspondences at voxel 0.02") as e:
+            colored_icp(cloud, cloud, init, PARAMS)
         assert e.value.init is init
 
     def test_objective_never_increases(self, rng):
