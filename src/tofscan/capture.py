@@ -1,9 +1,9 @@
 """Daisy-chain capture scheduling and simulated synchronized multi-device capture.
 
 Device k in the chain opens its exposure window at k * delay_us. Two sensors
-interfere when their exposure windows overlap in time AND both can see the
-target volume; each such partner raises a device's interferer count, which
-drives the per-pixel corruption model in :mod:`tofscan.render`.
+interfere when their exposure windows overlap in time AND both see the target's
+bounding box (``render.box_rectangle``, a conservative test); each such partner
+raises a device's interferer count, which drives the corruption in :mod:`tofscan.render`.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import project
 from .jsondoc import build, get
 from .parallel import map_ordered
-from .render import RenderResult, SensorModel, apply_interference, apply_tof_noise, render
+from .render import (RenderResult, SensorModel, apply_interference, apply_tof_noise,
+                     box_rectangle, render)
 from .scene import BOX_CORNERS, Scene
 
 __all__ = [
@@ -71,30 +71,16 @@ def overlapping_pairs(schedule: CaptureSchedule) -> list[tuple[int, int]]:
             if (j - i) * schedule.delay_us < schedule.exposure_us]
 
 
-def _sees_target(sensor: SensorModel, lo: np.ndarray, hi: np.ndarray, cap: float) -> bool:
-    """Conservative frustum test: does the target AABB show up in this camera?"""
-    c = sensor.camera_center()
-    if np.all(c >= lo) and np.all(c <= hi):
-        return True
-    samples = np.vstack([np.where(BOX_CORNERS > 0, hi, lo), (lo + hi) / 2])
-    pts = sensor.pose.invert().apply(samples)
-    ahead = pts[pts[:, 2] > 0]
-    if not len(ahead):
-        return False
-    intr = sensor.intrinsics
-    u, v, z = project(ahead, intr)
-    inside = (u >= 0) & (u <= intr.width - 1) & (v >= 0) & (v <= intr.height - 1) & (z <= cap)
-    return bool(inside.any())
-
-
 def interferer_counts(scene: Scene, rig: list[SensorModel],
                       schedule: CaptureSchedule) -> dict[int, int]:
     """Per-device count of schedule-overlapping partners that share target visibility."""
     lo, hi = scene.target_bounds()
-    sees = {s.device_id: _sees_target(s, lo, hi, scene.background_cap) for s in rig}
+    corners = np.where(BOX_CORNERS > 0, hi, lo)
+    seeing = {s.device_id for s in rig if box_rectangle(
+        s.pose.invert().apply(corners), s.intrinsics, scene.background_cap) is not None}
     counts = {s.device_id: 0 for s in rig}
     for a, b in overlapping_pairs(schedule):
-        if a in sees and b in sees and sees[a] and sees[b]:
+        if a in seeing and b in seeing:
             counts[a] += 1
             counts[b] += 1
     return counts

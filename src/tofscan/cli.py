@@ -89,6 +89,7 @@ def _cmd_serve(args) -> int:
     from .render import load_rig
     from .scene import load_scene
 
+    _check_flag("--port", args.port, _PORT)
     rig = _read(load_rig, args.rig)
     sensors = {s.device_id: s for s in rig}
     if args.device_id not in sensors:
@@ -99,6 +100,8 @@ def _cmd_serve(args) -> int:
         server.serve_forever(args.host, args.port)
     except KeyboardInterrupt:
         pass
+    except OSError as e:  # the port is taken, the host is not this machine's, ...
+        raise _InputError(f"cannot listen on {args.host}:{args.port}: {e}") from e
     return 0
 
 
@@ -116,15 +119,18 @@ def _cmd_scan(args) -> int:
     client = ScanClient()
     # each run is a new client: number its session after the highest already in --out
     client.next_session = 1 + max((int(p.stem[4:]) for p in out.glob("scan*.json")
-                                   if p.stem[4:].isdigit()), default=0)
-    ids = []
+                                   if p.stem[4:].isdecimal()), default=0)
+    answered = {}  # device id -> the endpoint that answered as it
     for ep in endpoints:
         try:
-            ids.append(client.hello(ep)["device_id"])
+            dev = client.hello(ep)["device_id"]
         except (OSError, DeviceError, ProtocolError, ValueError) as e:
             raise _InputError(f"device at {ep} unreachable: {e}") from e
+        if dev in answered:
+            raise _InputError(f"device id {dev} answers at both {answered[dev]} and {ep}")
+        answered[dev] = ep
     failures = (OSError, DeviceError, ProtocolError, IntegrityError)
-    schedule = build_schedule(ids, args.delay_us, args.exposure_us)
+    schedule = build_schedule(list(answered), args.delay_us, args.exposure_us)
     try:
         client.configure_all(endpoints, schedule)
     except failures as e:
@@ -154,8 +160,9 @@ def _cmd_segment(args) -> int:
     session = Path(args.session)
     mode = ArbitrationMode(args.mode)
     gt_dir = session / "masks"
-    gts = {int(f.name.split("_")[0]): _read(lambda p: decode_mask_pgm(p.read_bytes()), f)
-           for f in sorted(gt_dir.glob("*_gtmask.pgm"))}
+    named = {f.name.removesuffix("_gtmask.pgm"): f for f in sorted(gt_dir.glob("*_gtmask.pgm"))}
+    gts = {int(dev): _read(lambda p: decode_mask_pgm(p.read_bytes()), f)
+           for dev, f in named.items() if dev.isdecimal()}  # <digits>_gtmask.pgm only
     if not gts:
         raise _InputError(f"no ground-truth masks under {gt_dir}")
 
@@ -198,7 +205,7 @@ def _cmd_register(args) -> int:
     session = Path(args.session)
     clouds = {}
     for f in sorted((session / "clouds").glob("*.ply")):
-        if f.stem.isdigit():
+        if f.stem.isdecimal():
             clouds[int(f.stem)] = _read(read_colored_cloud, f)
     if not clouds:
         raise _InputError(f"no per-device clouds under {session}/clouds")
@@ -309,6 +316,7 @@ def _cmd_experiment(args) -> int:
 _POSITIVE_INT = ("a positive integer", lambda v: is_kind(v, "integer") and v >= 1)
 _NON_NEGATIVE_INT = ("an integer >= 0", lambda v: is_kind(v, "integer") and v >= 0)
 _POSITIVE = ("a positive number", lambda v: is_kind(v, "number") and v > 0)
+_PORT = ("an integer in 0-65535", lambda v: 0 <= v <= 65535)
 _RESOLUTION = ("an integer in 32-512", lambda v: is_kind(v, "integer") and 32 <= v <= 512)
 # the keys each study reads from --config: key -> (what its value must be, test)
 _OVERRIDES = {

@@ -492,6 +492,8 @@ def load_calibration(path) -> tuple[list[int], MultiScaleParams, dict[int, dict]
     """
     doc = check(json.loads(Path(path).read_text()), "calibration", "object")
     order = get(doc, "calibration", "order", "list", "integer")
+    if len(set(order)) != len(order):
+        raise ValueError(f"calibration.order: {order} names a device twice")
     params = build("calibration.voxel_sizes", MultiScaleParams,
                    get(doc, "calibration", "voxel_sizes", "list", "number"))
     tags = get(doc, "calibration", "fiducials", "object")

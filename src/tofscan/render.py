@@ -3,8 +3,8 @@
 Rays go through pixel centers; the stored depth is range along the camera +z
 axis (t along the unnormalized direction ((u-cx)/fx, (v-cy)/fy, 1)), matching
 commodity depth rasters. Each primitive is intersected only with the rays of
-the pixels inside the screen rectangle of its projected local bounding box,
-clipped to the camera's near side (widened by one pixel).
+the pixels inside the screen rectangle of its local bounding box, clipped
+between the camera's near side and the background cap (``box_rectangle``).
 Box/cylinder/capsule hits are closed-form; a superellipsoid ray is clipped to
 the bounding box by a slab test, marched in fixed steps until it first crosses
 the surface (a crossed ray leaves the march), and refined by bisection, which
@@ -26,7 +26,7 @@ from .scene import BOX_CORNERS, Scene, ScenePrimitive
 
 __all__ = [
     "SensorModel", "RenderResult",
-    "render", "apply_tof_noise", "apply_interference",
+    "render", "box_rectangle", "apply_tof_noise", "apply_interference",
     "observe_tags", "save_rig", "load_rig", "rig_to_list", "rig_from_list",
 ]
 
@@ -222,32 +222,30 @@ def _surface_normal(prim: ScenePrimitive, pts_local: np.ndarray, h: float = 1e-6
     return g / n[:, None]
 
 
-def _candidate_pixels(prim: ScenePrimitive, world_to_cam: RigidTransform,
-                      intr: CameraIntrinsics) -> np.ndarray:
-    """Flat indices of the pixels whose rays can hit ``prim``, in raster order.
+def box_rectangle(corners: np.ndarray, intr: CameraIntrinsics, far: float):
+    """Pixel bounds ``(u0, u1, v0, v1)``, inclusive, of the rays that can meet a box.
 
-    A hit at ray parameter t lies at camera depth z = t > ``_TMIN``, so only
-    the part of the primitive's local bounding box with z >= ``_TMIN`` can be
-    hit. These are the pixels inside the bounding rectangle, widened by one
-    pixel, of that clipped box's projected vertices: the corners in front of
-    the plane z = ``_TMIN`` and the points where the edges cross it. A ray
-    through a pixel outside it misses the clipped box, so it misses the
-    primitive.
+    ``corners`` are the box's 8 camera-frame corners in ``BOX_CORNERS`` order. A
+    hit at ray parameter t lies at camera depth z = t, and only a hit with
+    ``_TMIN <= z <= far`` counts, so only the box clipped to that slab matters.
+    Its vertices are the corners inside the slab and the points where the 12
+    edges cross either plane. The bounds are those of the projected vertices,
+    widened by one pixel and clipped to the raster; a ray through a pixel
+    outside them misses the clipped box. None when no ray can meet it.
     """
-    corners = world_to_cam.apply(prim.pose.apply(BOX_CORNERS * prim.local_bounds()))
     a, b = corners[_BOX_EDGES[:, 0]], corners[_BOX_EDGES[:, 1]]
-    cut = (a[:, 2] < _TMIN) != (b[:, 2] < _TMIN)
-    a, b = a[cut], b[cut]
-    s = (_TMIN - a[:, 2]) / (b[:, 2] - a[:, 2])
-    verts = np.vstack([corners[corners[:, 2] >= _TMIN], a + s[:, None] * (b - a)])
-    if not len(verts):
-        return np.empty(0, dtype=np.intp)
+    verts = [corners[(corners[:, 2] >= _TMIN) & (corners[:, 2] <= far)]]
+    for plane in (_TMIN, far):
+        cut = (a[:, 2] < plane) != (b[:, 2] < plane)
+        s = (plane - a[cut, 2]) / (b[cut, 2] - a[cut, 2])
+        verts.append(a[cut] + s[:, None] * (b[cut] - a[cut]))
+    verts = np.vstack(verts)
+    if far < _TMIN or not len(verts):
+        return None
     u, v, _ = project(verts, intr)
     u0, u1 = max(int(np.floor(u.min())) - 1, 0), min(int(np.ceil(u.max())) + 1, intr.width - 1)
     v0, v1 = max(int(np.floor(v.min())) - 1, 0), min(int(np.ceil(v.max())) + 1, intr.height - 1)
-    if u0 > u1 or v0 > v1:
-        return np.empty(0, dtype=np.intp)
-    return (np.arange(v0, v1 + 1)[:, None] * intr.width + np.arange(u0, u1 + 1)).ravel()
+    return None if u0 > u1 or v0 > v1 else (u0, u1, v0, v1)
 
 
 def _raw_depth(depth_m: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -268,7 +266,12 @@ def render(scene: Scene, sensor: SensorModel) -> RenderResult:
     best_prim = np.full(n, -1, dtype=np.int32)
     world_to_cam = sensor.pose.invert()
     for i, prim in enumerate(scene.primitives):
-        rays = _candidate_pixels(prim, world_to_cam, intr)
+        corners = world_to_cam.apply(prim.pose.apply(BOX_CORNERS * prim.local_bounds()))
+        rect = box_rectangle(corners, intr, scene.background_cap)
+        if rect is None:
+            continue
+        u0, u1, v0, v1 = rect
+        rays = (np.arange(v0, v1 + 1)[:, None] * intr.width + np.arange(u0, u1 + 1)).ravel()
         inv = prim.pose.invert()
         o_l = inv.apply(origin)
         d_l = inv.apply_direction(dirs_world[rays])

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from tofscan import parallel
 from tofscan.geometry import RigidTransform
 from tofscan.reconstruction import TriangleMesh
-from tofscan.scene import Scene
+from tofscan.render import SensorModel
+from tofscan.rigs import default_intrinsics, look_at
+from tofscan.scene import Scene, box
 
 # examples render, solve and serve, so the suite's Hypothesis tests run without a deadline
 settings.register_profile("tofscan", deadline=None)
@@ -31,6 +33,16 @@ def target_surface_count(cloud_points: np.ndarray, scene: Scene, tol: float = 0.
         return 0
     d = scene.sdf(cloud_points, labels=("target",))
     return int((np.abs(d) <= tol).sum())
+
+
+def close_to_box_face():
+    """A 3 m x 0.6 m x 0.6 m target box and a 320 x 240 sensor 0.1 m from its +y face.
+
+    Every ray of the sensor meets the face, yet neither a corner nor the centre
+    of the box projects into the raster.
+    """
+    scene = Scene((box((1.5, 0.3, 0.3), pose=RigidTransform(np.eye(3), (0, 0, 1.0))),), 5.0)
+    return scene, SensorModel(0, default_intrinsics(), look_at((0.9, 0.4, 1.0), (0.9, 0.0, 1.0)))
 
 
 def triangle_corners(mesh: TriangleMesh):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import close_to_box_face
 from tofscan.capture import (CaptureSchedule, build_schedule, corrupt_device_frame,
                              interferer_counts, overlapping_pairs, simulate_capture,
                              write_retention_csv)
@@ -92,6 +93,14 @@ class TestInterfererCounts:
         turned[3] = replace(rig[3], pose=look_at(eye, 2 * eye - (lo + hi) / 2))
         counts = interferer_counts(scene, turned, at_zero)
         assert counts == {d: 0 if d == 3 else n - 2 for d in range(n)}
+
+    def test_sensor_close_to_a_box_face(self):
+        """A sensor whose every pixel is target sees it, though no box corner is in view."""
+        scene, close = close_to_box_face()
+        assert render(scene, close).oracle_mask.count() == 320 * 240
+        partner = replace(close, device_id=1, pose=look_at((0.0, 3.0, 1.0), (0.0, 0.0, 1.0)))
+        assert interferer_counts(scene, [close, partner], build_schedule([0, 1], 0)) == \
+            {0: 1, 1: 1}
 
 
 class TestSimulateCapture:

@@ -320,6 +320,58 @@ def test_scan_without_endpoints(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("case", ["one-endpoint-twice", "two-servers-one-id"])
+def test_scan_repeated_device_id_is_named(tmp_path, capsys, monkeypatch, case):
+    """Two endpoints that answer HELLO as one device: one stderr line naming the device id
+    and both endpoints, exit 2, before CONFIGURE and without --out."""
+    from tofscan.acquisition import DeviceServer, ScanClient
+
+    def no_configure(client, endpoints, schedule):
+        raise AssertionError("CONFIGURE sent")
+
+    monkeypatch.setattr(ScanClient, "configure_all", no_configure)
+    rig = known_object_rig()[:1]
+    servers = [DeviceServer(0, rig[0], scene=SYNC_SCENE, rig=rig)
+               for _ in range(1 if case == "one-endpoint-twice" else 2)]
+    for s in servers:
+        s.start_background()
+    endpoints = [f"127.0.0.1:{s.port}" for s in servers] * (3 - len(servers))
+    out_dir = tmp_path / "scan"
+    try:
+        assert main(["scan", "--endpoints", ",".join(endpoints), "--out", str(out_dir)]) == 2
+    finally:
+        for s in servers:
+            s.stop()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"device id 0 answers at both {endpoints[0]} and {endpoints[1]}"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("port", ["-1", "70000"])
+def test_serve_port_out_of_range_is_named(tmp_path, capsys, port):
+    """--port outside 0-65535: one stderr line naming the flag, exit 2, before the rig is read."""
+    absent = str(tmp_path / "absent.json")
+    assert main(["serve", "--device-id", "0", "--rig", absent, "--scene", absent,
+                 "--port", port]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"--port must be an integer in 0-65535, got {port}"]
+
+
+def test_serve_port_in_use_is_named(tmp_path, capsys):
+    """A port another socket listens on: one stderr line naming host:port, exit 2."""
+    rig_path, scene_path = tmp_path / "rig.json", tmp_path / "scene.json"
+    save_rig(rig_path, known_object_rig()[:1])
+    save_scene(scene_path, SYNC_SCENE)
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        port = taken.getsockname()[1]
+        assert main(["serve", "--device-id", "0", "--rig", str(rig_path),
+                     "--scene", str(scene_path), "--port", str(port)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"cannot listen on 127.0.0.1:{port}: ")
+
+
 @pytest.mark.parametrize("step", ["CONFIGURE", "FETCH"])
 def test_scan_device_lost_mid_scan(tmp_path, capsys, monkeypatch, step):
     """One of two servers stops after HELLO or after TRIGGER: one stderr line names the step
@@ -382,10 +434,14 @@ def test_segment_command_on_session(tmp_path, capsys):
     for dev in range(2):
         gt = BinaryMask(rng.random((8, 8)) < 0.4)
         (masks / f"{dev}_gtmask.pgm").write_bytes(encode_mask_pgm(gt))
+    # strays, not <digits>_gtmask.pgm; superscript two passes str.isdigit() but not int()
+    for stray in ("old", "\u00b2"):
+        (masks / f"{stray}_gtmask.pgm").write_bytes(b"junk")
     code = main(["segment", "--session", str(tmp_path / "session"), "--mode", "or"])
     assert code == 0
     lines = (tmp_path / "session" / "segmetrics.csv").read_text().strip().splitlines()
     assert lines[0] == "device_id,iou,fp_rate,fn_rate"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
     # oracle masks scored against themselves: perfect
     assert all(line.split(",")[1] == "1.000000" for line in lines[1:])
 
@@ -520,13 +576,16 @@ _SQUARE = [0, 0, 1, 0.1, 0, 1, 0.1, 0.1, 1, 0, 0.1, 1]
     (None, "No such file"),
     ({"order": [0, 5], "voxel_sizes": [0.04], "fiducials": {"0": {}, "5": {}}},
      "calibration.order"),
+    ({"order": [0, 1, 0], "voxel_sizes": [0.04], "fiducials": {"0": {}, "1": {}}},
+     "calibration.order: [0, 1, 0] names a device twice"),
     ({"order": [0, 1], "voxel_sizes": [0.04], "fiducials": {"0": {}}},
      "calibration.fiducials: missing key '1'"),
     ({"order": [0, 1], "voxel_sizes": [0.04], "fiducials": {"0": {}, "1": {"3": _SQUARE[:9]}}},
      "calibration.fiducials.1.3: expected 12 numbers"),
     ({"order": [0, 1], "voxel_sizes": [0.04], "fiducials": {"0": {"x": _SQUARE}, "1": {}}},
      "calibration.fiducials.0.x: "),
-], ids=["missing", "order-without-cloud", "device-without-tags", "nine-numbers", "tag-id"])
+], ids=["missing", "order-without-cloud", "repeated-device", "device-without-tags",
+        "nine-numbers", "tag-id"])
 def test_register_bad_calibration_named(tmp_path, capsys, rng, calibration, named):
     """A calibration.json that is missing or holds a defect: one stderr line naming the
     file and the defect's key path, exit 2."""

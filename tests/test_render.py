@@ -4,16 +4,18 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import assert_json_types_kept, assert_names_key_path, json_mutants
+from conftest import (assert_json_types_kept, assert_names_key_path, close_to_box_face,
+                      json_mutants)
 import tofscan.render as render_module
 from tofscan.experiments import KNOWN_CYLINDER
 from tofscan.geometry import DEPTH_SCALE, CameraIntrinsics, RigidTransform
-from tofscan.render import (SensorModel, apply_interference, apply_tof_noise, observe_tags, render,
-                            rig_from_list, rig_to_list)
-from tofscan.rigs import cattle_rig, known_object_rig
-from tofscan.scene import (Scene, box, capsule, cube_tag_layout, cylinder, make_animal_model,
-                           make_known_object_scene, superellipsoid)
+from tofscan.render import (SensorModel, apply_interference, apply_tof_noise, box_rectangle,
+                            observe_tags, render, rig_from_list, rig_to_list)
+from tofscan.rigs import cattle_rig, known_object_rig, look_at
+from tofscan.scene import (BOX_CORNERS, Scene, box, capsule, cube_tag_layout, cylinder,
+                           make_animal_model, make_known_object_scene, superellipsoid)
 
 INTR = CameraIntrinsics(fx=600, fy=600, cx=320, cy=240, width=640, height=480)
 CAM = SensorModel(0, INTR, RigidTransform.identity())
@@ -123,12 +125,30 @@ def _off_screen_scene():
                   capsule(0.1, 0.4, pose=RigidTransform(np.eye(3), (10.0, 0, 2.0)))), 5.0)
 
 
+def _past_cap_scene():
+    """A tilted 3 m box and a cylinder that reach past the background cap, and a box beyond it."""
+    return Scene((box((0.15, 0.1, 1.5), pose=RigidTransform.from_axis_angle((0, 1, 0), 0.3,
+                                                                            (0.1, 0, 2.5))),
+                  cylinder(0.3, 1.0, pose=RigidTransform.from_axis_angle((1, 0, 0), 1.2,
+                                                                         (-0.4, 0.2, 1.9))),
+                  box((0.3, 0.3, 0.1), pose=RigidTransform(np.eye(3), (0, 0, 2.5)),
+                      label="background")), 2.0)
+
+
 CULLING_CASES = {
     "cattle": lambda: (make_animal_model(1.0), cattle_rig()[1]),
     "known_object": lambda: (make_known_object_scene(KNOWN_CYLINDER), known_object_rig()[0]),
     "crossing_camera_plane": lambda: (_crossing_scene(), SensorModel(0, SMALL, AT_ORIGIN)),
     "off_screen": lambda: (_off_screen_scene(), SensorModel(0, SMALL, AT_ORIGIN)),
+    "close_to_box_face": close_to_box_face,
+    "past_background_cap": lambda: (_past_cap_scene(), SensorModel(0, SMALL, AT_ORIGIN)),
 }
+
+
+def _rectangle(prim, sensor, far):
+    """``box_rectangle`` of a primitive's local bounding box in the sensor's frame."""
+    corners = sensor.pose.invert().apply(prim.pose.apply(BOX_CORNERS * prim.local_bounds()))
+    return box_rectangle(corners, sensor.intrinsics, far)
 
 
 def _every_ray_first_hits(scene, sensor):
@@ -161,8 +181,8 @@ class TestCulling:
         assert np.array_equal(culled.oracle_mask.data.ravel(), hit & target[prim])
 
         # colour: the same render with every pixel a candidate for every primitive
-        monkeypatch.setattr(render_module, "_candidate_pixels",
-                            lambda p, w2c, i: np.arange(i.width * i.height))
+        monkeypatch.setattr(render_module, "box_rectangle",
+                            lambda c, i, far: (0, i.width - 1, 0, i.height - 1))
         every = render(scene, sensor)
         assert culled.depth.data.tobytes() == every.depth.data.tobytes()
         assert culled.color.data.tobytes() == every.color.data.tobytes()
@@ -171,9 +191,8 @@ class TestCulling:
     def test_candidate_sets_of_the_cases(self):
         def sizes(case):
             scene, sensor = CULLING_CASES[case]()
-            w2c = sensor.pose.invert()
-            return [len(render_module._candidate_pixels(p, w2c, sensor.intrinsics))
-                    for p in scene.primitives]
+            rects = [_rectangle(p, sensor, scene.background_cap) for p in scene.primitives]
+            return [0 if r is None else (r[1] - r[0] + 1) * (r[3] - r[2] + 1) for r in rects]
 
         n = SMALL.width * SMALL.height
         crossing = sizes("crossing_camera_plane")[:2]  # clipped to the camera's near side
@@ -182,6 +201,38 @@ class TestCulling:
         cattle = sizes("cattle")
         assert 0 < min(cattle) and max(cattle) < 384 * 288
         assert max(sizes("known_object")) < 320 * 240  # the ground slab reaches behind
+        assert sizes("close_to_box_face") == [320 * 240]  # the near-plane section fills the view
+        past_cap = sizes("past_background_cap")  # clipped to the near side of the cap
+        assert 0 < min(past_cap[:2]) and max(past_cap[:2]) < n and past_cap[2] == 0
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(half=st.tuples(*[st.floats(0.02, 1.5)] * 3),
+           turn=st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(0, 3)),
+           toward=st.tuples(st.floats(0, np.pi), st.floats(0, 2 * np.pi)),
+           distance=st.floats(0.05, 4.0), aim=st.tuples(*[st.floats(-2, 2)] * 3),
+           cap=st.floats(0.5, 5.0))
+    def test_rectangle_holds_every_return(self, half, turn, toward, distance, aim, cap):
+        """Each pixel with a return lies in the rectangle, and None means no return.
+
+        The sensor sits 0.05-4 m from the box centre, aimed at a point up to 2 m
+        off it: the box lies in front of, beside, partly behind or around it.
+        """
+        axis = turn[:3] if np.linalg.norm(turn[:3]) > 1e-3 else (0, 0, 1)
+        scene = Scene((box(half, pose=RigidTransform.from_axis_angle(axis, turn[3])),), cap)
+        theta, phi = toward
+        eye = distance * np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                                   np.cos(theta)])
+        if np.linalg.norm(eye - aim) < 1e-3:
+            aim = eye + (0, 0, 1)
+        sensor = SensorModel(0, SMALL, look_at(eye, aim))
+        t, _ = _every_ray_first_hits(scene, sensor)
+        v, u = np.nonzero((np.isfinite(t) & (t <= cap)).reshape(SMALL.height, SMALL.width))
+        rect = _rectangle(scene.primitives[0], sensor, cap)
+        if rect is None:
+            assert not len(u)
+        else:
+            u0, u1, v0, v1 = rect
+            assert np.all((u0 <= u) & (u <= u1) & (v0 <= v) & (v <= v1)), rect
 
 
 class TestNoise:
