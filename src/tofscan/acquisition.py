@@ -130,10 +130,7 @@ class DeviceServer:
     # -- service loop -----------------------------------------------------
 
     def _bind(self, host: str, port: int) -> socket.socket:
-        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        srv.bind((host, port))
-        srv.listen(1)
+        srv = socket.create_server((host, port), backlog=1)  # closed if bind fails
         srv.settimeout(0.2)  # poll the stop flag between accepts
         self.port = srv.getsockname()[1]
         return srv
@@ -305,7 +302,7 @@ def load_session(path) -> ScanSession:
 
 def _parse_endpoint(ep: str) -> tuple[str, int]:
     host, _, port = ep.rpartition(":")
-    if not (port.isdigit() and 0 < int(port) < 65536):
+    if not (port.isdecimal() and 0 < int(port) < 65536):
         raise ValueError(f"endpoint {ep!r} is not host:port")
     return host or "127.0.0.1", int(port)
 

@@ -76,31 +76,30 @@ def interferer_counts(scene: Scene, rig: list[SensorModel],
     """Per-device count of schedule-overlapping partners that share target visibility."""
     lo, hi = scene.target_bounds()
     corners = np.where(BOX_CORNERS > 0, hi, lo)
-    seeing = {s.device_id for s in rig if box_rectangle(
+    pairs = overlapping_pairs(schedule)
+    paired = {dev for pair in pairs for dev in pair}  # the only devices tested for visibility
+    seeing = {s.device_id for s in rig if s.device_id in paired and box_rectangle(
         s.pose.invert().apply(corners), s.intrinsics, scene.background_cap) is not None}
     counts = {s.device_id: 0 for s in rig}
-    for a, b in overlapping_pairs(schedule):
+    for a, b in pairs:
         if a in seeing and b in seeing:
             counts[a] += 1
             counts[b] += 1
     return counts
 
 
-def _noise_seed(seed: int, device_id: int) -> int:
-    return (seed * 1_000_003 + device_id * 2) & 0x7FFFFFFF
-
-
-def _interference_seed(seed: int, device_id: int) -> int:
-    return (seed * 1_000_003 + device_id * 2 + 1) & 0x7FFFFFFF
+def _device_seed(seed: int, device_id: int, draw: int) -> int:
+    """Seed of a device's noise (``draw`` 0) or interference (``draw`` 1) for a capture seed."""
+    return (seed * 1_000_003 + device_id * 2 + draw) & 0x7FFFFFFF
 
 
 def _corrupt(clean: RenderResult, sensor: SensorModel, count: int, seed: int,
              cap_m: float):
-    """Noise, then interference from ``count`` partners: ``(noisy, corrupted)`` depth."""
+    """Noise, then interference from ``count`` partners: the noisy depth and the frame."""
     dev = sensor.device_id
-    noisy = apply_tof_noise(clean.depth, sensor, _noise_seed(seed, dev))
-    corrupted = apply_interference(noisy, count, _interference_seed(seed, dev), cap_m=cap_m)
-    return noisy, corrupted
+    noisy = apply_tof_noise(clean.depth, sensor, _device_seed(seed, dev, 0))
+    corrupted = apply_interference(noisy, count, _device_seed(seed, dev, 1), cap_m=cap_m)
+    return noisy, RenderResult(corrupted, clean.color, clean.oracle_mask)
 
 
 def corrupt_device_frame(scene: Scene, rig: list[SensorModel], schedule: CaptureSchedule,
@@ -114,10 +113,8 @@ def corrupt_device_frame(scene: Scene, rig: list[SensorModel], schedule: Capture
     sensors = {s.device_id: s for s in rig}
     if device_id not in sensors:
         raise ValueError(f"device {device_id} not in rig")
-    sensor = sensors[device_id]
     count = interferer_counts(scene, rig, schedule)[device_id]
-    _, corrupted = _corrupt(clean, sensor, count, seed, scene.background_cap)
-    return RenderResult(corrupted, clean.color, clean.oracle_mask)
+    return _corrupt(clean, sensors[device_id], count, seed, scene.background_cap)[1]
 
 
 @dataclass(frozen=True)
@@ -157,13 +154,12 @@ def simulate_capture(scene: Scene, rig: list[SensorModel], schedule: CaptureSche
     def device(sensor: SensorModel) -> tuple[RenderResult, RetentionStat]:
         dev = sensor.device_id
         clean = renders[dev] if renders is not None else render(scene, sensor)
-        noisy, corrupted = _corrupt(clean, sensor, counts[dev], seed, scene.background_cap)
+        noisy, frame = _corrupt(clean, sensor, counts[dev], seed, scene.background_cap)
         fg = clean.oracle_mask.data
         before = noisy.data[fg]
-        after = corrupted.data[fg]
+        after = frame.depth.data[fg]
         survived = int(((after == before) & (before > 0)).sum())
-        return (RenderResult(corrupted, clean.color, clean.oracle_mask),
-                RetentionStat(dev, int((before > 0).sum()), survived))
+        return frame, RetentionStat(dev, int((before > 0).sum()), survived)
 
     done = map_ordered(device, rig)  # devices are independent: seeding is per (seed, device)
     frames = {s.device_id: frame for s, (frame, _) in zip(rig, done)}

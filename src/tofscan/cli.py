@@ -237,7 +237,7 @@ def _cmd_reconstruct(args) -> int:
         mesh = poisson_reconstruct(oriented, resolution=args.resolution)
     except (ValueError, ReconstructionError) as e:  # too few points, zero extent, ...
         raise _InputError(f"cannot reconstruct {args.cloud}: {e}") from e
-    write_ply(args.out, vertices=mesh.vertices, triangles=mesh.triangles)
+    write_ply(args.out, mesh)
     print(f"wrote {args.out}: {len(mesh.vertices)} vertices, {len(mesh.triangles)} triangles")
     return 0
 
@@ -246,12 +246,11 @@ def _cmd_measure(args) -> int:
     from .formats import read_ply
     from .geometry import PointCloud
     from .metrology import surface_area, volume
-    from .reconstruction import TriangleMesh, is_watertight
+    from .reconstruction import is_watertight
 
-    data = _read(read_ply, args.mesh)
-    if isinstance(data, PointCloud):
+    mesh = _read(read_ply, args.mesh)
+    if isinstance(mesh, PointCloud):
         raise _InputError(f"{args.mesh} is a point-cloud PLY, not a mesh")
-    mesh = TriangleMesh(*data)
     ok, boundary = is_watertight(mesh)
     print(f"surface_area_m2 {surface_area(mesh):.6f}")
     if ok:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import BinaryMask, ColorImage, DepthImage, PointCloud
+from .reconstruction import TriangleMesh
 
 __all__ = [
     "encode_pgm16", "decode_pgm16",
@@ -104,19 +105,12 @@ def decode_ppm(buf: bytes) -> ColorImage:
 
 # --- PLY ---------------------------------------------------------------
 
-def write_ply(path, cloud: PointCloud = None, *, vertices: np.ndarray = None,
-              triangles: np.ndarray = None) -> None:
-    """Write a point cloud, or a triangle mesh via ``vertices``/``triangles``."""
-    path = Path(path)
-    if cloud is not None:
-        verts = cloud.points
-        colors = cloud.colors
-        normals = cloud.normals
-        tris = None
+def write_ply(path, data: PointCloud | TriangleMesh) -> None:
+    """Write a point cloud, with its colours and normals if it has them, or a triangle mesh."""
+    if isinstance(data, TriangleMesh):
+        verts, colors, normals, tris = data.vertices, None, None, data.triangles
     else:
-        verts = np.asarray(vertices, dtype=np.float64)
-        colors = normals = None
-        tris = np.asarray(triangles, dtype=np.uint32) if triangles is not None else None
+        verts, colors, normals, tris = data.points, data.colors, data.normals, None
 
     lines = ["ply", "format binary_little_endian 1.0", f"element vertex {len(verts)}"]
     lines += ["property double x", "property double y", "property double z"]
@@ -143,20 +137,23 @@ def write_ply(path, cloud: PointCloud = None, *, vertices: np.ndarray = None,
         f.write(("\n".join(lines) + "\n").encode())
         f.write(rec.tobytes())
         if tris is not None:
-            face = np.zeros(len(tris), dtype=np.dtype([("n", "u1"), ("i", "<u4", (3,))]))
+            face = np.zeros(len(tris), dtype=_PLY_FACE_DTYPE)
             face["n"] = 3
             face["i"] = tris
             f.write(face.tobytes())
 
 
 _PLY_TYPES = {"double": "<f8", "float": "<f4", "uchar": "u1"}  # vertex property types read
+# the one face property read; "int" indices, as other tools write them, are the same bytes
+_PLY_FACE_PROPERTIES = {f"property list uchar {t} vertex_indices" for t in ("uint", "int")}
+_PLY_FACE_DTYPE = np.dtype([("n", "u1"), ("i", "<u4", (3,))])
 _UNIT_NORMAL_TOL = 1e-9  # largest | |n| - 1 | of a normal read
 
 
-def read_ply(path):
+def read_ply(path) -> PointCloud | TriangleMesh:
     """Read a binary-little-endian PLY written by :func:`write_ply`.
 
-    Returns a PointCloud when the file has no faces, else (vertices, triangles).
+    Returns a TriangleMesh when the file has a face element, else a PointCloud.
     """
     buf = Path(path).read_bytes()
     end = buf.find(b"end_header\n")
@@ -168,7 +165,7 @@ def read_ply(path):
         raise ValueError(f"PLY header starts with {header[0]!r}, not 'ply'")
     if header[1] != "format binary_little_endian 1.0":
         raise ValueError(f"unsupported PLY format line: {header[1]}")
-    n_vert = n_face = 0
+    n_vert, n_face, face_indices = 0, None, False
     props = []
     element = None
     for line in header[2:-1]:
@@ -192,18 +189,27 @@ def read_ply(path):
             if parts[1] not in _PLY_TYPES:
                 raise ValueError(f"unsupported vertex property type {parts[1]!r}")
             props.append((parts[2], _PLY_TYPES[parts[1]]))
-    rec = np.frombuffer(buf, dtype=np.dtype(props), count=n_vert, offset=end)
+        elif parts[0] == "property" and element == "face":
+            if face_indices or " ".join(parts) not in _PLY_FACE_PROPERTIES:
+                raise ValueError(f"unsupported PLY face property {line!r}: a face holds one "
+                                 f"'property list uchar uint|int vertex_indices'")
+            face_indices = True
     names = [p[0] for p in props]
+    for axis in "xyz":
+        if axis not in names:
+            raise ValueError(f"PLY vertex element has no {axis!r} property")
+    rec = np.frombuffer(buf, dtype=np.dtype(props), count=n_vert, offset=end)
     pts = np.column_stack([rec["x"], rec["y"], rec["z"]]).astype(np.float64)
-    if n_face:
-        face_dt = np.dtype([("n", "u1"), ("i", "<u4", (3,))])
-        faces = np.frombuffer(buf, dtype=face_dt, count=n_face, offset=end + rec.nbytes)
+    if n_face is not None:
+        if not face_indices:
+            raise ValueError("PLY face element has no vertex_indices property")
+        faces = np.frombuffer(buf, dtype=_PLY_FACE_DTYPE, count=n_face, offset=end + rec.nbytes)
         if not np.all(faces["n"] == 3):
             raise ValueError("non-triangular face in PLY")
         tris = faces["i"].astype(np.int64)
-        if tris.max() >= n_vert:
+        if n_face and tris.max() >= n_vert:
             raise ValueError(f"PLY face names vertex {tris.max()} of {n_vert}")
-        return pts, tris
+        return TriangleMesh(pts, tris)
     colors = None
     if "red" in names:
         colors = np.column_stack([rec["red"], rec["green"], rec["blue"]]).astype(np.float64) / 255.0

@@ -95,9 +95,7 @@ def _emit(values: np.ndarray, i0: int):
     v0 = values[uni - i0, unj, unk]
     step = np.eye(3, dtype=np.int64)[uax]
     v1 = values[uni - i0 + step[:, 0], unj + step[:, 1], unk + step[:, 2]]
-    denom = v1 - v0
-    denom[denom == 0] = 1.0  # both corners can't straddle zero if equal
-    t = np.clip(-v0 / denom, 0.0, 1.0)
+    t = np.clip(-v0 / (v1 - v0), 0.0, 1.0)  # the ends straddle zero, so differ
     pos = np.column_stack([uni, unj, unk]).astype(np.float64)
     pos[np.arange(len(ukeys)), uax] += t
     return ukeys, pos, keys.reshape(-1, 3)

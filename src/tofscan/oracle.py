@@ -78,14 +78,6 @@ def _union_sampler(scene: Scene, spacing: float) -> tuple:
     prims = scene.labeled("target")
     origin, shape = padded_grid(lo, hi, spacing)
     axes = [origin[a] + spacing * np.arange(shape[a]) for a in range(3)]
-    # node index box [blo, bhi) of each primitive's world AABB grown by one cell
-    boxes = []
-    for prim in prims:
-        wlo, whi = prim.world_bounds()
-        blo = np.floor((wlo - origin) / spacing).astype(np.int64) - 1
-        bhi = np.ceil((whi - origin) / spacing).astype(np.int64) + 2
-        boxes.append((prim, np.clip(blo, 0, shape), np.clip(bhi, 0, shape)))
-
     # per-primitive local AABB precheck: outside the inflated box the exact
     # distance is irrelevant to the zero level, the AABB distance (a positive
     # lower-bound stand-in) keeps the union sign correct and is much cheaper.
@@ -95,9 +87,13 @@ def _union_sampler(scene: Scene, spacing: float) -> tuple:
     # its neighbors, a spacing away, is inside some primitive.
     inflate = 3 * spacing
     grow = math.sqrt(3) * inflate
-    reach = []
+    boxes, reach = [], []
     for prim in prims:
         wlo, whi = prim.world_bounds()
+        # node index box [blo, bhi) of the world AABB grown by one cell
+        blo = np.floor((wlo - origin) / spacing).astype(np.int64) - 1
+        bhi = np.ceil((whi - origin) / spacing).astype(np.int64) + 2
+        boxes.append((prim, np.clip(blo, 0, shape), np.clip(bhi, 0, shape)))
         reach.append((prim, prim.local_bounds() + inflate, wlo - grow, whi + grow))
 
     def exact(pts):

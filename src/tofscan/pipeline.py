@@ -155,7 +155,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
     if out is not None:
         write_ply(out / "clouds" / "merged.ply", merged)
-        write_ply(out / "mesh.ply", vertices=mesh.vertices, triangles=mesh.triangles)
+        write_ply(out / "mesh.ply", mesh)
         save_pose_graph(out / "poses.json", graph)
         save_calibration(out / "calibration.json", order, cfg.registration, fiducials)
         write_retention_csv(out / "retention.csv", capture.retention)

@@ -282,9 +282,7 @@ def _residuals(src: _Level, tgt: _Level, transform: RigidTransform, voxel: float
         return None
     if valid.sum() > 20:
         cutoff = np.quantile(dist[valid], _TRIM_FRACTION)
-        valid &= dist <= max(cutoff, 1e-12)
-        if not valid.any():
-            return None
+        valid &= dist <= max(cutoff, 1e-12)  # keeps the nearest match
     s = moved[valid]
     j = idx[valid]
     n = tgt.normals[j]

@@ -76,6 +76,17 @@ MALFORMED_PLY = {
         _PLY_HEAD + _PLY_XYZ + b"element face 1\nproperty list uchar uint vertex_indices\n"
         b"end_header\n" + bytes(36) + b"\x03" + np.array([0, 1, 5], "<u4").tobytes(),
         "vertex 5 of 3"),
+    "face-int-count": (
+        _PLY_HEAD + _PLY_XYZ + b"element face 1\nproperty list int int vertex_indices\n"
+        b"end_header\n" + bytes(36) + np.array([3, 0, 1, 2], "<i4").tobytes(),
+        "unsupported PLY face property 'property list int int vertex_indices'"),
+    "second-face-property": (
+        _PLY_HEAD + _PLY_XYZ + b"element face 1\nproperty list uchar uint vertex_indices\n"
+        b"property uchar flags\nend_header\n" + bytes(36) + b"\x03"
+        + np.array([0, 1, 2], "<u4").tobytes() + b"\x00",
+        "unsupported PLY face property 'property uchar flags'"),
+    "vertex-without-x": (_PLY_HEAD + _PLY_XYZ.replace(b"property float x\n", b"")
+                         + b"end_header\n" + bytes(24), "PLY vertex element has no 'x' property"),
     **{f"{name}-normal": (_ply_with_second_normal(normal),
                           "vertex 1 has a normal that is not a finite unit vector")
        for name, normal in (("nan", (np.nan, 0.0, 1.0)), ("zero", (0.0, 0.0, 0.0)),

@@ -94,6 +94,16 @@ class TestInterfererCounts:
         counts = interferer_counts(scene, turned, at_zero)
         assert counts == {d: 0 if d == 3 else n - 2 for d in range(n)}
 
+    def test_no_overlap_tests_no_sensor(self, monkeypatch):
+        """At 160 us no exposures overlap, so no sensor's view of the target is tested."""
+        def no_test(*args):
+            raise AssertionError("box_rectangle called")
+
+        monkeypatch.setattr("tofscan.capture.box_rectangle", no_test)
+        rig = cattle_rig()
+        counts = interferer_counts(make_animal_model(1.0), rig, build_schedule(CATTLE_CHAIN, 160))
+        assert counts == {s.device_id: 0 for s in rig}
+
     def test_sensor_close_to_a_box_face(self):
         """A sensor whose every pixel is target sees it, though no box corner is in view."""
         scene, close = close_to_box_face()
@@ -115,10 +125,10 @@ class TestSimulateCapture:
         scene, rig, renders = small_setup
         sched = build_schedule([s.device_id for s in rig], 160, 125)
         cap = simulate_capture(scene, rig, sched, seed=4, renders=renders)
-        from tofscan.capture import _noise_seed
+        from tofscan.capture import _device_seed
         for s in rig:
             expected = apply_tof_noise(renders[s.device_id].depth, s,
-                                       _noise_seed(4, s.device_id))
+                                       _device_seed(4, s.device_id, 0))
             assert np.array_equal(cap.frames[s.device_id].depth.data, expected.data)
 
     @pytest.mark.parametrize("delay", [0, 160])

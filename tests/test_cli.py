@@ -1,6 +1,11 @@
 import json
+import os
+import select
 import shutil
+import signal
 import socket
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,12 +14,14 @@ from hypothesis import given, settings
 
 from conftest import (MALFORMED_PLY, assert_json_types_kept, json_mutants, pose_error,
                       unit_cube_mesh)
+from tofscan.capture import build_schedule, corrupt_device_frame
 from tofscan.cli import _check_overrides, _InputError, main
 from tofscan.experiments import KNOWN_CYLINDER, SYNC_SCENE, known_object_config
-from tofscan.formats import read_ply, write_ply
+from tofscan.formats import encode_pgm16, encode_ppm, read_ply, write_ply
 from tofscan.geometry import PointCloud, RigidTransform
 from tofscan.pipeline import run_pipeline
-from tofscan.render import save_rig
+from tofscan.reconstruction import TriangleMesh
+from tofscan.render import render, save_rig
 from tofscan.rigs import known_object_rig
 from tofscan.scene import make_known_object_scene, save_scene, scene_to_dict
 
@@ -22,7 +29,7 @@ from tofscan.scene import make_known_object_scene, save_scene, scene_to_dict
 def test_measure_command(tmp_path, capsys):
     mesh = unit_cube_mesh()
     path = tmp_path / "cube.ply"
-    write_ply(path, vertices=mesh.vertices, triangles=mesh.triangles)
+    write_ply(path, mesh)
     assert main(["measure", "--mesh", str(path)]) == 0
     out = capsys.readouterr().out
     assert "surface_area_m2 6.000000" in out
@@ -32,7 +39,7 @@ def test_measure_command(tmp_path, capsys):
 def test_measure_open_mesh(tmp_path, capsys):
     mesh = unit_cube_mesh()
     path = tmp_path / "open.ply"
-    write_ply(path, vertices=mesh.vertices, triangles=mesh.triangles[:-2])
+    write_ply(path, TriangleMesh(mesh.vertices, mesh.triangles[:-2]))
     assert main(["measure", "--mesh", str(path)]) == 0
     assert "not watertight" in capsys.readouterr().out
 
@@ -44,7 +51,7 @@ def test_wrong_kind_of_ply_is_named(tmp_path, capsys, command, flag, kind):
     path = tmp_path / "input.ply"
     if kind == "mesh":
         mesh = unit_cube_mesh()
-        write_ply(path, vertices=mesh.vertices, triangles=mesh.triangles)
+        write_ply(path, mesh)
     else:
         write_ply(path, PointCloud(np.eye(3)))
     out = tmp_path / "out.ply"
@@ -93,7 +100,7 @@ def test_unreadable_input_file_is_named(tmp_path, capsys, case):
         write_ply(cloud, PointCloud(np.random.default_rng(0).random((50, 3))))
     elif case == "register-cloud-mesh":
         mesh = unit_cube_mesh()
-        write_ply(cloud, vertices=mesh.vertices, triangles=mesh.triangles)
+        write_ply(cloud, mesh)
     elif case == "measure-ply-double":
         malformed.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
                               b"property double x\nproperty double y\nproperty double z\n"
@@ -146,8 +153,7 @@ def test_reconstruct_command(tmp_path, capsys, rng):
     code = main(["reconstruct", "--cloud", str(tmp_path / "cloud.ply"),
                  "--resolution", "48", "--out", str(out)])
     assert code == 0
-    verts, tris = read_ply(out)
-    assert len(tris) > 100
+    assert len(read_ply(out).triangles) > 100
 
 
 def test_reconstruct_resolution_out_of_range(tmp_path, capsys, rng):
@@ -227,6 +233,45 @@ def test_serve_and_scan_loopback(tmp_path, capsys):
             s.stop()
 
 
+def test_scan_against_serve_processes(tmp_path):
+    """Two ``tofscan serve`` processes, one per device as on the rig: a scan fetches each
+    device's ``corrupt_device_frame`` bytes, and Ctrl-C (SIGINT) ends each with status 0."""
+    rig = known_object_rig()[:2]
+    rig_path, scene_path = tmp_path / "rig.json", tmp_path / "scene.json"
+    save_rig(rig_path, rig)
+    save_scene(scene_path, SYNC_SCENE)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # this process's tofscan
+    procs = []
+    try:
+        for s in rig:
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "tofscan.cli", "serve", "--device-id", str(s.device_id),
+                 "--rig", str(rig_path), "--scene", str(scene_path), "--port", "0"],
+                env=env, stderr=subprocess.PIPE, text=True))
+        endpoints = []
+        for p in procs:  # from the INFO line "... device <id> serving on 127.0.0.1:<port>"
+            assert select.select([p.stderr], [], [], 30)[0], "no INFO line within 30 s"
+            endpoints.append(p.stderr.readline().split()[-1])
+        out_dir = tmp_path / "scan"
+        assert main(["scan", "--endpoints", ",".join(endpoints), "--delay-us", "0",
+                     "--seed", "5", "--out", str(out_dir)]) == 0
+        schedule = build_schedule([s.device_id for s in rig], 0)
+        fetched = out_dir / "scan0001"
+        for s in rig:
+            frame = corrupt_device_frame(SYNC_SCENE, rig, schedule, s.device_id, 5,
+                                         clean=render(SYNC_SCENE, s))
+            assert (fetched / f"{s.device_id}_depth.pgm").read_bytes() == encode_pgm16(frame.depth)
+            assert (fetched / f"{s.device_id}_color.ppm").read_bytes() == encode_ppm(frame.color)
+        for p in procs:
+            p.send_signal(signal.SIGINT)
+        assert [p.wait(timeout=30) for p in procs] == [0, 0]
+    finally:
+        for p in procs:
+            p.kill()
+            p.wait()
+            p.stderr.close()
+
+
 def test_second_scan_into_one_out_keeps_the_first(tmp_path):
     """Two scans into one --out: the first session's files stay byte for byte, and the
     second session is numbered after it, scan0002."""
@@ -265,7 +310,8 @@ def test_scan_unreachable_endpoint(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("endpoint", ["127.0.0.1", "127.0.0.1:http", "127.0.0.1:70000"])
+@pytest.mark.parametrize("endpoint", ["127.0.0.1", "127.0.0.1:http", "127.0.0.1:70000",
+                                      "127.0.0.1:²"])
 def test_scan_endpoint_not_host_port(tmp_path, capsys, endpoint):
     """An endpoint that is not host:port is named on stderr with exit 2, before any session."""
     out_dir = tmp_path / "scan"

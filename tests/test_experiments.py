@@ -93,7 +93,7 @@ class TestInterference:
         out = run_interference_experiment([0, 160], cfg, n_seeds=2)
         path = tmp_path / "retention.csv"
         write_retention_report_csv(path, out)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["delay_us", "mean_retention"]
         assert [r[0] for r in rows[1:]] == ["0", "160"]
 
@@ -152,7 +152,7 @@ class TestHelpers:
             [0, 1], MeshMeasurements(0.251327, 0.00942478))
         path = tmp_path / "report.csv"
         write_report_csv(path, report)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["object_id", "run", "seed", "surface_area_m2", "volume_m3",
                            "ref_area", "ref_volume", "pct_err_area", "pct_err_volume"]
         assert rows[-1][1] == "mean"

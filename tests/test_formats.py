@@ -5,6 +5,7 @@ from conftest import MALFORMED_PLY
 from tofscan.formats import (decode_mask_pgm, decode_pgm16, decode_ppm, encode_mask_pgm,
                              encode_pgm16, encode_ppm, read_ply, write_ply)
 from tofscan.geometry import BinaryMask, ColorImage, DepthImage, PointCloud
+from tofscan.reconstruction import TriangleMesh
 
 
 def test_pgm16_round_trip(rng):
@@ -101,10 +102,19 @@ def test_ply_mesh_round_trip(tmp_path, rng):
     verts = rng.standard_normal((10, 3))
     tris = rng.integers(0, 10, (7, 3))
     path = tmp_path / "m.ply"
-    write_ply(path, vertices=verts, triangles=tris)
-    v, t = read_ply(path)
-    assert v.tobytes() == verts.tobytes()
-    assert np.array_equal(t, tris)
+    write_ply(path, TriangleMesh(verts, tris))
+    out = read_ply(path)
+    assert out.vertices.tobytes() == verts.tobytes()
+    assert np.array_equal(out.triangles, tris)
+
+
+def test_ply_int_face_indices_read_as_uint(tmp_path):
+    """'list uchar int' faces, as other tools write them, read as the same mesh."""
+    mesh = TriangleMesh(np.eye(3), np.array([[0, 1, 2]]))
+    path = tmp_path / "m.ply"
+    write_ply(path, mesh)
+    path.write_bytes(path.read_bytes().replace(b"uchar uint", b"uchar int"))
+    assert np.array_equal(read_ply(path).triangles, mesh.triangles)
 
 
 def test_ply_header_is_binary_little_endian(tmp_path):
