@@ -6,9 +6,11 @@ commodity depth rasters. Each primitive is intersected only with the rays of
 the pixels inside the screen rectangle of its local bounding box, clipped
 between the camera's near side and the background cap (``box_rectangle``).
 Box/cylinder/capsule hits are closed-form; a superellipsoid ray is clipped to
-the bounding box by a slab test, marched in fixed steps until it first crosses
-the surface (a crossed ray leaves the march), and refined by bisection, which
-is deterministic.
+the bounding box by a slab test and marched over 64 fixed samples to its first
+crossing. Its implicit function is convex along the ray, so the march skips
+the samples a chord proves outside, drops a ray the chord proves a miss, and
+leaves a ray once it crosses. Illinois steps then refine the crossing's
+bracket to 1e-9 m. Every step is deterministic.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ __all__ = [
 
 _TMIN = 1e-6
 _MARCH_STEPS = 64
-_BISECT_ITERS = 25  # takes the widest march bracket of the stock rigs (3.2 cm) below 1e-9 m
+_REFINE_TOL = 1e-9  # width in t (camera depth, m) below which a hit's bracket is final
+_ILLINOIS_STEPS = 16  # then halvings finish a bracket that is still wider
 _LIGHT_DIR = np.array([0.25, -0.15, 1.0]) / np.linalg.norm([0.25, -0.15, 1.0])
 _P_INT = 0.45  # per-interferer corruption probability; 9 partners -> ~99.5% loss
 # corner pairs of BOX_CORNERS that differ in one coordinate: the box's 12 edges
@@ -165,46 +168,81 @@ def _intersect_capsule(prim: ScenePrimitive, o: np.ndarray, d: np.ndarray) -> np
 
 
 def _intersect_superellipsoid(prim: ScenePrimitive, o: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """First-crossing ray parameters, inf for a miss: ``_march``, then ``_refine``."""
     t_near, t_far = _slab_interval(o, d, prim.local_bounds())
-    active = (t_near <= t_far) & (t_far > _TMIN)
+    idx = np.nonzero((t_near <= t_far) & (t_far > _TMIN))[0]
     t = np.full(len(d), np.inf)
-    if not active.any():
-        return t
-    idx = np.nonzero(active)[0]
     t0 = np.maximum(t_near[idx], _TMIN)
-    t1 = t_far[idx]
+    span = t_far[idx] - t0
     dl = d[idx]
 
-    lo = t0.copy()
-    hi = np.full_like(t0, np.nan)  # stays nan on a ray that never crosses
-    live = np.arange(len(idx))  # rays that have not crossed yet
-    prev = prim.implicit_local(*(o + t0[:, None] * dl).T)
-    for k in range(1, _MARCH_STEPS + 1):
-        a, b = t0[live], t1[live]
-        tk = a + (b - a) * (k / _MARCH_STEPS)
-        val = prim.implicit_local(*(o + tk[:, None] * dl[live]).T)
-        crossed = (prev > 0) & (val <= 0)
-        c = live[crossed]
-        lo[c] = a[crossed] + (b[crossed] - a[crossed]) * ((k - 1) / _MARCH_STEPS)
-        hi[c] = tk[crossed]
-        live = live[~crossed]
-        prev = val[~crossed]
-    found = ~np.isnan(hi)
-    if not found.any():
-        return t
-    flo = lo[found]
-    fhi = hi[found]
-    fd = dl[found]
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (flo + fhi)
-        v = prim.implicit_local(*(o + mid[:, None] * fd).T)
-        neg = v <= 0
-        fhi = np.where(neg, mid, fhi)
-        flo = np.where(neg, flo, mid)
-    out = np.full(len(idx), np.inf)
-    out[found] = 0.5 * (flo + fhi)
-    t[idx] = out
+    def f(rays, ts):
+        return prim.implicit_local(*(o + ts[:, None] * dl[rays]).T)
+
+    rays, lo, hi, flo, fhi = _march(f, t0, span)
+    rays = rays.astype(np.intp)
+    t[idx[rays]] = _refine(f, rays, lo, hi, flo, fhi)
     return t
+
+
+def _march(f, t0, span) -> np.ndarray:
+    """Brackets of the first crossings f(t_{k-1}) > 0 >= f(t_k), t_k = t0 + span k / 64.
+
+    f is convex along every ray: with exponents in (0, 2] it is a nested lp
+    norm (p, q >= 1) raised to a power >= 1, minus 1. So a ray that starts
+    inside never crosses, and the chord through a ray's last two samples
+    i < j, f(t_i) > 0, bounds f from below beyond t_j: the march skips the
+    samples the chord proves outside and drops a ray the chord proves a miss.
+    A crossed ray's bracket [t_i, t_j] then holds the root of [t_{j-1}, t_j],
+    the only one in it. Returns rows ray, t_i, t_j, f(t_i), f(t_j), one
+    column per crossed ray.
+    """
+    fi = f(slice(None), t0)
+    live = np.nonzero(fi > 0)[0]
+    ti, fi = t0[live], fi[live]
+    i, j = np.zeros(len(live)), np.ones(len(live))
+    brackets = [np.empty((5, 0))]
+    while len(live):
+        tj = t0[live] + span[live] * (j / _MARCH_STEPS)
+        fj = f(live, tj)
+        crossed = fj <= 0
+        brackets.append(np.stack([live, ti, tj, fi, fj])[:, crossed])
+        slope = (fj - fi) / (j - i)
+        go = ~crossed & (fj + slope * (_MARCH_STEPS - j) <= 0)
+        # the first sample the chord does not prove outside, rounded toward j
+        step = np.maximum(1.0, np.ceil(fj[go] / -slope[go] - 1e-9))
+        live, i, ti, fi, j = live[go], j[go], tj[go], fj[go], j[go] + step
+    return np.hstack(brackets)
+
+
+def _refine(f, rays, a, b, fa, fb) -> np.ndarray:
+    """Midpoints of brackets a < b (f(a) > 0 >= f(b)) narrowed below ``_REFINE_TOL``.
+
+    Illinois steps (Dowell & Jarratt 1971): the secant point of the bracket
+    replaces the end of its sign, and an end kept twice in a row has its value
+    halved. A bracket still too wide after ``_ILLINOIS_STEPS`` finishes by
+    halvings. A point where f is exactly 0 closes its bracket.
+    """
+    last = np.zeros(len(a), dtype=np.int8)  # the end the last step replaced: 1 b, -1 a
+    act = np.nonzero(b - a >= _REFINE_TOL)[0]
+    for _ in range(_ILLINOIS_STEPS):
+        if not len(act):
+            break
+        aa, bb, ffa, ffb = a[act], b[act], fa[act], fb[act]
+        c = bb - ffb * (bb - aa) / (ffb - ffa)
+        fc = f(rays[act], c)
+        neg, pos = fc <= 0, fc >= 0
+        a[act], b[act] = np.where(pos, c, aa), np.where(neg, c, bb)
+        fa[act] = np.where(pos, fc, np.where(last[act] == 1, 0.5 * ffa, ffa))
+        fb[act] = np.where(neg, fc, np.where(last[act] == -1, 0.5 * ffb, ffb))
+        last[act] = np.where(neg, 1, -1)
+        act = act[b[act] - a[act] >= _REFINE_TOL]
+    while len(act):
+        mid = 0.5 * (a[act] + b[act])
+        neg = f(rays[act], mid) <= 0
+        a[act], b[act] = np.where(neg, a[act], mid), np.where(neg, mid, b[act])
+        act = act[b[act] - a[act] >= _REFINE_TOL]
+    return 0.5 * (a + b)
 
 
 _INTERSECTORS = {

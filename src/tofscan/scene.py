@@ -130,15 +130,33 @@ class ScenePrimitive:
         """
         if self.shape != "superellipsoid":
             return self.sdf_local(x, y, z)
-        a, b, c, e1, e2 = self.params
-        return (((np.abs(x) / a) ** (2 / e2) + (np.abs(y) / b) ** (2 / e2)) ** (e2 / e1)
-                + (np.abs(z) / c) ** (2 / e1) - 1.0)
+        return self._outer(self._power(x, 0), self._power(y, 1), self._power(z, 2))
 
     def implicit_differences(self, x, y, z, h: float) -> list:
         """Central differences f(p + h e_i) - f(p - h e_i) of ``implicit_local``, i = x, y, z."""
-        f = self.implicit_local
-        return [f(x + h, y, z) - f(x - h, y, z), f(x, y + h, z) - f(x, y - h, z),
-                f(x, y, z + h) - f(x, y, z - h)]
+        if self.shape != "superellipsoid":
+            f = self.implicit_local
+            return [f(x + h, y, z) - f(x - h, y, z), f(x, y + h, z) - f(x, y - h, z),
+                    f(x, y, z + h) - f(x, y, z - h)]
+        # the terms at p are taken once, and so is the outer power of the z
+        # difference: the bits of the six calls from 9 inner and 5 outer powers
+        e1, e2 = self.params[3:]
+        px, py, pz = self._power(x, 0), self._power(y, 1), self._power(z, 2)
+        dx = (self._outer(self._power(x + h, 0), py, pz)
+              - self._outer(self._power(x - h, 0), py, pz))
+        dy = (self._outer(px, self._power(y + h, 1), pz)
+              - self._outer(px, self._power(y - h, 1), pz))
+        mid = (px + py) ** (e2 / e1)
+        return [dx, dy, (mid + self._power(z + h, 2) - 1.0) - (mid + self._power(z - h, 2) - 1.0)]
+
+    def _power(self, v, axis: int):
+        """The superellipsoid term of one coordinate: (|v| / size) ** (2 / e2), e1 for z."""
+        return (np.abs(v) / self.params[axis]) ** (2 / self.params[3 if axis == 2 else 4])
+
+    def _outer(self, px, py, pz):
+        """The superellipsoid's implicit value from its three terms."""
+        e1, e2 = self.params[3:]
+        return (px + py) ** (e2 / e1) + pz - 1.0
 
     # -- world-frame helpers ---------------------------------------------
 

@@ -14,8 +14,9 @@ from tofscan.geometry import DEPTH_SCALE, CameraIntrinsics, RigidTransform
 from tofscan.render import (SensorModel, apply_interference, apply_tof_noise, box_rectangle,
                             observe_tags, render, rig_from_list, rig_to_list)
 from tofscan.rigs import cattle_rig, known_object_rig, look_at
-from tofscan.scene import (BOX_CORNERS, Scene, box, capsule, cube_tag_layout, cylinder,
-                           make_animal_model, make_known_object_scene, superellipsoid)
+from tofscan.scene import (BOX_CORNERS, Scene, ScenePrimitive, box, capsule, cube_tag_layout,
+                           cylinder, make_animal_model, make_known_object_scene,
+                           superellipsoid)
 
 INTR = CameraIntrinsics(fx=600, fy=600, cx=320, cy=240, width=640, height=480)
 CAM = SensorModel(0, INTR, RigidTransform.identity())
@@ -233,6 +234,102 @@ class TestCulling:
         else:
             u0, u1, v0, v1 = rect
             assert np.all((u0 <= u) & (u <= u1) & (v0 <= v) & (v <= v1)), rect
+
+
+# the two superellipsoids of the animal, and the extreme exponents on the body's sizes
+MARCH_PRIMS = {
+    "body": superellipsoid(0.95, 0.36, 0.46, 0.7, 0.9),
+    "head": superellipsoid(0.24, 0.14, 0.17, 1.0, 1.0),
+    "boxy": superellipsoid(0.95, 0.36, 0.46, 0.1, 2.0),
+    "diamond": superellipsoid(0.95, 0.36, 0.46, 2.0, 2.0),
+}
+# local-frame eyes, each aimed at a point near the centre
+MARCH_VIEWS = (((2.5, 1.7, 0.8), (0, 0, 0)), ((0.3, -2.0, -0.1), (0.1, 0, 0.05)),
+               ((-0.2, 0.1, 2.5), (0, 0, 0)), ((3.0, 0.0, 0.0), (0, 0, 0)))
+
+
+def _ray_grid(eye, at, n=64, half_width=0.45):
+    """An n x n grid of (x, y, 1) camera rays at ``eye``, aimed at ``at``, in the local frame."""
+    u = np.linspace(-half_width, half_width, n)
+    uu, vv = np.meshgrid(u, u)
+    d = np.stack([uu.ravel(), vv.ravel(), np.ones(n * n)], axis=1)
+    return np.asarray(eye, dtype=np.float64), look_at(eye, at).apply_direction(d)
+
+
+def _box_rays(prim, o, d):
+    """Indices of the rays that meet the primitive's box in front of the origin."""
+    t_near, t_far = render_module._slab_interval(o, d, prim.local_bounds())
+    return np.nonzero((t_near <= t_far) & (t_far > 1e-6))[0]
+
+
+def _reference_march(prim, o, d):
+    """Every one of the 64 steps across the box, the first crossing, then 25 halvings."""
+    t_near, t_far = render_module._slab_interval(o, d, prim.local_bounds())
+    idx = _box_rays(prim, o, d)
+    t0 = np.maximum(t_near[idx], 1e-6)
+    ts = t0[:, None] + (t_far[idx] - t0)[:, None] * (np.arange(65) / 64)
+    f = prim.implicit_local(*(o + ts[..., None] * d[idx, None]).transpose(2, 0, 1))
+    cross = (f[:, :-1] > 0) & (f[:, 1:] <= 0)
+    rows = np.nonzero(cross.any(axis=1))[0]
+    k = cross[rows].argmax(axis=1)
+    lo, hi = ts[rows, k], ts[rows, k + 1]
+    for _ in range(25):
+        mid = 0.5 * (lo + hi)
+        inside = prim.implicit_local(*(o + mid[:, None] * d[idx[rows]]).T) <= 0
+        lo, hi = np.where(inside, lo, mid), np.where(inside, mid, hi)
+    t = np.full(len(d), np.inf)
+    t[idx[rows]] = 0.5 * (lo + hi)
+    return t
+
+
+def _evaluations(prim, o, d, monkeypatch):
+    """Points at which intersecting each ray alone evaluates ``implicit_local``."""
+    count = [0]
+    evaluate = ScenePrimitive.implicit_local
+
+    def counted(self, x, y, z):
+        count[0] += np.size(x)
+        return evaluate(self, x, y, z)
+
+    monkeypatch.setattr(ScenePrimitive, "implicit_local", counted)
+    costs = []
+    for r in range(len(d)):
+        count[0] = 0
+        render_module._intersect_superellipsoid(prim, o, d[r:r + 1])
+        costs.append(count[0])
+    return np.array(costs)
+
+
+class TestSuperellipsoidMarch:
+    @pytest.mark.parametrize("name", list(MARCH_PRIMS))
+    def test_matches_the_full_march(self, name):
+        """The same rays hit as with every step and halving, each within 1e-9 m."""
+        prim = MARCH_PRIMS[name]
+        for eye, at in MARCH_VIEWS:
+            o, d = _ray_grid(eye, at)
+            want = _reference_march(prim, o, d)
+            got = render_module._intersect_superellipsoid(prim, o, d)
+            hit = np.isfinite(want)
+            assert 0 < hit.sum() < len(_box_rays(prim, o, d))  # hits and box-crossing misses
+            assert np.array_equal(np.isfinite(got), hit)
+            assert np.abs(got[hit] - want[hit]).max() <= 1e-9
+
+    @pytest.mark.parametrize("name", ["body", "head"])
+    def test_a_miss_through_the_box_costs_at_most_12_evaluations(self, name, monkeypatch):
+        prim = MARCH_PRIMS[name]
+        for eye, at in MARCH_VIEWS:
+            o, d = _ray_grid(eye, at, n=32)
+            miss = np.setdiff1d(_box_rays(prim, o, d),
+                                np.nonzero(np.isfinite(_reference_march(prim, o, d)))[0])
+            costs = _evaluations(prim, o, d[miss], monkeypatch)
+            assert len(costs) and costs.max() <= 12
+
+    def test_a_ray_that_starts_inside_costs_one_evaluation(self, monkeypatch):
+        prim = MARCH_PRIMS["body"]
+        o, d = _ray_grid((0.2, -0.1, 0.1), (1.0, 0.3, 0.2), n=8, half_width=2.0)
+        assert prim.implicit_local(*o) < 0
+        assert np.isinf(render_module._intersect_superellipsoid(prim, o, d)).all()
+        assert (_evaluations(prim, o, d, monkeypatch) == 1).all()
 
 
 class TestNoise:

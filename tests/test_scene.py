@@ -53,6 +53,19 @@ class TestPrimitives:
         d = e.sdf_local(np.array([0.31, 0.29]), 0.0, 0.0)
         np.testing.assert_allclose(d, [0.01, -0.01], atol=2e-3)
 
+    @pytest.mark.parametrize("e1, e2", [(0.7, 0.9), (1.0, 1.0), (0.1, 2.0), (2.0, 2.0)])
+    def test_superellipsoid_differences_equal_six_evaluations(self, rng, e1, e2):
+        """The shared-power differences are those of six implicit_local calls, bit for bit."""
+        p = superellipsoid(0.3, 0.2, 0.25, e1, e2)
+        f, h = p.implicit_local, 1e-6
+        cols = rng.uniform(-0.4, 0.4, (3, 2000))
+        axes = (cols[0, :20, None, None], cols[1, None, :30, None], cols[2, None, None, :10])
+        for x, y, z in (cols, axes):
+            six = [f(x + h, y, z) - f(x - h, y, z), f(x, y + h, z) - f(x, y - h, z),
+                   f(x, y, z + h) - f(x, y, z - h)]
+            for got, want in zip(p.implicit_differences(x, y, z, h), six):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_world_bounds_cover_posed_primitive(self, rng):
         pose = RigidTransform.from_axis_angle((1, 1, 0), 0.7, (1, 2, 3))
         b = box((0.2, 0.3, 0.4), pose=pose)

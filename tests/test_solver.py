@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy import fft
 
 from tofscan import solver
 from tofscan.solver import SolverError, apply_neg_laplacian, solve_poisson_grid
@@ -22,8 +27,8 @@ def test_operator_is_symmetric_positive_definite():
     assert np.linalg.eigvalsh(a).min() > 0
 
 
-def test_matches_dense_solve(rng):
-    shape = (5, 4, 6)
+@pytest.mark.parametrize("shape", [(5, 4, 6), (6, 4, 2)])  # the second: every n + 1 prime
+def test_matches_dense_solve(rng, shape):
     spacing = 0.15
     a = dense_neg_laplacian(shape, spacing)
     b = rng.standard_normal(shape)
@@ -57,6 +62,36 @@ def test_solve_does_not_depend_on_the_worker_count(rng, workers):
         workers(n)
         out[n] = solve_poisson_grid(b, 0.01)[0].tobytes()
     assert out[0] == out[2]
+
+
+@pytest.mark.parametrize("shape", [(6, 12, 4), (3, 192, 5)])  # every n + 1 prime
+def test_sine_products_match_scipy_dstn(rng, shape):
+    x = rng.standard_normal(shape)
+    want = fft.dstn(x, type=1)
+    got = solver._dst1(x, [solver._sine_matrix(n) for n in shape])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+_SOLVE_SHA = """
+import hashlib
+import numpy as np
+from tofscan.solver import solve_poisson_grid
+b = np.random.default_rng(3).standard_normal((40, 97, 33))
+print(hashlib.sha256(solve_poisson_grid(b, 0.01)[0].tobytes()).hexdigest())
+"""
+
+
+def test_solve_does_not_depend_on_the_blas_thread_count():
+    """The solve's sha256 in two interpreters, with BLAS on one thread and on two."""
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),  # this process's tofscan
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", _SOLVE_SHA], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_zero_rhs_short_circuits():
