@@ -9,9 +9,9 @@ TRIGGER then applies that trigger's noise and interference to it. The client
 connects to every device, pushes the capture schedule, triggers all devices
 concurrently, and later fetches the stored frames, verifying CRC-32 integrity;
 a failed CONFIGURE or FETCH names its endpoint. A request with a malformed
-payload gets BAD_REQUEST and leaves the server's schedule, state and frames as
-they were. A server handles one connection at a time; the rig has exactly one
-client.
+payload, or a schedule naming a device outside the server's rig, gets
+BAD_REQUEST and leaves the server's schedule, state and frames as they were.
+A server handles one connection at a time; the rig has exactly one client.
 """
 
 from __future__ import annotations
@@ -129,11 +129,17 @@ class DeviceServer:
 
     # -- service loop -----------------------------------------------------
 
-    def _bind(self, host: str, port: int) -> socket.socket:
+    def start_background(self, host: str = "127.0.0.1", port: int = 0) -> threading.Thread:
+        """Bind, then serve until :meth:`stop` in a daemon thread, one connection at a
+        time; returns once the port is bound and logged."""
         srv = socket.create_server((host, port), backlog=1)  # closed if bind fails
         srv.settimeout(0.2)  # poll the stop flag between accepts
         self.port = srv.getsockname()[1]
-        return srv
+        logger.info("device %d serving on %s:%d", self.device_id, host, self.port)
+        t = threading.Thread(target=self._accept_loop, args=(srv,),
+                             daemon=True, name=f"device-{self.device_id}")
+        t.start()
+        return t
 
     def _accept_loop(self, srv: socket.socket) -> None:
         try:
@@ -147,20 +153,6 @@ class DeviceServer:
                     self._serve_connection(conn)
         finally:
             srv.close()
-
-    def serve_forever(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        """Bind and serve until :meth:`stop`; accepts one connection at a time."""
-        srv = self._bind(host, port)
-        logger.info("device %d serving on %s:%d", self.device_id, host, self.port)
-        self._accept_loop(srv)
-
-    def start_background(self, host: str = "127.0.0.1", port: int = 0) -> threading.Thread:
-        """Spawn the service loop in a daemon thread; returns once the port is bound."""
-        srv = self._bind(host, port)
-        t = threading.Thread(target=self._accept_loop, args=(srv,),
-                             daemon=True, name=f"device-{self.device_id}")
-        t.start()
-        return t
 
     def stop(self) -> None:
         self._stop.set()
@@ -205,6 +197,11 @@ class DeviceServer:
         if msg.kind is MessageKind.CONFIGURE:
             schedule = _read_payload(msg, lambda d, p: CaptureSchedule.from_json_dict(
                 get(d, p, "schedule", "object"), f"{p}.schedule"), _bad_request)
+            rig_ids = {s.device_id for s in self.rig}
+            outside = [d for d in schedule.device_order if d not in rig_ids]
+            if outside:
+                raise _bad_request(f"CONFIGURE.schedule.device_order: devices {outside} "
+                                   f"are not in this server's rig")
             if self.device_id not in schedule.device_order:
                 raise DeviceError(ErrorCode.BAD_REQUEST,
                                   f"device {self.device_id} missing from schedule")
@@ -312,7 +309,6 @@ class ScanClient:
 
     def __init__(self, timeout_s: float = DEFAULT_TIMEOUT_S):
         self.timeout_s = timeout_s
-        self._next_cattle_id = 1
         self.next_session = 1  # tofscan scan starts it after the sessions in its --out
 
     def _request(self, endpoint: str, msg: Message) -> Message:
@@ -350,16 +346,13 @@ class ScanClient:
                     raise _with_endpoint(ep, e) from e
 
     def trigger_scan(self, endpoints: list[str], schedule: CaptureSchedule,
-                     cattle_id: str | None = None, frame_id: int = 0,
+                     cattle_id: str = "", frame_id: int = 0,
                      seed: int = 0) -> ScanSession:
         """Fire TRIGGER at every device concurrently and assemble the manifest.
 
         Unreachable or erroring devices are recorded per endpoint; the session
         is kept (marked incomplete) rather than discarded.
         """
-        if cattle_id is None:
-            cattle_id = str(self._next_cattle_id)
-            self._next_cattle_id += 1
         session_id = f"scan{self.next_session:04d}"
         self.next_session += 1
         session = ScanSession(session_id, cattle_id, schedule)
@@ -372,15 +365,14 @@ class ScanClient:
                 *(get(d, p, k, "integer") for k in ("device_id", "frame_id", "depth_bytes",
                                                      "color_bytes", "crc32")), ep))
 
-        if endpoints:
-            with ThreadPoolExecutor(max_workers=len(endpoints)) as pool:
-                futures = {ep: pool.submit(one, ep) for ep in endpoints}
-                for ep, fut in futures.items():
-                    try:
-                        session.manifest.append(fut.result())
-                    except (OSError, DeviceError, ProtocolError) as e:
-                        logger.warning("trigger failed for %s: %s", ep, e)
-                        session.failed[ep] = str(e)
+        with ThreadPoolExecutor(max_workers=max(1, len(endpoints))) as pool:
+            futures = {ep: pool.submit(one, ep) for ep in endpoints}
+            for ep, fut in futures.items():
+                try:
+                    session.manifest.append(fut.result())
+                except (OSError, DeviceError, ProtocolError) as e:
+                    logger.warning("trigger failed for %s: %s", ep, e)
+                    session.failed[ep] = str(e)
         session.manifest.sort(key=lambda e: e.device_id)
         return session
 

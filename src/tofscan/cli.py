@@ -34,7 +34,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("scan", help="trigger a scan against running servers")
     p.add_argument("--endpoints", required=True, help="comma-separated host:port list")
-    p.add_argument("--cattle-id", default=None)
+    p.add_argument("--cattle-id", default="")
     p.add_argument("--delay-us", type=int, default=160)
     p.add_argument("--exposure-us", type=int, default=125)
     p.add_argument("--seed", type=int, default=0)
@@ -97,7 +97,7 @@ def _cmd_serve(args) -> int:
     server = DeviceServer(args.device_id, sensors[args.device_id],
                           scene=_read(load_scene, args.scene), rig=rig)
     try:
-        server.serve_forever(args.host, args.port)
+        server.start_background(args.host, args.port).join()
     except KeyboardInterrupt:
         pass
     except OSError as e:  # the port is taken, the host is not this machine's, ...
@@ -147,7 +147,8 @@ def _cmd_scan(args) -> int:
     except failures as e:
         print(f"FETCH failed for {session.session_id}: {e}", file=sys.stderr)
         return 1
-    print(f"{session.session_id}: cattle {session.cattle_id}, "
+    cattle = f"cattle {session.cattle_id}, " if session.cattle_id else ""
+    print(f"{session.session_id}: {cattle}"
           f"{len(session.manifest)} devices, {len(paths)} files under {out}")
     return 0
 
@@ -211,9 +212,10 @@ def _cmd_register(args) -> int:
         raise _InputError(f"no per-device clouds under {session}/clouds")
     calibration = session / "calibration.json"
     order, params, fiducials = _read(load_calibration, calibration)
-    if not order or not set(order) <= set(clouds):
+    if set(order) != set(clouds):
         raise _InputError(f"cannot read {calibration}: calibration.order: {order} does not "
-                          f"name devices with a cloud under {session}/clouds")
+                          f"name each of the devices {sorted(clouds)} with a cloud under "
+                          f"{session}/clouds")
     graph = register_rig(clouds, fiducials, params, order)
     save_pose_graph(session / "poses.json", graph)
     merged = merge_clouds(clouds, graph, dedup_voxel=params.voxel_sizes[-1] / 2)
@@ -245,18 +247,16 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_measure(args) -> int:
     from .formats import read_ply
     from .geometry import PointCloud
-    from .metrology import surface_area, volume
-    from .reconstruction import is_watertight
+    from .metrology import NotWatertightError, surface_area, volume
 
     mesh = _read(read_ply, args.mesh)
     if isinstance(mesh, PointCloud):
         raise _InputError(f"{args.mesh} is a point-cloud PLY, not a mesh")
-    ok, boundary = is_watertight(mesh)
     print(f"surface_area_m2 {surface_area(mesh):.6f}")
-    if ok:
+    try:
         print(f"volume_m3 {volume(mesh):.8f}")
-    else:
-        print(f"volume_m3 undefined (not watertight, {boundary} boundary edges)")
+    except NotWatertightError as e:
+        print(f"volume_m3 undefined (not watertight, {e.boundary_edges} boundary edges)")
     return 0
 
 

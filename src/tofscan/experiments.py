@@ -115,29 +115,26 @@ class ExperimentReport:
                 f"{len(self.runs)} runs, {len(self.failed_runs)} failed")
 
 
-def _measured_run(cfg: RunConfig) -> MeshMeasurements:
-    """One study run's measurements; a run with a diverged registration edge fails.
-
-    ``run_pipeline`` merges only the devices reachable along the chain, so such
-    a run would measure part of the object.
-    """
-    result = run_pipeline(cfg)
-    if result.graph.failed_edges:
-        raise PipelineError("registration",
-                            RuntimeError(f"diverged edges {result.graph.failed_edges}"))
-    return result.measurements
-
-
 def _study(object_id: str, reference: MeshMeasurements, cfgs) -> ExperimentReport:
-    """One measured run per config, in order; a failed run is logged and recorded by seed."""
+    """One measured run per config, in order; a failed run is logged and recorded by seed.
+
+    A run with a diverged registration edge fails too: ``run_pipeline`` merges
+    only the devices reachable along the chain, so it would measure part of the object.
+    """
     runs, seeds, failed = [], [], []
     for cfg in cfgs:
         try:
-            runs.append(_measured_run(cfg))
-            seeds.append(cfg.seed)
+            result = run_pipeline(cfg)
+            edges = result.graph.failed_edges
+            reason = f"diverged edges {edges}" if edges else ""
         except PipelineError as e:
-            logger.warning("%s run seed %d failed: %s", object_id, cfg.seed, e)
-            failed.append((cfg.seed, str(e)))
+            reason = str(e)
+        if reason:
+            logger.warning("%s run seed %d failed: %s", object_id, cfg.seed, reason)
+            failed.append((cfg.seed, reason))
+        else:
+            runs.append(result.measurements)
+            seeds.append(cfg.seed)
     return ExperimentReport(object_id, runs, seeds, reference, failed)
 
 

@@ -8,6 +8,7 @@ registered them, and optional uchar RGB.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,31 +24,24 @@ __all__ = [
 ]
 
 
+# after the magic: width, height and maxval as ASCII decimal tokens, each ended by
+# whitespace, with whitespace or '#' comment lines before each; one whitespace byte ends it
+_GAP = rb"(?:\s|#[^\n]*\n)"
+_PNM_HEADER = re.compile(rb"%s*(-?\d+)\s%s*(-?\d+)\s%s*(\d+)\s" % (_GAP, _GAP, _GAP))
+
+
 def _read_pnm_header(buf: bytes, magic: bytes):
-    """Parse 'P5'/'P6' header tokens, skipping '#' comments; returns (w, h, maxval, offset)."""
+    """Parse a 'P5'/'P6' header; returns (w, h, maxval, offset of the first sample)."""
     if not buf.startswith(magic):
         raise ValueError(f"not a {magic.decode()} file (got {buf[:2]!r})")
-    tokens = []
-    i = len(magic)
-    while len(tokens) < 3:
-        if i >= len(buf):
-            raise ValueError("truncated PNM header")
-        c = buf[i:i + 1]
-        if c == b"#":
-            while i < len(buf) and buf[i:i + 1] != b"\n":
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(buf) and not buf[j:j + 1].isspace():
-                j += 1
-            tokens.append(int(buf[i:j]))
-            i = j
-    w, h, maxval = tokens
+    m = _PNM_HEADER.match(buf, len(magic))
+    if m is None:
+        raise ValueError("malformed or truncated PNM header: expected width, height and "
+                         "maxval as decimal numbers, then one whitespace byte")
+    w, h, maxval = map(int, m.groups())
     if w < 0 or h < 0:
         raise ValueError(f"negative PNM size {w}x{h}")
-    return w, h, maxval, i + 1  # single whitespace after maxval
+    return w, h, maxval, m.end()
 
 
 def _encode_pnm(magic: str, data: np.ndarray) -> bytes:

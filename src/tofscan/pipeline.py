@@ -67,11 +67,18 @@ class RunConfig:
     resolution: int = 128
     cube_edge: float = 0.5
     cube_tags_per_face: int = 1
-    chain_order: tuple | None = None         # defaults to rig device-id order
+    chain_order: tuple | None = None         # every rig device once; None is id order
     out_dir: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "rig", tuple(self.rig))
+        ids = sorted(s.device_id for s in self.rig)
+        order = tuple(ids if self.chain_order is None else self.chain_order)
+        # a partial chain would merge, and measure, part of the target
+        if sorted(order) != ids:
+            raise ValueError(f"chain_order {order} does not name each of the rig's "
+                             f"devices {ids} once")
+        object.__setattr__(self, "chain_order", order)
 
 
 @dataclass
@@ -142,7 +149,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         lambda dev: _device_cloud(out, capture.frames[dev], sensors[dev]), device_ids)))
 
     fiducials = _stage("calibration", _calibration_observations, cfg)
-    order = list(cfg.chain_order) if cfg.chain_order is not None else device_ids
+    order = list(cfg.chain_order)
     graph = _stage("registration", register_rig, clouds, fiducials, cfg.registration, order)
 
     # the merged cloud keeps each device's raster normals, averaged per voxel

@@ -60,8 +60,9 @@ class DegenerateConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """ICP found no usable correspondences at some scale, a level of fewer than 2
-    points, or ended below fitness ``_MIN_FITNESS``; carries the initial transform."""
+    """ICP found a level of fewer than 2 points, no usable correspondences at some
+    scale, or fitness below ``_MIN_FITNESS`` at the start of its coarsest scale or at
+    its end; carries the initial transform."""
 
     def __init__(self, msg: str, init: RigidTransform):
         super().__init__(msg)

@@ -191,29 +191,38 @@ class TestServerStateMachine:
         assert frame.kind is MessageKind.FRAME
         assert len(server.frames) == 1
 
-    @pytest.mark.parametrize("kind, payload", [
-        ("CONFIGURE", {}),
-        ("CONFIGURE", {"schedule": {"device_order": [0, 1], "delay_us": 160}}),
-        ("CONFIGURE", ["schedule"]),
-        ("CONFIGURE", b"{not json"),
-        ("CONFIGURE", {"schedule": build_schedule([1, 2], 160, 125).to_json_dict()}),
-        ("CONFIGURE", {"schedule": {"device_order": [0, 1], "delay_us": 1.9, "exposure_us": 125}}),
+    @pytest.mark.parametrize("kind, payload, named", [
+        ("CONFIGURE", {}, "CONFIGURE: missing key 'schedule'"),
+        ("CONFIGURE", {"schedule": {"device_order": [0, 1], "delay_us": 160}},
+         "CONFIGURE.schedule: missing key 'exposure_us'"),
+        ("CONFIGURE", ["schedule"], "CONFIGURE: expected object"),
+        ("CONFIGURE", b"{not json", "malformed JSON payload in CONFIGURE"),
+        ("CONFIGURE", {"schedule": build_schedule([1, 2], 160, 125).to_json_dict()},
+         "device 0 missing from schedule"),
+        ("CONFIGURE", {"schedule": build_schedule([0, 1, 42], 160, 125).to_json_dict()},
+         "CONFIGURE.schedule.device_order: devices [42] are not in this server's rig"),
+        ("CONFIGURE", {"schedule": {"device_order": [0, 1], "delay_us": 1.9, "exposure_us": 125}},
+         "CONFIGURE.schedule.delay_us: expected integer, got float"),
         ("CONFIGURE", {"schedule": {"device_order": [0, 1], "delay_us": "160",
-                                    "exposure_us": 125}}),
+                                    "exposure_us": 125}},
+         "CONFIGURE.schedule.delay_us: expected integer, got str"),
         ("CONFIGURE", {"schedule": {"device_order": [0, 1], "delay_us": True,
-                                    "exposure_us": 125}}),
-        ("TRIGGER", {}),
-        ("TRIGGER", {"frame_id": "1"}),
-        ("TRIGGER", {"frame_id": 1, "seed": 0.5}),
-        ("FETCH", {}),
-        ("FETCH", {"frame_id": 1.5}),
+                                    "exposure_us": 125}},
+         "CONFIGURE.schedule.delay_us: expected integer, got bool"),
+        ("TRIGGER", {}, "TRIGGER: missing key 'frame_id'"),
+        ("TRIGGER", {"frame_id": "1"}, "TRIGGER.frame_id: expected integer"),
+        ("TRIGGER", {"frame_id": 1, "seed": 0.5}, "TRIGGER.seed: expected integer"),
+        ("FETCH", {}, "FETCH: missing key 'frame_id'"),
+        ("FETCH", {"frame_id": 1.5}, "FETCH.frame_id: expected integer"),
     ], ids=["configure-no-schedule", "configure-schedule-lacks-key", "configure-not-object",
-            "configure-not-json", "configure-omits-device", "configure-delay-float",
-            "configure-delay-string", "configure-delay-bool", "trigger-no-frame-id",
-            "trigger-frame-id-string", "trigger-seed-float", "fetch-no-frame-id",
-            "fetch-frame-id-float"])
-    def test_malformed_payload_is_bad_request_and_changes_nothing(self, setup, kind, payload):
-        """BAD_REQUEST, the server as it was, then the same connection serves a valid request."""
+            "configure-not-json", "configure-omits-device", "configure-device-outside-rig",
+            "configure-delay-float", "configure-delay-string", "configure-delay-bool",
+            "trigger-no-frame-id", "trigger-frame-id-string", "trigger-seed-float",
+            "fetch-no-frame-id", "fetch-frame-id-float"])
+    def test_malformed_payload_is_bad_request_and_changes_nothing(self, setup, kind, payload,
+                                                                  named):
+        """BAD_REQUEST with a reason that starts ``named``, the server as it was, then the
+        same connection serves a valid request."""
         scene, rig = setup
         server = DeviceServer(0, rig[0], scene=scene, rig=rig)
         server.start_background()
@@ -236,6 +245,7 @@ class TestServerStateMachine:
                 reply = ask(bad)
                 assert reply.kind is MessageKind.ERROR
                 assert payload_json(reply)["code"] == ErrorCode.BAD_REQUEST
+                assert payload_json(reply)["reason"].startswith(named)
                 assert (server.schedule, server.state, server.frames) == before
                 assert ask(valid[kind]).kind is not MessageKind.ERROR
         finally:
@@ -394,19 +404,6 @@ class TestLoopback:
         assert not session.complete
         assert session.manifest == []
         assert "127.0.0.1:1" in session.failed
-
-    def test_auto_cattle_ids_are_consecutive(self, setup, servers):
-        scene, rig = setup
-        eps = endpoints_of(servers)[:2]
-        client = ScanClient()
-        sched = build_schedule([servers[0].device_id, servers[1].device_id], 160, 125)
-        client.configure_all(eps, sched)
-        ids = []
-        for _ in range(3):
-            client.configure_all(eps, sched)  # re-arm after captured state
-            s = client.trigger_scan(eps, schedule=sched)
-            ids.append(int(s.cattle_id))
-        assert ids == [ids[0], ids[0] + 1, ids[0] + 2]
 
     def test_corrupted_frame_fails_integrity(self, setup, servers, tmp_path):
         scene, rig = setup

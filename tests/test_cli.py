@@ -7,6 +7,7 @@ import socket
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,7 +42,8 @@ def test_measure_open_mesh(tmp_path, capsys):
     path = tmp_path / "open.ply"
     write_ply(path, TriangleMesh(mesh.vertices, mesh.triangles[:-2]))
     assert main(["measure", "--mesh", str(path)]) == 0
-    assert "not watertight" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        "surface_area_m2 5.000000", "volume_m3 undefined (not watertight, 4 boundary edges)"]
 
 
 @pytest.mark.parametrize("command, flag, kind", [("measure", "--mesh", "point-cloud"),
@@ -233,9 +235,10 @@ def test_serve_and_scan_loopback(tmp_path, capsys):
             s.stop()
 
 
-def test_scan_against_serve_processes(tmp_path):
+def test_scan_against_serve_processes(tmp_path, capsys):
     """Two ``tofscan serve`` processes, one per device as on the rig: a scan fetches each
-    device's ``corrupt_device_frame`` bytes, and Ctrl-C (SIGINT) ends each with status 0."""
+    device's ``corrupt_device_frame`` bytes, and Ctrl-C (SIGINT) ends each with status 0.
+    A scan without --cattle-id records no cattle id and names none."""
     rig = known_object_rig()[:2]
     rig_path, scene_path = tmp_path / "rig.json", tmp_path / "scene.json"
     save_rig(rig_path, rig)
@@ -255,6 +258,8 @@ def test_scan_against_serve_processes(tmp_path):
         out_dir = tmp_path / "scan"
         assert main(["scan", "--endpoints", ",".join(endpoints), "--delay-us", "0",
                      "--seed", "5", "--out", str(out_dir)]) == 0
+        assert json.loads((out_dir / "scan0001.json").read_text())["cattle_id"] == ""
+        assert capsys.readouterr().out.startswith("scan0001: 2 devices, 4 files under ")
         schedule = build_schedule([s.device_id for s in rig], 0)
         fetched = out_dir / "scan0001"
         for s in rig:
@@ -622,6 +627,8 @@ _SQUARE = [0, 0, 1, 0.1, 0, 1, 0.1, 0.1, 1, 0, 0.1, 1]
     (None, "No such file"),
     ({"order": [0, 5], "voxel_sizes": [0.04], "fiducials": {"0": {}, "5": {}}},
      "calibration.order"),
+    ({"order": [0], "voxel_sizes": [0.04], "fiducials": {"0": {}}},
+     "calibration.order: [0] does not name each of the devices [0, 1]"),
     ({"order": [0, 1, 0], "voxel_sizes": [0.04], "fiducials": {"0": {}, "1": {}}},
      "calibration.order: [0, 1, 0] names a device twice"),
     ({"order": [0, 1], "voxel_sizes": [0.04], "fiducials": {"0": {}}},
@@ -630,7 +637,8 @@ _SQUARE = [0, 0, 1, 0.1, 0, 1, 0.1, 0.1, 1, 0, 0.1, 1]
      "calibration.fiducials.1.3: expected 12 numbers"),
     ({"order": [0, 1], "voxel_sizes": [0.04], "fiducials": {"0": {"x": _SQUARE}, "1": {}}},
      "calibration.fiducials.0.x: "),
-], ids=["missing", "order-without-cloud", "repeated-device", "device-without-tags",
+], ids=["missing", "order-without-cloud", "cloud-without-order", "repeated-device",
+        "device-without-tags",
         "nine-numbers", "tag-id"])
 def test_register_bad_calibration_named(tmp_path, capsys, rng, calibration, named):
     """A calibration.json that is missing or holds a defect: one stderr line naming the
@@ -745,19 +753,20 @@ def test_mutated_config_is_taken_or_names_its_key(kind, doc):
     mutate()
 
 
-def test_experiment_with_every_run_failed_exits_1(tmp_path, capsys, monkeypatch):
-    """A study left with no successful run is named on stderr, exit 1, and no CSV is written."""
+def test_experiment_with_every_run_failed_exits_1(tmp_path, capsys, caplog, monkeypatch):
+    """A study left with no successful run is named on stderr, exit 1, and no CSV is written;
+    a run whose registration left a diverged edge is one such failed run."""
     import tofscan.experiments as experiments
-    from tofscan.pipeline import PipelineError
 
     def diverged(cfg):
-        raise PipelineError("registration", RuntimeError("diverged edges [(0, 1)]"))
+        return SimpleNamespace(graph=SimpleNamespace(failed_edges=[(0, 1)]))
 
-    monkeypatch.setattr(experiments, "_measured_run", diverged)
+    monkeypatch.setattr(experiments, "run_pipeline", diverged)
     config = tmp_path / "overrides.json"
     config.write_text(json.dumps({"runs": 1, "orientations": 1}))
     out = tmp_path / "report.csv"
     assert main(["experiment", "known-object", "--config", str(config), "--out", str(out)]) == 1
     err = [line for line in capsys.readouterr().err.splitlines() if "every run failed" in line]
     assert len(err) == 1 and "cylinder" in err[0] and "box-large" in err[0]
+    assert "box-large run seed 0 failed: diverged edges [(0, 1)]" in caplog.text
     assert not out.exists()

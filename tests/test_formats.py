@@ -27,6 +27,36 @@ def test_pgm16_header_and_comment_handling():
     assert img.width == 2 and img.data.tolist() == [[1, 2]]
 
 
+@pytest.mark.parametrize("header, decodes", [
+    (b"P5\n2 1\n65535\n", True),
+    (b"P5\n# a comment\n2 1\n65535\n", True),
+    (b"P5# a comment\n2 1\n65535\n", True),
+    (b"P5\n2\n# a comment\n1\n65535\n", True),
+    (b"P5\n2 1\n# a comment\n65535\n", True),
+    (b"P5\t2  \t1   65535\n", True),
+    (b"P5\r\n2 1\r\n65535\n", True),
+    (b"P52 1 65535\n", True),
+    (b"P5\n2# a comment\n1\n65535\n", False),
+    (b"P5\n2\n65535\n", False),
+    (b"P5\n2 1\n65535", False),
+    (b"P6\n2 1\n65535\n", False),
+    (b"P5\n+2 1\n65535\n", False),
+    (b"P5\n2 1\n65_535\n", False),
+], ids=["plain", "comment-after-magic", "comment-glued-to-magic", "comment-between-sizes",
+        "comment-before-maxval", "tabs-and-spaces", "crlf", "size-glued-to-magic",
+        "comment-glued-to-width", "missing-token", "no-whitespace-after-maxval", "ppm-magic",
+        "plus-sign", "digit-separator"])
+def test_pgm16_header_variants(header, decodes):
+    """Netpbm header tokens: ASCII decimals ended by whitespace, with whitespace or '#'
+    comment lines before each, and one whitespace byte after maxval."""
+    buf = header + b"\x00\x01\x00\x02"
+    if decodes:
+        assert decode_pgm16(buf).data.tolist() == [[1, 2]]
+    else:
+        with pytest.raises(ValueError):
+            decode_pgm16(buf)
+
+
 def test_pgm16_truncated_raises():
     img = DepthImage(np.ones((4, 4), np.uint16))
     with pytest.raises(ValueError, match="truncated"):

@@ -23,6 +23,24 @@ def cylinder_run(cylinder_cfg, tmp_path_factory):
     return run_pipeline(replace(cylinder_cfg, out_dir=str(out))), out
 
 
+@pytest.mark.parametrize("order", [(0, 1, 3), (0, 1, 3, 2, 4, 5, 7, 6, 8, 9, 42),
+                                   (0, 1, 3, 2, 4, 5, 7, 6, 8, 8), ()],
+                         ids=["three-of-ten", "unknown-id", "repeated-id", "empty"])
+def test_chain_must_name_every_rig_device_once(cylinder_cfg, order):
+    """A chain leaving out a device would merge, and measure, part of the target; one
+    naming another device would fail only at registration. Either is refused at once."""
+    with pytest.raises(ValueError) as e:
+        replace(cylinder_cfg, chain_order=order)
+    assert str(e.value) == (f"chain_order {order} does not name each of the rig's devices "
+                            f"{list(range(10))} once")
+
+
+def test_chain_defaults_to_device_id_order(cylinder_cfg):
+    assert replace(cylinder_cfg, chain_order=None).chain_order == tuple(range(10))
+    assert replace(cylinder_cfg, chain_order=[9, 8, 7, 6, 5, 4, 3, 2, 1, 0]).chain_order \
+        == (9, 8, 7, 6, 5, 4, 3, 2, 1, 0)
+
+
 def test_pipeline_produces_measurements(cylinder_run):
     result, _ = cylinder_run
     assert result.measurements.surface_area > 0
