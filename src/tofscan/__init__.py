@@ -1,8 +1,8 @@
 """Synthetic multi-ToF-sensor 3D scanning pipeline.
 
 Synchronized multi-device capture with an interference model, mask voting
-arbitration, back-projection, fiducial-initialized colored ICP registration,
-Poisson surface reconstruction, and watertight mesh metrology — plus the
+arbitration, back-projection, registration by cube calibration fused with
+colored ICP, Poisson surface reconstruction, and watertight mesh metrology — plus the
 experiment harness that validates the whole chain against analytic references.
 """
 

@@ -211,14 +211,14 @@ def _cmd_register(args) -> int:
     if not clouds:
         raise _InputError(f"no per-device clouds under {session}/clouds")
     calibration = session / "calibration.json"
-    order, params, fiducials = _read(load_calibration, calibration)
+    order, voxel, layout, fiducials = _read(load_calibration, calibration)
     if set(order) != set(clouds):
         raise _InputError(f"cannot read {calibration}: calibration.order: {order} does not "
                           f"name each of the devices {sorted(clouds)} with a cloud under "
                           f"{session}/clouds")
-    graph = register_rig(clouds, fiducials, params, order)
+    graph = register_rig(clouds, fiducials, layout, voxel, order)
     save_pose_graph(session / "poses.json", graph)
-    merged = merge_clouds(clouds, graph, dedup_voxel=params.voxel_sizes[-1] / 2)
+    merged = merge_clouds(clouds, graph, dedup_voxel=voxel / 2)
     write_ply(session / "clouds" / "merged.ply", merged)
     print(f"registered {len(graph.global_poses)} devices "
           f"({len(graph.failed_edges)} failed edges) -> {session/'poses.json'}")

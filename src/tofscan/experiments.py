@@ -22,7 +22,6 @@ from .geometry import RigidTransform
 from .metrology import MeshMeasurements
 from .oracle import oracle_measurements
 from .pipeline import PipelineError, RunConfig, run_pipeline
-from .registration import MultiScaleParams
 from .render import render
 from .rigs import CATTLE_CHAIN, KNOWN_OBJECT_CHAIN, RING_CENTER, cattle_rig, known_object_rig
 from .scene import Scene, ScenePrimitive, box, cylinder, make_known_object_scene
@@ -58,8 +57,8 @@ SYNC_SCENE = make_known_object_scene(replace(KNOWN_BOXES["medium"], texture=None
 # voxelization oracle spacing for the scale-1 animal, in meters
 _ORACLE_SPACING = 0.004
 
-# the known-object ICP pyramid: half the default voxel sizes
-KNOWN_OBJECT_REGISTRATION = MultiScaleParams((0.02, 0.01, 0.005))
+# the known-object ICP voxel size: half the default
+KNOWN_OBJECT_REGISTRATION = 0.005
 
 
 def known_object_config(scene: Scene) -> RunConfig:

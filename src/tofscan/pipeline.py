@@ -1,17 +1,19 @@
 """End-to-end pipeline driver: capture -> segment -> back-project -> register ->
 merge -> reconstruct -> measure, with session-directory persistence.
 
-Registration is initialized from a calibration pass: the fiducial cube is
-observed by the same rig (exact simulated tag corners plus 1 mm of corner
-noise) and the resulting pairwise estimates seed the colored ICP chain on the
-actual scan clouds, mirroring a cube calibration followed by an animal scan.
+Registration starts from a calibration pass, as a cube calibration precedes
+an animal scan: the rig observes the fiducial cube (exact simulated tag
+corners plus 1 mm of corner noise), and each camera is posed against the
+cube's known tag layout. Those cube poses start one-scale colored ICP on the
+scan clouds' chain edges, and one solve fuses the corners and the edges into
+every device's pose.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from .parallel import map_ordered, trim_heap
 # estimate_normals is not called by a scan (its clouds carry raster normals);
 # the benchmark's tracer still rebinds it here by name
 from .reconstruction import TriangleMesh, estimate_normals, poisson_reconstruct  # noqa: F401
-from .registration import (MultiScaleParams, PoseGraph, make_observations, merge_clouds,
+from .registration import (CORNER_NOISE_SIGMA, PoseGraph, make_observations, merge_clouds,
                            register_rig, save_calibration, save_pose_graph)
 from .render import observe_tags
 from .scene import Scene, cube_tag_layout
@@ -33,9 +35,6 @@ from .segmentation import ArbitrationMode, MaskPair, fuse
 logger = logging.getLogger(__name__)
 
 __all__ = ["RunConfig", "PipelineError", "PipelineResult", "run_pipeline"]
-
-# sigma of the calibration pass's tag-corner noise, in meters
-_CORNER_NOISE_SIGMA = 0.001
 
 
 class PipelineError(RuntimeError):
@@ -54,16 +53,16 @@ class RunConfig:
     Every run reconstructs and measures a mesh. The masks are the renderer's
     label masks, fused by one-vote OR; the calibration cube sits at the centre
     of the target's bounding box and its tag corners carry 1 mm of noise; the
-    first device of the chain is the reference frame, the merged cloud is
-    deduplicated at half the finest ICP voxel, and the Poisson solve must
-    reach a relative residual of 1e-6.
+    first device of the chain is the reference frame, ICP runs at the one
+    voxel size ``registration`` (meters), the merged cloud is deduplicated at
+    half of it, and the Poisson solve must reach a relative residual of 1e-6.
     """
 
     scene: Scene
     rig: tuple
     delay_us: int = 160
     seed: int = 0
-    registration: MultiScaleParams = field(default_factory=MultiScaleParams)
+    registration: float = 0.01
     resolution: int = 128
     cube_edge: float = 0.5
     cube_tags_per_face: int = 1
@@ -118,16 +117,16 @@ def _device_cloud(out: Path | None, frame, sensor) -> PointCloud:
     return cloud
 
 
-def _calibration_observations(cfg: RunConfig):
-    """Simulated cube-calibration pass: per-device noisy tag corner observations."""
+def _calibration_observations(cfg: RunConfig, layout: dict):
+    """Simulated cube-calibration pass: per-device noisy observations of ``layout``'s
+    tag corners."""
     lo, hi = cfg.scene.target_bounds()
     center = RigidTransform(np.eye(3), (lo + hi) / 2)
-    layout = cube_tag_layout(cfg.cube_edge, cfg.cube_tags_per_face)
     fiducials = {}
     for sensor in cfg.rig:
         exact = observe_tags(layout, center, sensor)
         rng = np.random.default_rng((cfg.seed * 9973 + sensor.device_id * 7919) & 0x7FFFFFFF)
-        fiducials[sensor.device_id] = make_observations(exact, _CORNER_NOISE_SIGMA, rng)
+        fiducials[sensor.device_id] = make_observations(exact, CORNER_NOISE_SIGMA, rng)
     return fiducials
 
 
@@ -148,13 +147,14 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     clouds = dict(zip(device_ids, map_ordered(
         lambda dev: _device_cloud(out, capture.frames[dev], sensors[dev]), device_ids)))
 
-    fiducials = _stage("calibration", _calibration_observations, cfg)
+    layout = cube_tag_layout(cfg.cube_edge, cfg.cube_tags_per_face)
+    fiducials = _stage("calibration", _calibration_observations, cfg, layout)
     order = list(cfg.chain_order)
-    graph = _stage("registration", register_rig, clouds, fiducials, cfg.registration, order)
+    graph = _stage("registration", register_rig, clouds, fiducials, layout, cfg.registration,
+                   order)
 
     # the merged cloud keeps each device's raster normals, averaged per voxel
-    merged = _stage("merge", merge_clouds, clouds, graph,
-                    cfg.registration.voxel_sizes[-1] / 2)
+    merged = _stage("merge", merge_clouds, clouds, graph, cfg.registration / 2)
     del clouds  # merged: their memory and the merge's freed temporaries
     trim_heap()  # go back to the system before the Poisson grids
     mesh = _stage("reconstruction", poisson_reconstruct, merged, cfg.resolution)
@@ -164,7 +164,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         write_ply(out / "clouds" / "merged.ply", merged)
         write_ply(out / "mesh.ply", mesh)
         save_pose_graph(out / "poses.json", graph)
-        save_calibration(out / "calibration.json", order, cfg.registration, fiducials)
+        save_calibration(out / "calibration.json", order, cfg.registration, layout,
+                         fiducials)
         write_retention_csv(out / "retention.csv", capture.retention)
         (out / "session.json").write_text(json.dumps({
             "seed": cfg.seed, "delay_us": cfg.delay_us, "exposure_us": schedule.exposure_us,

@@ -1,4 +1,4 @@
-"""Fiducial-cube initial alignment, multi-scale colored ICP, and rig chaining.
+"""Cube calibration, colored ICP, and the rig's fused pose solve.
 
 The pairwise refinement minimizes, per pyramid scale,
 
@@ -19,14 +19,21 @@ recorded objective never increases across accepted iterations. Each trial
 re-queries the correspondences; a halving mostly re-draws which matches
 fall inside the trim quantile, so further halvings would rarely pay.
 
-Each cloud's level at one scale (downsampled points, intensity, PCA normals,
-one KD-tree for every neighbour query and, for a target, intensity gradients)
-is built once, and one KD query per level serves both: each point's 15
-nearest neighbours give its normal and its gradient.
-``register_rig`` builds every device's levels at every scale up front, shares
-them across both of the device's chain edges, and runs one function per chain
-edge (fiducial start, ICP, outcome) concurrently; one pass in chain order then
-flags the failed edges and walks the chain. ``colored_icp`` runs one pair.
+Each cloud's level at one voxel size (downsampled points, intensity, PCA
+normals, one KD-tree for every neighbour query and, for a target, intensity
+gradients) is built once, and one KD query per level serves both: each
+point's 15 nearest neighbours give its normal and its gradient.
+``colored_icp`` runs one pair over a ``MultiScaleParams`` pyramid.
+
+``register_rig`` poses a rig in three steps. Each camera is posed against the
+calibration cube by fitting its observed tag corners to the cube's layout
+(target-based calibration, Zhang, TPAMI 2000). Each chain edge then runs ICP
+at one voxel size, the finest, from the relative pose of its two cube poses;
+the levels are built once per device and shared by both of its edges, and
+the edges run concurrently. Last, one least-squares solve over every
+device's pose weighs the corners by their 1 mm noise and each edge by its
+ICP information (a pose graph in the manner of Choi, Zhou and Koltun,
+"Robust Reconstruction of Indoor Scenes", CVPR 2015).
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.transform import Rotation
 
 from .geometry import PointCloud, RigidTransform, neighbour_normals
 from .jsondoc import build, check, get
@@ -131,6 +139,9 @@ _MIN_NORMAL_DOT = float(np.cos(np.radians(40.0)))
 _DELTA = 0.968  # geometric weight of the objective
 _MAX_ITERATIONS = (50, 30, 14)  # per scale, coarsest first
 _MAX_HALVINGS = 3  # a step is tried at full length and at most this many halvings
+# an edge's information divides by at least this objective, (1 micron)^2: a
+# match set that fits better is not trusted more
+_MIN_OBJECTIVE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -195,12 +206,14 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     return PointCloud(pts, colors=cols, normals=normals)
 
 
+def _skew(v: np.ndarray) -> np.ndarray:
+    return np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
+
+
 def rodrigues(omega: np.ndarray) -> np.ndarray:
     theta = np.linalg.norm(omega)
     if theta < 1e-12:
-        k = np.array([[0, -omega[2], omega[1]], [omega[2], 0, -omega[0]],
-                      [-omega[1], omega[0], 0]])
-        return np.eye(3) + k  # first order is exact enough at this scale
+        return np.eye(3) + _skew(omega)  # first order is exact enough at this scale
     return RigidTransform.from_axis_angle(omega, theta).rotation
 
 
@@ -211,7 +224,7 @@ def apply_increment(xi: np.ndarray, t: RigidTransform) -> RigidTransform:
 
 
 class _Level:
-    """One cloud at one pyramid scale; its one KD-tree serves every neighbour query.
+    """One cloud at one voxel size; its one KD-tree serves every neighbour query.
 
     Each point's ``_LEVEL_K`` nearest give its PCA normal and, for a target,
     its tangent-plane intensity gradient; a source level has ``gradients =
@@ -222,11 +235,11 @@ class _Level:
     on it diverges.
     """
 
-    def __init__(self, cloud: PointCloud, params: MultiScaleParams, scale: int, target: bool):
+    def __init__(self, cloud: PointCloud, voxel: float, target: bool):
         if cloud.colors is None:
             raise ValueError("colored ICP needs per-point colors on both clouds")
         # the cloud's own normals are not averaged: the level fits its own
-        down = voxel_downsample(replace(cloud, normals=None), params.voxel_sizes[scale])
+        down = voxel_downsample(replace(cloud, normals=None), voxel)
         self.points = down.points
         self.intensity = down.colors.mean(axis=1)
         self.tree = cKDTree(self.points)
@@ -315,10 +328,16 @@ def residual_jacobians(corr) -> tuple[np.ndarray, np.ndarray]:
     return j_geo, j_col
 
 
-def _gauss_newton_step(corr) -> np.ndarray:
+def _normal_equations(corr) -> tuple[np.ndarray, np.ndarray]:
+    """``h`` and ``g`` of the Gauss-Newton system ``h xi = -g`` of one match set."""
     j_geo, j_col = residual_jacobians(corr)
     h = _DELTA * (j_geo.T @ j_geo) + (1 - _DELTA) * (j_col.T @ j_col)
     g = _DELTA * (j_geo.T @ corr["r_geo"]) + (1 - _DELTA) * (j_col.T @ corr["r_col"])
+    return h, g
+
+
+def _gauss_newton_step(corr) -> np.ndarray:
+    h, g = _normal_equations(corr)
     h += 1e-12 * np.trace(h) / 6.0 * np.eye(6)
     return np.linalg.solve(h, -g)
 
@@ -326,17 +345,22 @@ def _gauss_newton_step(corr) -> np.ndarray:
 def colored_icp(source: PointCloud, target: PointCloud, init: RigidTransform,
                 params: MultiScaleParams = MultiScaleParams()) -> RegistrationResult:
     """Coarse-to-fine joint geometric/photometric alignment of source onto target."""
-    return _icp(partial(_Level, source, params, target=False),
-                partial(_Level, target, params, target=True), init, params)
+    return _icp(partial(_Level, source, target=False),
+                partial(_Level, target, target=True), init, params.voxel_sizes)[0]
 
 
 def _icp(source_level, target_level, init: RigidTransform,
-         params: MultiScaleParams) -> RegistrationResult:
-    """The ICP loop over scales; ``*_level(scale)`` gives each cloud's level."""
+         voxel_sizes: tuple) -> tuple[RegistrationResult, np.ndarray]:
+    """The ICP loop over scales, coarsest first; ``*_level(voxel)`` gives each cloud's level.
+
+    Returns the result and its information: the last scale's ``h`` at the final
+    transform over the final objective, the (6, 6) information of the left
+    increment (omega, t) of the result's transform.
+    """
     transform = init
     history_all: list[list[float]] = []
-    for scale, voxel in enumerate(params.voxel_sizes):
-        src, tgt = source_level(scale), target_level(scale)
+    for scale, voxel in enumerate(voxel_sizes):
+        src, tgt = source_level(voxel), target_level(voxel)
         if src.normals is None or tgt.normals is None:
             raise DivergenceError(f"a cloud has fewer than 2 points at voxel {voxel}", init)
         corr = _residuals(src, tgt, transform, voxel)
@@ -371,67 +395,151 @@ def _icp(source_level, target_level, init: RigidTransform,
     fitness, rmse = _fit_rmse(corr, len(src.points))
     if fitness < _MIN_FITNESS:
         raise DivergenceError(f"fitness {fitness:.3f} below {_MIN_FITNESS}", init)
-    return RegistrationResult(transform, rmse, fitness, history_all)
+    information = _normal_equations(corr)[0] / max(energy, _MIN_OBJECTIVE)
+    return RegistrationResult(transform, rmse, fitness, history_all), information
 
 
-# --- rig chaining -----------------------------------------------------------
+# --- rig registration ---------------------------------------------------------
+
+# sigma of the calibration pass's tag-corner noise, in meters; the pose solve
+# weighs each corner residual by it
+CORNER_NOISE_SIGMA = 0.001
+_SOLVE_STEPS = 3  # Gauss-Newton steps of the fused pose solve
 
 
 @dataclass
 class PoseGraph:
     reference: int
-    edges: dict                      # (a, b) -> RegistrationResult, transform maps b -> a
+    edges: dict                      # (a, b) -> RegistrationResult of each edge that ran ICP
     global_poses: dict               # device -> RigidTransform into the reference frame
     failed_edges: list = field(default_factory=list)
 
 
-def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, dict],
-                 params: MultiScaleParams = MultiScaleParams(),
-                 order: list[int] | None = None) -> PoseGraph:
-    """Chain-register per-device clouds: fiducial init + pairwise colored ICP.
+def _tag_corners(fiducials: dict[int, dict], layout: dict[int, np.ndarray]) -> dict:
+    """Each device's ``(observed, layout)`` corners, (n, 3) each, of the layout's tags
+    it saw; a device that saw none of them is left out."""
+    corners = {}
+    for dev, obs in fiducials.items():
+        tags = sorted(set(obs) & set(layout))
+        if tags:
+            corners[dev] = (np.vstack([obs[t] for t in tags]),
+                            np.vstack([layout[t] for t in tags]))
+    return corners
 
-    ``fiducials`` holds each device's ``make_observations`` tag corners; when
-    it is empty every edge starts from the identity. ``order`` is the physical
-    rig order (defaults to sorted device ids); consecutive devices form the
-    chain edges and ``order[0]`` is the reference frame. An edge that raises is
-    flagged and the devices beyond it stay out of ``global_poses``.
+
+def _solve_poses(cube: dict, corners: dict, links: dict) -> dict:
+    """The cube-to-camera poses of the devices in ``cube`` that best fit their tag
+    ``corners`` and the ICP edges together: a few Gauss-Newton steps over 6
+    unknowns a device, started from ``cube``, each updating a pose by a left
+    increment (omega, t).
+
+    A device's corner residuals P_d x - y weigh 1 / CORNER_NOISE_SIGMA^2. An
+    edge (a, b) with ``links[a, b] = (T_ab, information)`` weighs that
+    information on e = log(P_a P_b^-1 T_ab^-1), read as (rotation vector,
+    translation): P_a P_b^-1 is the b-to-a transform that the poses imply and
+    T_ab the one ICP found. To first order in e, its Jacobian is I for P_a and
+    -Ad(P_a P_b^-1) for P_b.
+    """
+    devices = sorted(cube)
+    at = {dev: slice(6 * i, 6 * i + 6) for i, dev in enumerate(devices)}
+    poses = dict(cube)
+    axes = np.eye(3)
+    for _ in range(_SOLVE_STEPS):
+        h = np.zeros((6 * len(devices), 6 * len(devices)))
+        g = np.zeros(6 * len(devices))
+        for dev in devices:
+            observed, model = corners[dev]
+            p = poses[dev].apply(model)
+            r = (p - observed).ravel()
+            # the row of corner i, axis k: (p_i x e_k, e_k)
+            j = np.concatenate([np.cross(p[:, None], axes),
+                                np.broadcast_to(axes, (len(p), 3, 3))], axis=2).reshape(-1, 6)
+            h[at[dev], at[dev]] += j.T @ j / CORNER_NOISE_SIGMA ** 2
+            g[at[dev]] += j.T @ r / CORNER_NOISE_SIGMA ** 2
+        for (a, b), (found, information) in links.items():
+            implied = poses[a].compose(poses[b].invert())
+            e = implied.compose(found.invert())
+            err = np.concatenate([Rotation.from_matrix(e.rotation).as_rotvec(), e.translation])
+            adjoint = np.zeros((6, 6))
+            adjoint[:3, :3] = adjoint[3:, 3:] = implied.rotation
+            adjoint[3:, :3] = _skew(implied.translation) @ implied.rotation
+            j = np.zeros((6, len(g)))
+            j[:, at[a]], j[:, at[b]] = np.eye(6), -adjoint
+            h += j.T @ information @ j
+            g += j.T @ information @ err
+        step = np.linalg.solve(h, -g)
+        poses = {dev: apply_increment(step[at[dev]], poses[dev]) for dev in devices}
+    return poses
+
+
+def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, dict],
+                 layout: dict[int, np.ndarray], voxel: float,
+                 order: list[int] | None = None) -> PoseGraph:
+    """Pose every device from the calibration cube, one-scale colored ICP on the
+    chain edges, and one solve that fuses the two.
+
+    ``fiducials`` holds each device's ``make_observations`` tag corners and
+    ``layout`` the cube's (``cube_tag_layout``). ``order`` is the physical rig
+    order (defaults to sorted device ids); consecutive devices form the chain
+    edges and ``order[0]`` is the reference frame. Each edge runs ICP at
+    ``voxel`` from the relative pose of its devices' cube poses. An edge that
+    raises is flagged and adds nothing to the solve; an edge with an empty cloud
+    runs no ICP and is left out of ``edges``. A device keeps the pose the solve
+    gives it, so every device that saw a tag is posed. With no tags
+    (``fiducials == {}``) every edge starts from the identity and the poses are
+    the chain of the edges walked from the reference: devices beyond a failed
+    edge stay out of ``global_poses``.
     """
     order = list(order) if order is not None else sorted(clouds)
     chain = list(zip(order, order[1:]))
+    corners = _tag_corners(fiducials, layout)
+    cube = {dev: _absolute_orientation(*pair) for dev, pair in corners.items()}
 
-    # one level per (non-empty device, scale); a device that is some edge's
-    # target also gets its gradients
+    # one level per non-empty device; a device that is some edge's target also
+    # gets its gradients
     targets = set(order[:-1])
-    units = [(dev, scale) for dev in order if len(clouds[dev])
-             for scale in range(len(params.voxel_sizes))]
-    levels = dict(zip(units, map_ordered(
-        lambda u: _Level(clouds[u[0]], params, u[1], target=u[0] in targets), units)))
+    devices = [dev for dev in order if len(clouds[dev])]
+    levels = dict(zip(devices, map_ordered(
+        lambda dev: _Level(clouds[dev], voxel, target=dev in targets), devices)))
 
     def run_edge(edge):
-        """The edge's result, or the DegenerateConfigError or DivergenceError that fails it."""
+        """The edge's result and information, None if a cloud is empty, or the
+        DegenerateConfigError or DivergenceError that fails it."""
         a, b = edge
         try:
-            init = estimate_pose_from_fiducials(fiducials[a], fiducials[b]) \
-                if fiducials else RigidTransform.identity()
-            if not (len(clouds[a]) and len(clouds[b])):
-                return RegistrationResult(init, 0.0, 1.0, [])
-            return _icp(lambda s: levels[b, s], lambda s: levels[a, s], init, params)
+            unposed = [dev for dev in edge if fiducials and dev not in cube]
+            if unposed:
+                raise DegenerateConfigError(f"device {unposed[0]} sees no tag of the cube")
+            init = cube[a].compose(cube[b].invert()) if fiducials else RigidTransform.identity()
+            if a not in levels or b not in levels:
+                return None
+            return _icp(lambda v: levels[b], lambda v: levels[a], init, (voxel,))
         except (DegenerateConfigError, DivergenceError) as e:
             return e
 
-    # in chain order: flag the failed edges, walk the rest from the reference
+    # in chain order: flag the failed edges, keep the rest
     edges: dict[tuple, RegistrationResult] = {}
+    links: dict[tuple, tuple] = {}  # (a, b) -> (transform, information) for the solve
     failed: list[tuple] = []
-    poses: dict[int, RigidTransform] = {order[0]: RigidTransform.identity()}
     for (a, b), outcome in zip(chain, map_ordered(run_edge, chain)):
         if isinstance(outcome, Exception):
             logger.warning("edge (%s, %s) failed: %s", a, b, outcome)
             failed.append((a, b))
-        else:
-            edges[(a, b)] = outcome
+        elif outcome is not None:
+            edges[(a, b)], information = outcome
+            links[(a, b)] = (edges[(a, b)].transform, information)
+
+    ref = order[0]
+    poses: dict[int, RigidTransform] = {ref: RigidTransform.identity()}
+    if ref in cube:
+        solved = _solve_poses(cube, corners, links)
+        poses.update((dev, solved[ref].compose(solved[dev].invert()))
+                      for dev in order[1:] if dev in solved)
+    else:
+        for (a, b), result in edges.items():
             if a in poses:
-                poses[b] = poses[a].compose(outcome.transform)
-    return PoseGraph(order[0], edges, poses, failed)
+                poses[b] = poses[a].compose(result.transform)
+    return PoseGraph(ref, edges, poses, failed)
 
 
 def merge_clouds(clouds: dict[int, PointCloud], graph: PoseGraph,
@@ -475,33 +583,44 @@ def save_pose_graph(path, graph: PoseGraph) -> None:
     Path(path).write_text(json.dumps(doc, indent=2))
 
 
-def save_calibration(path, order: list[int], params: MultiScaleParams,
+def save_calibration(path, order: list[int], voxel: float, layout: dict[int, np.ndarray],
                      fiducials: dict[int, dict]) -> None:
-    """What ``register_rig`` gets besides the clouds: chain order, ICP pyramid, tag corners."""
-    doc = {"order": list(order), "voxel_sizes": list(params.voxel_sizes),
-           "fiducials": {str(d): {str(t): c.ravel().tolist() for t, c in obs.items()}
-                         for d, obs in fiducials.items()}}
+    """What ``register_rig`` gets besides the clouds: chain order, ICP voxel size, the
+    cube's tag layout and each device's tag corners."""
+    def corners(tags):
+        return {str(t): c.ravel().tolist() for t, c in tags.items()}
+
+    doc = {"order": list(order), "voxel_size": voxel, "layout": corners(layout),
+           "fiducials": {str(d): corners(obs) for d, obs in fiducials.items()}}
     Path(path).write_text(json.dumps(doc, indent=2))
 
 
-def load_calibration(path) -> tuple[list[int], MultiScaleParams, dict[int, dict]]:
-    """``save_calibration``'s order, pyramid and tag corners of every device in the order.
+def _read_corners(doc: dict, path: str) -> dict[int, np.ndarray]:
+    """``{tag_id: (4, 3) corners}`` from a JSON object of 12 numbers per tag id."""
+    tags = {}
+    for t, corners in doc.items():
+        p = f"{path}.{t}"
+        if len(check(corners, p, "list", "number")) != 12:
+            raise ValueError(f"{p}: expected 12 numbers, 4 corners of 3, got {len(corners)}")
+        tags[build(p, int, t)] = np.reshape(corners, (4, 3)).astype(np.float64)
+    return tags
 
-    Any defect raises ValueError naming its key path, ``calibration.voxel_sizes`` say.
+
+def load_calibration(path) -> tuple[list[int], float, dict[int, np.ndarray], dict[int, dict]]:
+    """``save_calibration``'s order, voxel size, layout and the tag corners of every
+    device in the order.
+
+    Any defect raises ValueError naming its key path, ``calibration.voxel_size`` say.
     """
     doc = check(json.loads(Path(path).read_text()), "calibration", "object")
     order = get(doc, "calibration", "order", "list", "integer")
     if len(set(order)) != len(order):
         raise ValueError(f"calibration.order: {order} names a device twice")
-    params = build("calibration.voxel_sizes", MultiScaleParams,
-                   get(doc, "calibration", "voxel_sizes", "list", "number"))
+    voxel = float(get(doc, "calibration", "voxel_size", "number"))
+    if not voxel > 0:
+        raise ValueError(f"calibration.voxel_size: must be positive, got {voxel}")
+    layout = _read_corners(get(doc, "calibration", "layout", "object"), "calibration.layout")
     tags = get(doc, "calibration", "fiducials", "object")
-    fiducials = {}
-    for dev in order:
-        fiducials[dev] = obs = {}
-        for t, corners in get(tags, "calibration.fiducials", str(dev), "object").items():
-            p = f"calibration.fiducials.{dev}.{t}"
-            if len(check(corners, p, "list", "number")) != 12:
-                raise ValueError(f"{p}: expected 12 numbers, 4 corners of 3, got {len(corners)}")
-            obs[build(p, int, t)] = np.reshape(corners, (4, 3)).astype(np.float64)
-    return order, params, fiducials
+    fiducials = {dev: _read_corners(get(tags, "calibration.fiducials", str(dev), "object"),
+                                    f"calibration.fiducials.{dev}") for dev in order}
+    return order, voxel, layout, fiducials

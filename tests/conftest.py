@@ -27,6 +27,16 @@ def pose_error(t: RigidTransform, t_ref: RigidTransform):
     return float(ang), float(np.linalg.norm(t.translation - t_ref.translation))
 
 
+def worst_pose_error(cfg, graph):
+    """(degrees, meters): the largest rotation and translation errors of the graph's
+    global poses against the rig's extrinsics, in the reference camera's frame."""
+    extrinsics = {s.device_id: s.pose for s in cfg.rig}
+    to_reference = extrinsics[graph.reference].invert()
+    errors = [pose_error(pose, to_reference.compose(extrinsics[dev]))
+              for dev, pose in graph.global_poses.items()]
+    return max(e[0] for e in errors), max(e[1] for e in errors)
+
+
 def target_surface_count(cloud_points: np.ndarray, scene: Scene, tol: float = 0.02) -> int:
     """Points within ``tol`` of the true target surface (spurious ranges excluded)."""
     if len(cloud_points) == 0:

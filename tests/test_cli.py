@@ -601,22 +601,21 @@ def test_reconstruct_keeps_the_session_normals(cylinder_session, tmp_path):
     assert out.read_bytes() == (session / "mesh.ply").read_bytes()
 
 
-@pytest.mark.parametrize("voxels", [["abc"], [0.01, 0.02], [0.04, 0.02, 0],
-                                    [0.08, 0.04, 0.02, 0.01]],
-                         ids=["not-a-number", "ascending", "zero", "four-sizes"])
-def test_register_bad_voxels_named(tmp_path, capsys, rng, voxels):
-    """calibration.voxel_sizes that is not 1 to 3 positive, strictly descending sizes:
-    one stderr line naming it, exit 2."""
+@pytest.mark.parametrize("voxel", ["abc", [0.01], 0, -0.01],
+                         ids=["not-a-number", "list", "zero", "negative"])
+def test_register_bad_voxel_named(tmp_path, capsys, rng, voxel):
+    """calibration.voxel_size that is not one positive number: one stderr line naming
+    it, exit 2."""
     clouds_dir = tmp_path / "session" / "clouds"
     clouds_dir.mkdir(parents=True)
     pts = rng.random((2000, 3)) * np.array([0.5, 0.5, 0.1])
     for dev in (0, 1):
         write_ply(clouds_dir / f"{dev}.ply", PointCloud(pts, colors=np.full((2000, 3), 0.5)))
     (tmp_path / "session" / "calibration.json").write_text(json.dumps(
-        {"order": [0, 1], "voxel_sizes": voxels, "fiducials": {"0": {}, "1": {}}}))
+        {"order": [0, 1], "voxel_size": voxel, "layout": {}, "fiducials": {"0": {}, "1": {}}}))
     assert main(["register", "--session", str(tmp_path / "session")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "calibration.json: calibration.voxel_sizes" in err[0]
+    assert len(err) == 1 and "calibration.json: calibration.voxel_size: " in err[0]
     assert not (tmp_path / "session" / "poses.json").exists()
 
 
@@ -625,21 +624,26 @@ _SQUARE = [0, 0, 1, 0.1, 0, 1, 0.1, 0.1, 1, 0, 0.1, 1]
 
 @pytest.mark.parametrize("calibration, named", [
     (None, "No such file"),
-    ({"order": [0, 5], "voxel_sizes": [0.04], "fiducials": {"0": {}, "5": {}}},
+    ({"order": [0, 5], "voxel_size": 0.04, "layout": {}, "fiducials": {"0": {}, "5": {}}},
      "calibration.order"),
-    ({"order": [0], "voxel_sizes": [0.04], "fiducials": {"0": {}}},
+    ({"order": [0], "voxel_size": 0.04, "layout": {}, "fiducials": {"0": {}}},
      "calibration.order: [0] does not name each of the devices [0, 1]"),
-    ({"order": [0, 1, 0], "voxel_sizes": [0.04], "fiducials": {"0": {}, "1": {}}},
+    ({"order": [0, 1, 0], "voxel_size": 0.04, "layout": {}, "fiducials": {"0": {}, "1": {}}},
      "calibration.order: [0, 1, 0] names a device twice"),
-    ({"order": [0, 1], "voxel_sizes": [0.04], "fiducials": {"0": {}}},
+    ({"order": [0, 1], "voxel_size": 0.04, "layout": {}, "fiducials": {"0": {}}},
      "calibration.fiducials: missing key '1'"),
-    ({"order": [0, 1], "voxel_sizes": [0.04], "fiducials": {"0": {}, "1": {"3": _SQUARE[:9]}}},
+    ({"order": [0, 1], "voxel_size": 0.04, "layout": {}, "fiducials": {"0": {}, "1": {"3": _SQUARE[:9]}}},
      "calibration.fiducials.1.3: expected 12 numbers"),
-    ({"order": [0, 1], "voxel_sizes": [0.04], "fiducials": {"0": {"x": _SQUARE}, "1": {}}},
+    ({"order": [0, 1], "voxel_size": 0.04, "layout": {}, "fiducials": {"0": {"x": _SQUARE}, "1": {}}},
      "calibration.fiducials.0.x: "),
+    ({"order": [0, 1], "voxel_size": 0.04, "fiducials": {"0": {}, "1": {}}},
+     "calibration: missing key 'layout'"),
+    ({"order": [0, 1], "voxel_size": 0.04, "layout": {"2": _SQUARE[:3]},
+      "fiducials": {"0": {}, "1": {}}},
+     "calibration.layout.2: expected 12 numbers"),
 ], ids=["missing", "order-without-cloud", "cloud-without-order", "repeated-device",
         "device-without-tags",
-        "nine-numbers", "tag-id"])
+        "nine-numbers", "tag-id", "no-layout", "layout-three-numbers"])
 def test_register_bad_calibration_named(tmp_path, capsys, rng, calibration, named):
     """A calibration.json that is missing or holds a defect: one stderr line naming the
     file and the defect's key path, exit 2."""

@@ -91,17 +91,18 @@ class TestBasics:
     def test_low_final_fitness_diverges_with_init(self, caplog):
         """The blob fills 125 coarse voxels but 8,000 fine ones: 25 of the source's 150
         coarse points match (fitness 0.17), 400 of its 8,400 finest (0.048). The pair
-        raises, and register_rig flags its edge by that error."""
+        raises; register_rig, which runs the finest scale only, flags its edge by the
+        error of that scale's start."""
         source, target = plane_and_blob()
         init = RigidTransform.identity()
         with pytest.raises(DivergenceError, match=r"^fitness 0\.048 below 0\.1$") as e:
             colored_icp(source, target, init, PARAMS)
         assert e.value.init is init
         with caplog.at_level("WARNING", logger="tofscan.registration"):
-            graph = register_rig({0: target, 1: source}, {}, PARAMS)
+            graph = register_rig({0: target, 1: source}, {}, {}, PARAMS.voxel_sizes[-1])
         assert graph.failed_edges == [(0, 1)] and set(graph.global_poses) == {0}
         assert [r.getMessage() for r in caplog.records] == \
-            ["edge (0, 1) failed: fitness 0.048 below 0.1"]
+            ["edge (0, 1) failed: no usable correspondences at voxel 0.01"]
 
     def test_finer_scale_without_match_diverges_with_init(self, rng, monkeypatch):
         """A finer scale whose query finds no usable match raises, as the coarsest does."""
@@ -168,7 +169,7 @@ def _reference_gradients(level, idx):
 
 class TestGradients:
     def _check(self, cloud):
-        level = registration._Level(cloud, MultiScaleParams((0.01,)), 0, target=True)
+        level = registration._Level(cloud, 0.01, target=True)
         _, idx = level.tree.query(level.points, k=registration._LEVEL_K)
         ref = _reference_gradients(level, idx)
         assert np.abs(level.gradients - ref).max() <= 1e-9 * np.abs(ref).max()

@@ -6,10 +6,13 @@ from dataclasses import replace
 
 from tofscan import pipeline, registration
 
-from tofscan.experiments import KNOWN_CYLINDER, known_object_config
+from conftest import worst_pose_error
+from tofscan.experiments import KNOWN_CYLINDER, animal_config, known_object_config
 from tofscan.geometry import BinaryMask, DepthImage, RigidTransform
 from tofscan.pipeline import PipelineError, run_pipeline
-from tofscan.scene import Scene, box, cylinder, make_known_object_scene
+from tofscan.reconstruction import is_watertight
+from tofscan.scene import (Scene, box, cube_tag_layout, cylinder, make_animal_model,
+                           make_known_object_scene)
 
 
 @pytest.fixture(scope="module")
@@ -122,29 +125,104 @@ def replace_frame(monkeypatch, dev, **fields):
     monkeypatch.setattr(pipeline, "simulate_capture", simulate_capture)
 
 
-def test_device_with_an_empty_mask_keeps_its_fiducial_pose(cylinder_cfg, monkeypatch):
-    """An empty fused mask gives that device no points: its edges skip ICP, keep the
-    fiducial estimate with an empty objective history, and are not failures."""
+def cube_poses(cfg):
+    """Each device's cube-to-camera pose from the run's calibration pass alone."""
+    layout = cube_tag_layout(cfg.cube_edge, cfg.cube_tags_per_face)
+    corners = registration._tag_corners(pipeline._calibration_observations(cfg, layout), layout)
+    return {dev: registration._absolute_orientation(*pair) for dev, pair in corners.items()}
+
+
+def test_device_with_an_empty_mask_keeps_its_cube_pose(cylinder_cfg, monkeypatch):
+    """An empty fused mask gives that device no points: its edges run no ICP, are
+    neither edges of the graph nor failures, and the solve leaves the device at its
+    cube pose."""
     devices = sorted(s.device_id for s in cylinder_cfg.rig)
     order = list(cylinder_cfg.chain_order)
     empty = order[len(order) // 2]
     intr = next(s.intrinsics for s in cylinder_cfg.rig if s.device_id == empty)
     replace_frame(monkeypatch, empty,
                   oracle_mask=BinaryMask(np.zeros((intr.height, intr.width), bool)))
+    solved = {}
+    real = registration._solve_poses
+    monkeypatch.setattr(registration, "_solve_poses",
+                        lambda *args: solved.update(real(*args)) or dict(solved))
     result = run_pipeline(cylinder_cfg)
 
     graph = result.graph
     prev, nxt = order[order.index(empty) - 1], order[order.index(empty) + 1]
-    fiducials = pipeline._calibration_observations(cylinder_cfg)
-    chain = graph.global_poses[prev].compose(
-        registration.estimate_pose_from_fiducials(fiducials[prev], fiducials[empty]))
-    assert np.array_equal(graph.global_poses[empty].matrix(), chain.matrix())
     for edge in ((prev, empty), (empty, nxt)):
-        assert graph.edges[edge].objective_history == []
-        assert edge not in graph.failed_edges
+        assert edge not in graph.edges
+    assert len(graph.edges) == len(order) - 3
     assert not graph.failed_edges
+    cube = cube_poses(cylinder_cfg)
+    np.testing.assert_allclose(solved[empty].matrix(), cube[empty].matrix(), atol=1e-12)
+    reference = solved[order[0]]
+    np.testing.assert_allclose(graph.global_poses[empty].matrix(),
+                               reference.compose(cube[empty].invert()).matrix(), atol=1e-12)
     assert set(graph.global_poses) == set(devices)
     assert result.measurements.volume > 0
+
+
+@pytest.fixture(scope="module")
+def cattle_cfg():
+    return replace(animal_config(make_animal_model(1.0)), seed=1)
+
+
+def test_diverged_middle_cattle_edge_keeps_every_device(cattle_cfg, monkeypatch):
+    """The middle cattle edge (0, 4), forced to diverge, is flagged and adds nothing to
+    the pose solve; devices 0 and 4 keep the poses the cube and the other edges give
+    them, so all 8 are posed and the mesh is watertight."""
+    cube = cube_poses(cattle_cfg)
+    middle = cube[0].compose(cube[4].invert()).matrix()
+    real = registration._icp
+
+    def icp(source_level, target_level, init, voxel_sizes):
+        if np.array_equal(init.matrix(), middle):
+            raise registration.DivergenceError("forced", init)
+        return real(source_level, target_level, init, voxel_sizes)
+
+    monkeypatch.setattr(registration, "_icp", icp)
+    result = run_pipeline(cattle_cfg)
+    assert result.graph.failed_edges == [(0, 4)]
+    assert (0, 4) not in result.graph.edges and len(result.graph.edges) == 6
+    assert set(result.graph.global_poses) == set(range(8))
+    assert is_watertight(result.mesh)[0]
+    angle, offset = worst_pose_error(cattle_cfg, result.graph)
+    assert angle < 0.25 and offset < 0.008, (angle, offset)
+
+
+@pytest.mark.parametrize("rig", ["cattle", "ring"])
+def test_seed_1_poses_lie_near_the_extrinsics(cattle_cfg, cylinder_cfg, rig):
+    """On seed 1 of both stock rigs, every device's pose lies within 0.25 degrees and
+    8 mm of the rig's extrinsics, in the reference camera's frame."""
+    cfg = replace({"cattle": cattle_cfg, "ring": cylinder_cfg}[rig], seed=1, resolution=64)
+    graph = run_pipeline(cfg).graph
+    assert not graph.failed_edges
+    assert set(graph.global_poses) == {s.device_id for s in cfg.rig}
+    angle, offset = worst_pose_error(cfg, graph)
+    assert angle < 0.25 and offset < 0.008, (angle, offset)
+
+
+def test_sub_rig_chain_pair_without_a_shared_tag(cylinder_cfg, caplog):
+    """Ring devices chained (0, 5, 1, 4): pairs (0, 5) and (1, 4) share no tag and face
+    each other across the cylinder, so their ICP finds no match. Each camera still
+    sees 8 to 12 tags and is posed against the cube, so every device is merged."""
+    rig = tuple(s for s in cylinder_cfg.rig if s.device_id in (0, 1, 4, 5))
+    cfg = replace(cylinder_cfg, rig=rig, chain_order=(0, 5, 1, 4), seed=1)
+    layout = cube_tag_layout(cfg.cube_edge, cfg.cube_tags_per_face)
+    fiducials = pipeline._calibration_observations(cfg, layout)
+    for a, b in ((0, 5), (1, 4)):
+        assert not set(fiducials[a]) & set(fiducials[b])
+    assert all(8 <= len(tags) <= 12 for tags in fiducials.values())
+    with caplog.at_level("WARNING", logger="tofscan.registration"):
+        result = run_pipeline(cfg)
+    assert [r.getMessage() for r in caplog.records] == \
+        [f"edge {edge} failed: no usable correspondences at voxel 0.005"
+         for edge in ((0, 5), (1, 4))]
+    assert list(result.graph.edges) == [(5, 1)]
+    assert set(result.graph.global_poses) == {0, 1, 4, 5}
+    angle, offset = worst_pose_error(cfg, result.graph)
+    assert angle < 0.5 and offset < 0.01, (angle, offset)
 
 
 @pytest.mark.parametrize("n", [0, 2])
