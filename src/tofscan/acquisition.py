@@ -5,9 +5,7 @@ Each simulated embedded device hosts one server with a three-state machine
 counts of frames rendered, bytes sent and protocol errors. A server is built
 with the scene and rig it renders. Both are fixed for its life and the render
 is deterministic, so it renders its clean view once, on the first TRIGGER; each
-TRIGGER then applies that trigger's noise and interference to it. The
-interferer count comes from the schedule: a CONFIGURE with a new schedule tests
-which devices see the target, one that repeats the schedule does not. The client
+TRIGGER then applies that trigger's noise and interference to it. The client
 connects to every device, pushes the capture schedule, triggers all devices
 concurrently, and later fetches the stored frames, verifying CRC-32 integrity;
 a failed CONFIGURE or FETCH names its endpoint. A request with a malformed
@@ -26,10 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-# a server builds corrupt_device_frame's frame from the interferer count it keeps;
-# the benchmark's tracer still rebinds corrupt_device_frame here by name
-from .capture import (CaptureSchedule, corrupt_device_frame, corrupt_frame,  # noqa: F401
-                      interferer_counts)
+from .capture import CaptureSchedule, corrupt_device_frame
 from .formats import encode_pgm16, encode_ppm
 from .jsondoc import build, check, get
 from .protocol import (ErrorCode, Message, MessageKind, ProtocolError,
@@ -123,7 +118,6 @@ class DeviceServer:
         self.scene = scene
         self.rig = rig
         self.schedule: CaptureSchedule | None = None
-        self._interferers = 0  # this device's interferer count under ``schedule``
         self.state = "idle"
         self.frames: dict[int, tuple[bytes, bytes, int]] = {}  # last triggered frame only
         # rendered by the first TRIGGER; one connection at a time, so no lock
@@ -211,9 +205,6 @@ class DeviceServer:
             if self.device_id not in schedule.device_order:
                 raise DeviceError(ErrorCode.BAD_REQUEST,
                                   f"device {self.device_id} missing from schedule")
-            if schedule != self.schedule:  # a repeated schedule keeps its count
-                self._interferers = interferer_counts(self.scene, self.rig,
-                                                      schedule)[self.device_id]
             self.schedule = schedule
             self.state = "configured"
             return json_message(MessageKind.CONFIGURE_ACK, {"device_id": self.device_id})
@@ -226,9 +217,8 @@ class DeviceServer:
                 get(d, p, "seed", "integer", default=0)), _bad_request)
             if self._clean is None:
                 self._clean = render(self.scene, self.sensor)
-            # corrupt_device_frame's bytes, with the count taken at CONFIGURE
-            result = corrupt_frame(self._clean, self.sensor, self._interferers, seed,
-                                   self.scene.background_cap)[1]
+            result = corrupt_device_frame(self.scene, self.rig, self.schedule,
+                                          self.device_id, seed, clean=self._clean)
             depth_pgm = encode_pgm16(result.depth)
             color_ppm = encode_ppm(result.color)
             crc = frame_crc32(depth_pgm, color_ppm)

@@ -23,7 +23,7 @@ from .scene import BOX_CORNERS, Scene
 __all__ = [
     "CaptureSchedule", "CaptureResult", "RetentionStat",
     "build_schedule", "overlapping_pairs", "simulate_capture", "corrupt_device_frame",
-    "corrupt_frame", "interferer_counts", "write_retention_csv",
+    "write_retention_csv",
 ]
 
 
@@ -93,8 +93,8 @@ def _device_seed(seed: int, device_id: int, draw: int) -> int:
     return (seed * 1_000_003 + device_id * 2 + draw) & 0x7FFFFFFF
 
 
-def corrupt_frame(clean: RenderResult, sensor: SensorModel, count: int, seed: int,
-                  cap_m: float):
+def _corrupt(clean: RenderResult, sensor: SensorModel, count: int, seed: int,
+             cap_m: float):
     """Noise, then interference from ``count`` partners: the noisy depth and the frame."""
     dev = sensor.device_id
     noisy = apply_tof_noise(clean.depth, sensor, _device_seed(seed, dev, 0))
@@ -114,7 +114,7 @@ def corrupt_device_frame(scene: Scene, rig: list[SensorModel], schedule: Capture
     if device_id not in sensors:
         raise ValueError(f"device {device_id} not in rig")
     count = interferer_counts(scene, rig, schedule)[device_id]
-    return corrupt_frame(clean, sensors[device_id], count, seed, scene.background_cap)[1]
+    return _corrupt(clean, sensors[device_id], count, seed, scene.background_cap)[1]
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def simulate_capture(scene: Scene, rig: list[SensorModel], schedule: CaptureSche
     def device(sensor: SensorModel) -> tuple[RenderResult, RetentionStat]:
         dev = sensor.device_id
         clean = renders[dev] if renders is not None else render(scene, sensor)
-        noisy, frame = corrupt_frame(clean, sensor, counts[dev], seed, scene.background_cap)
+        noisy, frame = _corrupt(clean, sensor, counts[dev], seed, scene.background_cap)
         fg = clean.oracle_mask.data
         before = noisy.data[fg]
         after = frame.depth.data[fg]

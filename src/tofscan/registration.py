@@ -33,7 +33,10 @@ the levels are built once per device and shared by both of its edges, and
 the edges run concurrently. Last, one least-squares solve over every
 device's pose weighs the corners by their 1 mm noise and each edge by its
 ICP information (a pose graph in the manner of Choi, Zhou and Koltun,
-"Robust Reconstruction of Indoor Scenes", CVPR 2015).
+"Robust Reconstruction of Indoor Scenes", CVPR 2015). That information
+counts every trimmed match as independent; an edge whose ICP moved further
+from its cube start than the information allows has it scaled down to fit
+the move.
 """
 
 from __future__ import annotations
@@ -427,27 +430,36 @@ def _tag_corners(fiducials: dict[int, dict], layout: dict[int, np.ndarray]) -> d
     return corners
 
 
-def _solve_poses(cube: dict, corners: dict, links: dict) -> dict:
-    """The cube-to-camera poses of the devices in ``cube`` that best fit their tag
-    ``corners`` and the ICP edges together: a few Gauss-Newton steps over 6
-    unknowns a device, started from ``cube``, each updating a pose by a left
-    increment (omega, t).
+def _log(t: RigidTransform) -> np.ndarray:
+    """(rotation vector, translation) of ``t``, the 6-vector the pose solve weighs."""
+    return np.concatenate([Rotation.from_matrix(t.rotation).as_rotvec(), t.translation])
 
-    A device's corner residuals P_d x - y weigh 1 / CORNER_NOISE_SIGMA^2. An
-    edge (a, b) with ``links[a, b] = (T_ab, information)`` weighs that
-    information on e = log(P_a P_b^-1 T_ab^-1), read as (rotation vector,
-    translation): P_a P_b^-1 is the b-to-a transform that the poses imply and
-    T_ab the one ICP found. To first order in e, its Jacobian is I for P_a and
-    -Ad(P_a P_b^-1) for P_b.
+
+def _solve_poses(start: dict, corners: dict, links: dict, ref: int) -> dict:
+    """The poses of the devices in ``start`` that best fit their tag ``corners`` and
+    the ICP edges together: a few Gauss-Newton steps over 6 unknowns a device,
+    started from ``start``, each updating a pose by a left increment (omega, t).
+
+    A pose maps the cube's frame into its camera's. A device's corner residuals
+    P_d x - y weigh 1 / CORNER_NOISE_SIGMA^2. An edge (a, b) with ``links[a, b] =
+    (T_ab, information)`` weighs that information on e = log(P_a P_b^-1 T_ab^-1),
+    read as (rotation vector, translation): P_a P_b^-1 is the b-to-a transform
+    that the poses imply and T_ab the one ICP found. To first order in e, its
+    Jacobian is I for P_a and -Ad(P_a P_b^-1) for P_b. An edge with a device
+    outside ``start`` adds nothing. When ``ref`` has no corners nothing ties the
+    poses to the cube, and ``ref`` is held at its start.
     """
-    devices = sorted(cube)
+    devices = sorted(d for d in start if d != ref or ref in corners)
+    links = {edge: link for edge, link in links.items() if set(edge) <= set(start)}
     at = {dev: slice(6 * i, 6 * i + 6) for i, dev in enumerate(devices)}
-    poses = dict(cube)
+    poses = dict(start)
     axes = np.eye(3)
-    for _ in range(_SOLVE_STEPS):
+    for _ in range(_SOLVE_STEPS if devices else 0):
         h = np.zeros((6 * len(devices), 6 * len(devices)))
         g = np.zeros(6 * len(devices))
         for dev in devices:
+            if dev not in corners:
+                continue
             observed, model = corners[dev]
             p = poses[dev].apply(model)
             r = (p - observed).ravel()
@@ -458,17 +470,19 @@ def _solve_poses(cube: dict, corners: dict, links: dict) -> dict:
             g[at[dev]] += j.T @ r / CORNER_NOISE_SIGMA ** 2
         for (a, b), (found, information) in links.items():
             implied = poses[a].compose(poses[b].invert())
-            e = implied.compose(found.invert())
-            err = np.concatenate([Rotation.from_matrix(e.rotation).as_rotvec(), e.translation])
+            err = _log(implied.compose(found.invert()))
             adjoint = np.zeros((6, 6))
             adjoint[:3, :3] = adjoint[3:, 3:] = implied.rotation
             adjoint[3:, :3] = _skew(implied.translation) @ implied.rotation
             j = np.zeros((6, len(g)))
-            j[:, at[a]], j[:, at[b]] = np.eye(6), -adjoint
+            if a in at:
+                j[:, at[a]] = np.eye(6)
+            if b in at:
+                j[:, at[b]] = -adjoint
             h += j.T @ information @ j
             g += j.T @ information @ err
         step = np.linalg.solve(h, -g)
-        poses = {dev: apply_increment(step[at[dev]], poses[dev]) for dev in devices}
+        poses.update((dev, apply_increment(step[at[dev]], poses[dev])) for dev in devices)
     return poses
 
 
@@ -482,13 +496,17 @@ def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, dict],
     ``layout`` the cube's (``cube_tag_layout``). ``order`` is the physical rig
     order (defaults to sorted device ids); consecutive devices form the chain
     edges and ``order[0]`` is the reference frame. Each edge runs ICP at
-    ``voxel`` from the relative pose of its devices' cube poses. An edge that
+    ``voxel`` from the relative pose of its devices' cube poses; an edge with a
+    device that saw no tag of the cube has no start and fails. An edge that
     raises is flagged and adds nothing to the solve; an edge with an empty cloud
-    runs no ICP and is left out of ``edges``. A device keeps the pose the solve
-    gives it, so every device that saw a tag is posed. With no tags
-    (``fiducials == {}``) every edge starts from the identity and the poses are
-    the chain of the edges walked from the reference: devices beyond a failed
-    edge stay out of ``global_poses``.
+    runs no ICP and is left out of ``edges``. An edge's information is divided
+    by max(1, d^T I d / 6), d the move of its ICP from the cube start and I its
+    information: an edge that moved further than its information allows is
+    weighed by the move it made. A device is posed when the cube or the kept
+    edges link it to the reference: every device that saw a tag if the
+    reference did, only the reference if it saw none in a rig with tags. With no
+    tags (``fiducials == {}``) every edge starts from the identity, the solve
+    holds the reference, and the poses are the kept edges chained from it.
     """
     order = list(order) if order is not None else sorted(clouds)
     chain = list(zip(order, order[1:]))
@@ -513,7 +531,11 @@ def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, dict],
             init = cube[a].compose(cube[b].invert()) if fiducials else RigidTransform.identity()
             if a not in levels or b not in levels:
                 return None
-            return _icp(lambda v: levels[b], lambda v: levels[a], init, (voxel,))
+            result, information = _icp(lambda v: levels[b], lambda v: levels[a], init, (voxel,))
+            if fiducials:
+                move = _log(init.compose(result.transform.invert()))
+                information = information / max(1.0, move @ information @ move / 6)
+            return result, information
         except (DegenerateConfigError, DivergenceError) as e:
             return e
 
@@ -529,16 +551,17 @@ def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, dict],
             edges[(a, b)], information = outcome
             links[(a, b)] = (edges[(a, b)].transform, information)
 
+    # the solve starts from the cube poses, or with no tags from the reference
+    # and the kept edges walked along the chain
     ref = order[0]
-    poses: dict[int, RigidTransform] = {ref: RigidTransform.identity()}
-    if ref in cube:
-        solved = _solve_poses(cube, corners, links)
-        poses.update((dev, solved[ref].compose(solved[dev].invert()))
-                      for dev in order[1:] if dev in solved)
-    else:
-        for (a, b), result in edges.items():
-            if a in poses:
-                poses[b] = poses[a].compose(result.transform)
+    start = dict(cube) if ref in cube else {ref: RigidTransform.identity()}
+    for (a, b), (found, _information) in links.items():
+        if a in start and b not in start:
+            start[b] = found.invert().compose(start[a])
+    solved = _solve_poses(start, corners, links, ref)
+    poses = {ref: RigidTransform.identity()}
+    poses.update((dev, solved[ref].compose(solved[dev].invert()))
+                 for dev in order[1:] if dev in solved)
     return PoseGraph(ref, edges, poses, failed)
 
 

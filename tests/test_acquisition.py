@@ -149,40 +149,6 @@ class TestServerStateMachine:
         status = payload_json(server._handle(Message(MessageKind.STATUS)))
         assert status["frames_rendered"] == 3
 
-    def test_visibility_is_tested_once_per_schedule(self, setup, monkeypatch):
-        """Three CONFIGURE/TRIGGER cycles of one delay-0 schedule test each device's view
-        of the target once, and serve corrupt_device_frame's bytes; a new schedule tests
-        again."""
-        import tofscan.capture as capture
-        scene, rig = setup
-        calls = []
-        real = capture.box_rectangle
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        server = DeviceServer(1, rig[1], scene=scene, rig=rig)
-        ids = [s.device_id for s in rig]
-        sched = build_schedule(ids, 0, 125)
-        monkeypatch.setattr(capture, "box_rectangle", counting)
-        frames = []
-        for seed in (1, 2, 3):
-            server._handle(json_message(MessageKind.CONFIGURE,
-                                        {"schedule": build_schedule(ids, 0, 125).to_json_dict()}))
-            server._handle(json_message(MessageKind.TRIGGER, {"frame_id": seed, "seed": seed}))
-            frames.append(server._handle(json_message(MessageKind.FETCH, {"frame_id": seed})))
-        assert len(calls) == len(rig)
-        server._handle(json_message(MessageKind.CONFIGURE,
-                                    {"schedule": build_schedule(ids, 40, 125).to_json_dict()}))
-        assert len(calls) > len(rig)
-        monkeypatch.setattr(capture, "box_rectangle", real)
-        clean = render(scene, rig[1])
-        for seed, frame in zip((1, 2, 3), frames):
-            expected = corrupt_device_frame(scene, rig, sched, 1, seed, clean=clean)
-            assert unpack_frame_payload(frame.payload) == (encode_pgm16(expected.depth),
-                                                           encode_ppm(expected.color))
-
     def test_server_needs_its_device_in_the_rig(self, setup):
         scene, rig = setup
         with pytest.raises(ValueError, match="device 1 not in rig"):

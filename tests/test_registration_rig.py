@@ -177,6 +177,18 @@ class TestRegisterRig:
             for pose in graph.global_poses.values():
                 assert np.abs(pose.matrix() - np.eye(4)).max() < 1e-9
 
+    def test_reference_without_a_tag_is_posed_alone(self, rng):
+        """A reference that sees no tag of the cube, in a rig with tags, has no start for
+        its edge, and nothing links the cube-posed devices to it."""
+        cloud = textured_cloud(rng)
+        square = np.array([[0, 0, 1], [0.1, 0, 1], [0.1, 0.1, 1], [0, 0.1, 1]], dtype=float)
+        layout = {0: square}
+        fiducials = {0: {7: square}, 1: layout, 2: layout}
+        graph = register_rig(dict.fromkeys(range(3), cloud), fiducials, layout, 0.02)
+        assert graph.failed_edges == [(0, 1)]
+        assert list(graph.edges) == [(1, 2)]
+        assert set(graph.global_poses) == {0}
+
 
 class TestSharedLevels:
     VOXEL = 0.02
