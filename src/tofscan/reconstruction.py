@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
+# SciPy is imported in the functions that call it: the device server, the scan
+# client and the oracle import this module and run on numpy alone
 from .geometry import PointCloud, pca_normals
 from .marching import PAD_CELLS, marching_cubes_grid, padded_grid
 from .solver import solve_poisson_grid
@@ -58,6 +58,8 @@ class TriangleMesh:
 
 def estimate_normals(cloud: PointCloud) -> PointCloud:
     """``cloud`` with PCA normals over its 30 nearest neighbors, each facing the origin."""
+    from scipy.spatial import cKDTree
+
     pts = cloud.points
     if len(pts) < _NORMAL_K:
         raise ValueError(f"need at least k={_NORMAL_K} points, got {len(pts)}")
@@ -100,6 +102,8 @@ def _splat_normals(cloud: PointCloud, origin, spacing, shape):
 def _sample(values: np.ndarray, origin: np.ndarray, spacing: float,
             pts: np.ndarray) -> np.ndarray:
     """Trilinear interpolation of a node grid at world points."""
+    from scipy import ndimage
+
     q = (pts - origin) / spacing
     return ndimage.map_coordinates(values, q.T, order=1, mode="nearest")
 
@@ -113,6 +117,8 @@ def poisson_reconstruct(cloud: PointCloud, resolution: int = 128) -> TriangleMes
     (checked before anything is allocated) or an empty iso-surface, SolverError
     if the linear solve misses the solver's residual gate.
     """
+    from scipy import ndimage
+
     if cloud.normals is None:
         raise ReconstructionError("cloud has no normals (run estimate_normals first)")
     if len(cloud) == 0:
@@ -156,6 +162,8 @@ def _weld_slivers(verts: np.ndarray, tris: np.ndarray, radius: float):
     vertices collapses them to repeated-index triangles whose removal keeps
     the mesh closed.
     """
+    from scipy.spatial import cKDTree
+
     pairs = cKDTree(verts).query_pairs(radius, output_type="ndarray")
     if len(pairs):
         # every vertex moves to the lowest index of its near-pair component

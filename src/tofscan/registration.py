@@ -48,9 +48,9 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.transform import Rotation
 
+# SciPy is imported in the functions that call it: the device server, the scan
+# client and the oracle import this module and run on numpy alone
 from .geometry import PointCloud, RigidTransform, neighbour_normals
 from .jsondoc import build, check, get
 from .parallel import map_ordered
@@ -239,6 +239,8 @@ class _Level:
     """
 
     def __init__(self, cloud: PointCloud, voxel: float, target: bool):
+        from scipy.spatial import cKDTree
+
         if cloud.colors is None:
             raise ValueError("colored ICP needs per-point colors on both clouds")
         # the cloud's own normals are not averaged: the level fits its own
@@ -432,6 +434,8 @@ def _tag_corners(fiducials: dict[int, dict], layout: dict[int, np.ndarray]) -> d
 
 def _log(t: RigidTransform) -> np.ndarray:
     """(rotation vector, translation) of ``t``, the 6-vector the pose solve weighs."""
+    from scipy.spatial.transform import Rotation
+
     return np.concatenate([Rotation.from_matrix(t.rotation).as_rotvec(), t.translation])
 
 

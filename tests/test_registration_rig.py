@@ -247,7 +247,7 @@ class TestSharedLevels:
                 queries.append(k)
                 return super().query(x, k=k, **kwargs)
 
-        monkeypatch.setattr(registration, "cKDTree", CountingTree)
+        monkeypatch.setattr("scipy.spatial.cKDTree", CountingTree)
         plain = textured_cloud(rng)
         normals = rng.standard_normal((len(plain), 3)) + [0.0, 0.0, -3.0]
         cloud = replace(plain, normals=normals / np.linalg.norm(normals, axis=1)[:, None])
