@@ -12,6 +12,11 @@ a failed CONFIGURE or FETCH names its endpoint. A request with a malformed
 payload, or a schedule naming a device outside the server's rig, gets
 BAD_REQUEST and leaves the server's schedule, state and frames as they were.
 A server handles one connection at a time; the rig has exactly one client.
+Each message must arrive whole within one deadline, ``DEFAULT_TIMEOUT_S`` for
+a request and the client's ``timeout_s`` for a reply, so a peer that trickles
+its bytes holds a server, or a device the client, no longer than one that
+stalls. A server counts a request past its deadline as a protocol error and
+hangs up.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import json
 import logging
 import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,11 +63,17 @@ class DeviceError(Exception):
         self.reason = reason
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
+def _recv_exact(sock: socket.socket, n: int, deadline: float) -> bytes:
+    """``n`` bytes, each ``recv`` bounded by the time left before ``deadline``
+    (``time.monotonic``); TimeoutError once it has passed."""
     buf = bytearray(n)
     view = memoryview(buf)
     got = 0
     while got < n:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("the message missed its deadline")
+        sock.settimeout(left)
         count = sock.recv_into(view[got:])
         if not count:
             raise ConnectionError("peer closed the connection")
@@ -75,8 +87,11 @@ def _send(sock: socket.socket, m: Message) -> int:
     return len(data)
 
 
-def _recv(sock: socket.socket) -> Message:
-    return read_message(lambda n: _recv_exact(sock, n))
+def _recv(sock: socket.socket, timeout_s: float) -> Message:
+    """One message, which must arrive whole within ``timeout_s``: a peer that trickles
+    it holds the socket no longer than one that stalls."""
+    deadline = time.monotonic() + timeout_s
+    return read_message(lambda n: _recv_exact(sock, n, deadline))
 
 
 def _with_endpoint(endpoint: str, e: Exception) -> Exception:
@@ -149,7 +164,6 @@ class DeviceServer:
                 except socket.timeout:
                     continue
                 with conn:
-                    conn.settimeout(DEFAULT_TIMEOUT_S)
                     self._serve_connection(conn)
         finally:
             srv.close()
@@ -163,8 +177,11 @@ class DeviceServer:
         while not (broken or self._stop.is_set()):
             error = None
             try:
-                msg = _recv(conn)
-            except OSError:  # the peer hung up, reset or went quiet
+                msg = _recv(conn, DEFAULT_TIMEOUT_S)
+            except TimeoutError:  # a request not whole by its deadline: counted, hung up on
+                self.counters["protocol_errors"] += 1
+                return
+            except OSError:  # the peer hung up or reset
                 return
             except ProtocolError as e:  # answered, counted, then hung up on
                 self.counters["protocol_errors"] += 1
@@ -181,6 +198,7 @@ class DeviceServer:
                 reply = json_message(MessageKind.ERROR,
                                      {"code": int(error.code), "reason": error.reason})
             try:
+                conn.settimeout(DEFAULT_TIMEOUT_S)  # not what the request's deadline left
                 self.counters["bytes_sent"] += _send(conn, reply)
             except OSError:
                 return
@@ -314,9 +332,8 @@ class ScanClient:
     def _request(self, endpoint: str, msg: Message) -> Message:
         host, port = _parse_endpoint(endpoint)
         with socket.create_connection((host, port), timeout=self.timeout_s) as sock:
-            sock.settimeout(self.timeout_s)
             _send(sock, msg)
-            reply = _recv(sock)
+            reply = _recv(sock, self.timeout_s)
         if reply.kind is MessageKind.ERROR:
             raise _read_payload(reply, lambda d, p: build(f"{p}.code", DeviceError,
                                                           get(d, p, "code", "integer"),

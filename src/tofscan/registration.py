@@ -73,11 +73,7 @@ class DegenerateConfigError(ValueError):
 class DivergenceError(RuntimeError):
     """ICP found a level of fewer than 2 points, no usable correspondences at some
     scale, or fitness below ``_MIN_FITNESS`` at the start of its coarsest scale or at
-    its end; carries the initial transform."""
-
-    def __init__(self, msg: str, init: RigidTransform):
-        super().__init__(msg)
-        self.init = init
+    its end."""
 
 
 def make_observations(tag_corners: dict[int, np.ndarray], sigma: float = 0.0,
@@ -100,12 +96,20 @@ def estimate_pose_from_fiducials(obs_a: dict[int, np.ndarray],
     Corners of tags seen by both cameras correspond one-to-one in their
     layout order. Closed-form SVD absolute orientation, no scale.
     """
+    pairs = _shared_corners(obs_a, obs_b)
+    if pairs is None:
+        raise DegenerateConfigError("no shared tags between the two cameras")
+    return _absolute_orientation(*pairs)
+
+
+def _shared_corners(obs_a: dict[int, np.ndarray],
+                    obs_b: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The corners of the tags in both ``obs_a`` and ``obs_b``, stacked in tag order,
+    (n, 3) each; None if they share no tag."""
     shared = sorted(set(obs_a) & set(obs_b))
     if not shared:
-        raise DegenerateConfigError("no shared tags between the two cameras")
-    pa = np.vstack([obs_a[t] for t in shared])
-    pb = np.vstack([obs_b[t] for t in shared])
-    return _absolute_orientation(pa, pb)
+        return None
+    return np.vstack([obs_a[t] for t in shared]), np.vstack([obs_b[t] for t in shared])
 
 
 def _absolute_orientation(pa: np.ndarray, pb: np.ndarray) -> RigidTransform:
@@ -243,6 +247,7 @@ class _Level:
 
         if cloud.colors is None:
             raise ValueError("colored ICP needs per-point colors on both clouds")
+        self.voxel = voxel
         # the cloud's own normals are not averaged: the level fits its own
         down = voxel_downsample(replace(cloud, normals=None), voxel)
         self.points = down.points
@@ -285,10 +290,10 @@ class _Level:
                                 c_xz * rx + c_yz * ry + c_zz * rz]) / det[:, None]
 
 
-def _residuals(src: _Level, tgt: _Level, transform: RigidTransform, voxel: float):
+def _residuals(src: _Level, tgt: _Level, transform: RigidTransform):
     """Residuals and correspondence data at the current transform."""
     moved = transform.apply(src.points)
-    dist, idx = tgt.tree.query(moved, distance_upper_bound=_MAX_CORR_FACTOR * voxel)
+    dist, idx = tgt.tree.query(moved, distance_upper_bound=_MAX_CORR_FACTOR * src.voxel)
     valid = np.isfinite(dist)
     if not valid.any():
         return None
@@ -350,13 +355,12 @@ def _gauss_newton_step(corr) -> np.ndarray:
 def colored_icp(source: PointCloud, target: PointCloud, init: RigidTransform,
                 params: MultiScaleParams = MultiScaleParams()) -> RegistrationResult:
     """Coarse-to-fine joint geometric/photometric alignment of source onto target."""
-    return _icp(partial(_Level, source, target=False),
-                partial(_Level, target, target=True), init, params.voxel_sizes)[0]
+    return _icp(((_Level(source, voxel, target=False), _Level(target, voxel, target=True))
+                 for voxel in params.voxel_sizes), init)[0]
 
 
-def _icp(source_level, target_level, init: RigidTransform,
-         voxel_sizes: tuple) -> tuple[RegistrationResult, np.ndarray]:
-    """The ICP loop over scales, coarsest first; ``*_level(voxel)`` gives each cloud's level.
+def _icp(scales, init: RigidTransform) -> tuple[RegistrationResult, np.ndarray]:
+    """The ICP loop over ``scales``, ``(source, target)`` level pairs, coarsest first.
 
     Returns the result and its information: the last scale's ``h`` at the final
     transform over the final objective, the (6, 6) information of the left
@@ -364,13 +368,12 @@ def _icp(source_level, target_level, init: RigidTransform,
     """
     transform = init
     history_all: list[list[float]] = []
-    for scale, voxel in enumerate(voxel_sizes):
-        src, tgt = source_level(voxel), target_level(voxel)
+    for scale, (src, tgt) in enumerate(scales):
         if src.normals is None or tgt.normals is None:
-            raise DivergenceError(f"a cloud has fewer than 2 points at voxel {voxel}", init)
-        corr = _residuals(src, tgt, transform, voxel)
+            raise DivergenceError(f"a cloud has fewer than 2 points at voxel {src.voxel}")
+        corr = _residuals(src, tgt, transform)
         if corr is None or (scale == 0 and _fit_rmse(corr, len(src.points))[0] < _MIN_FITNESS):
-            raise DivergenceError(f"no usable correspondences at voxel {voxel}", init)
+            raise DivergenceError(f"no usable correspondences at voxel {src.voxel}")
         energy = _objective(corr)
         history = [energy]
         prev_fit, prev_rmse = _fit_rmse(corr, len(src.points))
@@ -379,7 +382,7 @@ def _icp(source_level, target_level, init: RigidTransform,
             accepted = None
             for _damp in range(1 + _MAX_HALVINGS):
                 trial = apply_increment(xi, transform)
-                trial_corr = _residuals(src, tgt, trial, voxel)
+                trial_corr = _residuals(src, tgt, trial)
                 if trial_corr is not None:
                     trial_energy = _objective(trial_corr)
                     if trial_energy <= energy:
@@ -399,7 +402,7 @@ def _icp(source_level, target_level, init: RigidTransform,
 
     fitness, rmse = _fit_rmse(corr, len(src.points))
     if fitness < _MIN_FITNESS:
-        raise DivergenceError(f"fitness {fitness:.3f} below {_MIN_FITNESS}", init)
+        raise DivergenceError(f"fitness {fitness:.3f} below {_MIN_FITNESS}")
     information = _normal_equations(corr)[0] / max(energy, _MIN_OBJECTIVE)
     return RegistrationResult(transform, rmse, fitness, history_all), information
 
@@ -420,18 +423,6 @@ class PoseGraph:
     failed_edges: list = field(default_factory=list)
 
 
-def _tag_corners(fiducials: dict[int, dict], layout: dict[int, np.ndarray]) -> dict:
-    """Each device's ``(observed, layout)`` corners, (n, 3) each, of the layout's tags
-    it saw; a device that saw none of them is left out."""
-    corners = {}
-    for dev, obs in fiducials.items():
-        tags = sorted(set(obs) & set(layout))
-        if tags:
-            corners[dev] = (np.vstack([obs[t] for t in tags]),
-                            np.vstack([layout[t] for t in tags]))
-    return corners
-
-
 def _log(t: RigidTransform) -> np.ndarray:
     """(rotation vector, translation) of ``t``, the 6-vector the pose solve weighs."""
     from scipy.spatial.transform import Rotation
@@ -439,31 +430,27 @@ def _log(t: RigidTransform) -> np.ndarray:
     return np.concatenate([Rotation.from_matrix(t.rotation).as_rotvec(), t.translation])
 
 
-def _solve_poses(start: dict, corners: dict, links: dict, ref: int) -> dict:
+def _solve_poses(start: dict, corners: dict, links: dict) -> dict:
     """The poses of the devices in ``start`` that best fit their tag ``corners`` and
     the ICP edges together: a few Gauss-Newton steps over 6 unknowns a device,
     started from ``start``, each updating a pose by a left increment (omega, t).
+    Every device in ``start`` has corners, and every edge's devices are in ``start``.
 
     A pose maps the cube's frame into its camera's. A device's corner residuals
     P_d x - y weigh 1 / CORNER_NOISE_SIGMA^2. An edge (a, b) with ``links[a, b] =
     (T_ab, information)`` weighs that information on e = log(P_a P_b^-1 T_ab^-1),
     read as (rotation vector, translation): P_a P_b^-1 is the b-to-a transform
     that the poses imply and T_ab the one ICP found. To first order in e, its
-    Jacobian is I for P_a and -Ad(P_a P_b^-1) for P_b. An edge with a device
-    outside ``start`` adds nothing. When ``ref`` has no corners nothing ties the
-    poses to the cube, and ``ref`` is held at its start.
+    Jacobian is I for P_a and -Ad(P_a P_b^-1) for P_b.
     """
-    devices = sorted(d for d in start if d != ref or ref in corners)
-    links = {edge: link for edge, link in links.items() if set(edge) <= set(start)}
+    devices = sorted(start)
     at = {dev: slice(6 * i, 6 * i + 6) for i, dev in enumerate(devices)}
     poses = dict(start)
     axes = np.eye(3)
-    for _ in range(_SOLVE_STEPS if devices else 0):
+    for _ in range(_SOLVE_STEPS):
         h = np.zeros((6 * len(devices), 6 * len(devices)))
         g = np.zeros(6 * len(devices))
         for dev in devices:
-            if dev not in corners:
-                continue
             observed, model = corners[dev]
             p = poses[dev].apply(model)
             r = (p - observed).ravel()
@@ -479,10 +466,8 @@ def _solve_poses(start: dict, corners: dict, links: dict, ref: int) -> dict:
             adjoint[:3, :3] = adjoint[3:, 3:] = implied.rotation
             adjoint[3:, :3] = _skew(implied.translation) @ implied.rotation
             j = np.zeros((6, len(g)))
-            if a in at:
-                j[:, at[a]] = np.eye(6)
-            if b in at:
-                j[:, at[b]] = -adjoint
+            j[:, at[a]] = np.eye(6)
+            j[:, at[b]] = -adjoint
             h += j.T @ information @ j
             g += j.T @ information @ err
         step = np.linalg.solve(h, -g)
@@ -491,31 +476,27 @@ def _solve_poses(start: dict, corners: dict, links: dict, ref: int) -> dict:
 
 
 def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, dict],
-                 layout: dict[int, np.ndarray], voxel: float,
-                 order: list[int] | None = None) -> PoseGraph:
+                 layout: dict[int, np.ndarray], voxel: float, order: list[int]) -> PoseGraph:
     """Pose every device from the calibration cube, one-scale colored ICP on the
     chain edges, and one solve that fuses the two.
 
     ``fiducials`` holds each device's ``make_observations`` tag corners and
     ``layout`` the cube's (``cube_tag_layout``). ``order`` is the physical rig
-    order (defaults to sorted device ids); consecutive devices form the chain
-    edges and ``order[0]`` is the reference frame. Each edge runs ICP at
-    ``voxel`` from the relative pose of its devices' cube poses; an edge with a
-    device that saw no tag of the cube has no start and fails. An edge that
-    raises is flagged and adds nothing to the solve; an edge with an empty cloud
-    runs no ICP and is left out of ``edges``. An edge's information is divided
-    by max(1, d^T I d / 6), d the move of its ICP from the cube start and I its
-    information: an edge that moved further than its information allows is
-    weighed by the move it made. A device is posed when the cube or the kept
-    edges link it to the reference: every device that saw a tag if the
-    reference did, only the reference if it saw none in a rig with tags. With no
-    tags (``fiducials == {}``) every edge starts from the identity, the solve
-    holds the reference, and the poses are the kept edges chained from it.
+    order; consecutive devices form the chain edges and ``order[0]`` is the
+    reference frame. Each edge runs ICP at ``voxel`` from the relative pose of
+    its devices' cube poses; an edge with a device that saw no tag of the cube
+    has no start and fails. An edge that raises is flagged and adds nothing to
+    the solve; an edge with an empty cloud runs no ICP and is left out of
+    ``edges``. An edge's information is divided by max(1, d^T I d / 6), d the
+    move of its ICP from the cube start and I its information: an edge that
+    moved further than its information allows is weighed by the move it made.
+    A device is posed when it and the reference saw a tag of the cube; a
+    reference that saw none is posed alone.
     """
-    order = list(order) if order is not None else sorted(clouds)
     chain = list(zip(order, order[1:]))
-    corners = _tag_corners(fiducials, layout)
-    cube = {dev: _absolute_orientation(*pair) for dev, pair in corners.items()}
+    corners = {dev: pairs for dev, obs in fiducials.items()
+               if (pairs := _shared_corners(obs, layout)) is not None}
+    cube = {dev: _absolute_orientation(*pairs) for dev, pairs in corners.items()}
 
     # one level per non-empty device; a device that is some edge's target also
     # gets its gradients
@@ -529,17 +510,15 @@ def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, dict],
         DegenerateConfigError or DivergenceError that fails it."""
         a, b = edge
         try:
-            unposed = [dev for dev in edge if fiducials and dev not in cube]
+            unposed = [dev for dev in edge if dev not in cube]
             if unposed:
                 raise DegenerateConfigError(f"device {unposed[0]} sees no tag of the cube")
-            init = cube[a].compose(cube[b].invert()) if fiducials else RigidTransform.identity()
             if a not in levels or b not in levels:
                 return None
-            result, information = _icp(lambda v: levels[b], lambda v: levels[a], init, (voxel,))
-            if fiducials:
-                move = _log(init.compose(result.transform.invert()))
-                information = information / max(1.0, move @ information @ move / 6)
-            return result, information
+            init = cube[a].compose(cube[b].invert())
+            result, information = _icp([(levels[b], levels[a])], init)
+            move = _log(init.compose(result.transform.invert()))
+            return result, information / max(1.0, move @ information @ move / 6)
         except (DegenerateConfigError, DivergenceError) as e:
             return e
 
@@ -555,17 +534,12 @@ def register_rig(clouds: dict[int, PointCloud], fiducials: dict[int, dict],
             edges[(a, b)], information = outcome
             links[(a, b)] = (edges[(a, b)].transform, information)
 
-    # the solve starts from the cube poses, or with no tags from the reference
-    # and the kept edges walked along the chain
     ref = order[0]
-    start = dict(cube) if ref in cube else {ref: RigidTransform.identity()}
-    for (a, b), (found, _information) in links.items():
-        if a in start and b not in start:
-            start[b] = found.invert().compose(start[a])
-    solved = _solve_poses(start, corners, links, ref)
     poses = {ref: RigidTransform.identity()}
-    poses.update((dev, solved[ref].compose(solved[dev].invert()))
-                 for dev in order[1:] if dev in solved)
+    if ref in cube:
+        solved = _solve_poses(cube, corners, links)
+        poses.update((dev, solved[ref].compose(solved[dev].invert()))
+                     for dev in order[1:] if dev in solved)
     return PoseGraph(ref, edges, poses, failed)
 
 

@@ -27,6 +27,16 @@ def pose_error(t: RigidTransform, t_ref: RigidTransform):
     return float(ang), float(np.linalg.norm(t.translation - t_ref.translation))
 
 
+TAG_SQUARE = np.array([[0, 0, 1], [0.1, 0, 1], [0.1, 0.1, 1], [0, 0.1, 1]], dtype=float)
+
+
+def unmoved_tags(devices):
+    """``(fiducials, layout)`` for ``register_rig``: a one-tag layout that each of
+    ``devices`` sees where the layout has it, so every cube pose is the identity."""
+    layout = {0: TAG_SQUARE}
+    return dict.fromkeys(devices, layout), layout
+
+
 def worst_pose_error(cfg, graph):
     """(degrees, meters): the largest rotation and translation errors of the graph's
     global poses against the rig's extrinsics, in the reference camera's frame."""

@@ -2,6 +2,8 @@ import itertools
 import json
 import socket
 import struct
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -9,15 +11,16 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import assert_json_types_kept, assert_names_key_path, json_mutants
+from tofscan import acquisition
 from tofscan.acquisition import (DeviceError, DeviceServer, IntegrityError, ManifestEntry,
-                                 ScanClient, ScanSession, _recv_exact, load_session,
+                                 ScanClient, ScanSession, _recv, load_session,
                                  save_session)
 from tofscan.capture import build_schedule, corrupt_device_frame
 from tofscan.experiments import SYNC_SCENE
 from tofscan.formats import decode_pgm16, decode_ppm, encode_pgm16, encode_ppm
 from tofscan.geometry import CameraIntrinsics, RigidTransform
 from tofscan.protocol import (ErrorCode, Message, MessageKind, encode_message, json_message,
-                              payload_json, read_message, unpack_frame_payload)
+                              payload_json, unpack_frame_payload)
 from tofscan.render import SensorModel, render, rig_from_list, rig_to_list
 from tofscan.rigs import known_object_rig, look_at
 from tofscan.scene import box, make_known_object_scene, scene_to_dict
@@ -33,6 +36,9 @@ class _ResetPeer:
 
     def __init__(self, data: bytes):
         self.data = data
+
+    def settimeout(self, timeout: float) -> None:
+        pass
 
     def recv_into(self, view) -> int:
         n = min(len(view), len(self.data))
@@ -237,7 +243,7 @@ class TestServerStateMachine:
             with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
                 def ask(m: Message) -> Message:
                     sock.sendall(encode_message(m))
-                    return read_message(lambda n: _recv_exact(sock, n))
+                    return _recv(sock, 5)
 
                 for step in ("CONFIGURE", "TRIGGER")[:1 + (kind == "FETCH")]:
                     assert ask(valid[step]).kind is not MessageKind.ERROR
@@ -269,7 +275,7 @@ class TestServerStateMachine:
             with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
                 def ask(kind: str, payload) -> Message:
                     sock.sendall(encode_message(json_message(MessageKind[kind], payload)))
-                    return read_message(lambda n: _recv_exact(sock, n))
+                    return _recv(sock, 5)
 
                 for step in ("CONFIGURE", "TRIGGER")[:1 + (kind != "TRIGGER")]:
                     assert ask(step, valid[step]).kind is not MessageKind.ERROR
@@ -438,7 +444,7 @@ class TestLoopback:
             def exchange(data: bytes) -> Message:
                 with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
                     sock.sendall(data)
-                    return read_message(lambda n: _recv_exact(sock, n))
+                    return _recv(sock, 5)
 
             sched = build_schedule([s.device_id for s in rig], 160, 125)
             replies = [exchange(encode_message(m)) for m in (
@@ -478,6 +484,76 @@ class TestLoopback:
             assert server.counters["protocol_errors"] >= 1
         finally:
             server.stop()
+
+    def test_trickling_peer_does_not_hold_the_server(self, setup, monkeypatch):
+        """A peer that sends a HELLO a byte per 0.1 s misses the server's 0.5 s request
+        deadline, though no single read waits that long: its connection ends, counted,
+        and a second client gets its HELLO answer."""
+        monkeypatch.setattr(acquisition, "DEFAULT_TIMEOUT_S", 0.5)
+        server = DeviceServer(0, TINY_RIG[0], scene=setup[0], rig=TINY_RIG)
+        server.start_background()
+        connected, done = threading.Event(), threading.Event()
+
+        def trickle():
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+                connected.set()
+                for byte in itertools.cycle(encode_message(Message(MessageKind.HELLO))):
+                    if done.wait(0.1):
+                        return
+                    try:
+                        sock.sendall(bytes([byte]))
+                    except OSError:  # the server hung up
+                        return
+
+        peer = threading.Thread(target=trickle)
+        peer.start()
+        try:
+            assert connected.wait(5)
+            time.sleep(0.2)  # the server has taken the trickling connection
+            start = time.monotonic()
+            assert ScanClient(timeout_s=3.0).hello(f"127.0.0.1:{server.port}") == \
+                {"device_id": 0, "intrinsics": TINY_RIG[0].intrinsics.to_json_dict()}
+            assert time.monotonic() - start < 2.0
+            assert server.counters["protocol_errors"] == 1
+        finally:
+            done.set()
+            peer.join(timeout=5)
+            server.stop()
+        assert not peer.is_alive()
+
+    def test_client_gives_up_on_a_trickled_reply(self):
+        """A device that answers HELLO a byte per 0.1 s misses the client's 0.5 s reply
+        deadline, though no single read waits that long: the client raises TimeoutError
+        within the deadline and a little slack."""
+        done = threading.Event()
+        hello = encode_message(Message(MessageKind.HELLO))
+        reply = encode_message(json_message(MessageKind.HELLO_ACK, {"device_id": 0}))
+
+        def device(srv: socket.socket):
+            conn, _addr = srv.accept()
+            with conn:
+                assert conn.recv(len(hello), socket.MSG_WAITALL) == hello
+                for byte in reply:
+                    if done.wait(0.1):
+                        return
+                    try:
+                        conn.sendall(bytes([byte]))
+                    except OSError:  # the client hung up
+                        return
+
+        with socket.create_server(("127.0.0.1", 0)) as srv:
+            srv.settimeout(5)
+            trickler = threading.Thread(target=device, args=(srv,))
+            trickler.start()
+            try:
+                start = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    ScanClient(timeout_s=0.5).hello(f"127.0.0.1:{srv.getsockname()[1]}")
+                assert time.monotonic() - start < 0.5 + 0.5
+            finally:
+                done.set()
+                trickler.join(timeout=5)
+        assert not trickler.is_alive()
 
 
 class TestSessionJson:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import pose_error
+from conftest import pose_error, unmoved_tags
 from tofscan.geometry import PointCloud, RigidTransform, transform_cloud
 from tofscan import registration
 from tofscan.registration import (DivergenceError, MultiScaleParams, apply_increment,
@@ -72,51 +72,45 @@ class TestBasics:
         assert r.inlier_rmse <= 2 * PARAMS.voxel_sizes[-1]
         assert rot_e < 0.5 and tr_e < 0.01
 
-    def test_divergence_carries_init(self, rng):
+    def test_far_target_diverges(self, rng):
         cloud = corner_cloud(rng)
         far = PointCloud(cloud.points + 50.0, colors=cloud.colors)
-        init = RigidTransform.identity()
-        with pytest.raises(DivergenceError) as e:
-            colored_icp(cloud, far, init, PARAMS)
-        assert e.value.init is init
+        with pytest.raises(DivergenceError):
+            colored_icp(cloud, far, RigidTransform.identity(), PARAMS)
 
-    def test_one_point_level_diverges_with_init(self, rng):
+    def test_one_point_level_diverges(self, rng):
         """200 points inside one 4 cm voxel make a 1-point level."""
         tiny = PointCloud(0.005 + rng.random((200, 3)) * 0.03, colors=rng.random((200, 3)))
-        init = RigidTransform.identity()
-        with pytest.raises(DivergenceError) as e:
-            colored_icp(tiny, tiny, init, MultiScaleParams((0.04,)))
-        assert e.value.init is init
+        with pytest.raises(DivergenceError):
+            colored_icp(tiny, tiny, RigidTransform.identity(), MultiScaleParams((0.04,)))
 
-    def test_low_final_fitness_diverges_with_init(self, caplog):
+    def test_low_final_fitness_diverges(self, caplog):
         """The blob fills 125 coarse voxels but 8,000 fine ones: 25 of the source's 150
         coarse points match (fitness 0.17), 400 of its 8,400 finest (0.048). The pair
         raises; register_rig, which runs the finest scale only, flags its edge by the
         error of that scale's start."""
         source, target = plane_and_blob()
-        init = RigidTransform.identity()
-        with pytest.raises(DivergenceError, match=r"^fitness 0\.048 below 0\.1$") as e:
-            colored_icp(source, target, init, PARAMS)
-        assert e.value.init is init
+        with pytest.raises(DivergenceError, match=r"^fitness 0\.048 below 0\.1$"):
+            colored_icp(source, target, RigidTransform.identity(), PARAMS)
         with caplog.at_level("WARNING", logger="tofscan.registration"):
-            graph = register_rig({0: target, 1: source}, {}, {}, PARAMS.voxel_sizes[-1])
-        assert graph.failed_edges == [(0, 1)] and set(graph.global_poses) == {0}
+            graph = register_rig({0: target, 1: source}, *unmoved_tags([0, 1]),
+                                 PARAMS.voxel_sizes[-1], [0, 1])
+        assert graph.failed_edges == [(0, 1)] and not graph.edges
+        assert set(graph.global_poses) == {0, 1}  # device 1 keeps its cube pose
         assert [r.getMessage() for r in caplog.records] == \
             ["edge (0, 1) failed: no usable correspondences at voxel 0.01"]
 
-    def test_finer_scale_without_match_diverges_with_init(self, rng, monkeypatch):
+    def test_finer_scale_without_match_diverges(self, rng, monkeypatch):
         """A finer scale whose query finds no usable match raises, as the coarsest does."""
         real = registration._residuals
 
-        def none_below_coarsest(src, tgt, transform, voxel):
-            return None if voxel < PARAMS.voxel_sizes[0] else real(src, tgt, transform, voxel)
+        def none_below_coarsest(src, tgt, transform):
+            return None if src.voxel < PARAMS.voxel_sizes[0] else real(src, tgt, transform)
 
         monkeypatch.setattr(registration, "_residuals", none_below_coarsest)
         cloud = corner_cloud(rng)
-        init = RigidTransform.identity()
-        with pytest.raises(DivergenceError, match="no usable correspondences at voxel 0.02") as e:
-            colored_icp(cloud, cloud, init, PARAMS)
-        assert e.value.init is init
+        with pytest.raises(DivergenceError, match="no usable correspondences at voxel 0.02"):
+            colored_icp(cloud, cloud, RigidTransform.identity(), PARAMS)
 
     def test_objective_never_increases(self, rng):
         cloud = corner_cloud(rng, noise=0.002)

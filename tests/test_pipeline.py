@@ -128,8 +128,8 @@ def replace_frame(monkeypatch, dev, **fields):
 def cube_poses(cfg):
     """Each device's cube-to-camera pose from the run's calibration pass alone."""
     layout = cube_tag_layout(cfg.cube_edge, cfg.cube_tags_per_face)
-    corners = registration._tag_corners(pipeline._calibration_observations(cfg, layout), layout)
-    return {dev: registration._absolute_orientation(*pair) for dev, pair in corners.items()}
+    return {dev: registration.estimate_pose_from_fiducials(obs, layout)
+            for dev, obs in pipeline._calibration_observations(cfg, layout).items()}
 
 
 def test_device_with_an_empty_mask_keeps_its_cube_pose(cylinder_cfg, monkeypatch):
@@ -176,10 +176,10 @@ def test_diverged_middle_cattle_edge_keeps_every_device(cattle_cfg, monkeypatch)
     middle = cube[0].compose(cube[4].invert()).matrix()
     real = registration._icp
 
-    def icp(source_level, target_level, init, voxel_sizes):
+    def icp(scales, init):
         if np.array_equal(init.matrix(), middle):
-            raise registration.DivergenceError("forced", init)
-        return real(source_level, target_level, init, voxel_sizes)
+            raise registration.DivergenceError("forced")
+        return real(scales, init)
 
     monkeypatch.setattr(registration, "_icp", icp)
     result = run_pipeline(cattle_cfg)

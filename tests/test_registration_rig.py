@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import pose_error
+from conftest import TAG_SQUARE, pose_error, unmoved_tags
 
 from tofscan import registration
 from tofscan.geometry import PointCloud, RigidTransform, back_project, transform_cloud
 from tofscan.capture import build_schedule, simulate_capture
 from tofscan.experiments import KNOWN_OBJECT_REGISTRATION, TEXTURE
-from tofscan.registration import (MultiScaleParams, colored_icp, merge_clouds, register_rig,
-                                  save_pose_graph, voxel_downsample,
-                                  make_observations)
+from tofscan.registration import (MultiScaleParams, colored_icp, estimate_pose_from_fiducials,
+                                  make_observations, merge_clouds, register_rig,
+                                  save_pose_graph, voxel_downsample)
 from tofscan.render import observe_tags
 from tofscan.rigs import known_object_rig
 from tofscan.scene import Scene, box, cube_tag_layout
@@ -71,7 +71,7 @@ class TestMultiScaleParams:
 class TestRegisterRig:
     def test_two_identical_clouds(self, rng):
         cloud = textured_cloud(rng)
-        graph = register_rig({0: cloud, 1: cloud}, {}, {}, 0.02)
+        graph = register_rig({0: cloud, 1: cloud}, *unmoved_tags([0, 1]), 0.02, [0, 1])
         for dev in (0, 1):
             assert np.abs(graph.global_poses[dev].matrix() - np.eye(4)).max() < 1e-6
 
@@ -108,21 +108,23 @@ class TestRegisterRig:
         rms = float(np.sqrt(np.mean(d ** 2)))
         assert rms <= 0.005
 
-    def test_unreachable_device_flagged(self, rng):
+    def test_unregisterable_edge_flagged(self, rng):
+        """Device 2's cloud lies 100 m off: its edge fails and it keeps its cube pose."""
         a = textured_cloud(rng)
         c = PointCloud(a.points + 100.0, colors=a.colors)  # unregisterable outlier
-        graph = register_rig({0: a, 1: a, 2: c}, {}, {}, 0.02)
-        assert (1, 2) in graph.failed_edges
-        assert 2 not in graph.global_poses
-        assert set(graph.global_poses) == {0, 1}
+        graph = register_rig({0: a, 1: a, 2: c}, *unmoved_tags(range(3)), 0.02, [0, 1, 2])
+        assert graph.failed_edges == [(1, 2)]
+        assert list(graph.edges) == [(0, 1)]
+        assert set(graph.global_poses) == {0, 1, 2}
+        assert np.abs(graph.global_poses[2].matrix() - np.eye(4)).max() < 1e-9
 
     def test_one_point_level_fails_its_edge(self, rng):
         """A device whose 200 points sit inside one 4 cm voxel fails its edge."""
         a = textured_cloud(rng)
         tiny = PointCloud(0.005 + rng.random((200, 3)) * 0.03, colors=rng.random((200, 3)))
-        graph = register_rig({0: a, 1: a, 2: tiny}, {}, {}, 0.04)
+        graph = register_rig({0: a, 1: a, 2: tiny}, *unmoved_tags(range(3)), 0.04, [0, 1, 2])
         assert graph.failed_edges == [(1, 2)]
-        assert set(graph.global_poses) == {0, 1}
+        assert set(graph.global_poses) == {0, 1, 2}
 
     def test_failed_middle_edges_same_on_the_pool(self, rng, workers, caplog, monkeypatch):
         """Edges (1, 2) and (3, 4) diverge; (1, 2) is made to fail last, yet warns first.
@@ -134,10 +136,11 @@ class TestRegisterRig:
         clouds = {0: far[0], 1: far[0], 2: far[1], 3: far[1], 4: far[2], 5: far[2]}
         real = registration._icp
 
-        def icp(source_level, target_level, init, voxel_sizes):
-            if target_level(voxel_sizes[0]).points[0, 0] < 50.0:  # edges (0, 1) and (1, 2)
+        def icp(scales, init):
+            [(_source, target)] = scales
+            if target.points[0, 0] < 50.0:  # edges (0, 1) and (1, 2)
                 time.sleep(0.2)
-            return real(source_level, target_level, init, voxel_sizes)
+            return real(scales, init)
 
         monkeypatch.setattr(registration, "_icp", icp)
         graphs = []
@@ -145,13 +148,13 @@ class TestRegisterRig:
             workers(n)
             caplog.clear()
             with caplog.at_level("WARNING", logger="tofscan.registration"):
-                graphs.append(register_rig(clouds, {}, {}, 0.02))
+                graphs.append(register_rig(clouds, *unmoved_tags(clouds), 0.02, list(clouds)))
             assert [r.getMessage().split(" failed")[0] for r in caplog.records] == \
                 ["edge (1, 2)", "edge (3, 4)"]
         inline, pooled = graphs
         assert inline.failed_edges == pooled.failed_edges == [(1, 2), (3, 4)]
         assert list(inline.edges) == list(pooled.edges) == [(0, 1), (2, 3), (4, 5)]
-        assert set(inline.global_poses) == set(pooled.global_poses) == {0, 1}
+        assert set(inline.global_poses) == set(pooled.global_poses) == set(clouds)
         for dev, pose in inline.global_poses.items():
             assert np.array_equal(pose.matrix(), pooled.global_poses[dev].matrix())
 
@@ -160,7 +163,7 @@ class TestRegisterRig:
         their edge runs; device 4 sees no tag of the cube and fails its edge alone,
         inline and on a pool."""
         cloud = textured_cloud(rng)
-        square = np.array([[0, 0, 1], [0.1, 0, 1], [0.1, 0.1, 1], [0, 0.1, 1]], dtype=float)
+        square = TAG_SQUARE
         layout = {0: square, 1: square + [0.0, 0.0, 0.2]}
         seen = {0: square, 1: square + [0.0, 0.0, 0.2]}
         fiducials = {0: seen, 1: {0: seen[0]}, 2: {1: seen[1]}, 3: seen, 4: {7: square}}
@@ -168,7 +171,8 @@ class TestRegisterRig:
             workers(n)
             caplog.clear()
             with caplog.at_level("WARNING", logger="tofscan.registration"):
-                graph = register_rig(dict.fromkeys(range(5), cloud), fiducials, layout, 0.02)
+                graph = register_rig(dict.fromkeys(range(5), cloud), fiducials, layout, 0.02,
+                                     list(range(5)))
             assert list(graph.edges) == [(0, 1), (1, 2), (2, 3)]
             assert graph.failed_edges == [(3, 4)]
             assert [r.getMessage() for r in caplog.records] == \
@@ -181,13 +185,33 @@ class TestRegisterRig:
         """A reference that sees no tag of the cube, in a rig with tags, has no start for
         its edge, and nothing links the cube-posed devices to it."""
         cloud = textured_cloud(rng)
-        square = np.array([[0, 0, 1], [0.1, 0, 1], [0.1, 0.1, 1], [0, 0.1, 1]], dtype=float)
+        square = TAG_SQUARE
         layout = {0: square}
         fiducials = {0: {7: square}, 1: layout, 2: layout}
-        graph = register_rig(dict.fromkeys(range(3), cloud), fiducials, layout, 0.02)
+        graph = register_rig(dict.fromkeys(range(3), cloud), fiducials, layout, 0.02, [0, 1, 2])
         assert graph.failed_edges == [(0, 1)]
         assert list(graph.edges) == [(1, 2)]
         assert set(graph.global_poses) == {0}
+
+    @pytest.mark.parametrize("fiducials", [dict.fromkeys(range(3), {}), {}],
+                             ids=["no-tag-each", "no-fiducials"])
+    def test_no_camera_sees_the_cube(self, rng, caplog, fiducials):
+        """With no cube pose, every edge fails with DegenerateConfigError before ICP runs,
+        only the reference is posed, and the merge holds the reference's cloud alone."""
+        cloud = textured_cloud(rng)
+        clouds = {dev: PointCloud(cloud.points + [0.3 * dev, 0.0, 0.0], colors=cloud.colors)
+                  for dev in range(3)}
+        with caplog.at_level("WARNING", logger="tofscan.registration"):
+            graph = register_rig(clouds, fiducials, {0: TAG_SQUARE}, 0.02, [0, 1, 2])
+        assert graph.failed_edges == [(0, 1), (1, 2)]
+        assert graph.edges == {}
+        assert [r.getMessage() for r in caplog.records] == \
+            ["edge (0, 1) failed: device 0 sees no tag of the cube",
+             "edge (1, 2) failed: device 1 sees no tag of the cube"]
+        assert list(graph.global_poses) == [0]
+        assert np.array_equal(graph.global_poses[0].matrix(), np.eye(4))
+        merged = merge_clouds(clouds, graph, dedup_voxel=0.01)
+        assert np.array_equal(merged.points, voxel_downsample(clouds[0], 0.01).points)
 
 
 class TestSharedLevels:
@@ -214,7 +238,7 @@ class TestSharedLevels:
             return real(*args)
 
         monkeypatch.setattr(registration, "neighbour_normals", counting)
-        graph = register_rig(self.chain(rng), {}, {}, self.VOXEL)
+        graph = register_rig(self.chain(rng), *unmoved_tags(range(3)), self.VOXEL, [0, 1, 2])
         assert not graph.failed_edges
         assert len(calls) == 3
 
@@ -260,11 +284,14 @@ class TestSharedLevels:
             assert np.array_equal(level.gradients, ref.gradients)
 
     def test_edges_match_standalone_icp(self, rng):
+        """Each edge is the one-scale colored_icp of its pair from its cube start."""
         clouds = self.chain(rng)
-        graph = register_rig(clouds, {}, {}, self.VOXEL)
+        fiducials, layout = unmoved_tags(range(3))
+        graph = register_rig(clouds, fiducials, layout, self.VOXEL, [0, 1, 2])
         assert set(graph.edges) == {(0, 1), (1, 2)}
+        cube = {dev: estimate_pose_from_fiducials(obs, layout) for dev, obs in fiducials.items()}
         for (a, b), r in graph.edges.items():
-            alone = colored_icp(clouds[b], clouds[a], RigidTransform.identity(),
+            alone = colored_icp(clouds[b], clouds[a], cube[a].compose(cube[b].invert()),
                                 MultiScaleParams((self.VOXEL,)))
             assert np.array_equal(r.transform.matrix(), alone.transform.matrix())
             assert r.fitness == alone.fitness
@@ -299,7 +326,7 @@ class TestMergeClouds:
 
 def test_pose_graph_json_round_trip(tmp_path, rng):
     cloud = textured_cloud(rng)
-    graph = register_rig({0: cloud, 1: cloud}, {}, {}, 0.02)
+    graph = register_rig({0: cloud, 1: cloud}, *unmoved_tags([0, 1]), 0.02, [0, 1])
     path = tmp_path / "poses.json"
     save_pose_graph(path, graph)
     doc = json.loads(path.read_text())
