@@ -16,7 +16,8 @@ Each message must arrive whole within one deadline, ``DEFAULT_TIMEOUT_S`` for
 a request and the client's ``timeout_s`` for a reply, so a peer that trickles
 its bytes holds a server, or a device the client, no longer than one that
 stalls. A server counts a request past its deadline as a protocol error and
-hangs up.
+hangs up. A message is kept as the chunks that have arrived, never as a buffer
+of the length its header declares.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 DEFAULT_TIMEOUT_S = 5.0
+_CHUNK = 1 << 20  # most bytes one recv takes, so a buffer grows only as bytes arrive
 
 
 class IntegrityError(Exception):
@@ -64,21 +66,20 @@ class DeviceError(Exception):
 
 
 def _recv_exact(sock: socket.socket, n: int, deadline: float) -> bytes:
-    """``n`` bytes, each ``recv`` bounded by the time left before ``deadline``
-    (``time.monotonic``); TimeoutError once it has passed."""
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
+    """``n`` bytes, kept as the chunks of at most ``_CHUNK`` that have arrived; each ``recv``
+    waits at most until ``deadline`` (``time.monotonic``), TimeoutError once it has passed."""
+    chunks = []
+    while n:
         left = deadline - time.monotonic()
         if left <= 0:
             raise TimeoutError("the message missed its deadline")
         sock.settimeout(left)
-        count = sock.recv_into(view[got:])
-        if not count:
+        chunk = sock.recv(min(n, _CHUNK))
+        if not chunk:
             raise ConnectionError("peer closed the connection")
-        got += count
-    return bytes(buf)
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
 
 
 def _send(sock: socket.socket, m: Message) -> int:
@@ -134,7 +135,7 @@ class DeviceServer:
         self.rig = rig
         self.schedule: CaptureSchedule | None = None
         self.state = "idle"
-        self.frames: dict[int, tuple[bytes, bytes, int]] = {}  # last triggered frame only
+        self.frames: dict[int, bytes] = {}  # the last triggered frame's FRAME payload
         # rendered by the first TRIGGER; one connection at a time, so no lock
         self._clean: RenderResult | None = None
         # reported by STATUS; protocol_errors counts requests that broke the wire format
@@ -239,14 +240,13 @@ class DeviceServer:
                                           self.device_id, seed, clean=self._clean)
             depth_pgm = encode_pgm16(result.depth)
             color_ppm = encode_ppm(result.color)
-            crc = frame_crc32(depth_pgm, color_ppm)
-            self.frames = {frame_id: (depth_pgm, color_ppm, crc)}
+            self.frames = {frame_id: pack_frame_payload(depth_pgm, color_ppm)}
             self.counters["frames_rendered"] += 1
             self.state = "captured"
             return json_message(MessageKind.TRIGGER_ACK,
                                 {"device_id": self.device_id, "frame_id": frame_id,
                                  "depth_bytes": len(depth_pgm), "color_bytes": len(color_ppm),
-                                 "crc32": crc})
+                                 "crc32": frame_crc32(depth_pgm, color_ppm)})
         if msg.kind is MessageKind.FETCH:
             if self.state != "captured":
                 raise DeviceError(ErrorCode.BAD_STATE,
@@ -255,8 +255,7 @@ class DeviceServer:
                                      _bad_request)
             if frame_id not in self.frames:
                 raise DeviceError(ErrorCode.UNKNOWN_FRAME, f"no stored frame {frame_id}")
-            depth_pgm, color_ppm, _crc = self.frames[frame_id]
-            return Message(MessageKind.FRAME, pack_frame_payload(depth_pgm, color_ppm))
+            return Message(MessageKind.FRAME, self.frames[frame_id])
         raise DeviceError(ErrorCode.BAD_REQUEST,
                           f"unexpected request kind {msg.kind.name}")
 

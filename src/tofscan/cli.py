@@ -156,7 +156,7 @@ def _cmd_scan(args) -> int:
 def _cmd_segment(args) -> int:
     from .formats import decode_mask_pgm, encode_mask_pgm
     from .geometry import check_size
-    from .segmentation import ArbitrationMode, MaskPair, fuse, load_masks, metrics
+    from .segmentation import ArbitrationMode, MaskPair, fuse, metrics
 
     session = Path(args.session)
     mode = ArbitrationMode(args.mode)
@@ -167,16 +167,19 @@ def _cmd_segment(args) -> int:
     if not gts:
         raise _InputError(f"no ground-truth masks under {gt_dir}")
 
-    def load_sized(directory):
-        """The --masks pairs, each the size of its device's ground truth."""
-        pairs = load_masks(directory, list(gts))
-        for dev, pair in pairs.items():
-            check_size(str(Path(directory) / f"{dev}_rgbmask.pgm"), pair.rgb_mask,
-                       str(gt_dir / f"{dev}_gtmask.pgm"), gts[dev])
-        return pairs
+    def read_sized(path, dev):
+        """The mask PGM at ``path``, refused unless it is the size of ``dev``'s ground truth."""
+        mask = decode_mask_pgm(path.read_bytes())
+        check_size("mask", mask, str(gt_dir / f"{dev}_gtmask.pgm"), gts[dev])
+        return mask
 
-    pairs = (_read(load_sized, args.masks) if args.masks
-             else {d: MaskPair(gt, gt) for d, gt in gts.items()})
+    if args.masks:
+        given = Path(args.masks)
+        pairs = {dev: MaskPair(_read(lambda p: read_sized(p, dev), given / f"{dev}_rgbmask.pgm"),
+                               _read(lambda p: read_sized(p, dev), given / f"{dev}_depthmask.pgm"))
+                 for dev in gts}
+    else:
+        pairs = {dev: MaskPair(gt, gt) for dev, gt in gts.items()}
     rows = ["device_id,iou,fp_rate,fn_rate"]
     for dev, gt in gts.items():
         fused = fuse(pairs[dev], mode)
@@ -229,6 +232,7 @@ def _cmd_reconstruct(args) -> int:
     from .formats import read_ply, write_ply
     from .geometry import PointCloud
     from .reconstruction import ReconstructionError, estimate_normals, poisson_reconstruct
+    from .solver import SolverError
 
     _check_flag("--resolution", args.resolution, _RESOLUTION)
     cloud = _read(read_ply, args.cloud)
@@ -237,7 +241,7 @@ def _cmd_reconstruct(args) -> int:
     try:
         oriented = cloud if cloud.normals is not None else estimate_normals(cloud)
         mesh = poisson_reconstruct(oriented, resolution=args.resolution)
-    except (ValueError, ReconstructionError) as e:  # too few points, zero extent, ...
+    except (ValueError, ReconstructionError, SolverError) as e:  # too few points, ...
         raise _InputError(f"cannot reconstruct {args.cloud}: {e}") from e
     write_ply(args.out, mesh)
     print(f"wrote {args.out}: {len(mesh.vertices)} vertices, {len(mesh.triangles)} triangles")

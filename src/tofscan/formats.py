@@ -194,6 +194,9 @@ def read_ply(path) -> PointCloud | TriangleMesh:
             raise ValueError(f"PLY vertex element has no {axis!r} property")
     rec = np.frombuffer(buf, dtype=np.dtype(props), count=n_vert, offset=end)
     pts = np.column_stack([rec["x"], rec["y"], rec["z"]]).astype(np.float64)
+    non_finite = ~np.isfinite(pts).all(axis=1)
+    if non_finite.any():
+        raise ValueError(f"PLY vertex {np.argmax(non_finite)} has a non-finite coordinate")
     if n_face is not None:
         if not face_indices:
             raise ValueError("PLY face element has no vertex_indices property")

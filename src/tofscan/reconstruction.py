@@ -38,6 +38,9 @@ class ReconstructionError(RuntimeError):
 GRID_MEMORY_BYTES = 2 * 1024 ** 3
 _BYTES_PER_NODE = 12 * 8
 _NORMAL_K = 30  # PCA neighbourhood of the merged-cloud normals
+# smallest cloud extent gridded: the solve's terms grow as the inverse grid spacing
+# squared, which overflows float64 once a cloud spans about 1e-150 m or less
+_MIN_EXTENT = 1e-100
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,9 @@ def _grid_layout(points: np.ndarray, resolution: int):
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     extent = float((hi - lo).max())
-    if extent == 0:
-        raise ReconstructionError("degenerate cloud: zero extent")
+    if extent < _MIN_EXTENT:
+        raise ReconstructionError(f"degenerate cloud: extent {extent:.3g} m, under "
+                                  f"{_MIN_EXTENT:g} m")
     spacing = extent / (resolution - 1 - 2 * PAD_CELLS)
     origin, shape = padded_grid(lo, hi, spacing)
     return origin, spacing, shape
@@ -113,9 +117,10 @@ def poisson_reconstruct(cloud: PointCloud, resolution: int = 128) -> TriangleMes
 
     ``resolution`` is the node count along the longest padded axis (the other
     axes scale with the cloud's bounding box). Raises ReconstructionError for
-    a cloud without normals, empty input, a grid over ``GRID_MEMORY_BYTES``
-    (checked before anything is allocated) or an empty iso-surface, SolverError
-    if the linear solve misses the solver's residual gate.
+    a cloud without normals, empty input, an extent under ``_MIN_EXTENT`` metres,
+    a grid over ``GRID_MEMORY_BYTES`` (checked before anything is allocated) or
+    an empty iso-surface, SolverError if the linear solve misses the solver's
+    residual gate.
     """
     from scipy import ndimage
 

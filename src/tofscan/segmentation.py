@@ -1,8 +1,8 @@
 """Voting arbitration between RGB- and depth-derived masks, plus quality metrics.
 
 The mask provider is pluggable: simulator oracle masks and file-loaded masks
-travel through the same code path. The fused mask is applied by
-``geometry.back_project``. Metric definitions:
+(read by ``tofscan segment --masks``) travel through the same code path. The
+fused mask is applied by ``geometry.back_project``. Metric definitions:
 
     iou      = |P ∩ G| / |P ∪ G|          (1.0 when both empty)
     fn_rate  = 100 * |G \\ P| / |G|
@@ -16,15 +16,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from pathlib import Path
 
-from .formats import decode_mask_pgm
 from .geometry import BinaryMask, check_size
 
-__all__ = [
-    "ArbitrationMode", "MaskPair", "SegMetrics",
-    "fuse", "metrics", "load_masks",
-]
+__all__ = ["ArbitrationMode", "MaskPair", "SegMetrics", "fuse", "metrics"]
 
 
 class ArbitrationMode(enum.Enum):
@@ -76,20 +71,3 @@ def metrics(pred: BinaryMask, gt: BinaryMask) -> SegMetrics:
     fp = 0.0 if background == 0 else 100.0 * (n_p - inter) / background
     return SegMetrics(iou=iou, fp_rate=fp, fn_rate=fn)
 
-
-def load_masks(directory, device_ids) -> dict[int, MaskPair]:
-    """Load <device>_rgbmask.pgm / <device>_depthmask.pgm pairs for every device."""
-    directory = Path(directory)
-    out: dict[int, MaskPair] = {}
-    for dev in device_ids:
-        pair = []
-        for suffix in ("rgbmask", "depthmask"):
-            path = directory / f"{dev}_{suffix}.pgm"
-            if not path.exists():
-                raise FileNotFoundError(f"missing {suffix} for device {dev}: {path}")
-            try:
-                pair.append(decode_mask_pgm(path.read_bytes()))
-            except ValueError as e:
-                raise ValueError(f"{path}: {e}") from e
-        out[int(dev)] = MaskPair(rgb_mask=pair[0], depth_mask=pair[1])
-    return out

@@ -82,6 +82,15 @@ def _ply_with_second_normal(normal) -> bytes:
     return head + b"end_header\n" + np.array([0, 0, 0, 0, 0, 1, 0, 0, 0, *normal], "<f8").tobytes()
 
 
+def _ply_with_second_vertex(vertex, face: bool) -> bytes:
+    """Three float vertices, the second ``vertex``, and one face of them if ``face``."""
+    verts = np.array([[0, 0, 0], vertex, [0, 1, 0]], "<f4").tobytes()
+    if not face:
+        return _PLY_HEAD + _PLY_XYZ + b"end_header\n" + verts
+    return (_PLY_HEAD + _PLY_XYZ + b"element face 1\nproperty list uchar uint vertex_indices\n"
+            b"end_header\n" + verts + b"\x03" + np.array([0, 1, 2], "<u4").tobytes())
+
+
 # name -> (file bytes, the defect read_ply names)
 MALFORMED_PLY = {
     "only-end-header": (b"end_header\n", "not 'ply'"),
@@ -111,6 +120,10 @@ MALFORMED_PLY = {
                           "vertex 1 has a normal that is not a finite unit vector")
        for name, normal in (("nan", (np.nan, 0.0, 1.0)), ("zero", (0.0, 0.0, 0.0)),
                             ("non-unit", (0.0, 0.0, 1.0 + 1e-8)))},
+    "nan-vertex": (_ply_with_second_vertex((1.0, np.nan, 0.0), face=True),
+                   "PLY vertex 1 has a non-finite coordinate"),
+    "inf-point": (_ply_with_second_vertex((1.0, 0.0, np.inf), face=False),
+                  "PLY vertex 1 has a non-finite coordinate"),
 }
 
 

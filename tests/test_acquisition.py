@@ -4,6 +4,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -40,10 +41,9 @@ class _ResetPeer:
     def settimeout(self, timeout: float) -> None:
         pass
 
-    def recv_into(self, view) -> int:
-        n = min(len(view), len(self.data))
-        view[:n], self.data = self.data[:n], self.data[n:]
-        return n
+    def recv(self, n: int) -> bytes:
+        chunk, self.data = self.data[:n], self.data[n:]
+        return chunk
 
     def sendall(self, data: bytes) -> None:
         raise ConnectionResetError("connection reset by peer")
@@ -422,10 +422,9 @@ class TestLoopback:
         # flip one byte in a stored frame on one server
         victim = servers[2]
         frame_id = session.manifest[0].frame_id
-        depth, color, crc = victim.frames[frame_id]
-        tampered = bytearray(depth)
-        tampered[100] ^= 0xFF
-        victim.frames[frame_id] = (bytes(tampered), color, crc)
+        tampered = bytearray(victim.frames[frame_id])
+        tampered[4 + 100] ^= 0xFF  # byte 100 of the depth PGM, after the length prefix
+        victim.frames[frame_id] = bytes(tampered)
         with pytest.raises(IntegrityError, match=f"^127.0.0.1:{victim.port}: device 2"):
             client.fetch_frames(session, tmp_path)
 
@@ -520,6 +519,29 @@ class TestLoopback:
             peer.join(timeout=5)
             server.stop()
         assert not peer.is_alive()
+
+    def test_declared_length_is_not_allocated_up_front(self, setup, monkeypatch):
+        """A request whose header declares 60 MB, of which one payload byte arrives: while
+        it stalls the server holds about the bytes that arrived, not the 60 MB declared,
+        and at the 1 s deadline it counts the break and hangs up."""
+        monkeypatch.setattr(acquisition, "DEFAULT_TIMEOUT_S", 1.0)
+        server = DeviceServer(0, TINY_RIG[0], scene=setup[0], rig=TINY_RIG)
+        server.start_background()
+        header = struct.pack(">4sBBI", b"HSCN", 1, MessageKind.CONFIGURE, 60_000_000)
+        tracemalloc.start()
+        try:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                sock.sendall(header + b"{")
+                time.sleep(0.5)  # the request stalls, its deadline not yet passed
+                held = tracemalloc.get_traced_memory()[1] - base
+                assert sock.recv(1) == b""  # hung up on at the deadline, no reply
+            assert held < 4e6
+            assert server.counters["protocol_errors"] == 1
+        finally:
+            tracemalloc.stop()
+            server.stop()
 
     def test_client_gives_up_on_a_trickled_reply(self):
         """A device that answers HELLO a byte per 0.1 s misses the client's 0.5 s reply

@@ -169,11 +169,16 @@ def test_reconstruct_resolution_out_of_range(tmp_path, capsys, rng):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["ten-points", "coincident"])
+@pytest.mark.parametrize("case", ["ten-points", "coincident", "vanishing-extent-1e-160",
+                                  "vanishing-extent-1e-200"])
 def test_reconstruct_degenerate_cloud(tmp_path, capsys, case):
-    """Fewer points than the normal neighbourhood, or no extent: one stderr line, exit 2."""
-    pts = (np.random.default_rng(0).standard_normal((10, 3)) if case == "ten-points"
-           else np.tile([0.1, 0.2, 0.3], (40, 1)))
+    """Fewer points than the normal neighbourhood, or no extent, or one too small for the
+    grid spacing's square to stay a float64: one stderr line, exit 2."""
+    rng = np.random.default_rng(0)
+    pts = {"ten-points": rng.standard_normal((10, 3)),
+           "coincident": np.tile([0.1, 0.2, 0.3], (40, 1)),
+           "vanishing-extent-1e-160": 1e-160 * rng.standard_normal((40, 3)),
+           "vanishing-extent-1e-200": 1e-200 * rng.standard_normal((40, 3))}[case]
     cloud = tmp_path / "cloud.ply"
     write_ply(cloud, PointCloud(pts))
     out = tmp_path / "mesh.ply"
@@ -183,13 +188,32 @@ def test_reconstruct_degenerate_cloud(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def test_reconstruct_solver_failure_is_named(tmp_path, capsys, monkeypatch):
+    """A solve that misses its residual gate: one stderr line naming the cloud, exit 2."""
+    from tofscan import reconstruction
+    from tofscan.solver import SolverError
+
+    def fail(cloud, resolution):
+        raise SolverError("residual nan over the gate", residual=float("nan"))
+
+    monkeypatch.setattr(reconstruction, "poisson_reconstruct", fail)
+    cloud = tmp_path / "cloud.ply"
+    write_ply(cloud, PointCloud(np.random.default_rng(0).standard_normal((40, 3))))
+    out = tmp_path / "mesh.ply"
+    assert main(["reconstruct", "--cloud", str(cloud), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(cloud) in err[0] and "residual nan" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, case", [("measure", case) for case in MALFORMED_PLY]
                          + [("reconstruct", "blank-line"), ("reconstruct", "nan-normal"),
-                            ("reconstruct", "non-unit-normal"),
+                            ("reconstruct", "non-unit-normal"), ("reconstruct", "nan-vertex"),
+                            ("reconstruct", "inf-point"),
                             ("register", "property-without-name")])
 def test_malformed_ply_is_named(tmp_path, capsys, command, case):
-    """A broken PLY header, a face past the last vertex, or a normal that is not a
-    finite unit vector: one stderr line, exit 2."""
+    """A broken PLY header, a face past the last vertex, a vertex with a non-finite
+    coordinate, or a normal that is not a finite unit vector: one stderr line, exit 2."""
     path = tmp_path / "session" / "clouds" / "0.ply"
     path.parent.mkdir(parents=True)
     path.write_bytes(MALFORMED_PLY[case][0])
@@ -505,10 +529,41 @@ def test_segment_command_without_masks_fails(tmp_path, capsys):
     assert not (session / "segmetrics.csv").exists()
 
 
-@pytest.mark.parametrize("junk", ["gtmask", "rgbmask", "rgbmask-size"])
+@pytest.mark.parametrize("mode", ["or", "and", "rgb", "depth"])
+def test_segment_given_masks_match_in_process(tmp_path, capsys, mode):
+    """--masks pairs are fused and scored as ``fuse`` and ``metrics`` do in process: each
+    <dev>_fused.pgm and each segmetrics.csv row."""
+    from tofscan.formats import encode_mask_pgm
+    from tofscan.geometry import BinaryMask
+    from tofscan.segmentation import ArbitrationMode, MaskPair, fuse, metrics
+    session, given = tmp_path / "session", tmp_path / "given"
+    (session / "masks").mkdir(parents=True)
+    given.mkdir()
+    rng = np.random.default_rng(0)
+    pairs, gts = {}, {}
+    for dev in range(3):
+        gts[dev] = BinaryMask(rng.random((6, 8)) < 0.5)
+        pairs[dev] = MaskPair(BinaryMask(rng.random((6, 8)) < 0.5),
+                              BinaryMask(rng.random((6, 8)) < 0.5))
+        (session / "masks" / f"{dev}_gtmask.pgm").write_bytes(encode_mask_pgm(gts[dev]))
+        (given / f"{dev}_rgbmask.pgm").write_bytes(encode_mask_pgm(pairs[dev].rgb_mask))
+        (given / f"{dev}_depthmask.pgm").write_bytes(encode_mask_pgm(pairs[dev].depth_mask))
+    assert main(["segment", "--session", str(session), "--mode", mode,
+                 "--masks", str(given)]) == 0
+    rows = ["device_id,iou,fp_rate,fn_rate"]
+    for dev in range(3):
+        fused = fuse(pairs[dev], ArbitrationMode(mode))
+        assert (session / "masks" / f"{dev}_fused.pgm").read_bytes() == encode_mask_pgm(fused)
+        m = metrics(fused, gts[dev])
+        rows.append(f"{dev},{m.iou:.6f},{m.fp_rate:.4f},{m.fn_rate:.4f}")
+    assert (session / "segmetrics.csv").read_text() == "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("junk", ["gtmask", "rgbmask", "rgbmask-gray", "rgbmask-size",
+                                  "depthmask-missing"])
 def test_segment_junk_mask_is_named(tmp_path, capsys, junk):
-    """A junk ground-truth mask, or a junk --masks PGM or pair of the wrong size, is named on
-    one stderr line, exit 2, before anything is written."""
+    """A junk ground-truth mask, or a junk, gray, missing or wrong-size --masks PGM, is
+    named on one stderr line, exit 2, before anything is written."""
     from tofscan.formats import encode_mask_pgm
     from tofscan.geometry import BinaryMask
     session = tmp_path / "session"
@@ -519,16 +574,23 @@ def test_segment_junk_mask_is_named(tmp_path, capsys, junk):
     for path in (session / "masks" / "0_gtmask.pgm", given / "0_rgbmask.pgm",
                  given / "0_depthmask.pgm"):
         path.write_bytes(valid)
-    bad = session / "masks" / "0_gtmask.pgm" if junk == "gtmask" else given / "0_rgbmask.pgm"
+    bad = {"gtmask": session / "masks" / "0_gtmask.pgm",
+           "depthmask-missing": given / "0_depthmask.pgm"}.get(junk, given / "0_rgbmask.pgm")
     if junk == "rgbmask-size":
         small = encode_mask_pgm(BinaryMask(np.eye(4, dtype=bool)))
         bad.write_bytes(small)
         (given / "0_depthmask.pgm").write_bytes(small)
+    elif junk == "rgbmask-gray":  # written by hand: the mask codec writes only 0 and 255
+        bad.write_bytes(b"P5\n8 8\n255\n" + bytes([128]) * 64)
+    elif junk == "depthmask-missing":
+        bad.unlink()
     else:
         bad.write_bytes(b"junk")
     assert main(["segment", "--session", str(session), "--masks", str(given)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("cannot read ") and str(bad) in err[0]
+    assert {"rgbmask-gray": "non-binary", "rgbmask-size": "4x4 does not match",
+            "depthmask-missing": "No such file"}.get(junk, "") in err[0]
     assert not (session / "segmetrics.csv").exists()
     assert not (session / "masks" / "0_fused.pgm").exists()
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tofscan.geometry import BinaryMask, CameraIntrinsics, ColorImage, DepthImage, back_project
-from tofscan.segmentation import ArbitrationMode, MaskPair, fuse, load_masks, metrics
+from tofscan.segmentation import ArbitrationMode, MaskPair, fuse, metrics
 
 
 def mask_of(coords, w=4, h=4):
@@ -118,33 +118,6 @@ class TestApplyMask:
         depth = DepthImage(data)
         cloud = back_project(depth, intr, ColorImage(np.zeros((48, 64, 3), np.uint8)), mask)
         assert len(cloud) == int((fg & (data > 0)).sum())
-
-
-class TestLoadMasks:
-    def _write(self, directory, dev, suffix, data):
-        """An 8-bit PGM of ``data`` as written by hand, so gray values reach the reader."""
-        h, w = data.shape
-        (directory / f"{dev}_{suffix}.pgm").write_bytes(f"P5\n{w} {h}\n255\n".encode()
-                                                         + data.tobytes())
-
-    def test_loads_complete_pairs(self, tmp_path, rng):
-        for dev in range(8):
-            data = ((rng.random((6, 6)) < 0.5) * 255).astype(np.uint8)
-            self._write(tmp_path, dev, "rgbmask", data)
-            self._write(tmp_path, dev, "depthmask", data)
-        out = load_masks(tmp_path, range(8))
-        assert sorted(out) == list(range(8))
-
-    def test_non_binary_value_rejected(self, tmp_path):
-        self._write(tmp_path, 0, "rgbmask", np.full((4, 4), 128, np.uint8))
-        self._write(tmp_path, 0, "depthmask", np.zeros((4, 4), np.uint8))
-        with pytest.raises(ValueError, match="non-binary"):
-            load_masks(tmp_path, [0])
-
-    def test_missing_file_names_device(self, tmp_path):
-        self._write(tmp_path, 3, "rgbmask", np.zeros((4, 4), np.uint8))
-        with pytest.raises(FileNotFoundError, match="device 3"):
-            load_masks(tmp_path, [3])
 
 
 @settings(max_examples=100)
