@@ -121,8 +121,6 @@ class DeviceServer:
 
     def __init__(self, device_id: int, sensor: SensorModel,
                  scene: Scene, rig: list[SensorModel]):
-        if sensor.device_id != device_id:
-            raise ValueError(f"sensor device_id {sensor.device_id} != server id {device_id}")
         entry = next((s for s in rig if s.device_id == device_id), None)
         if entry is None:
             raise ValueError(f"device {device_id} not in rig")
@@ -373,8 +371,7 @@ class ScanClient:
         self.next_session += 1
         session = ScanSession(session_id, cattle_id, schedule)
 
-        msg = json_message(MessageKind.TRIGGER, {"session_id": session_id,
-                                                 "frame_id": frame_id, "seed": seed})
+        msg = json_message(MessageKind.TRIGGER, {"frame_id": frame_id, "seed": seed})
 
         def one(ep: str) -> ManifestEntry:
             return _read_payload(self._request(ep, msg), lambda d, p: ManifestEntry(

@@ -84,6 +84,14 @@ def _read(loader, path):
         raise _InputError(f"cannot read {path}: {e}") from e
 
 
+def _device_files(directory: Path, suffix: str) -> dict[int, Path]:
+    """Device id -> ``directory/<id><suffix>``, for each file whose stem is an id as the
+    program writes it: ``7``, and not ``007`` or ``old``."""
+    stems = {f.name.removesuffix(suffix): f for f in sorted(directory.glob(f"*{suffix}"))}
+    return {int(stem): f for stem, f in stems.items()
+            if stem.isdecimal() and str(int(stem)) == stem}
+
+
 def _cmd_serve(args) -> int:
     from .acquisition import DeviceServer
     from .render import load_rig
@@ -161,9 +169,8 @@ def _cmd_segment(args) -> int:
     session = Path(args.session)
     mode = ArbitrationMode(args.mode)
     gt_dir = session / "masks"
-    named = {f.name.removesuffix("_gtmask.pgm"): f for f in sorted(gt_dir.glob("*_gtmask.pgm"))}
-    gts = {int(dev): _read(lambda p: decode_mask_pgm(p.read_bytes()), f)
-           for dev, f in named.items() if dev.isdecimal()}  # <digits>_gtmask.pgm only
+    gts = {dev: _read(lambda p: decode_mask_pgm(p.read_bytes()), f)
+           for dev, f in _device_files(gt_dir, "_gtmask.pgm").items()}
     if not gts:
         raise _InputError(f"no ground-truth masks under {gt_dir}")
 
@@ -207,10 +214,8 @@ def _cmd_register(args) -> int:
         return cloud
 
     session = Path(args.session)
-    clouds = {}
-    for f in sorted((session / "clouds").glob("*.ply")):
-        if f.stem.isdecimal():
-            clouds[int(f.stem)] = _read(read_colored_cloud, f)
+    clouds = {dev: _read(read_colored_cloud, f)
+              for dev, f in _device_files(session / "clouds", ".ply").items()}
     if not clouds:
         raise _InputError(f"no per-device clouds under {session}/clouds")
     calibration = session / "calibration.json"

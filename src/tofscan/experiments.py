@@ -117,8 +117,10 @@ class ExperimentReport:
 def _study(object_id: str, reference: MeshMeasurements, cfgs) -> ExperimentReport:
     """One measured run per config, in order; a failed run is logged and recorded by seed.
 
-    A run with a diverged registration edge fails too: ``run_pipeline`` merges
-    only the devices reachable along the chain, so it would measure part of the object.
+    A run with a failed registration edge fails too. ``run_pipeline`` still merges every
+    device with a pose, but the pose solve places a diverged edge's devices without that
+    edge's ICP term, and leaves out a device that sees no tag of the cube. Such a run would
+    measure a cloud aligned in part by the cube alone, or only part of the object.
     """
     runs, seeds, failed = [], [], []
     for cfg in cfgs:

@@ -93,8 +93,6 @@ def _stage(name, fn, *args):
     """``fn(*args)``, with any failure raised as a PipelineError naming the stage."""
     try:
         return fn(*args)
-    except PipelineError:
-        raise
     except Exception as e:
         raise PipelineError(name, e) from e
 

@@ -38,9 +38,11 @@ class ReconstructionError(RuntimeError):
 GRID_MEMORY_BYTES = 2 * 1024 ** 3
 _BYTES_PER_NODE = 12 * 8
 _NORMAL_K = 30  # PCA neighbourhood of the merged-cloud normals
-# smallest cloud extent gridded: the solve's terms grow as the inverse grid spacing
-# squared, which overflows float64 once a cloud spans about 1e-150 m or less
+# admissible cloud extents: the solve's terms grow as the inverse grid spacing squared,
+# which overflows float64 once a cloud spans about 1e-150 m or less, and the KD-tree's
+# squared distances overflow once it spans about 1e40 m
 _MIN_EXTENT = 1e-100
+_MAX_EXTENT = 1e30
 
 
 @dataclass(frozen=True)
@@ -60,23 +62,35 @@ class TriangleMesh:
 
 
 def estimate_normals(cloud: PointCloud) -> PointCloud:
-    """``cloud`` with PCA normals over its 30 nearest neighbors, each facing the origin."""
+    """``cloud`` with PCA normals over its 30 nearest neighbors, each facing the origin.
+
+    Raises ValueError for fewer than 30 points and ReconstructionError for an extent
+    outside [``_MIN_EXTENT``, ``_MAX_EXTENT``] metres."""
     from scipy.spatial import cKDTree
 
     pts = cloud.points
     if len(pts) < _NORMAL_K:
         raise ValueError(f"need at least k={_NORMAL_K} points, got {len(pts)}")
+    _bounding_box(pts)
     normals = pca_normals(pts, cKDTree(pts), _NORMAL_K, np.zeros(3))
     return replace(cloud, normals=normals)
 
 
-def _grid_layout(points: np.ndarray, resolution: int):
+def _bounding_box(points: np.ndarray):
+    """The points' bounding box (lo, hi) and its longest side, refused as degenerate
+    unless that side is within [_MIN_EXTENT, _MAX_EXTENT] metres."""
     lo = points.min(axis=0)
     hi = points.max(axis=0)
-    extent = float((hi - lo).max())
-    if extent < _MIN_EXTENT:
-        raise ReconstructionError(f"degenerate cloud: extent {extent:.3g} m, under "
-                                  f"{_MIN_EXTENT:g} m")
+    with np.errstate(over="ignore"):  # a span past the float64 range reads inf, refused below
+        extent = float((hi - lo).max())
+    if not _MIN_EXTENT <= extent <= _MAX_EXTENT:
+        raise ReconstructionError(f"degenerate cloud: extent {extent:.3g} m, outside "
+                                  f"[{_MIN_EXTENT:g}, {_MAX_EXTENT:g}] m")
+    return lo, hi, extent
+
+
+def _grid_layout(points: np.ndarray, resolution: int):
+    lo, hi, extent = _bounding_box(points)
     spacing = extent / (resolution - 1 - 2 * PAD_CELLS)
     origin, shape = padded_grid(lo, hi, spacing)
     return origin, spacing, shape
@@ -117,10 +131,10 @@ def poisson_reconstruct(cloud: PointCloud, resolution: int = 128) -> TriangleMes
 
     ``resolution`` is the node count along the longest padded axis (the other
     axes scale with the cloud's bounding box). Raises ReconstructionError for
-    a cloud without normals, empty input, an extent under ``_MIN_EXTENT`` metres,
-    a grid over ``GRID_MEMORY_BYTES`` (checked before anything is allocated) or
-    an empty iso-surface, SolverError if the linear solve misses the solver's
-    residual gate.
+    a cloud without normals, empty input, an extent outside [``_MIN_EXTENT``,
+    ``_MAX_EXTENT``] metres, a grid over ``GRID_MEMORY_BYTES`` (checked before
+    anything is allocated) or an empty iso-surface, SolverError if the linear
+    solve misses the solver's residual gate.
     """
     from scipy import ndimage
 

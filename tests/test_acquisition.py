@@ -164,9 +164,11 @@ class TestServerStateMachine:
         lambda s: replace(s, sigma0=2 * s.sigma0),
         lambda s: replace(s, pose=RigidTransform(s.pose.rotation, s.pose.translation + 0.01)),
         lambda s: replace(s, intrinsics=replace(s.intrinsics, fx=s.intrinsics.fx + 1)),
-    ], ids=["noise", "pose", "intrinsics"])
+        lambda s: replace(s, device_id=0),
+    ], ids=["noise", "pose", "intrinsics", "device-id"])
     def test_server_sensor_must_be_the_rigs(self, setup, change):
-        """TRIGGER renders the sensor HELLO reports, so it must be the rig's entry."""
+        """TRIGGER renders the sensor HELLO reports, so it must be the rig's entry, down
+        to its device id."""
         scene, rig = setup
         with pytest.raises(ValueError, match="differs from the rig's device 1"):
             DeviceServer(1, change(rig[1]), scene=scene, rig=rig)

@@ -170,22 +170,41 @@ def test_reconstruct_resolution_out_of_range(tmp_path, capsys, rng):
 
 
 @pytest.mark.parametrize("case", ["ten-points", "coincident", "vanishing-extent-1e-160",
-                                  "vanishing-extent-1e-200"])
+                                  "vanishing-extent-1e-200", "huge-extent-1e308",
+                                  "huge-extent-1e308-normals", "huge-extent-1e40"])
 def test_reconstruct_degenerate_cloud(tmp_path, capsys, case):
     """Fewer points than the normal neighbourhood, or no extent, or one too small for the
-    grid spacing's square to stay a float64: one stderr line, exit 2."""
+    grid spacing's square to stay a float64, or one so large that the KD-tree's distances
+    or the box's span overflow: one stderr line, exit 2."""
     rng = np.random.default_rng(0)
+    huge = np.random.default_rng(1).uniform(-1, 1, (40, 3))
     pts = {"ten-points": rng.standard_normal((10, 3)),
            "coincident": np.tile([0.1, 0.2, 0.3], (40, 1)),
            "vanishing-extent-1e-160": 1e-160 * rng.standard_normal((40, 3)),
-           "vanishing-extent-1e-200": 1e-200 * rng.standard_normal((40, 3))}[case]
+           "vanishing-extent-1e-200": 1e-200 * rng.standard_normal((40, 3)),
+           "huge-extent-1e308": 1e308 * huge,
+           "huge-extent-1e308-normals": 1e308 * huge,
+           "huge-extent-1e40": 1e40 * huge}[case]
+    normals = huge / np.linalg.norm(huge, axis=1)[:, None] if case.endswith("normals") else None
     cloud = tmp_path / "cloud.ply"
-    write_ply(cloud, PointCloud(pts))
+    write_ply(cloud, PointCloud(pts, normals=normals))
     out = tmp_path / "mesh.ply"
     assert main(["reconstruct", "--cloud", str(cloud), "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and str(cloud) in err[0]
     assert not out.exists()
+
+
+def test_reconstruct_extent_inside_the_bound(tmp_path, capsys, rng):
+    """A sphere 0.9e30 m across, just inside the largest extent gridded, reconstructs from a
+    PLY without normals."""
+    v = rng.standard_normal((2000, 3))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    write_ply(tmp_path / "cloud.ply", PointCloud(0.45e30 * v))
+    out = tmp_path / "mesh.ply"
+    assert main(["reconstruct", "--cloud", str(tmp_path / "cloud.ply"),
+                 "--resolution", "32", "--out", str(out)]) == 0
+    assert len(read_ply(out).triangles) > 100
 
 
 def test_reconstruct_solver_failure_is_named(tmp_path, capsys, monkeypatch):
@@ -506,27 +525,36 @@ def test_segment_command_on_session(tmp_path, capsys):
     masks = tmp_path / "session" / "masks"
     masks.mkdir(parents=True)
     rng = np.random.default_rng(0)
-    for dev in range(2):
+    for dev in (0, 7):
         gt = BinaryMask(rng.random((8, 8)) < 0.4)
         (masks / f"{dev}_gtmask.pgm").write_bytes(encode_mask_pgm(gt))
-    # strays, not <digits>_gtmask.pgm; superscript two passes str.isdigit() but not int()
-    for stray in ("old", "\u00b2"):
+    # strays, not <id>_gtmask.pgm as the program writes it: superscript two passes
+    # str.isdigit() but not int(), and 007 is not how device 7 is named
+    for stray in ("old", "\u00b2", "007"):
         (masks / f"{stray}_gtmask.pgm").write_bytes(b"junk")
     code = main(["segment", "--session", str(tmp_path / "session"), "--mode", "or"])
     assert code == 0
     lines = (tmp_path / "session" / "segmetrics.csv").read_text().strip().splitlines()
     assert lines[0] == "device_id,iou,fp_rate,fn_rate"
-    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "7"]
     # oracle masks scored against themselves: perfect
     assert all(line.split(",")[1] == "1.000000" for line in lines[1:])
 
 
-def test_segment_command_without_masks_fails(tmp_path, capsys):
-    session = tmp_path / "scan0001"
-    session.mkdir()
-    assert main(["segment", "--session", str(session)]) == 2
+@pytest.mark.parametrize("held", [(), ("007_gtmask.pgm",)], ids=["empty", "zero-padded-id"])
+def test_segment_command_without_masks_fails(tmp_path, capsys, held):
+    """A session with no ground-truth mask under a name the program writes (``7``, not
+    ``007``): exit 2, nothing written."""
+    from tofscan.formats import encode_mask_pgm
+    from tofscan.geometry import BinaryMask
+    masks = tmp_path / "scan0001" / "masks"
+    masks.mkdir(parents=True)
+    for name in held:
+        (masks / name).write_bytes(encode_mask_pgm(BinaryMask(np.eye(8, dtype=bool))))
+    assert main(["segment", "--session", str(masks.parent)]) == 2
     assert "no ground-truth masks" in capsys.readouterr().err
-    assert not (session / "segmetrics.csv").exists()
+    assert sorted(p.name for p in masks.iterdir()) == sorted(held)
+    assert not (masks.parent / "segmetrics.csv").exists()
 
 
 @pytest.mark.parametrize("mode", ["or", "and", "rgb", "depth"])
@@ -615,12 +643,15 @@ def cylinder_session(tmp_path_factory):
     return cfg, run_pipeline(cfg).graph, out
 
 
-def _register_copy(session, tmp_path):
-    """Copy ``session`` without its poses.json and merged.ply and run ``register`` on it."""
+def _register_copy(session, tmp_path, strays=()):
+    """Copy ``session`` without its poses.json and merged.ply, add each of ``strays`` as a
+    junk file under clouds/ and run ``register`` on it."""
     copy = tmp_path / "session"
     shutil.copytree(session, copy)
     (copy / "poses.json").unlink()
     (copy / "clouds" / "merged.ply").unlink()
+    for name in strays:
+        (copy / "clouds" / name).write_bytes(b"junk")
     assert main(["register", "--session", str(copy)]) == 0
     return copy
 
@@ -642,11 +673,14 @@ def test_register_command_on_session(cylinder_session, tmp_path, capsys):
         assert angle < 2.0 and offset < 0.030, (dev, angle, offset)
 
 
-def test_register_replays_the_run(cylinder_session, tmp_path):
+@pytest.mark.parametrize("strays", [(), ("007.ply", "+7.ply", "old.ply")],
+                         ids=["session", "beside-strays"])
+def test_register_replays_the_run(cylinder_session, tmp_path, strays):
     """``register`` on a run's session gives the run's global poses and merged
-    cloud bit for bit: the session's clouds hold the points the run registered."""
+    cloud bit for bit: the session's clouds hold the points the run registered.
+    A stray beside them, such as ``007.ply`` beside ``7.ply``, is left unread."""
     _, graph, session = cylinder_session
-    copy = _register_copy(session, tmp_path)
+    copy = _register_copy(session, tmp_path, strays)
     poses = json.loads((copy / "poses.json").read_text())["global_poses"]
     assert poses == {str(d): t.to_json_dict() for d, t in graph.global_poses.items()}
     merged = "clouds/merged.ply"

@@ -1,4 +1,5 @@
-"""Every public name the package exports resolves, so a deletion leaves no stale export."""
+"""Every public name the package exports resolves, so a deletion leaves no stale export,
+and each entry point loads only the modules it needs."""
 
 import hashlib
 import importlib
@@ -17,11 +18,40 @@ from tofscan.pipeline import run_pipeline
 from tofscan.scene import make_known_object_scene
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(tofscan.__path__))
+# segmentation through metrology, the file formats and the wire framing: what runs on
+# a real rig's frames, and the modules that only simulate a rig and measure it
+SCANNER = ("geometry", "segmentation", "registration", "reconstruction", "marching", "solver",
+           "metrology", "formats", "protocol")
+SIMULATOR = ("scene", "render", "capture", "oracle", "rigs", "experiments", "pipeline",
+             "acquisition")
 
 
 def test_package_imports():
-    """``import tofscan`` runs every re-export in the package's ``__init__``."""
     assert importlib.import_module("tofscan").__version__
+
+
+def _loaded_by(statement: str) -> set[str]:
+    """The modules in ``sys.modules`` after ``statement`` runs in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # this process's tofscan
+    run = subprocess.run([sys.executable, "-c", f"{statement}\nimport sys; print(*sys.modules)"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.split())
+
+
+@pytest.mark.parametrize("name", SCANNER)
+def test_scanner_module_loads_no_simulator(name):
+    loaded = _loaded_by(f"import tofscan.{name}")
+    assert f"tofscan.{name}" in loaded
+    assert sorted({f"tofscan.{m}" for m in SIMULATOR} & loaded) == []
+
+
+def test_package_and_cli_load_no_numpy():
+    """``import tofscan`` loads no submodule, and ``import tofscan.cli`` no numpy: each
+    command imports what it runs."""
+    assert sorted(m for m in _loaded_by("import tofscan") if m.startswith("tofscan.")) == []
+    loaded = _loaded_by("import tofscan.cli")
+    assert "tofscan.cli" in loaded and "numpy" not in loaded
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -33,7 +63,7 @@ def test_every_exported_name_resolves(name):
 
 @pytest.mark.parametrize("name", MODULES)
 def test_submodule_attribute_is_the_module(name):
-    """No re-export in ``__init__`` shadows a submodule (``tofscan.render`` stays a module)."""
+    """No name in ``__init__`` shadows a submodule (``tofscan.render`` stays a module)."""
     importlib.import_module(f"tofscan.{name}")
     assert isinstance(getattr(tofscan, name), types.ModuleType), \
         f"tofscan.{name} is {type(getattr(tofscan, name)).__name__}, not the submodule"
